@@ -1,27 +1,30 @@
 """Command-line frontend.
 
-Subcommands: ``validate`` runs one of five validation pipelines over a
-knowledge base and a shapes graph, ``build-model`` materializes a finite
-approximation of the canonical model, ``chase`` dumps the rounds of the
-core chase, and ``selftest`` cross-checks the pipelines against each
-other on random inputs.
+Subcommands: ``validate`` runs one of the five validation routes of
+``ROUTES`` over a knowledge base and a shapes graph, ``build-model``
+materializes a finite approximation of the canonical model, ``chase``
+dumps the rounds of the core chase, and ``selftest`` cross-checks the
+routes against each other on random inputs.
 
 Exit codes: 0 all targets valid, 1 violations, 2 inconsistent KB,
-3 input error, 4 constraints not stratified, 5 depth or round budget hit
-where a verdict would need the missing part.
+3 input error, 4 constraints not stratified, 5 a budget hit where a
+verdict would need the missing part: a target that fails on a model
+truncated at ``--depth`` (reported UNKNOWN, ``"valid": null`` in JSON),
+negation over a truncated model, the chase's round budget, or the
+chase's size guard.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, fields
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .chase import NotTerminated, SizeGuardExceeded, run_core_chase
 from .core import ABox, Individual, Interpretation, Role, TBox
 from .evaluate import (
-    BinConstraint,
     TruncationRefused,
+    ValidationResult,
     perfect_assignment_b,
     validate,
 )
@@ -46,6 +49,7 @@ from .shapes import (
     GuardedDisj,
     GuardedEq,
     IndividualRef,
+    Item,
     NegShapeRef,
     Not,
     NotStratified,
@@ -66,13 +70,11 @@ EXIT_INPUT = 3
 EXIT_NOT_STRATIFIED = 4
 EXIT_DEPTH = 5
 
-MODES = ("direct", "rewrite", "pure-alchi", "pure-shaclb", "chase")
-
 
 @dataclass
 class RunConfig:
-    tbox: str
-    abox: str
+    tbox: str = ""
+    abox: str = ""
     shapes: Optional[str] = None
     targets: Optional[str] = None
     mode: str = "direct"
@@ -189,34 +191,126 @@ def load_shapes(cfg: RunConfig, renaming: Dict[str, Role]) -> ShapesGraph:
 
 
 # ---------------------------------------------------------------------------
-# validation pipelines
+# validation routes
+
+STATS = ("quadruples", "model_nodes", "rounds")
+
+# (shape, individual) -> verdict; None where a truncated model cannot tell
+Verdicts = Dict[Tuple[str, str], Optional[bool]]
 
 
-def _validate_b(
-    interp: Interpretation,
-    items: Sequence[Union[Constraint, BinConstraint]],
-    targets: Sequence[Tuple[str, str]],
-) -> List[Tuple[str, str, bool]]:
-    asg = perfect_assignment_b(interp, items)
-    out = []
-    for shape, ind in targets:
-        node = Individual(ind)
-        out.append((shape, ind, node in interp.nodes and (shape, node) in asg.unary))
-    return out
+@dataclass
+class PreparedKB:
+    """A consistent KB and a shapes graph, ready for every route.
+
+    The rewriting C_T is computed on first use and shared by the three
+    rewrite routes; ``stats`` collects the sizes the routes report.
+    """
+
+    sat: SaturatedTBox
+    abox: ABox
+    completed: ABox
+    sg: ShapesGraph
+    depth: int  # tree depth (direct) or round budget (chase)
+    stats: Dict[str, int] = field(default_factory=lambda: dict.fromkeys(STATS, 0))
+    _c_t: Optional[Tuple[Constraint, ...]] = None
+
+    @property
+    def c_t(self) -> Tuple[Constraint, ...]:
+        if self._c_t is None:
+            nsg, _ = normalize(self.sg)
+            strat = compute_stratification(nsg.constraints)
+            self._c_t = rewrite(self.sat, strat, stats=self.stats)
+        return self._c_t
+
+
+def prepare(tbox: TBox, abox: ABox, sg: ShapesGraph, depth: int) -> PreparedKB:
+    """Saturate the TBox and complete the ABox; raises InconsistentKB."""
+    sat = SaturatedTBox(tbox)
+    return PreparedKB(sat, abox, complete_abox(tbox, abox, sat), sg, depth)
+
+
+@dataclass(frozen=True)
+class Outcome:
+    interp: Interpretation  # what the verdicts were read from
+    verdicts: Verdicts
+    items: Tuple[Item, ...] = ()  # the constraints --show-rewrite prints
+
+
+def _verdicts(res: ValidationResult) -> Verdicts:
+    # over a truncated model only the valid targets are definitive
+    return {
+        (r.shape, r.node): r.valid or (None if res.lower_bound else False)
+        for r in res.targets
+    }
+
+
+def _direct(kb: PreparedKB) -> Outcome:
+    interp = build_can(
+        kb.sat.tbox, kb.abox, depth=kb.depth, sat=kb.sat, completed=kb.completed
+    )
+    return Outcome(interp, _verdicts(validate(interp, kb.sg)))
+
+
+def _chase(kb: PreparedKB) -> Outcome:
+    trace: List[Tuple[Interpretation, Interpretation]] = []
+    interp = run_core_chase(kb.sat, kb.abox, max_rounds=kb.depth, trace=trace)
+    kb.stats["rounds"] = len(trace)
+    return Outcome(interp, _verdicts(validate(interp, kb.sg)))
+
+
+def _validate_over(data: ABox, cons: Sequence[Constraint], kb: PreparedKB) -> Outcome:
+    interp = Interpretation.from_abox(data, complete=True)
+    res = validate(interp, ShapesGraph.of(cons, kb.sg.targets))
+    return Outcome(interp, _verdicts(res), tuple(cons))
+
+
+def _rewrite(kb: PreparedKB) -> Outcome:
+    return _validate_over(kb.completed, kb.c_t, kb)
+
+
+def _pure_alchi(kb: PreparedKB) -> Outcome:
+    return _validate_over(kb.abox, pure_rewrite_alchi(kb.sat, kb.c_t), kb)
+
+
+def _pure_shaclb(kb: PreparedKB) -> Outcome:
+    items = pure_rewrite_shaclb(kb.sat, kb.c_t)
+    interp = Interpretation.from_abox(kb.abox, complete=True)
+    unary = perfect_assignment_b(interp, items).unary
+    verdicts = {(s, i): (s, Individual(i)) in unary for s, i in kb.sg.targets}
+    return Outcome(interp, verdicts, items)
+
+
+@dataclass(frozen=True)
+class Route:
+    run: Callable[[PreparedKB], Outcome]
+    counting: bool = True  # False: refuses TBoxes with max1 axioms
+    small_only: bool = False  # a cross-check that may run out of rounds or nodes
+
+
+ROUTES: Dict[str, Route] = {
+    "direct": Route(_direct),
+    "rewrite": Route(_rewrite),
+    "pure-alchi": Route(_pure_alchi, counting=False),
+    "pure-shaclb": Route(_pure_shaclb),
+    "chase": Route(_chase, small_only=True),
+}
+MODES = tuple(ROUTES)
 
 
 def _emit_report(
     cfg: RunConfig,
     consistent: bool,
-    triples: Sequence[Tuple[str, str, bool]],
+    triples: Sequence[Tuple[str, str, Optional[bool]]],
     stats: Dict[str, int],
 ) -> None:
     if cfg.fmt == "json":
         sys.stdout.write(report_to_json(consistent, cfg.mode, triples, stats))
         return
     lines = [f"consistent: {'true' if consistent else 'false'}", f"mode: {cfg.mode}"]
+    word = {True: "VALID", False: "VIOLATION", None: "UNKNOWN"}
     for shape, ind, ok in triples:
-        lines.append(f"${shape}(@{ind}): {'VALID' if ok else 'VIOLATION'}")
+        lines.append(f"${shape}(@{ind}): {word[ok]}")
     pairs = " ".join(f"{k}={stats[k]}" for k in sorted(stats))
     lines.append(f"stats: {pairs}")
     sys.stdout.write("\n".join(lines) + "\n")
@@ -224,77 +318,52 @@ def _emit_report(
 
 def run(cfg: RunConfig) -> int:
     """The validate pipeline; returns the process exit code."""
+    route = ROUTES[cfg.mode]
     try:
         tbox, abox, renaming = load_kb(cfg)
         sg = load_shapes(cfg, renaming)
-        if cfg.mode == "pure-alchi" and tbox.atmost:
-            raise InputError(
-                "mode pure-alchi cannot handle max1 axioms; use pure-shaclb"
-            )
+        if tbox.atmost and not route.counting:
+            raise InputError(f"mode {cfg.mode} cannot handle max1 axioms; use pure-shaclb")
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    sat = SaturatedTBox(tbox)
-    stats = {"quadruples": 0, "model_nodes": 0, "rounds": 0}
     try:
-        completed = complete_abox(tbox, abox, sat)
+        kb = prepare(tbox, abox, sg, cfg.depth)
     except InconsistentKB as exc:
         print(f"inconsistent: {exc}", file=sys.stderr)
-        _emit_report(cfg, False, [], stats)
+        _emit_report(cfg, False, [], dict.fromkeys(STATS, 0))
         return EXIT_INCONSISTENT
 
     try:
-        compute_stratification(sg.constraints)
-    except NotStratified as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_STRATIFIED
-
-    try:
-        if cfg.mode == "direct":
-            interp = build_can(tbox, abox, depth=cfg.depth, sat=sat)
-            res = validate(interp, sg)
-            triples = [(r.shape, r.node, r.valid) for r in res.targets]
-        elif cfg.mode == "chase":
-            trace: List[Tuple[Interpretation, Interpretation]] = []
-            interp = run_core_chase(sat, abox, max_rounds=cfg.depth, trace=trace)
-            stats["rounds"] = len(trace)
-            res = validate(interp, sg)
-            triples = [(r.shape, r.node, r.valid) for r in res.targets]
-        else:
-            nsg, _ = normalize(sg)
-            nstrat = compute_stratification(nsg.constraints)
-            c_t = rewrite(sat, nstrat, stats=stats)
-            if cfg.mode == "rewrite":
-                items: Sequence[Union[Constraint, BinConstraint]] = c_t
-                interp = Interpretation.from_abox(completed, complete=True)
-                res = validate(interp, ShapesGraph.of(c_t, sg.targets))
-                triples = [(r.shape, r.node, r.valid) for r in res.targets]
-            elif cfg.mode == "pure-alchi":
-                items = pure_rewrite_alchi(sat, c_t)
-                interp = Interpretation.from_abox(abox, complete=True)
-                res = validate(interp, ShapesGraph.of(items, sg.targets))
-                triples = [(r.shape, r.node, r.valid) for r in res.targets]
-            else:
-                items = pure_rewrite_shaclb(sat, c_t)
-                interp = Interpretation.from_abox(abox, complete=True)
-                triples = _validate_b(interp, items, sg.targets)
-            if cfg.show_rewrite:
-                for it in items:
-                    print(it)
+        out = route.run(kb)
     except (UnguardedComparison, UnsupportedPattern) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except TruncationRefused as exc:
+    except NotStratified as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_STRATIFIED
+    except (TruncationRefused, NotTerminated) as exc:
         print(f"error: {exc} (raise --depth)", file=sys.stderr)
         return EXIT_DEPTH
-    except NotTerminated as exc:
-        print(f"error: {exc} (raise --depth)", file=sys.stderr)
+    except SizeGuardExceeded as exc:
+        print(f"error: {exc} (mode {cfg.mode} is a cross-check for small inputs)", file=sys.stderr)
         return EXIT_DEPTH
 
-    stats["model_nodes"] = len(interp.nodes)
-    _emit_report(cfg, True, triples, stats)
-    return EXIT_VALID if all(ok for _, _, ok in triples) else EXIT_VIOLATIONS
+    if cfg.show_rewrite:
+        for it in out.items:
+            print(it)
+    kb.stats["model_nodes"] = len(out.interp.nodes)
+    _emit_report(cfg, True, [(s, i, v) for (s, i), v in out.verdicts.items()], kb.stats)
+    unknown = sum(v is None for v in out.verdicts.values())
+    if unknown:
+        print(
+            f"unknown: {unknown} target(s) do not hold on the model truncated at "
+            f"depth {cfg.depth}, which cannot refute them (raise --depth)",
+            file=sys.stderr,
+        )
+        return EXIT_DEPTH
+    return EXIT_VALID if all(out.verdicts.values()) else EXIT_VIOLATIONS
 
 
 def cmd_build_model(cfg: RunConfig) -> int:
@@ -334,16 +403,12 @@ def cmd_chase(cfg: RunConfig) -> int:
         return EXIT_INCONSISTENT
 
     trace: List[Tuple[Interpretation, Interpretation]] = []
+    final: Optional[Interpretation] = None
     try:
         final = run_core_chase(sat, abox, max_rounds=cfg.depth, trace=trace)
+        last = f"# fixpoint after {len(trace)} rounds"
     except NotTerminated as exc:
-        for k, (fired, cored) in enumerate(trace, start=1):
-            print(f"# round {k}: fired ({len(fired.nodes)} nodes)")
-            sys.stdout.write(serialize_interpretation(fired))
-            print(f"# round {k}: cored ({len(cored.nodes)} nodes)")
-            sys.stdout.write(serialize_interpretation(cored))
-        print(f"# {exc}")
-        return EXIT_DEPTH
+        last = f"# {exc}"
     except SizeGuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEPTH
@@ -353,7 +418,9 @@ def cmd_chase(cfg: RunConfig) -> int:
         sys.stdout.write(serialize_interpretation(fired))
         print(f"# round {k}: cored ({len(cored.nodes)} nodes)")
         sys.stdout.write(serialize_interpretation(cored))
-    print(f"# fixpoint after {len(trace)} rounds")
+    print(last)
+    if final is None:
+        return EXIT_DEPTH
     sys.stdout.write(serialize_interpretation(final))
     return EXIT_VALID
 
@@ -418,20 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        tbox=getattr(args, "tbox", ""),
-        abox=getattr(args, "abox", ""),
-        shapes=getattr(args, "shapes", None),
-        targets=getattr(args, "targets", None),
-        mode=getattr(args, "mode", "direct"),
-        depth=getattr(args, "depth", 32),
-        fmt=getattr(args, "fmt", "text"),
-        seed=getattr(args, "seed", 0),
-        cases=getattr(args, "cases", 100),
-        emit=getattr(args, "emit", False),
-        show_rewrite=getattr(args, "show_rewrite", False),
-        inject_bug=getattr(args, "inject_bug", False),
-    )
+    """The parsed options; those a subcommand lacks keep their defaults."""
+    given = vars(args)
+    return RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -38,10 +38,6 @@ class Role:
         return "^" + self.name if self.inverted else self.name
 
 
-def invert_role(role: Role) -> Role:
-    return role.invert()
-
-
 def invert_roles(roles: Iterable[Role]) -> FrozenSet[Role]:
     return frozenset(r.invert() for r in roles)
 
@@ -274,10 +270,6 @@ class TwoType:
         r = ",".join(str(x) for x in sorted(self.roles))
         o = ",".join(sorted(self.others))
         return "({%s},{%s},{%s})" % (c, r, o)
-
-
-def invert_two_type(t: TwoType) -> TwoType:
-    return t.invert()
 
 
 def bare_type(concepts: Iterable[str]) -> TwoType:

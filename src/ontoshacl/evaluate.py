@@ -1,34 +1,48 @@
 """Fixpoint evaluation of shape constraints over finite interpretations.
 
-The unary evaluator computes the perfect assignment stratum by stratum:
-a least fixpoint of the immediate consequence operator, seeded with the
-lower strata, reading negation as failure against them. A second
-evaluator adds binary (edge) shapes with a path algebra; both unary and
-binary atoms grow jointly in its fixpoint.
+One engine serves unary and binary (SHACL^b) shapes alike. It computes
+the perfect assignment stratum by stratum, in the strata of
+``shapes.compute_stratification``: each stratum is a least fixpoint that
+grows unary and binary atoms jointly, seeded with the finished lower
+strata and reading negation as failure against them. ``validate`` reads
+per-target verdicts off the unary atoms; ``perfect_assignment_b`` returns
+both kinds.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
-from .core import TOP, Individual, Interpretation, Node, Role, node_key
+from .core import TOP, Individual, Interpretation, Node
 from .paths import NFA, Regex, regex_to_nfa
 from .shapes import (
     And,
+    BinConstraint,
+    BinRef,
     ConceptRef,
-    Constraint,
     ExistsPath,
     ExistsRoles,
+    ExistsVia,
     GuardedDisj,
     GuardedEq,
     IndividualRef,
+    Item,
     NegShapeRef,
     Not,
     Or,
+    PathExpr,
+    PConcat,
+    PDiff,
+    PInter,
+    PInverse,
+    PStar,
+    PUnion,
+    RoleStep,
     ShapeBody,
     ShapeRef,
     ShapesGraph,
     Stratification,
+    Test,
     UnguardedComparison,
     compute_stratification,
     has_negation,
@@ -36,19 +50,18 @@ from .shapes import (
 
 Assignment = FrozenSet[Tuple[str, Node]]
 BinAssignment = FrozenSet[Tuple[str, Node, Node]]
+# path automata compiled during one evaluation, dropped when it returns
+NFAs = Dict[Regex, NFA]
 
 
 class TruncationRefused(RuntimeError):
     """Negation over a cut-off model approximation is unreliable."""
 
 
-_nfa_memo: Dict[Regex, NFA] = {}
-
-
-def _nfa(path: Regex) -> NFA:
-    if path not in _nfa_memo:
-        _nfa_memo[path] = regex_to_nfa(path)
-    return _nfa_memo[path]
+def _nfa(nfas: NFAs, path: Regex) -> NFA:
+    if path not in nfas:
+        nfas[path] = regex_to_nfa(path)
+    return nfas[path]
 
 
 def _path_reach(interp: Interpretation, start: Node, nfa: NFA) -> FrozenSet[Node]:
@@ -69,109 +82,6 @@ def _path_reach(interp: Interpretation, start: Node, nfa: NFA) -> FrozenSet[Node
 
 
 # ---------------------------------------------------------------------------
-# SHACL^b path algebra (binary shapes)
-
-
-@dataclass(frozen=True)
-class RoleStep:
-    role: Role
-
-    def __str__(self) -> str:
-        return str(self.role)
-
-
-@dataclass(frozen=True)
-class BinRef:
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True)
-class Test:
-    shape: str
-
-    def __str__(self) -> str:
-        return f"${self.shape}?"
-
-
-@dataclass(frozen=True)
-class PUnion:
-    left: "PathExpr"
-    right: "PathExpr"
-
-    def __str__(self) -> str:
-        return f"({self.left} U {self.right})"
-
-
-@dataclass(frozen=True)
-class PInter:
-    left: "PathExpr"
-    right: "PathExpr"
-
-    def __str__(self) -> str:
-        return f"({self.left} ^ {self.right})"
-
-
-@dataclass(frozen=True)
-class PConcat:
-    left: "PathExpr"
-    right: "PathExpr"
-
-    def __str__(self) -> str:
-        return f"({self.left} . {self.right})"
-
-
-@dataclass(frozen=True)
-class PStar:
-    inner: "PathExpr"
-
-    def __str__(self) -> str:
-        return f"({self.inner})*"
-
-
-@dataclass(frozen=True)
-class PInverse:
-    inner: "PathExpr"
-
-    def __str__(self) -> str:
-        return f"({self.inner})-"
-
-
-@dataclass(frozen=True)
-class PDiff:
-    left: "PathExpr"
-    right: "PathExpr"
-
-    def __str__(self) -> str:
-        return f"({self.left} \\ {self.right})"
-
-
-PathExpr = Union[RoleStep, BinRef, Test, PUnion, PInter, PConcat, PStar, PInverse, PDiff]
-
-
-@dataclass(frozen=True)
-class ExistsVia:
-    """Unary body: some node reachable over a path-algebra expression."""
-
-    path: PathExpr
-    body: "ShapeBody"
-
-    def __str__(self) -> str:
-        return f"some ({self.path}).{self.body}"
-
-
-@dataclass(frozen=True)
-class BinConstraint:
-    head: str
-    body: PathExpr
-
-    def __str__(self) -> str:
-        return f"{self.head} <- {self.body}"
-
-
-# ---------------------------------------------------------------------------
 # expression evaluation
 
 
@@ -180,7 +90,13 @@ def eval_body(
     interp: Interpretation,
     assign: Assignment,
     bin_assign: BinAssignment = frozenset(),
+    nfas: Optional[NFAs] = None,
 ) -> FrozenSet[Node]:
+    nfas = {} if nfas is None else nfas
+
+    def sub(b: ShapeBody) -> FrozenSet[Node]:
+        return eval_body(b, interp, assign, bin_assign, nfas)
+
     domain = frozenset(interp.nodes)
     if isinstance(body, IndividualRef):
         node = Individual(body.name)
@@ -195,17 +111,13 @@ def eval_body(
             return domain
         return frozenset(n for c, n in interp.concepts if c == body.name)
     if isinstance(body, Or):
-        return eval_body(body.left, interp, assign, bin_assign) | eval_body(
-            body.right, interp, assign, bin_assign
-        )
+        return sub(body.left) | sub(body.right)
     if isinstance(body, And):
-        return eval_body(body.left, interp, assign, bin_assign) & eval_body(
-            body.right, interp, assign, bin_assign
-        )
+        return sub(body.left) & sub(body.right)
     if isinstance(body, Not):
-        return frozenset(domain - eval_body(body.body, interp, assign, bin_assign))
+        return frozenset(domain - sub(body.body))
     if isinstance(body, ExistsRoles):
-        targets = eval_body(body.body, interp, assign, bin_assign)
+        targets = sub(body.body)
         out = set()
         for e in domain:
             for e2 in targets:
@@ -214,8 +126,8 @@ def eval_body(
                     break
         return frozenset(out)
     if isinstance(body, ExistsPath):
-        targets = eval_body(body.body, interp, assign, bin_assign)
-        nfa = _nfa(body.path)
+        targets = sub(body.body)
+        nfa = _nfa(nfas, body.path)
         return frozenset(e for e in domain if _path_reach(interp, e, nfa) & targets)
     if isinstance(body, (GuardedEq, GuardedDisj)):
         if body.guard is None:
@@ -226,8 +138,8 @@ def eval_body(
         node = Individual(body.guard)
         if node not in domain:
             return frozenset()
-        left = _path_reach(interp, node, _nfa(body.left))
-        right = _path_reach(interp, node, _nfa(body.right))
+        left = _path_reach(interp, node, _nfa(nfas, body.left))
+        right = _path_reach(interp, node, _nfa(nfas, body.right))
         if isinstance(body, GuardedEq):
             ok = left == right
         else:
@@ -235,7 +147,7 @@ def eval_body(
         return frozenset({node}) if ok else frozenset()
     if isinstance(body, ExistsVia):
         pairs = eval_path(body.path, interp, assign, bin_assign)
-        targets = eval_body(body.body, interp, assign, bin_assign)
+        targets = sub(body.body)
         return frozenset(e for e, e2 in pairs if e2 in targets)
     raise TypeError(f"unknown body {body!r}")
 
@@ -305,35 +217,36 @@ def eval_path(
 
 
 # ---------------------------------------------------------------------------
-# unary fixpoints
+# the fixpoint engine
 
 
-def immediate_consequence(
-    interp: Interpretation, constraints: Sequence[Constraint], assign: Assignment
-) -> Assignment:
-    out = set(assign)
-    for c in constraints:
-        for n in eval_body(c.body, interp, assign):
-            out.add((c.head, n))
-    return frozenset(out)
+def _fixpoint(
+    interp: Interpretation, strata: Sequence[Sequence[Item]]
+) -> Tuple[Assignment, BinAssignment]:
+    """Unary and binary atoms of the perfect assignment, stratum by stratum.
 
-
-def _lfp(
-    interp: Interpretation, constraints: Sequence[Constraint], start: Assignment
-) -> Assignment:
-    current = start
-    while True:
-        nxt = immediate_consequence(interp, constraints, current)
-        if nxt == current:
-            return current
-        current = nxt
+    Within a stratum every round evaluates each item against the atoms of
+    the round before, until a round adds nothing.
+    """
+    unary: Set[Tuple[str, Node]] = set()
+    binary: Set[Tuple[str, Node, Node]] = set()
+    nfas: NFAs = {}
+    for group in strata:
+        while True:
+            before = (len(unary), len(binary))
+            fu, fb = frozenset(unary), frozenset(binary)
+            for it in group:
+                if isinstance(it, BinConstraint):
+                    binary.update((it.head, x, y) for x, y in eval_path(it.body, interp, fu, fb))
+                else:
+                    unary.update((it.head, n) for n in eval_body(it.body, interp, fu, fb, nfas))
+            if (len(unary), len(binary)) == before:
+                break
+    return frozenset(unary), frozenset(binary)
 
 
 def perfect_assignment(interp: Interpretation, strat: Stratification) -> Assignment:
-    current: Assignment = frozenset()
-    for group in strat.strata:
-        current = _lfp(interp, group, current)
-    return current
+    return _fixpoint(interp, strat.strata)[0]
 
 
 @dataclass(frozen=True)
@@ -380,126 +293,14 @@ def validate(interp: Interpretation, sg: ShapesGraph) -> ValidationResult:
     )
 
 
-# ---------------------------------------------------------------------------
-# binary fixpoints
-
-
 @dataclass(frozen=True)
 class ShapeAssignmentB:
     unary: Assignment
     binary: BinAssignment
 
 
-def _occurrences_b(
-    item: Union[Constraint, BinConstraint]
-) -> List[Tuple[str, bool]]:
-    out: List[Tuple[str, bool]] = []
-
-    def walk_body(b: ShapeBody, neg: bool) -> None:
-        if isinstance(b, ShapeRef):
-            out.append((b.name, neg))
-        elif isinstance(b, NegShapeRef):
-            out.append((b.name, True))
-        elif isinstance(b, (Or, And)):
-            walk_body(b.left, neg)
-            walk_body(b.right, neg)
-        elif isinstance(b, Not):
-            walk_body(b.body, True)
-        elif isinstance(b, (ExistsRoles, ExistsPath)):
-            walk_body(b.body, neg)
-        elif isinstance(b, ExistsVia):
-            walk_path(b.path, neg)
-            walk_body(b.body, neg)
-
-    def walk_path(p: PathExpr, neg: bool) -> None:
-        if isinstance(p, BinRef):
-            out.append((p.name, neg))
-        elif isinstance(p, Test):
-            out.append((p.shape, neg))
-        elif isinstance(p, (PUnion, PInter, PConcat)):
-            walk_path(p.left, neg)
-            walk_path(p.right, neg)
-        elif isinstance(p, PDiff):
-            walk_path(p.left, neg)
-            walk_path(p.right, True)
-        elif isinstance(p, (PStar, PInverse)):
-            walk_path(p.inner, neg)
-
-    if isinstance(item, Constraint):
-        walk_body(item.body, False)
-    else:
-        walk_path(item.body, False)
-    return out
-
-
 def perfect_assignment_b(
-    interp: Interpretation,
-    constraints: Sequence[Union[Constraint, BinConstraint]],
+    interp: Interpretation, constraints: Sequence[Item]
 ) -> ShapeAssignmentB:
-    """Joint unary/binary least fixpoint, stratum by stratum."""
-    items = sorted(set(constraints), key=str)
-    names: Set[str] = set()
-    edges: Set[Tuple[str, str]] = set()
-    marked: Set[Tuple[str, str]] = set()
-    for it in items:
-        names.add(it.head)
-        for occ, neg in _occurrences_b(it):
-            names.add(occ)
-            edges.add((occ, it.head))
-            if neg:
-                marked.add((occ, it.head))
-
-    # layered peeling, same discipline as the unary stratifier
-    remaining = set(names)
-    index: Dict[str, int] = {}
-    level = 0
-    while remaining:
-        bad = {t for (s, t) in marked if s in remaining and t in remaining}
-        preds: Dict[str, Set[str]] = {n: set() for n in remaining}
-        for s, t in edges:
-            if s in remaining and t in remaining:
-                preds[t].add(s)
-
-        def tainted(n: str) -> bool:
-            seen: Set[str] = set()
-            work = [n]
-            while work:
-                x = work.pop()
-                if x in bad:
-                    return True
-                for pr in preds[x]:
-                    if pr not in seen:
-                        seen.add(pr)
-                        work.append(pr)
-            return False
-
-        layer = {n for n in sorted(remaining) if not tainted(n)}
-        if not layer:
-            raise ValueError("binary constraint set is not stratified")
-        for n in layer:
-            index[n] = level
-        remaining -= layer
-        level += 1
-
-    n_strata = (max(index[it.head] for it in items) + 1) if items else 0
-    strata: List[List[Union[Constraint, BinConstraint]]] = [[] for _ in range(n_strata)]
-    for it in items:
-        strata[index[it.head]].append(it)
-
-    unary: Set[Tuple[str, Node]] = set()
-    binary: Set[Tuple[str, Node, Node]] = set()
-    for group in strata:
-        while True:
-            before = (len(unary), len(binary))
-            fu = frozenset(unary)
-            fb = frozenset(binary)
-            for it in group:
-                if isinstance(it, Constraint):
-                    for n in eval_body(it.body, interp, fu, fb):
-                        unary.add((it.head, n))
-                else:
-                    for x, y in eval_path(it.body, interp, fu, fb):
-                        binary.add((it.head, x, y))
-            if (len(unary), len(binary)) == before:
-                break
-    return ShapeAssignmentB(frozenset(unary), frozenset(binary))
+    """Joint unary/binary perfect assignment of a SHACL^b constraint set."""
+    return ShapeAssignmentB(*_fixpoint(interp, compute_stratification(constraints).strata))

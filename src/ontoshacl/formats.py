@@ -455,7 +455,7 @@ def serialize_interpretation(interp: Interpretation) -> str:
 def report_to_json(
     consistent: bool,
     mode: str,
-    targets: Sequence[Tuple[str, str, bool]],
+    targets: Sequence[Tuple[str, str, Optional[bool]]],  # None: unknown
     stats: Dict[str, int],
 ) -> str:
     doc = {

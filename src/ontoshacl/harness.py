@@ -1,10 +1,11 @@
 """Randomized cross-checking of the validation pipelines.
 
 Each case draws a small knowledge base and a stratified normal-form
-constraint set, then demands that every route returns the same verdict
-for every (shape, individual) target: direct evaluation over the full
-anonymous tree, the constraint rewriting over the completed graph, and
-the two pure rewritings over the raw graph.
+constraint set, then demands that every route of ``cli.ROUTES`` returns
+the same verdict for every (shape, individual) target: direct evaluation
+over the full anonymous tree, the constraint rewriting over the
+completed graph, the two pure rewritings over the raw graph, and on
+small inputs the core chase.
 
 Generated axioms only ever point to strictly lower concept indices
 (conjunction heads, existential fillers, and value-restriction fillers
@@ -15,33 +16,30 @@ That keeps the direct route total: it never has to truncate.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence, Tuple
 
 from . import model
-from .chase import NotTerminated, SizeGuardExceeded, run_core_chase
+from .chase import NotTerminated, SizeGuardExceeded
+from .cli import ROUTES, Verdicts, prepare
 from .core import (
     TOP,
     ABox,
     AtMostOne,
     ConjInclusion,
     ExistsInclusion,
-    Individual,
-    Interpretation,
     Role,
     RoleInclusion,
     TBox,
     ValueRestriction,
 )
-from .evaluate import perfect_assignment_b, validate
 from .formats import (
     serialize_abox,
     serialize_constraints,
     serialize_targets,
     serialize_tbox,
 )
-from .model import InconsistentKB, build_can, complete_abox
-from .rewrite import pure_rewrite_alchi, pure_rewrite_shaclb, rewrite
+from .model import InconsistentKB
 from .shapes import (
     And,
     ConceptRef,
@@ -51,9 +49,7 @@ from .shapes import (
     NegShapeRef,
     ShapeRef,
     ShapesGraph,
-    compute_stratification,
 )
-from .tbox import SaturatedTBox
 
 CONCEPTS = ("C0", "C1", "C2", "C3", "C4")
 ROLES = ("p", "q", "r")
@@ -164,12 +160,8 @@ def gen_case(
 # ---------------------------------------------------------------------------
 # route comparison
 
-
-Verdicts = Dict[Tuple[str, str], bool]
-
-
-def _verdicts(results) -> Verdicts:
-    return {(r.shape, r.node): r.valid for r in results.targets}
+# round budget of the chase cross-check
+CHASE_ROUNDS = 12
 
 
 def compare_routes(
@@ -178,54 +170,34 @@ def compare_routes(
     sg: ShapesGraph,
     include_chase: bool = False,
 ) -> Optional[str]:
-    """None when every route agrees on every target, else a description.
+    """None when every route agrees with ``direct`` on every target, else a
+    description. Routes that refuse the TBox are skipped, and the chase
+    runs only on small inputs and only when asked.
 
     Raises InconsistentKB for inconsistent inputs; callers filter those.
     """
-    sat = SaturatedTBox(tbox)
-    completed = complete_abox(tbox, abox, sat)
-
-    can = build_can(tbox, abox, depth=SAFE_DEPTH, sat=sat)
-    if not can.complete:
+    kb = prepare(tbox, abox, sg, SAFE_DEPTH)
+    direct = ROUTES["direct"].run(kb)
+    if not direct.interp.complete:
         return f"canonical model still open at depth {SAFE_DEPTH}"
-    if not model.is_model(tbox, abox, can):
+    if not model.is_model(tbox, abox, direct.interp):
         return "direct model fails an axiom or assertion"
+    small = len(abox.individuals()) <= 3 and len(direct.interp.nodes) <= 8
 
-    direct = _verdicts(validate(can, sg))
-
-    strat = compute_stratification(sg.constraints)
-    c_t = rewrite(sat, strat)
-    over_completed = Interpretation.from_abox(completed, complete=True)
-    rewritten = _verdicts(validate(over_completed, ShapesGraph.of(c_t, sg.targets)))
-    if direct != rewritten:
-        return _diff("direct", direct, "rewrite", rewritten)
-
-    raw = Interpretation.from_abox(abox, complete=True)
-    if not tbox.atmost:
-        alchi = _verdicts(
-            validate(raw, ShapesGraph.of(pure_rewrite_alchi(sat, c_t), sg.targets))
-        )
-        if direct != alchi:
-            return _diff("direct", direct, "pure-alchi", alchi)
-
-    items = pure_rewrite_shaclb(sat, c_t)
-    asg = perfect_assignment_b(raw, items)
-    shaclb = {
-        (s, i): (s, Individual(i)) in asg.unary for s, i in sg.targets
-    }
-    if direct != shaclb:
-        return _diff("direct", direct, "pure-shaclb", shaclb)
-
-    if include_chase and len(abox.individuals()) <= 3 and len(can.nodes) <= 8:
-        try:
-            chased = run_core_chase(sat, abox, max_rounds=12)
-        except (NotTerminated, SizeGuardExceeded):
-            chased = None
-        if chased is not None:
-            cv = _verdicts(validate(chased, sg))
-            if direct != cv:
-                return _diff("direct", direct, "chase", cv)
-
+    for mode, route in ROUTES.items():
+        if mode == "direct" or (tbox.atmost and not route.counting):
+            continue
+        if route.small_only:
+            if not (include_chase and small):
+                continue
+            try:
+                verdicts = route.run(replace(kb, depth=CHASE_ROUNDS)).verdicts
+            except (NotTerminated, SizeGuardExceeded):
+                continue
+        else:
+            verdicts = route.run(kb).verdicts
+        if verdicts != direct.verdicts:
+            return _diff("direct", direct.verdicts, mode, verdicts)
     return None
 
 

@@ -197,15 +197,21 @@ def root_frontier(sat: SaturatedTBox, completed: ABox, a: str) -> Tuple[TwoType,
 
 
 def build_can(
-    tbox: TBox, abox: ABox, depth: int = 0, sat: Optional[SaturatedTBox] = None
+    tbox: TBox,
+    abox: ABox,
+    depth: int = 0,
+    sat: Optional[SaturatedTBox] = None,
+    completed: Optional[ABox] = None,
 ) -> Interpretation:
     """Approximation of the core universal model up to the given depth.
 
     Depth counts anonymous letters: 0 is just the completed data graph.
     The returned ``complete`` flag is true iff nothing was cut off.
+    ``completed`` is the ABox's completion, when the caller has it.
     """
     sat = sat or saturate(tbox)
-    completed = complete_abox(tbox, abox, sat)
+    if completed is None:
+        completed = complete_abox(tbox, abox, sat)
     nodes: Set[Node] = set()
     concepts: Set[Tuple[str, Node]] = set()
     edges: Set[Tuple[str, Node, Node]] = set()

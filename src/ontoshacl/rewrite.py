@@ -11,23 +11,31 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .core import BOT, TOP, OneHalfType, Role, TwoType, type_key
-from .evaluate import BinConstraint, BinRef, ExistsVia, PConcat, PInter, PInverse, RoleStep, Test
 from .model import succ_config
 from .shapes import (
     And,
+    BinConstraint,
+    BinRef,
     ConceptRef,
     Constraint,
     ExistsRoles,
+    ExistsVia,
     IndividualRef,
     NegShapeRef,
     Not,
+    Or,
+    PConcat,
+    PInter,
+    PInverse,
+    RoleStep,
     ShapeBody,
     ShapeRef,
     ShapesGraph,
     Stratification,
+    Test,
 )
 from .tbox import SaturatedTBox, UnsupportedPattern, _key_exist
 
@@ -92,20 +100,6 @@ class Lit:
         return ("!" if self.neg else "") + self.name
 
 
-@dataclass(frozen=True)
-class Quadruple:
-    t: TwoType
-    p: FrozenSet[Entry]
-    q: FrozenSet[Entry]
-    h: FrozenSet[Lit]
-
-    def __str__(self) -> str:
-        ps = "{" + ", ".join(str(e) for e in sorted(self.p, key=_entry_key)) + "}"
-        qs = "{" + ", ".join(str(e) for e in sorted(self.q, key=_entry_key)) + "}"
-        hs = "{" + ", ".join(str(x) for x in sorted(self.h)) + "}"
-        return f"({self.t}, {ps}, {qs}, {hs})"
-
-
 _Key = Tuple[TwoType, FrozenSet[Entry], FrozenSet[Entry]]
 _K = Dict[_Key, Set[Lit]]
 
@@ -159,41 +153,24 @@ def _closed_subsets(st: SaturatedTBox, names: Sequence[str]) -> Set[FrozenSet[st
     return out
 
 
-def _type_universe(
-    st: SaturatedTBox, nc: FrozenSet[str], eager: bool = False
-) -> Tuple[TwoType, ...]:
+def _type_universe(st: SaturatedTBox, nc: FrozenSet[str]) -> Tuple[TwoType, ...]:
     """All 2-types a quadruple can mention: data-level bare types plus the
     types of anonymous tree nodes reachable from them."""
     names = sorted(nc)
     bare_sets = _closed_subsets(st, names)
     types: Set[TwoType] = {TwoType(s, frozenset(), frozenset()) for s in bare_sets}
-    if eager:
-        all_roles = sorted(st.tbox.all_roles())
-        rolesets: Set[FrozenSet[Role]] = {frozenset()}
-        for n in range(1, len(all_roles) + 1):
-            for combo in itertools.combinations(all_roles, n):
-                rolesets.add(st.close_roles(combo))
-        for p1 in bare_sets:
-            for rs in rolesets:
-                for p3 in bare_sets:
-                    t = TwoType(p1, rs, p3)
-                    if st.is_locally_consistent(t):
-                        types.add(t)
-    else:
-        work = list(bare_sets)
-        seen: Set[FrozenSet[str]] = set()
-        while work:
-            p1 = work.pop()
-            if p1 in seen:
-                continue
-            seen.add(p1)
-            for u in st.implied_existentials(p1):
-                child = TwoType(
-                    u.concepts, frozenset(r.invert() for r in u.roles), p1
-                )
-                if st.is_locally_consistent(child):
-                    types.add(child)
-                work.append(u.concepts)
+    work = list(bare_sets)
+    seen: Set[FrozenSet[str]] = set()
+    while work:
+        p1 = work.pop()
+        if p1 in seen:
+            continue
+        seen.add(p1)
+        for u in st.implied_existentials(p1):
+            child = TwoType(u.concepts, frozenset(r.invert() for r in u.roles), p1)
+            if st.is_locally_consistent(child):
+                types.add(child)
+            work.append(u.concepts)
     return tuple(sorted(types, key=type_key))
 
 
@@ -362,34 +339,15 @@ def _close(st: SaturatedTBox, cons: Sequence[Constraint], K: _K, ctx: _Ctx) -> N
             return
 
 
-def _to_quadruples(K: _K) -> FrozenSet[Quadruple]:
-    return frozenset(
-        Quadruple(t, p, q, frozenset(h)) for (t, p, q), h in K.items()
-    )
-
-
-def _from_quadruples(quads: Iterable[Quadruple]) -> _K:
-    K: _K = {}
-    for qd in quads:
-        K.setdefault((qd.t, qd.p, qd.q), set()).update(qd.h)
-    return K
-
-
-def _occurring_names(cons: Sequence[Constraint]) -> FrozenSet[str]:
-    from .shapes import shape_occurrences
-
-    names: Set[str] = set()
-    for c in cons:
-        names.add(c.head)
-        for n, _ in shape_occurrences(c.body):
-            names.add(n)
-    return frozenset(names)
-
-
 def _completion_dict(
     K: _K, cons: Sequence[Constraint], extra_settled: FrozenSet[str] = frozenset()
 ) -> _K:
-    settled = sorted(_occurring_names(cons) | extra_settled)
+    """Between strata: settle unfired shapes as negative knowledge.
+
+    Adds the failed existential and constant bodies to Q and the negations
+    of settled-but-unfired shape names to H.
+    """
+    settled = sorted(ShapesGraph.of(cons).shape_names() | extra_settled)
     _, by_ind, _, _, _, by_exists = _classify(cons)
     out: _K = {}
     for (t, p, q), h in K.items():
@@ -406,39 +364,6 @@ def _completion_dict(
                 h_new.add(Lit(name, neg=True))
         out.setdefault((t, frozenset(p), frozenset(q_new)), set()).update(h_new)
     return out
-
-
-def psat(
-    st: SaturatedTBox, cons: Sequence[Constraint], *, eager: bool = False
-) -> FrozenSet[Quadruple]:
-    """Saturate the seed quadruples under a positive constraint set."""
-    nc = _nc_universe(st, cons)
-    ctx = _Ctx(st)
-    K = _seed_dict(ctx, _type_universe(st, nc, eager))
-    _close(st, cons, K, ctx)
-    return _to_quadruples(K)
-
-
-def completion(
-    quads: Iterable[Quadruple],
-    cons: Sequence[Constraint],
-    extra_settled: FrozenSet[str] = frozenset(),
-) -> FrozenSet[Quadruple]:
-    """Between strata: settle unfired shapes as negative knowledge.
-
-    Adds the failed existential and constant bodies to Q and the negations
-    of settled-but-unfired shape names to H.
-    """
-    return _to_quadruples(_completion_dict(_from_quadruples(quads), cons, extra_settled))
-
-
-def sat(
-    st: SaturatedTBox, cons: Sequence[Constraint], quads: Iterable[Quadruple]
-) -> FrozenSet[Quadruple]:
-    """Close an already completed quadruple set under one stratum."""
-    K = _from_quadruples(quads)
-    _close(st, cons, K, _Ctx(st))
-    return _to_quadruples(K)
 
 
 def _nc_universe(st: SaturatedTBox, cons: Sequence[Constraint]) -> FrozenSet[str]:
@@ -501,7 +426,6 @@ def rewrite(
     st: SaturatedTBox,
     strat: Stratification,
     *,
-    eager: bool = False,
     stats: Optional[Dict[str, int]] = None,
 ) -> Tuple[Constraint, ...]:
     """Compile TBox consequences into the constraints themselves.
@@ -512,9 +436,9 @@ def rewrite(
     all_cons = tuple(c for group in strat.strata for c in group)
     nc = _nc_universe(st, all_cons)
     ctx = _Ctx(st)
-    K = _seed_dict(ctx, _type_universe(st, nc, eager))
+    K = _seed_dict(ctx, _type_universe(st, nc))
 
-    occurring = _occurring_names(all_cons)
+    occurring = ShapesGraph.of(all_cons).shape_names()
     emitted: List[Constraint] = []
     for i, group in enumerate(strat.strata):
         scope = tuple(c for g in strat.strata[:i] for c in g)
@@ -578,25 +502,23 @@ def _simplify_roles(st: SaturatedTBox, roles: FrozenSet[Role]) -> FrozenSet[Role
     return frozenset(cur)
 
 
-def _subst_alchi(st: SaturatedTBox, body: ShapeBody) -> ShapeBody:
+def _subst(
+    body: ShapeBody, exists: Callable[[FrozenSet[Role], ShapeBody], ShapeBody]
+) -> ShapeBody:
+    """Concept names become the shapes that mimic the completed graph, and
+    ``exists`` rebuilds each role existential over its substituted body."""
     if isinstance(body, ConceptRef):
         if body.name in (TOP, BOT):
             return body
         return ShapeRef(_concept_shape(body.name))
     if isinstance(body, (IndividualRef, ShapeRef, NegShapeRef)):
         return body
-    if isinstance(body, And):
-        return And(_subst_alchi(st, body.left), _subst_alchi(st, body.right))
+    if isinstance(body, (And, Or)):
+        return type(body)(_subst(body.left, exists), _subst(body.right, exists))
     if isinstance(body, Not):
-        return Not(_subst_alchi(st, body.body))
+        return Not(_subst(body.body, exists))
     if isinstance(body, ExistsRoles):
-        return ExistsRoles(
-            _simplify_roles(st, body.roles), _subst_alchi(st, body.body)
-        )
-    from .shapes import Or
-
-    if isinstance(body, Or):
-        return Or(_subst_alchi(st, body.left), _subst_alchi(st, body.right))
+        return exists(body.roles, _subst(body.body, exists))
     raise ValueError(f"cannot substitute inside {body!r}")
 
 
@@ -634,7 +556,10 @@ def pure_rewrite_alchi(
     for a in _all_concepts(st, c_t):
         ts.append(Constraint(_concept_shape(a), ConceptRef(a)))
 
-    replaced = [Constraint(c.head, _subst_alchi(st, c.body)) for c in c_t]
+    def exists(roles: FrozenSet[Role], inner: ShapeBody) -> ShapeBody:
+        return ExistsRoles(_simplify_roles(st, roles), inner)
+
+    replaced = [Constraint(c.head, _subst(c.body, exists)) for c in c_t]
     out: List[Constraint] = []
     seen: Set[Constraint] = set()
     for c in replaced + ts:
@@ -652,35 +577,17 @@ def _roles_in(body: ShapeBody) -> Set[Role]:
         return _roles_in(body.left) | _roles_in(body.right)
     if isinstance(body, Not):
         return _roles_in(body.body)
-    from .shapes import Or
-
     if isinstance(body, Or):
         return _roles_in(body.left) | _roles_in(body.right)
     return set()
 
 
-def _subst_b(body: ShapeBody) -> ShapeBody:
-    if isinstance(body, ConceptRef):
-        if body.name in (TOP, BOT):
-            return body
-        return ShapeRef(_concept_shape(body.name))
-    if isinstance(body, (IndividualRef, ShapeRef, NegShapeRef)):
-        return body
-    if isinstance(body, And):
-        return And(_subst_b(body.left), _subst_b(body.right))
-    if isinstance(body, Not):
-        return Not(_subst_b(body.body))
-    if isinstance(body, ExistsRoles):
-        refs = [BinRef(_role_shape(r)) for r in sorted(body.roles)]
-        path = refs[0]
-        for nxt in refs[1:]:
-            path = PInter(path, nxt)
-        return ExistsVia(path, _subst_b(body.body))
-    from .shapes import Or
-
-    if isinstance(body, Or):
-        return Or(_subst_b(body.left), _subst_b(body.right))
-    raise ValueError(f"cannot substitute inside {body!r}")
+def _exists_via_edge_shapes(roles: FrozenSet[Role], inner: ShapeBody) -> ShapeBody:
+    refs = [BinRef(_role_shape(r)) for r in sorted(roles)]
+    path = refs[0]
+    for nxt in refs[1:]:
+        path = PInter(path, nxt)
+    return ExistsVia(path, inner)
 
 
 def pure_rewrite_shaclb(
@@ -760,7 +667,7 @@ def pure_rewrite_shaclb(
         ts.append(Constraint(_concept_shape(a), ConceptRef(a)))
 
     replaced: List[Union[Constraint, BinConstraint]] = [
-        Constraint(c.head, _subst_b(c.body)) for c in c_t
+        Constraint(c.head, _subst(c.body, _exists_via_edge_shapes)) for c in c_t
     ]
     out: List[Union[Constraint, BinConstraint]] = []
     seen: Set[Union[Constraint, BinConstraint]] = set()

@@ -1,18 +1,25 @@
 """Shape constraints: expression syntax, normal form, stratification.
 
-The normal form restricts bodies to six cases: an individual, a shape
-ref, a concept, a conjunction of two shape refs, a role-conjunction
+Unary shapes have bodies over concepts, roles and regular paths. Binary
+(edge) shapes of SHACL^b have bodies in a path algebra, which unary
+bodies can also walk with ``ExistsVia``.
+
+The normal form restricts unary bodies to six cases: an individual, a
+shape ref, a concept, a conjunction of two shape refs, a role-conjunction
 existential over a shape ref, or a negated shape ref. ``normalize``
 compiles the richer source grammar down to these, introducing fresh
 shape names under a reserved prefix.
+
+``compute_stratification`` is the one stratifier for both kinds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .core import TOP, Role
-from .paths import NFA, Regex, regex_str, regex_to_nfa
+from .paths import Regex, regex_str, regex_to_nfa
 
 RESERVED_PREFIX = "_"
 
@@ -127,6 +134,100 @@ class GuardedDisj:
         return f"(@{self.guard} & {inner})" if self.guard else inner
 
 
+# ---------------------------------------------------------------------------
+# SHACL^b path algebra (binary shapes)
+
+
+@dataclass(frozen=True)
+class RoleStep:
+    role: Role
+
+    def __str__(self) -> str:
+        return str(self.role)
+
+
+@dataclass(frozen=True)
+class BinRef:
+    name: str
+
+    def __str__(self) -> str:
+        return self.name
+
+
+@dataclass(frozen=True)
+class Test:
+    shape: str
+
+    def __str__(self) -> str:
+        return f"${self.shape}?"
+
+
+@dataclass(frozen=True)
+class PUnion:
+    left: "PathExpr"
+    right: "PathExpr"
+
+    def __str__(self) -> str:
+        return f"({self.left} U {self.right})"
+
+
+@dataclass(frozen=True)
+class PInter:
+    left: "PathExpr"
+    right: "PathExpr"
+
+    def __str__(self) -> str:
+        return f"({self.left} ^ {self.right})"
+
+
+@dataclass(frozen=True)
+class PConcat:
+    left: "PathExpr"
+    right: "PathExpr"
+
+    def __str__(self) -> str:
+        return f"({self.left} . {self.right})"
+
+
+@dataclass(frozen=True)
+class PStar:
+    inner: "PathExpr"
+
+    def __str__(self) -> str:
+        return f"({self.inner})*"
+
+
+@dataclass(frozen=True)
+class PInverse:
+    inner: "PathExpr"
+
+    def __str__(self) -> str:
+        return f"({self.inner})-"
+
+
+@dataclass(frozen=True)
+class PDiff:
+    left: "PathExpr"
+    right: "PathExpr"
+
+    def __str__(self) -> str:
+        return f"({self.left} \\ {self.right})"
+
+
+PathExpr = Union[RoleStep, BinRef, Test, PUnion, PInter, PConcat, PStar, PInverse, PDiff]
+
+
+@dataclass(frozen=True)
+class ExistsVia:
+    """Unary body: some node reachable over a path-algebra expression."""
+
+    path: PathExpr
+    body: "ShapeBody"
+
+    def __str__(self) -> str:
+        return f"some ({self.path}).{self.body}"
+
+
 ShapeBody = Union[
     IndividualRef,
     ShapeRef,
@@ -139,6 +240,7 @@ ShapeBody = Union[
     ExistsPath,
     GuardedEq,
     GuardedDisj,
+    ExistsVia,
 ]
 
 
@@ -149,6 +251,18 @@ class Constraint:
 
     def __str__(self) -> str:
         return f"${self.head} <- {self.body}"
+
+
+@dataclass(frozen=True)
+class BinConstraint:
+    head: str
+    body: PathExpr
+
+    def __str__(self) -> str:
+        return f"{self.head} <- {self.body}"
+
+
+Item = Union[Constraint, BinConstraint]
 
 
 @dataclass(frozen=True)
@@ -191,19 +305,36 @@ def _concepts_in(body: ShapeBody) -> Set[str]:
     return set()
 
 
-def shape_occurrences(body: ShapeBody, negative: bool = False) -> Iterator[Tuple[str, bool]]:
-    """Yield (shape name, occurs-negatively) pairs, including duplicates."""
-    if isinstance(body, ShapeRef):
+def shape_occurrences(
+    body: Union[ShapeBody, PathExpr], negative: bool = False
+) -> Iterator[Tuple[str, bool]]:
+    """Yield (name, occurs-negatively) pairs, including duplicates, for the
+    shape and edge-shape names a shape body or path expression reads.
+
+    A read is negative inside any complement or negated reference, and on
+    the right side of a path difference.
+    """
+    if isinstance(body, (ShapeRef, BinRef)):
         yield body.name, negative
     elif isinstance(body, NegShapeRef):
         yield body.name, True
-    elif isinstance(body, (Or, And)):
+    elif isinstance(body, Test):
+        yield body.shape, negative
+    elif isinstance(body, (Or, And, PUnion, PInter, PConcat)):
         yield from shape_occurrences(body.left, negative)
         yield from shape_occurrences(body.right, negative)
+    elif isinstance(body, PDiff):
+        yield from shape_occurrences(body.left, negative)
+        yield from shape_occurrences(body.right, True)
     elif isinstance(body, Not):
         yield from shape_occurrences(body.body, True)
+    elif isinstance(body, ExistsVia):
+        yield from shape_occurrences(body.path, negative)
+        yield from shape_occurrences(body.body, negative)
     elif isinstance(body, (ExistsRoles, ExistsPath)):
         yield from shape_occurrences(body.body, negative)
+    elif isinstance(body, (PStar, PInverse)):
+        yield from shape_occurrences(body.inner, negative)
 
 
 def has_negation(body: ShapeBody) -> bool:
@@ -362,7 +493,7 @@ def normalize(sg: ShapesGraph) -> Tuple[ShapesGraph, Dict[str, str]]:
 
 @dataclass(frozen=True)
 class Stratification:
-    strata: Tuple[Tuple[Constraint, ...], ...]
+    strata: Tuple[Tuple[Item, ...], ...]
     index: Tuple[Tuple[str, int], ...]  # shape name -> stratum
 
     def stratum_of(self, name: str) -> int:
@@ -378,103 +509,106 @@ class Stratification:
 class NotStratified(ValueError):
     def __init__(self, cycle: Tuple[str, ...]):
         pretty = " -> ".join(cycle + (cycle[0],)) if cycle else "?"
-        super().__init__(f"negation inside a recursive cycle: {pretty}")
+        super().__init__(f"not stratified: negation inside a recursive cycle: {pretty}")
         self.cycle = cycle
 
 
-def compute_stratification(constraints: Sequence[Constraint]) -> Stratification:
-    """Layered peeling of the marked dependency graph.
+def compute_stratification(items: Sequence[Item]) -> Stratification:
+    """Strata from the condensation of the marked dependency graph.
 
     An edge s -> s' says s occurs in a body with head s'; it is marked
-    when the occurrence is negative. A name may enter the current layer
-    only if no name in its ancestry has an incoming marked edge.
+    when the occurrence is negative. A strongly connected component that
+    holds a marked edge is rejected with a cycle through that edge.
+    Otherwise a name's stratum is the largest number of marked edges on
+    any path into it. Empty strata are dropped, and names that head no
+    constraint sit in stratum 0.
     """
-    constraints = sorted(set(constraints), key=str)
-    names: Set[str] = set()
-    edges: Set[Tuple[str, str]] = set()
+    items = sorted(set(items), key=str)
+    succ: Dict[str, Set[str]] = {}
     marked: Set[Tuple[str, str]] = set()
-    for c in constraints:
-        names.add(c.head)
-        for occ, neg in shape_occurrences(c.body):
-            names.add(occ)
-            edges.add((occ, c.head))
+    for it in items:
+        succ.setdefault(it.head, set())
+        for occ, neg in shape_occurrences(it.body):
+            succ.setdefault(occ, set()).add(it.head)
             if neg:
-                marked.add((occ, c.head))
+                marked.add((occ, it.head))
+    adj = {n: sorted(succ[n]) for n in sorted(succ)}
 
-    remaining = set(names)
-    index: Dict[str, int] = {}
-    level = 0
-    while remaining:
-        bad = {t for (s, t) in marked if s in remaining and t in remaining}
-        # ancestors under plain edges, restricted to remaining names
-        preds: Dict[str, Set[str]] = {n: set() for n in remaining}
-        for s, t in edges:
-            if s in remaining and t in remaining:
-                preds[t].add(s)
-
-        def tainted(n: str) -> bool:
-            seen = set()
-            work = [n]
-            while work:
-                x = work.pop()
-                if x in bad:
-                    return True
-                for p in preds[x]:
-                    if p not in seen:
-                        seen.add(p)
-                        work.append(p)
-            return False
-
-        layer = {n for n in sorted(remaining) if not tainted(n)}
-        if not layer:
-            raise NotStratified(_find_marked_cycle(remaining, edges, marked))
-        for n in layer:
-            index[n] = level
-        remaining -= layer
-        level += 1
-
-    if not constraints:
-        return Stratification((), ())
-    n_strata = max(index[c.head] for c in constraints) + 1
-    strata: List[List[Constraint]] = [[] for _ in range(n_strata)]
-    for c in constraints:
-        strata[index[c.head]].append(c)
-    packed = tuple(tuple(s) for s in strata if s)
-    # re-number after dropping empty layers
-    renum: Dict[str, int] = {}
-    for i, group in enumerate(packed):
-        for c in group:
-            renum[c.head] = i
-    for n in index:
-        if n not in renum:
-            renum[n] = 0
-    return Stratification(packed, tuple(sorted(renum.items())))
-
-
-def _find_marked_cycle(
-    remaining: Set[str], edges: Set[Tuple[str, str]], marked: Set[Tuple[str, str]]
-) -> Tuple[str, ...]:
-    adj: Dict[str, List[str]] = {n: [] for n in remaining}
-    for s, t in edges:
-        if s in remaining and t in remaining:
-            adj[s].append(t)
+    comps = _components(adj)
+    comp_of = {n: i for i, comp in enumerate(comps) for n in comp}
     for s, t in sorted(marked):
-        if s not in remaining or t not in remaining:
+        if comp_of[s] == comp_of[t]:
+            raise NotStratified(_path(adj, t, s))
+    level = dict.fromkeys(adj, 0)
+    for comp in reversed(comps):  # every edge into comp comes from earlier
+        lvl = max(level[n] for n in comp)
+        for n in comp:
+            level[n] = lvl
+            for m in adj[n]:
+                if comp_of[m] != comp_of[n]:
+                    level[m] = max(level[m], lvl + ((n, m) in marked))
+
+    used = sorted({level[it.head] for it in items})
+    renum = {lvl: i for i, lvl in enumerate(used)}
+    heads = {it.head for it in items}
+    index = {n: renum[lvl] if n in heads else 0 for n, lvl in level.items()}
+    strata: List[List[Item]] = [[] for _ in used]
+    for it in items:
+        strata[index[it.head]].append(it)
+    return Stratification(tuple(map(tuple, strata)), tuple(sorted(index.items())))
+
+
+def _components(adj: Dict[str, List[str]]) -> List[List[str]]:
+    """Strongly connected components, each after every component it
+    reaches (Tarjan's algorithm, without recursion)."""
+    order: Dict[str, int] = {}
+    low: Dict[str, int] = {}
+    stack: List[str] = []
+    on_stack: Set[str] = set()
+    out: List[List[str]] = []
+    for root in adj:
+        if root in order:
             continue
-        # a path t ->* s closes the cycle through the marked edge (s, t)
-        prev: Dict[str, Optional[str]] = {t: None}
-        work = [t]
+        order[root] = low[root] = len(order)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(adj[root]))]
         while work:
-            x = work.pop(0)
-            if x == s:
-                path = [s]
-                while prev[path[-1]] is not None:
-                    path.append(prev[path[-1]])
-                return tuple(reversed(path))
-            for y in sorted(adj[x]):
-                if y not in prev:
-                    prev[y] = x
-                    work.append(y)
-        if s == t:
-            return (s,)
-    return tuple(sorted(remaining))[:1]
+            v, succs = work[-1]
+            for w in succs:
+                if w not in order:
+                    order[w] = low[w] = len(order)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(adj[w])))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], order[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == order[v]:
+                    comp: List[str] = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        on_stack.discard(comp[-1])
+                    out.append(comp)
+    return out
+
+
+def _path(adj: Dict[str, List[str]], start: str, goal: str) -> Tuple[str, ...]:
+    """A shortest path from start to goal, found breadth-first."""
+    prev: Dict[str, Optional[str]] = {start: None}
+    work = deque([start])
+    while goal not in prev:
+        x = work.popleft()
+        for y in adj[x]:
+            if y not in prev:
+                prev[y] = x
+                work.append(y)
+    path = [goal]
+    while prev[path[-1]] is not None:
+        path.append(prev[path[-1]])
+    return tuple(reversed(path))

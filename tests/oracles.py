@@ -25,12 +25,24 @@ from ontoshacl.core import (
 from ontoshacl.paths import RAlt, RSeq, RStar, RSym, Regex
 from ontoshacl.shapes import (
     And,
+    BinRef,
     ConceptRef,
     Constraint,
+    ExistsPath,
     ExistsRoles,
+    ExistsVia,
     IndividualRef,
+    NegShapeRef,
+    Not,
     Or,
+    PConcat,
+    PDiff,
+    PInter,
+    PInverse,
+    PStar,
+    PUnion,
     ShapeRef,
+    Test,
 )
 from ontoshacl.tbox import SaturatedTBox
 
@@ -521,3 +533,65 @@ def naive_assignment(
                     assign.add((c.head, n))
                     changed = True
     return frozenset(assign)
+
+
+# ---------------------------------------------------------------------------
+# stratification by relaxing levels
+
+
+def _reads(node, negative: bool, out: List[Tuple[str, bool]]) -> None:
+    """Names a shape body or path expression reads, marked when the read
+    sits inside any negation: a complement, a negated reference, or the
+    right side of a path difference."""
+    if isinstance(node, (ShapeRef, BinRef)):
+        out.append((node.name, negative))
+    elif isinstance(node, NegShapeRef):
+        out.append((node.name, True))
+    elif isinstance(node, Test):
+        out.append((node.shape, negative))
+    elif isinstance(node, Not):
+        _reads(node.body, True, out)
+    elif isinstance(node, PDiff):
+        _reads(node.left, negative, out)
+        _reads(node.right, True, out)
+    elif isinstance(node, (And, Or, PUnion, PInter, PConcat)):
+        _reads(node.left, negative, out)
+        _reads(node.right, negative, out)
+    elif isinstance(node, ExistsVia):
+        _reads(node.path, negative, out)
+        _reads(node.body, negative, out)
+    elif isinstance(node, (ExistsRoles, ExistsPath)):
+        _reads(node.body, negative, out)
+    elif isinstance(node, (PStar, PInverse)):
+        _reads(node.inner, negative, out)
+
+
+def dependency_edges(items) -> Set[Tuple[str, str, bool]]:
+    """(read name, head, negative) for every read of every item."""
+    out: Set[Tuple[str, str, bool]] = set()
+    for it in items:
+        reads: List[Tuple[str, bool]] = []
+        _reads(it.body, False, reads)
+        out |= {(name, it.head, neg) for name, neg in reads}
+    return out
+
+
+def naive_levels(items) -> Optional[Dict[str, int]]:
+    """Each name's level: the most negative reads on any dependency path
+    into it, found by relaxing every edge until nothing changes. None once
+    a level passes the number of names, which only a cycle through a
+    negative read can cause."""
+    edges = sorted(dependency_edges(items))
+    level = {it.head: 0 for it in items}
+    for s, t, _ in edges:
+        level.setdefault(s, 0)
+    changed = True
+    while changed:
+        changed = False
+        for s, t, neg in edges:
+            if level[s] + neg > level[t]:
+                level[t] = level[s] + neg
+                if level[t] > len(level):
+                    return None
+                changed = True
+    return level

@@ -1,0 +1,52 @@
+"""What the benchmark under ``bench/`` relies on in the package.
+
+``bench/spans.py`` wraps package functions by module and attribute name,
+and ``bench/workloads.py`` runs ``validate`` in a fixed list of modes. A
+refactor that renames one of those functions or modes would silently
+drop spans from ``bench/run.py --trace 1`` or break every run, so both
+lists are checked here. The files are only read.
+"""
+from __future__ import annotations
+
+import ast
+import importlib
+import importlib.util
+import os
+import sys
+
+from ontoshacl import cli
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+def _load_spans(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_spans", os.path.join(BENCH, "spans.py"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _literal(path: str, name: str):
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{name} not found in {path}")
+
+
+def test_every_traced_function_resolves(monkeypatch):
+    spans = _load_spans(monkeypatch)
+    assert spans.TRACED
+    for span, module, attr, _ in spans.TRACED:
+        mod = importlib.import_module(module)
+        assert callable(getattr(mod, attr, None)), f"{span}: {module}.{attr} is gone"
+
+
+def test_every_benchmarked_mode_is_a_cli_mode():
+    for path in ("workloads.py", "run.py"):
+        modes = _literal(os.path.join(BENCH, path), "MODES")
+        assert set(modes) <= set(cli.MODES), path

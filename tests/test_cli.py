@@ -1,0 +1,156 @@
+"""The command-line frontend: exit codes 0-5 for every validation mode.
+
+Each test writes its inputs under ``tmp_path`` and calls ``cli.main``
+in-process, so the exit code, the report on stdout and the message on
+stderr are the ones a user sees.
+"""
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from ontoshacl import cli
+
+MODES = ("direct", "rewrite", "pure-alchi", "pure-shaclb", "chase")
+
+# one small fixture every mode can answer: a needs an anonymous r-witness
+TBOX = "A <= some r.B\n"
+ABOX = "A(a)\nD(b)\n"
+SHAPES = "$s <- some [r].B\n$t <- D\n"
+
+
+def write(tmp_path, **texts):
+    paths = {}
+    for kind, text in texts.items():
+        p = tmp_path / f"in.{kind}"
+        p.write_text(text, encoding="utf-8")
+        paths[kind] = str(p)
+    return paths
+
+
+def validate(tmp_path, mode, targets, tbox=TBOX, abox=ABOX, shapes=SHAPES, extra=()):
+    f = write(tmp_path, tbox=tbox, abox=abox, shacl=shapes, targets=targets)
+    argv = ["validate", "--tbox", f["tbox"], "--abox", f["abox"],
+            "--shapes", f["shacl"], "--targets", f["targets"], "--mode", mode]
+    return cli.main(argv + list(extra))
+
+
+def test_modes_come_from_the_route_table():
+    assert cli.MODES == MODES
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_valid_targets_exit_0(tmp_path, mode, capsys):
+    assert validate(tmp_path, mode, "$s(@a)\n$t(@b)\n") == cli.EXIT_VALID
+    out = capsys.readouterr().out
+    assert "$s(@a): VALID" in out and "$t(@b): VALID" in out
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_violations_exit_1(tmp_path, mode, capsys):
+    assert validate(tmp_path, mode, "$s(@a)\n$t(@a)\n") == cli.EXIT_VIOLATIONS
+    out = capsys.readouterr().out
+    assert "$s(@a): VALID" in out and "$t(@a): VIOLATION" in out
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_inconsistent_kb_exits_2(tmp_path, mode, capsys):
+    rc = validate(tmp_path, mode, "$t(@b)\n", tbox=TBOX + "A & D <= bot\n", abox="A(a)\nD(a)\n")
+    assert rc == cli.EXIT_INCONSISTENT
+    assert "consistent: false" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_parse_errors_exit_3(tmp_path, mode, capsys):
+    assert validate(tmp_path, mode, "$s(@a)\n", shapes="$s <- some [r.B\n") == cli.EXIT_INPUT
+    assert "error:" in capsys.readouterr().err
+
+
+def test_missing_files_exit_3(tmp_path, capsys):
+    argv = ["validate", "--tbox", str(tmp_path / "none.tbox"), "--abox", str(tmp_path / "none.abox"),
+            "--shapes", str(tmp_path / "none.shacl")]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_pure_alchi_refuses_counting_axioms_with_exit_3(tmp_path, capsys):
+    rc = validate(tmp_path, "pure-alchi", "$s(@a)\n", tbox=TBOX + "A <= max1 r.B\n")
+    assert rc == cli.EXIT_INPUT
+    assert "max1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_unstratified_shapes_exit_4(tmp_path, mode, capsys):
+    rc = validate(tmp_path, mode, "$u(@a)\n", shapes=SHAPES + "$u <- !$v\n$v <- some [r].$u\n")
+    assert rc == cli.EXIT_NOT_STRATIFIED
+    assert "negation inside a recursive cycle" in capsys.readouterr().err
+
+
+def test_negation_over_a_truncated_model_exits_5(tmp_path, capsys):
+    rc = validate(tmp_path, "direct", "$n(@a)\n", tbox="A <= some r.A\n",
+                  shapes="$d <- D\n$n <- !$d\n", extra=["--depth", "2"])
+    assert rc == cli.EXIT_DEPTH
+    assert "raise --depth" in capsys.readouterr().err
+
+
+def test_chase_round_budget_exits_5(tmp_path):
+    rc = validate(tmp_path, "chase", "$s(@a)\n", tbox="A <= some r.A\n",
+                  shapes="$s <- A\n", extra=["--depth", "3"])
+    assert rc == cli.EXIT_DEPTH
+
+
+def test_negative_depth_exits_3(tmp_path):
+    assert validate(tmp_path, "direct", "$s(@a)\n", extra=["--depth", "-1"]) == cli.EXIT_INPUT
+
+
+# =============================================================================
+# REGRESSIONS
+# =============================================================================
+
+CHAIN = "A <= some r.B\nB <= some r.C\nC <= some r.C\n"
+TWO_STEPS = "$s <- some [r].$t\n$t <- some [r].C\n"
+
+
+def test_truncated_direct_run_reports_unknown_not_violation(tmp_path, capsys):
+    # $s(@a) needs two r-steps; depth 1 cuts the model after the first
+    rc = validate(tmp_path, "direct", "$s(@a)\n", tbox=CHAIN, abox="A(a)\n",
+                  shapes=TWO_STEPS, extra=["--depth", "1"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_DEPTH
+    assert "$s(@a): UNKNOWN" in captured.out
+    assert "VIOLATION" not in captured.out
+    assert "raise --depth" in captured.err
+
+
+def test_truncated_direct_run_reports_null_in_json(tmp_path, capsys):
+    rc = validate(tmp_path, "direct", "$s(@a)\n", tbox=CHAIN, abox="A(a)\n",
+                  shapes=TWO_STEPS, extra=["--depth", "1", "--format", "json"])
+    assert rc == cli.EXIT_DEPTH
+    report = json.loads(capsys.readouterr().out)
+    assert report["targets"] == [{"shape": "s", "node": "a", "valid": None}]
+
+
+def test_truncated_direct_run_keeps_valid_lower_bounds(tmp_path, capsys):
+    # $t(@a) holds on the first level already, so depth 1 proves it
+    rc = validate(tmp_path, "direct", "$t(@a)\n", tbox=CHAIN, abox="A(a)\n",
+                  shapes="$t <- some [r].B\n", extra=["--depth", "1"])
+    assert rc == cli.EXIT_VALID
+    assert "$t(@a): VALID" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_deep_enough_runs_agree_on_the_chain(tmp_path, mode):
+    rc = validate(tmp_path, mode, "$s(@a)\n", tbox=CHAIN, abox="A(a)\n",
+                  shapes=TWO_STEPS, extra=["--depth", "3"])
+    # the chain never closes, so only the chase runs out of rounds
+    assert rc == (cli.EXIT_DEPTH if mode == "chase" else cli.EXIT_VALID)
+
+
+def test_chase_size_guard_exits_5(tmp_path, capsys):
+    abox = "".join(f"A(i{k})\n" for k in range(70))
+    rc = validate(tmp_path, "chase", "$s(@i0)\n", tbox="A <= B\n", abox=abox, shapes="$s <- B\n")
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_DEPTH
+    assert "Traceback" not in captured.err
+    assert "error:" in captured.err

@@ -1,0 +1,26 @@
+"""The randomized cross-check of the validation routes, run as a test.
+
+A seeded slice of ``ontoshacl selftest`` keeps every route agreeing with
+``direct`` inside the regular suite, and the mutation hook proves that
+``compare_routes`` notices a broken model builder.
+"""
+from __future__ import annotations
+
+import pytest
+
+from ontoshacl import model
+from ontoshacl.harness import case_rng, compare_routes, gen_case, run_selftest
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_selftest_slice_passes(seed):
+    report = run_selftest(seed, 15)
+    assert report.passed, report.render()
+    assert report.ran > 0
+
+
+def test_compare_routes_catches_the_injected_bug(monkeypatch):
+    tbox, abox, sg = gen_case(case_rng(0, 47))
+    assert compare_routes(tbox, abox, sg) is None
+    monkeypatch.setattr(model, "INJECT_SUCC_FILTER_BUG", True)
+    assert compare_routes(tbox, abox, sg) is not None

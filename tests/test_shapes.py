@@ -1,23 +1,40 @@
 """Shape constraints: normal form compilation and stratification."""
 from __future__ import annotations
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import dependency_edges, naive_levels
 from ontoshacl.core import Role
 from ontoshacl.shapes import (
     And,
+    BinConstraint,
+    BinRef,
     ConceptRef,
     Constraint,
     ExistsPath,
     ExistsRoles,
+    ExistsVia,
     GuardedEq,
     IndividualRef,
     NegShapeRef,
     Not,
     NotStratified,
     Or,
+    PConcat,
+    PDiff,
+    PInter,
+    PInverse,
+    PStar,
+    PUnion,
+    RoleStep,
     ShapeRef,
     ShapesGraph,
+    Stratification,
+    Test as ShapeTest,
     UnguardedComparison,
     compute_stratification,
     has_negation,
@@ -199,6 +216,96 @@ def test_stratification_indexes_undefined_names_too():
     st = compute_stratification(cs)
     assert st.stratum_of("ghost") == 0
     assert st.stratum_of("s") == 0  # packing drops the empty bottom layer
+
+
+# random unary and binary constraint sets over a few shared names
+
+NAMES = ("a", "b", "c", "d", "e")
+
+
+def random_body(rng: random.Random, depth: int):
+    pick = rng.randint(0, 7 if depth else 2)
+    name = rng.choice(NAMES)
+    if pick == 0:
+        return ShapeRef(name)
+    if pick == 1:
+        return NegShapeRef(name)
+    if pick == 2:
+        return ConceptRef("A")
+    if pick == 3:
+        return Not(random_body(rng, depth - 1))
+    if pick == 4:
+        return And(random_body(rng, depth - 1), random_body(rng, depth - 1))
+    if pick == 5:
+        return Or(random_body(rng, depth - 1), random_body(rng, depth - 1))
+    if pick == 6:
+        return exists("r", random_body(rng, depth - 1))
+    return ExistsVia(random_path(rng, depth - 1), random_body(rng, depth - 1))
+
+
+def random_path(rng: random.Random, depth: int):
+    pick = rng.randint(0, 8 if depth else 2)
+    if pick == 0:
+        return RoleStep(Role("r", rng.random() < 0.5))
+    if pick == 1:
+        return BinRef(rng.choice(NAMES))
+    if pick == 2:
+        return ShapeTest(rng.choice(NAMES))
+    if pick in (3, 4):
+        return PStar(random_path(rng, depth - 1)) if pick == 3 else PInverse(
+            random_path(rng, depth - 1)
+        )
+    ctor = {5: PUnion, 6: PInter, 7: PConcat, 8: PDiff}[pick]
+    return ctor(random_path(rng, depth - 1), random_path(rng, depth - 1))
+
+
+def random_items(rng: random.Random):
+    items = []
+    for _ in range(rng.randint(1, 7)):
+        head = rng.choice(NAMES)
+        if rng.random() < 0.3:
+            items.append(BinConstraint(head, random_path(rng, 2)))
+        else:
+            items.append(Constraint(head, random_body(rng, 2)))
+    return items
+
+
+def packed(items, level) -> Stratification:
+    """The stratification the levels describe: constraint heads renumbered
+    over the non-empty levels, every other name at stratum 0."""
+    items = sorted(set(items), key=str)
+    used = sorted({level[it.head] for it in items})
+    renum = {lv: i for i, lv in enumerate(used)}
+    heads = {it.head for it in items}
+    index = {n: renum[lv] if n in heads else 0 for n, lv in level.items()}
+    strata = tuple(
+        tuple(it for it in items if index[it.head] == i) for i in range(len(used))
+    )
+    return Stratification(strata, tuple(sorted(index.items())))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_stratification_matches_the_relaxation_oracle(seed):
+    items = random_items(random.Random(seed))
+    level = naive_levels(items)
+    if level is not None:
+        assert compute_stratification(items) == packed(items, level)
+        return
+    with pytest.raises(NotStratified, match="not stratified") as exc:
+        compute_stratification(items)
+    # the reported cycle follows dependency edges and crosses a negative one
+    edges = dependency_edges(items)
+    steps = list(zip(exc.value.cycle, exc.value.cycle[1:] + exc.value.cycle[:1]))
+    assert all(any((s, t) == e[:2] for e in edges) for s, t in steps)
+    assert any((s, t, True) in edges for s, t in steps)
+
+
+def test_binary_reads_count_as_occurrences():
+    item = BinConstraint("e", PDiff(PConcat(BinRef("f"), ShapeTest("s")), BinRef("g")))
+    assert sorted(shape_occurrences(item.body)) == [("f", False), ("g", True), ("s", False)]
+    via = ExistsVia(PStar(BinRef("f")), NegShapeRef("t"))
+    assert sorted(shape_occurrences(via)) == [("f", False), ("t", True)]
 
 
 def test_shapes_graph_of_sorts_and_deduplicates():
