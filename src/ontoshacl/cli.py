@@ -10,8 +10,13 @@ Exit codes: 0 all targets valid, 1 violations, 2 inconsistent KB,
 3 input error, 4 constraints not stratified, 5 a budget hit where a
 verdict would need the missing part: a target that fails on a model
 truncated at ``--depth`` (reported UNKNOWN, ``"valid": null`` in JSON),
-negation over a truncated model, the chase's round budget, or the
+negation over a truncated model, a model prefix over
+``model.MAX_MODEL_NODES`` nodes, the chase's round budget, or the
 chase's size guard.
+
+A target whose shape no constraint defines, or whose individual is not
+in the data, is a VIOLATION like any other failed target; ``validate``
+also warns about it on stderr.
 """
 from __future__ import annotations
 
@@ -37,7 +42,7 @@ from .formats import (
     report_to_json,
     serialize_interpretation,
 )
-from .model import InconsistentKB, build_can, complete_abox
+from .model import InconsistentKB, ModelTooLarge, build_can, complete_abox
 from .paths import RAlt, RSeq, RStar, RSym, Regex
 from .rewrite import pure_rewrite_alchi, pure_rewrite_shaclb, rewrite
 from .shapes import (
@@ -335,6 +340,11 @@ def run(cfg: RunConfig) -> int:
         _emit_report(cfg, False, [], dict.fromkeys(STATS, 0))
         return EXIT_INCONSISTENT
 
+    for shape in sg.undefined_target_shapes():
+        print(f"warning: no constraint defines target shape ${shape}", file=sys.stderr)
+    for ind in sorted({i for _, i in sg.targets} - set(abox.individuals())):
+        print(f"warning: target individual @{ind} is not in the data", file=sys.stderr)
+
     try:
         out = route.run(kb)
     except (UnguardedComparison, UnsupportedPattern) as exc:
@@ -345,6 +355,9 @@ def run(cfg: RunConfig) -> int:
         return EXIT_NOT_STRATIFIED
     except (TruncationRefused, NotTerminated) as exc:
         print(f"error: {exc} (raise --depth)", file=sys.stderr)
+        return EXIT_DEPTH
+    except ModelTooLarge as exc:
+        print(f"error: {exc} (lower --depth)", file=sys.stderr)
         return EXIT_DEPTH
     except SizeGuardExceeded as exc:
         print(f"error: {exc} (mode {cfg.mode} is a cross-check for small inputs)", file=sys.stderr)
@@ -378,6 +391,9 @@ def cmd_build_model(cfg: RunConfig) -> int:
     except InconsistentKB as exc:
         print(f"inconsistent: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    except ModelTooLarge as exc:
+        print(f"error: {exc} (lower --depth)", file=sys.stderr)
+        return EXIT_DEPTH
     if cfg.emit:
         sys.stdout.write(serialize_interpretation(interp))
     else:

@@ -8,11 +8,30 @@ non-inverted name only; lookups resolve inversion on the fly.
 
 Everything here is immutable and orderable so that the rest of the
 package can iterate deterministically.
+
+``ABox`` and ``Interpretation`` answer their lookups (the concepts of a
+node, the nodes of a concept, the neighbours of a node along a role, the
+roles between two nodes) from a ``GraphIndex`` that each object derives
+from its atoms lazily, on the first lookup, and then keeps. The index is
+not a field: equality, hashing and ordering read the atoms only.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
+from functools import cached_property
+from typing import (
+    Dict,
+    FrozenSet,
+    Generic,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 TOP = "top"
 BOT = "bot"
@@ -188,6 +207,57 @@ class TBox:
 
 
 # ---------------------------------------------------------------------------
+# the lookup index shared by ABoxes and interpretations
+
+N = TypeVar("N", bound=Hashable)
+
+_EMPTY: FrozenSet = frozenset()
+
+
+class GraphIndex(Generic[N]):
+    """Concept, adjacency and link tables over one set of atoms.
+
+    ``extension[c]`` is the nodes with concept c, ``ctype[n]`` the
+    concepts of n, ``adjacency[r][x]`` the r-neighbours of x for both
+    polarities of every role, and ``links[x][y]`` the roles from x to y.
+    Nodes without atoms of a kind have no entry of that kind.
+    """
+
+    __slots__ = ("extension", "ctype", "adjacency", "links")
+
+    def __init__(
+        self,
+        concept_atoms: Iterable[Tuple[str, N]],
+        role_atoms: Iterable[Tuple[str, N, N]],
+    ) -> None:
+        extension: Dict[str, set] = {}
+        ctype: Dict[N, set] = {}
+        for c, n in concept_atoms:
+            extension.setdefault(c, set()).add(n)
+            ctype.setdefault(n, set()).add(c)
+        adjacency: Dict[Role, Dict[N, set]] = {}
+        links: Dict[N, Dict[N, set]] = {}
+        for name, a, b in role_atoms:
+            fwd, bwd = Role(name), Role(name, True)
+            adjacency.setdefault(fwd, {}).setdefault(a, set()).add(b)
+            adjacency.setdefault(bwd, {}).setdefault(b, set()).add(a)
+            links.setdefault(a, {}).setdefault(b, set()).add(fwd)
+            links.setdefault(b, {}).setdefault(a, set()).add(bwd)
+        self.extension: Dict[str, FrozenSet[N]] = _freeze(extension)
+        self.ctype: Dict[N, FrozenSet[str]] = _freeze(ctype)
+        self.adjacency: Dict[Role, Dict[N, FrozenSet[N]]] = {
+            r: _freeze(adj) for r, adj in adjacency.items()
+        }
+        self.links: Dict[N, Dict[N, FrozenSet[Role]]] = {
+            x: _freeze(ys) for x, ys in links.items()
+        }
+
+
+def _freeze(d: Dict) -> Dict:
+    return {k: frozenset(v) for k, v in d.items()}
+
+
+# ---------------------------------------------------------------------------
 # ABoxes
 
 
@@ -216,15 +286,19 @@ class ABox:
                 ratoms.add((role.name, a, b))
         return ABox(catoms, frozenset(ratoms))
 
+    @cached_property
+    def _index(self) -> GraphIndex[str]:
+        return GraphIndex(self.concept_atoms, self.role_atoms)
+
+    @cached_property
+    def _individuals(self) -> Tuple[str, ...]:
+        return tuple(sorted(self._index.ctype.keys() | self._index.links.keys()))
+
     def individuals(self) -> Tuple[str, ...]:
-        out = {a for _, a in self.concept_atoms}
-        for _, a, b in self.role_atoms:
-            out.add(a)
-            out.add(b)
-        return tuple(sorted(out))
+        return self._individuals
 
     def concepts_of(self, a: str) -> FrozenSet[str]:
-        return frozenset(c for c, x in self.concept_atoms if x == a)
+        return self._index.ctype.get(a, _EMPTY)
 
     def has_role(self, role: Role, a: str, b: str) -> bool:
         if role.inverted:
@@ -238,13 +312,11 @@ class ABox:
 
     def roles_between(self, a: str, b: str) -> FrozenSet[Role]:
         """All roles (either polarity) connecting a to b."""
-        out = set()
-        for name, x, y in self.role_atoms:
-            if x == a and y == b:
-                out.add(Role(name))
-            if x == b and y == a:
-                out.add(Role(name, True))
-        return frozenset(out)
+        return self.links(a).get(b, _EMPTY)
+
+    def links(self, a: str) -> Mapping[str, FrozenSet[Role]]:
+        """Each individual a role atom connects to a, with the roles from a to it."""
+        return self._index.links.get(a, {})
 
     def is_empty(self) -> bool:
         return not self.concept_atoms and not self.role_atoms
@@ -400,8 +472,22 @@ class Interpretation:
     def named(self) -> List[Individual]:
         return [n for n in self.domain() if isinstance(n, Individual)]
 
+    @cached_property
+    def _index(self) -> GraphIndex[Node]:
+        return GraphIndex(self.concepts, self.edges)
+
     def concepts_of(self, n: Node) -> FrozenSet[str]:
-        return frozenset(c for c, x in self.concepts if x == n)
+        return self._index.ctype.get(n, _EMPTY)
+
+    def extension(self, c: str) -> FrozenSet[Node]:
+        """The nodes with concept c; every node for ``top``."""
+        if c == TOP:
+            return self.nodes
+        return self._index.extension.get(c, _EMPTY)
+
+    def adjacency(self, role: Role) -> Mapping[Node, FrozenSet[Node]]:
+        """Each node with a role successor, mapped to its role successors."""
+        return self._index.adjacency.get(role, {})
 
     def has_concept(self, c: str, n: Node) -> bool:
         if c == TOP:
@@ -414,24 +500,10 @@ class Interpretation:
         return (role.name, x, y) in self.edges
 
     def successors(self, x: Node, role: Role) -> List[Node]:
-        out = []
-        for name, a, b in self.edges:
-            if role.inverted:
-                if name == role.name and b == x:
-                    out.append(a)
-            else:
-                if name == role.name and a == x:
-                    out.append(b)
-        return sorted(set(out), key=node_key)
+        return sorted(self.adjacency(role).get(x, ()), key=node_key)
 
     def roles_between(self, x: Node, y: Node) -> FrozenSet[Role]:
-        out = set()
-        for name, a, b in self.edges:
-            if a == x and b == y:
-                out.add(Role(name))
-            if a == y and b == x:
-                out.add(Role(name, True))
-        return frozenset(out)
+        return self._index.links.get(x, {}).get(y, _EMPTY)
 
     def role_names(self) -> FrozenSet[str]:
         return frozenset(name for name, _, _ in self.edges)

@@ -7,13 +7,23 @@ grows unary and binary atoms jointly, seeded with the finished lower
 strata and reading negation as failure against them. ``validate`` reads
 per-target verdicts off the unary atoms; ``perfect_assignment_b`` returns
 both kinds.
+
+Evaluation reads the interpretation's index (``core.GraphIndex``) and never
+scans all node pairs. The fixpoint keeps its atoms as tables from shape
+name to nodes or node pairs, so a shape reference is one lookup. A concept
+is its extension; ``some [r1,...,rk].B`` walks back from each node of B
+along the inverse adjacency of every ri and intersects, so it costs
+O(edges) rather than O(nodes x |B|); ``some <path>.B`` walks the product of
+the data and the path automaton backwards from B the same way, and a role
+step reads the role's adjacency. Semi-naive rounds are not used: each
+round re-evaluates every item of its stratum.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .core import TOP, Individual, Interpretation, Node
+from .core import Individual, Interpretation, Node, Role
 from .paths import NFA, Regex, regex_to_nfa
 from .shapes import (
     And,
@@ -50,8 +60,11 @@ from .shapes import (
 
 Assignment = FrozenSet[Tuple[str, Node]]
 BinAssignment = FrozenSet[Tuple[str, Node, Node]]
+Pair = Tuple[Node, Node]
 # path automata compiled during one evaluation, dropped when it returns
 NFAs = Dict[Regex, NFA]
+
+_EMPTY: FrozenSet = frozenset()
 
 
 class TruncationRefused(RuntimeError):
@@ -73,7 +86,7 @@ def _path_reach(interp: Interpretation, start: Node, nfa: NFA) -> FrozenSet[Node
         for a, r, b in nfa.transitions:
             if a != q:
                 continue
-            for m in interp.successors(n, r):
+            for m in interp.adjacency(r).get(n, ()):
                 for q2 in nfa.eps_closure({b}):
                     if (m, q2) not in seen:
                         seen.add((m, q2))
@@ -81,8 +94,157 @@ def _path_reach(interp: Interpretation, start: Node, nfa: NFA) -> FrozenSet[Node
     return frozenset(n for n, q in seen if q == nfa.final)
 
 
+def _path_sources(interp: Interpretation, nfa: NFA, targets: AbstractSet[Node]) -> Set[Node]:
+    """Nodes from which some word of the path language reaches a target.
+
+    Walks the product of the data and the automaton backwards from the
+    (target, final) pairs, along the inverse-role adjacency.
+    """
+    into: Dict[int, List[Tuple[int, Role]]] = {}
+    for a, r, b in nfa.transitions:
+        for q2 in nfa.eps_closure({b}):
+            into.setdefault(q2, []).append((a, r.invert()))
+    seen: Set[Tuple[Node, int]] = {(t, nfa.final) for t in targets}
+    work = list(seen)
+    while work:
+        m, q2 = work.pop()
+        for q, back in into.get(q2, ()):
+            for n in interp.adjacency(back).get(m, ()):
+                if (n, q) not in seen:
+                    seen.add((n, q))
+                    work.append((n, q))
+    start = nfa.eps_closure({nfa.initial})
+    return {n for n, q in seen if q in start}
+
+
 # ---------------------------------------------------------------------------
 # expression evaluation
+
+
+class _Evaluator:
+    """Shape bodies and path expressions over one interpretation, reading
+    the shape atoms from ``unary`` and ``binary`` (shape name to nodes or
+    node pairs). A result may be a set of those tables or of the
+    interpretation's index itself, so callers must not mutate it."""
+
+    def __init__(
+        self,
+        interp: Interpretation,
+        unary: Dict[str, Set[Node]],
+        binary: Dict[str, Set[Pair]],
+        nfas: NFAs,
+    ) -> None:
+        self.interp = interp
+        self.unary = unary
+        self.binary = binary
+        self.nfas = nfas
+
+    def body(self, body: ShapeBody) -> AbstractSet[Node]:
+        interp = self.interp
+        if isinstance(body, IndividualRef):
+            node = Individual(body.name)
+            return {node} if node in interp.nodes else _EMPTY
+        if isinstance(body, ShapeRef):
+            return self.unary.get(body.name, _EMPTY)
+        if isinstance(body, NegShapeRef):
+            return interp.nodes - self.unary.get(body.name, _EMPTY)
+        if isinstance(body, ConceptRef):
+            return interp.extension(body.name)
+        if isinstance(body, Or):
+            return self.body(body.left) | self.body(body.right)
+        if isinstance(body, And):
+            return self.body(body.left) & self.body(body.right)
+        if isinstance(body, Not):
+            return interp.nodes - self.body(body.body)
+        if isinstance(body, ExistsRoles):
+            return self._exists_roles(body)
+        if isinstance(body, ExistsPath):
+            return _path_sources(interp, _nfa(self.nfas, body.path), self.body(body.body))
+        if isinstance(body, (GuardedEq, GuardedDisj)):
+            if body.guard is None:
+                raise UnguardedComparison(
+                    "eq/disj must be guarded by an individual: without the guard, "
+                    "nodes reached over the two paths cannot be told apart"
+                )
+            node = Individual(body.guard)
+            if node not in interp.nodes:
+                return _EMPTY
+            left = _path_reach(interp, node, _nfa(self.nfas, body.left))
+            right = _path_reach(interp, node, _nfa(self.nfas, body.right))
+            if isinstance(body, GuardedEq):
+                ok = left == right
+            else:
+                ok = not (left & right)
+            return {node} if ok else _EMPTY
+        if isinstance(body, ExistsVia):
+            pairs = self.path(body.path)
+            targets = self.body(body.body)
+            return {e for e, e2 in pairs if e2 in targets}
+        raise TypeError(f"unknown body {body!r}")
+
+    def _exists_roles(self, body: ExistsRoles) -> AbstractSet[Node]:
+        # walk back from each target along every role and keep the nodes
+        # that reach that one target over all of them
+        targets = self.body(body.body)
+        first, *rest = [self.interp.adjacency(r.invert()) for r in body.roles]
+        out: Set[Node] = set()
+        for t in targets:
+            preds = first.get(t, _EMPTY)
+            for back in rest:
+                if not preds:
+                    break
+                preds = preds & back.get(t, _EMPTY)
+            out |= preds
+        return out
+
+    def path(self, p: PathExpr) -> AbstractSet[Pair]:
+        if isinstance(p, RoleStep):
+            return {(x, y) for x, ys in self.interp.adjacency(p.role).items() for y in ys}
+        if isinstance(p, BinRef):
+            return self.binary.get(p.name, _EMPTY)
+        if isinstance(p, Test):
+            return {(n, n) for n in self.unary.get(p.shape, _EMPTY)}
+        if isinstance(p, PUnion):
+            return self.path(p.left) | self.path(p.right)
+        if isinstance(p, PInter):
+            return self.path(p.left) & self.path(p.right)
+        if isinstance(p, PDiff):
+            return self.path(p.left) - self.path(p.right)
+        if isinstance(p, PConcat):
+            by_mid: Dict[Node, Set[Node]] = {}
+            for x, y in self.path(p.left):
+                by_mid.setdefault(y, set()).add(x)
+            return {(x, z) for y, z in self.path(p.right) for x in by_mid.get(y, ())}
+        if isinstance(p, PInverse):
+            return {(y, x) for x, y in self.path(p.inner)}
+        if isinstance(p, PStar):
+            succ: Dict[Node, Set[Node]] = {}
+            for x, y in self.path(p.inner):
+                succ.setdefault(x, set()).add(y)
+            out: Set[Pair] = set()
+            for n in self.interp.nodes | succ.keys():
+                seen = {n}
+                work = [n]
+                while work:
+                    for y in succ.get(work.pop(), ()):
+                        if y not in seen:
+                            seen.add(y)
+                            work.append(y)
+                out.update((n, y) for y in seen)
+            return out
+        raise TypeError(f"unknown path {p!r}")
+
+
+def _evaluator(
+    interp: Interpretation, assign: Assignment, bin_assign: BinAssignment, nfas: NFAs
+) -> _Evaluator:
+    unary: Dict[str, Set[Node]] = {}
+    binary: Dict[str, Set[Pair]] = {}
+    for s, n in assign:
+        unary.setdefault(s, set()).add(n)
+    for s, x, y in bin_assign:
+        binary.setdefault(s, set()).add((x, y))
+    return _Evaluator(interp, unary, binary, nfas)
 
 
 def eval_body(
@@ -92,64 +254,8 @@ def eval_body(
     bin_assign: BinAssignment = frozenset(),
     nfas: Optional[NFAs] = None,
 ) -> FrozenSet[Node]:
-    nfas = {} if nfas is None else nfas
-
-    def sub(b: ShapeBody) -> FrozenSet[Node]:
-        return eval_body(b, interp, assign, bin_assign, nfas)
-
-    domain = frozenset(interp.nodes)
-    if isinstance(body, IndividualRef):
-        node = Individual(body.name)
-        return frozenset({node}) if node in domain else frozenset()
-    if isinstance(body, ShapeRef):
-        return frozenset(n for s, n in assign if s == body.name)
-    if isinstance(body, NegShapeRef):
-        has = {n for s, n in assign if s == body.name}
-        return frozenset(domain - has)
-    if isinstance(body, ConceptRef):
-        if body.name == TOP:
-            return domain
-        return frozenset(n for c, n in interp.concepts if c == body.name)
-    if isinstance(body, Or):
-        return sub(body.left) | sub(body.right)
-    if isinstance(body, And):
-        return sub(body.left) & sub(body.right)
-    if isinstance(body, Not):
-        return frozenset(domain - sub(body.body))
-    if isinstance(body, ExistsRoles):
-        targets = sub(body.body)
-        out = set()
-        for e in domain:
-            for e2 in targets:
-                if all(interp.has_edge(r, e, e2) for r in body.roles):
-                    out.add(e)
-                    break
-        return frozenset(out)
-    if isinstance(body, ExistsPath):
-        targets = sub(body.body)
-        nfa = _nfa(nfas, body.path)
-        return frozenset(e for e in domain if _path_reach(interp, e, nfa) & targets)
-    if isinstance(body, (GuardedEq, GuardedDisj)):
-        if body.guard is None:
-            raise UnguardedComparison(
-                "eq/disj must be guarded by an individual: without the guard, "
-                "nodes reached over the two paths cannot be told apart"
-            )
-        node = Individual(body.guard)
-        if node not in domain:
-            return frozenset()
-        left = _path_reach(interp, node, _nfa(nfas, body.left))
-        right = _path_reach(interp, node, _nfa(nfas, body.right))
-        if isinstance(body, GuardedEq):
-            ok = left == right
-        else:
-            ok = not (left & right)
-        return frozenset({node}) if ok else frozenset()
-    if isinstance(body, ExistsVia):
-        pairs = eval_path(body.path, interp, assign, bin_assign)
-        targets = sub(body.body)
-        return frozenset(e for e, e2 in pairs if e2 in targets)
-    raise TypeError(f"unknown body {body!r}")
+    ev = _evaluator(interp, assign, bin_assign, {} if nfas is None else nfas)
+    return frozenset(ev.body(body))
 
 
 def eval_path(
@@ -157,63 +263,8 @@ def eval_path(
     interp: Interpretation,
     assign: Assignment,
     bin_assign: BinAssignment,
-) -> FrozenSet[Tuple[Node, Node]]:
-    if isinstance(p, RoleStep):
-        out = set()
-        for name, a, b in interp.edges:
-            if name != p.role.name:
-                continue
-            out.add((b, a) if p.role.inverted else (a, b))
-        return frozenset(out)
-    if isinstance(p, BinRef):
-        return frozenset((x, y) for b, x, y in bin_assign if b == p.name)
-    if isinstance(p, Test):
-        return frozenset((n, n) for s, n in assign if s == p.shape)
-    if isinstance(p, PUnion):
-        return eval_path(p.left, interp, assign, bin_assign) | eval_path(
-            p.right, interp, assign, bin_assign
-        )
-    if isinstance(p, PInter):
-        return eval_path(p.left, interp, assign, bin_assign) & eval_path(
-            p.right, interp, assign, bin_assign
-        )
-    if isinstance(p, PDiff):
-        return eval_path(p.left, interp, assign, bin_assign) - eval_path(
-            p.right, interp, assign, bin_assign
-        )
-    if isinstance(p, PConcat):
-        left = eval_path(p.left, interp, assign, bin_assign)
-        right = eval_path(p.right, interp, assign, bin_assign)
-        by_mid: Dict[Node, Set[Node]] = {}
-        for x, y in left:
-            by_mid.setdefault(y, set()).add(x)
-        out = set()
-        for y, z in right:
-            for x in by_mid.get(y, ()):
-                out.add((x, z))
-        return frozenset(out)
-    if isinstance(p, PInverse):
-        return frozenset((y, x) for x, y in eval_path(p.inner, interp, assign, bin_assign))
-    if isinstance(p, PStar):
-        base = eval_path(p.inner, interp, assign, bin_assign)
-        closure: Set[Tuple[Node, Node]] = {(n, n) for n in interp.nodes}
-        closure |= base
-        changed = True
-        while changed:
-            changed = False
-            adj: Dict[Node, Set[Node]] = {}
-            for x, y in closure:
-                adj.setdefault(x, set()).add(y)
-            add = set()
-            for x, y in closure:
-                for z in adj.get(y, ()):
-                    if (x, z) not in closure:
-                        add.add((x, z))
-            if add:
-                closure |= add
-                changed = True
-        return frozenset(closure)
-    raise TypeError(f"unknown path {p!r}")
+) -> FrozenSet[Pair]:
+    return frozenset(_evaluator(interp, assign, bin_assign, {}).path(p))
 
 
 # ---------------------------------------------------------------------------
@@ -222,31 +273,33 @@ def eval_path(
 
 def _fixpoint(
     interp: Interpretation, strata: Sequence[Sequence[Item]]
-) -> Tuple[Assignment, BinAssignment]:
+) -> Tuple[Dict[str, Set[Node]], Dict[str, Set[Pair]]]:
     """Unary and binary atoms of the perfect assignment, stratum by stratum.
 
-    Within a stratum every round evaluates each item against the atoms of
-    the round before, until a round adds nothing.
+    Within a stratum every round evaluates each item and adds its atoms at
+    once, until a round adds nothing. Items read their own stratum only
+    positively, so the order of the additions does not change the result.
     """
-    unary: Set[Tuple[str, Node]] = set()
-    binary: Set[Tuple[str, Node, Node]] = set()
-    nfas: NFAs = {}
+    ev = _Evaluator(interp, {}, {}, {})
     for group in strata:
-        while True:
-            before = (len(unary), len(binary))
-            fu, fb = frozenset(unary), frozenset(binary)
+        grew = True
+        while grew:
+            grew = False
             for it in group:
                 if isinstance(it, BinConstraint):
-                    binary.update((it.head, x, y) for x, y in eval_path(it.body, interp, fu, fb))
+                    new, table = ev.path(it.body), ev.binary
                 else:
-                    unary.update((it.head, n) for n in eval_body(it.body, interp, fu, fb, nfas))
-            if (len(unary), len(binary)) == before:
-                break
-    return frozenset(unary), frozenset(binary)
+                    new, table = ev.body(it.body), ev.unary
+                have = table.setdefault(it.head, set())
+                size = len(have)
+                have |= new
+                grew = grew or len(have) > size
+    return ev.unary, ev.binary
 
 
 def perfect_assignment(interp: Interpretation, strat: Stratification) -> Assignment:
-    return _fixpoint(interp, strat.strata)[0]
+    unary, _ = _fixpoint(interp, strat.strata)
+    return frozenset((s, n) for s, ns in unary.items() for n in ns)
 
 
 @dataclass(frozen=True)
@@ -273,23 +326,17 @@ def validate(interp: Interpretation, sg: ShapesGraph) -> ValidationResult:
             "constraints use negation but the model is a truncated "
             "approximation; negative facts at the frontier are unreliable"
         )
-    pa = perfect_assignment(interp, strat)
+    unary, _ = _fixpoint(interp, strat.strata)
     named = {n.name: n for n in interp.named()}
-    defined = {c.head for c in sg.constraints}
-    results = []
-    undefined = []
-    for shape, ind in sg.targets:
-        if shape not in defined:
-            undefined.append(shape)
-        node = named.get(ind)
-        results.append(
-            TargetResult(shape, ind, node is not None and (shape, node) in pa)
-        )
+    results = tuple(
+        TargetResult(shape, ind, named.get(ind) in unary.get(shape, _EMPTY))
+        for shape, ind in sg.targets
+    )
     return ValidationResult(
-        tuple(results),
+        results,
         all(r.valid for r in results),
         not interp.complete,
-        tuple(sorted(set(undefined))),
+        sg.undefined_target_shapes(),
     )
 
 
@@ -303,4 +350,8 @@ def perfect_assignment_b(
     interp: Interpretation, constraints: Sequence[Item]
 ) -> ShapeAssignmentB:
     """Joint unary/binary perfect assignment of a SHACL^b constraint set."""
-    return ShapeAssignmentB(*_fixpoint(interp, compute_stratification(constraints).strata))
+    unary, binary = _fixpoint(interp, compute_stratification(constraints).strata)
+    return ShapeAssignmentB(
+        frozenset((s, n) for s, ns in unary.items() for n in ns),
+        frozenset((s, x, y) for s, pairs in binary.items() for x, y in pairs),
+    )

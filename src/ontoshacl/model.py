@@ -11,7 +11,8 @@ the roles R, and the child satisfies exactly Y.
 """
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from collections import deque
+from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from .core import (
     BOT,
@@ -36,8 +37,16 @@ from .tbox import SaturatedTBox, saturate
 INJECT_SUCC_FILTER_BUG = False
 
 
+# build_can refuses to make a model prefix with more nodes than this
+MAX_MODEL_NODES = 100_000
+
+
 class InconsistentKB(ValueError):
     pass
+
+
+class ModelTooLarge(RuntimeError):
+    """The model prefix asked for has more nodes than ``MAX_MODEL_NODES``."""
 
 
 # ---------------------------------------------------------------------------
@@ -48,84 +57,91 @@ def _complete(
     tbox: TBox, abox: ABox, sat: Optional[SaturatedTBox] = None
 ) -> Tuple[ABox, Optional[str]]:
     sat = sat or saturate(tbox)
-    concepts: Set[Tuple[str, str]] = set(abox.concept_atoms)
-    edges: Set[Tuple[str, str, str]] = set(abox.role_atoms)
-    individuals = sorted(set(abox.individuals()))
+    individuals = abox.individuals()
+    # the atoms, with each individual's concepts and each role's
+    # adjacency (both polarities) kept up to date on insert
+    concepts: Set[Tuple[str, str]] = set()
+    edges: Set[Tuple[str, str, str]] = set()
+    ctype: Dict[str, Set[str]] = {a: set() for a in individuals}
+    succ: Dict[Role, Dict[str, Set[str]]] = {}
 
-    def ctype(a: str) -> FrozenSet[str]:
-        return frozenset(c for c, x in concepts if x == a)
+    def add_concept(c: str, a: str) -> None:
+        concepts.add((c, a))
+        ctype[a].add(c)
 
     def add_edge(role: Role, a: str, b: str) -> None:
         if role.inverted:
-            edges.add((role.name, b, a))
-        else:
-            edges.add((role.name, a, b))
+            role, a, b = role.invert(), b, a
+        edges.add((role.name, a, b))
+        succ.setdefault(role, {}).setdefault(a, set()).add(b)
+        succ.setdefault(role.invert(), {}).setdefault(b, set()).add(a)
 
     def successors(a: str, role: Role) -> List[str]:
-        if role.inverted:
-            return sorted({x for n, x, y in edges if n == role.name and y == a})
-        return sorted({y for n, x, y in edges if n == role.name and x == a})
+        return sorted(succ.get(role, {}).get(a, ()))
+
+    for c, a in abox.concept_atoms:
+        add_concept(c, a)
+    for name, a, b in abox.role_atoms:
+        add_edge(Role(name), a, b)
 
     changed = True
     while changed:
-        changed = False
         before = (len(concepts), len(edges))
         # role hierarchy closure
-        for name, a, b in sorted(edges):
+        for name, a, b in list(edges):
             for sup in sat.superroles(Role(name)):
                 add_edge(sup, a, b)
         # entailed concept closure
         for a in individuals:
-            for c in sat.cl(ctype(a)):
-                concepts.add((c, a))
+            for c in sat.cl(ctype[a]):
+                add_concept(c, a)
         # value restrictions
         for ax in tbox.value:
-            for a in individuals:
-                if ax.lhs != TOP and (ax.lhs, a) not in concepts:
-                    continue
-                for b in successors(a, ax.role):
-                    concepts.add((ax.filler, b))
+            for a, bs in succ.get(ax.role, {}).items():
+                if ax.lhs == TOP or ax.lhs in ctype[a]:
+                    for b in bs:
+                        add_concept(ax.filler, b)
         # at-most-one: an implied existential merges onto an existing witness
         for ax in tbox.atmost:
-            for a in individuals:
-                if ax.lhs != TOP and (ax.lhs, a) not in concepts:
+            for a in list(succ.get(ax.role, {})):
+                if ax.lhs != TOP and ax.lhs not in ctype[a]:
                     continue
-                for cand in sat.implied_existentials(ctype(a)):
+                for cand in sat.implied_existentials(ctype[a]):
                     if ax.role not in cand.roles:
                         continue
                     if ax.filler != TOP and ax.filler not in cand.concepts:
                         continue
                     for b in successors(a, ax.role):
-                        if ax.filler != TOP and (ax.filler, b) not in concepts:
+                        if ax.filler != TOP and ax.filler not in ctype[b]:
                             continue
                         for c in cand.concepts:
-                            concepts.add((c, b))
+                            add_concept(c, b)
                         for r in cand.roles:
                             add_edge(r, a, b)
-        if (len(concepts), len(edges)) != before:
-            changed = True
+        changed = (len(concepts), len(edges)) != before
 
+    completed = ABox(frozenset(concepts), frozenset(edges))
     # consistency: bottom membership
     for a in individuals:
-        if (BOT, a) in concepts:
-            return ABox(frozenset(concepts), frozenset(edges)), f"bot holds at {a}"
+        if BOT in ctype[a]:
+            return completed, f"bot holds at {a}"
     # consistency: two distinct named witnesses under a counted role
     for ax in tbox.atmost:
         for a in individuals:
-            if ax.lhs != TOP and (ax.lhs, a) not in concepts:
+            if ax.lhs != TOP and ax.lhs not in ctype[a]:
                 continue
             wits = [
                 b
                 for b in successors(a, ax.role)
-                if ax.filler == TOP or (ax.filler, b) in concepts
+                if ax.filler == TOP or ax.filler in ctype[b]
             ]
             if len(wits) > 1:
                 return (
-                    ABox(frozenset(concepts), frozenset(edges)),
+                    completed,
                     f"{a} has {len(wits)} named {ax.role}.{ax.filler} successors "
                     f"but at most one is allowed",
                 )
-    return ABox(frozenset(concepts), frozenset(edges)), None
+    return completed, None
 
 
 def complete_abox(tbox: TBox, abox: ABox, sat: Optional[SaturatedTBox] = None) -> ABox:
@@ -185,10 +201,8 @@ def root_frontier(sat: SaturatedTBox, completed: ABox, a: str) -> Tuple[TwoType,
     """The 2-types a named individual presents to the successor computation."""
     mine = completed.concepts_of(a)
     out = [bare_type(mine)]
-    for b in completed.individuals():
-        roles = completed.roles_between(a, b)
-        if roles:
-            out.append(TwoType(mine, roles, completed.concepts_of(b)))
+    for b, roles in completed.links(a).items():
+        out.append(TwoType(mine, roles, completed.concepts_of(b)))
     return tuple(sorted(set(out), key=type_key))
 
 
@@ -233,29 +247,63 @@ def build_can(
             else:
                 edges.add((r.name, parent, child))
 
-    complete = True
-    frontier: List[Anon] = []
-    for a in completed.individuals():
-        cands = succ_config(sat, root_frontier(sat, completed, a))
-        if depth == 0:
-            if cands:
-                complete = False
-            continue
-        mine = completed.concepts_of(a)
-        for u in cands:
-            letter = TwoType(mine, u.roles, u.concepts)
-            child = Anon(a, (letter,))
-            attach(named[a], child, letter)
-            frontier.append(child)
+    kids: Dict[TwoType, Tuple[TwoType, ...]] = {}
 
+    def kids_of(t: TwoType) -> Tuple[TwoType, ...]:
+        if t not in kids:
+            kids[t] = children(sat, t)
+        return kids[t]
+
+    roots: List[Tuple[str, TwoType]] = []
+    for a in completed.individuals():
+        mine = completed.concepts_of(a)
+        for u in succ_config(sat, root_frontier(sat, completed, a)):
+            roots.append((a, TwoType(mine, u.roles, u.concepts)))
+    if depth == 0:
+        return Interpretation(
+            frozenset(nodes), frozenset(concepts), frozenset(edges), not roots
+        )
+
+    # count the nodes before making them. size[t] is the size, capped just
+    # above the budget, of a subtree whose root ends in letter t, one more
+    # level deep after each round; it settles once every count is exact or
+    # capped.
+    letters = {t for _, t in roots}
+    work = list(letters)
+    while work:
+        for c in kids_of(work.pop()):
+            if c not in letters:
+                letters.add(c)
+                work.append(c)
+    size = dict.fromkeys(letters, 1)
+    for _ in range(depth - 1):
+        deeper = {
+            t: min(1 + sum(size[c] for c in kids_of(t)), MAX_MODEL_NODES + 1)
+            for t in letters
+        }
+        if deeper == size:
+            break
+        size = deeper
+    if len(nodes) + sum(size[t] for _, t in roots) > MAX_MODEL_NODES:
+        raise ModelTooLarge(
+            f"the model prefix of depth {depth} has more than "
+            f"{MAX_MODEL_NODES} nodes"
+        )
+
+    complete = True
+    frontier: Deque[Anon] = deque()
+    for a, letter in roots:
+        child = Anon(a, (letter,))
+        attach(named[a], child, letter)
+        frontier.append(child)
     while frontier:
-        w = frontier.pop(0)
+        w = frontier.popleft()
         tail = w.path[-1]
         if w.depth == depth:
-            if children(sat, tail):
+            if kids_of(tail):
                 complete = False
             continue
-        for letter in children(sat, tail):
+        for letter in kids_of(tail):
             child = w.child(letter)
             attach(w, child, letter)
             frontier.append(child)

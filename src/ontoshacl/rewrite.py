@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .core import BOT, TOP, OneHalfType, Role, TwoType, type_key
@@ -527,8 +528,10 @@ def pure_rewrite_alchi(
 ) -> Tuple[Constraint, ...]:
     """Validation over the raw data graph, for TBoxes without counting.
 
-    Concept names become shapes that mimic the completed graph; role
-    conjunctions drop roles that are implied by a contained subrole.
+    Concept names become shapes that mimic the completed graph. Role
+    conjunctions drop roles that are implied by a contained subrole, and
+    each remaining role r becomes a choice among r and its sub-roles, so
+    that edges the completion derives by the role hierarchy count.
     """
     if st.tbox.atmost:
         raise UnsupportedPattern(
@@ -556,8 +559,16 @@ def pure_rewrite_alchi(
     for a in _all_concepts(st, c_t):
         ts.append(Constraint(_concept_shape(a), ConceptRef(a)))
 
+    # over raw data a role r holds wherever one of its sub-roles does
+    subroles = {
+        r: [r] + [s for s in all_roles if s != r and r in st.superroles(s)]
+        for r in all_roles
+    }
+
     def exists(roles: FrozenSet[Role], inner: ShapeBody) -> ShapeBody:
-        return ExistsRoles(_simplify_roles(st, roles), inner)
+        choices = [subroles.get(r, [r]) for r in sorted(_simplify_roles(st, roles))]
+        picks = itertools.product(*choices)
+        return reduce(Or, [ExistsRoles(frozenset(pick), inner) for pick in picks])
 
     replaced = [Constraint(c.head, _subst(c.body, exists)) for c in c_t]
     out: List[Constraint] = []

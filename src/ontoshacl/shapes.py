@@ -292,6 +292,11 @@ class ShapesGraph:
             out |= _concepts_in(c.body)
         return frozenset(out - {TOP})
 
+    def undefined_target_shapes(self) -> Tuple[str, ...]:
+        """Target shapes that no constraint has as its head, sorted."""
+        defined = {c.head for c in self.constraints}
+        return tuple(sorted({s for s, _ in self.targets} - defined))
+
 
 def _concepts_in(body: ShapeBody) -> Set[str]:
     if isinstance(body, ConceptRef):

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from ontoshacl import cli
+from ontoshacl import cli, model
 
 MODES = ("direct", "rewrite", "pure-alchi", "pure-shaclb", "chase")
 
@@ -154,3 +154,38 @@ def test_chase_size_guard_exits_5(tmp_path, capsys):
     assert rc == cli.EXIT_DEPTH
     assert "Traceback" not in captured.err
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_undefined_targets_warn_but_keep_their_verdict(tmp_path, mode, capsys):
+    rc = validate(tmp_path, mode, "$ghost(@a)\n$t(@zed)\n$s(@a)\n")
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_VIOLATIONS
+    assert "$ghost(@a): VIOLATION" in captured.out and "$t(@zed): VIOLATION" in captured.out
+    warnings = [line for line in captured.err.splitlines() if line.startswith("warning:")]
+    assert warnings == [
+        "warning: no constraint defines target shape $ghost",
+        "warning: target individual @zed is not in the data",
+    ]
+
+
+def test_defined_targets_do_not_warn(tmp_path, capsys):
+    assert validate(tmp_path, "direct", "$s(@a)\n") == cli.EXIT_VALID
+    assert "warning" not in capsys.readouterr().err
+
+
+BRANCHING = "A <= some r.A\nA <= some s.A\n"
+
+
+def test_model_over_the_node_budget_exits_5(tmp_path, capsys):
+    # the model doubles per level: 2^33 - 1 nodes at the default depth
+    rc = validate(tmp_path, "direct", "$s(@a)\n", tbox=BRANCHING, abox="A(a)\n", shapes="$s <- A\n")
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_DEPTH
+    assert f"more than {model.MAX_MODEL_NODES} nodes" in captured.err
+    f = write(tmp_path, tbox=BRANCHING, abox="A(a)\n")
+    assert cli.main(["build-model", "--tbox", f["tbox"], "--abox", f["abox"]]) == cli.EXIT_DEPTH
+    assert "Traceback" not in capsys.readouterr().err
+    # a depth whose prefix fits the budget is still built
+    assert cli.main(["build-model", "--tbox", f["tbox"], "--abox", f["abox"], "--depth", "3"]) == 0
+    assert "nodes=15 " in capsys.readouterr().out

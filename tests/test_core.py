@@ -225,3 +225,63 @@ def test_type_key_is_injective_on_bare_types(cs):
     t = bare_type(cs)
     s = bare_type(cs | {"Z"})
     assert type_key(t) != type_key(s)
+
+
+# =============================================================================
+# THE LOOKUP INDEX AGAINST SCANS OF THE ATOMS
+# =============================================================================
+
+small_names = st.sampled_from(["a", "b", "c", "d"])
+abox_strategy = st.builds(
+    ABox,
+    st.frozensets(st.tuples(st.sampled_from(["A", "B", "C"]), small_names), max_size=6),
+    st.frozensets(st.tuples(role_names, small_names, small_names), max_size=8),
+)
+
+
+@given(abox_strategy)
+def test_abox_lookups_equal_scans_of_the_atoms(ab):
+    inds = {a for _, a in ab.concept_atoms} | {x for _, a, b in ab.role_atoms for x in (a, b)}
+    assert ab.individuals() == tuple(sorted(inds))
+    for a in ["a", "b", "c", "d", "zz"]:
+        assert ab.concepts_of(a) == {c for c, x in ab.concept_atoms if x == a}
+        for b in ["a", "b", "c", "d"]:
+            scan = {Role(r) for r, x, y in ab.role_atoms if (x, y) == (a, b)}
+            scan |= {Role(r, True) for r, x, y in ab.role_atoms if (x, y) == (b, a)}
+            assert ab.roles_between(a, b) == scan
+            assert ab.links(a).get(b, frozenset()) == scan
+        assert set(ab.links(a)) <= inds
+
+
+@given(abox_strategy)
+def test_interpretation_lookups_equal_scans_of_the_atoms(ab):
+    i = Interpretation.from_abox(ab)
+    every = sorted(i.nodes, key=node_key) + [Individual("zz")]
+    for c in ["A", "B", "C", "Z"]:
+        assert i.extension(c) == {n for d, n in i.concepts if d == c}
+    assert i.extension(TOP) == i.nodes
+    for x in every:
+        assert i.concepts_of(x) == {c for c, n in i.concepts if n == x}
+        for name in ["p", "q", "r", "hasPet"]:
+            for role in (Role(name), Role(name, True)):
+                scan = [y for y in i.domain() if i.has_edge(role, x, y)]
+                assert i.successors(x, role) == scan
+                assert i.adjacency(role).get(x, frozenset()) == set(scan)
+        for y in every:
+            scan = {
+                Role(name, inv)
+                for name in ["p", "q", "r", "hasPet"]
+                for inv in (False, True)
+                if i.has_edge(Role(name, inv), x, y)
+            }
+            assert i.roles_between(x, y) == scan
+
+
+def test_the_index_is_not_part_of_equality():
+    ab = ABox.of(concepts=[("A", "a")], roles=[(Role("r"), "a", "b")])
+    fresh = ABox.of(concepts=[("A", "a")], roles=[(Role("r"), "a", "b")])
+    ab.concepts_of("a")  # builds ab's index, not fresh's
+    assert ab == fresh and hash(ab) == hash(fresh)
+    i, j = Interpretation.from_abox(ab), Interpretation.from_abox(fresh)
+    i.successors(Individual("a"), Role("r"))
+    assert i == j and hash(i) == hash(j)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from oracles import naive_assignment
 from ontoshacl.core import ABox, Individual, Interpretation, Role
 from ontoshacl.evaluate import (
+    _path_reach,
     BinConstraint,
     BinRef,
     PConcat,
@@ -29,7 +30,7 @@ from ontoshacl.evaluate import (
     validate,
 )
 from ontoshacl.harness import gen_abox
-from ontoshacl.paths import parse_regex
+from ontoshacl.paths import parse_regex, regex_to_nfa
 from ontoshacl.shapes import (
     And,
     ConceptRef,
@@ -202,6 +203,61 @@ def test_positive_fixpoint_matches_naive_oracle(seed):
             cs.append(Constraint(name, body))
     pa = perfect_assignment(interp, compute_stratification(cs))
     assert pa == naive_assignment(interp, cs)
+
+
+def some_roles(rng):
+    """One to three roles of either polarity, as in ``some [p,^q].X``."""
+    return frozenset(
+        Role(rng.choice(["p", "q", "r"]), rng.random() < 0.5)
+        for _ in range(rng.randint(1, 3))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_role_conjunctions_match_naive_oracle(seed):
+    # ExistsRoles over several roles and inverse roles: the evaluator walks
+    # back from each target and intersects over the roles, the oracle tries
+    # every node pair with has_edge
+    rng = random.Random(seed)
+    ab = gen_abox(rng)
+    interp = Interpretation.from_abox(ab)
+    names = ["s0", "s1", "s2"]
+    cs = []
+    for name in names:
+        for _ in range(rng.randint(1, 3)):
+            choice = rng.random()
+            if choice < 0.25:
+                body = ConceptRef(rng.choice(["C0", "C1", "C2", "top"]))
+            elif choice < 0.35 and ab.individuals():
+                body = IndividualRef(rng.choice(ab.individuals()))
+            elif choice < 0.65:
+                body = ExistsRoles(some_roles(rng), ShapeRef(rng.choice(names)))
+            elif choice < 0.85:
+                body = ExistsRoles(some_roles(rng), ConceptRef(rng.choice(["C0", "top"])))
+            else:
+                body = Or(ShapeRef(rng.choice(names)), ExistsRoles(some_roles(rng), ShapeRef(name)))
+            cs.append(Constraint(name, body))
+    pa = perfect_assignment(interp, compute_stratification(cs))
+    assert pa == naive_assignment(interp, cs)
+
+
+PATHS = ["p", "^q", "p/q", "p*", "(p|^r)/q*", "(q/^q)*/r", "^p/^p"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_exists_path_backward_walk_matches_forward_reach(seed):
+    rng = random.Random(seed)
+    interp = Interpretation.from_abox(gen_abox(rng))
+    regex = parse_regex(rng.choice(PATHS))
+    targets = ConceptRef(rng.choice(["C0", "C1", "top"]))
+    nfa = regex_to_nfa(regex)
+    want = {
+        e for e in interp.nodes
+        if _path_reach(interp, e, nfa) & eval_body(targets, interp, frozenset())
+    }
+    assert eval_body(ExistsPath(regex, targets), interp, frozenset()) == want
 
 
 def test_two_layerings_same_assignment():

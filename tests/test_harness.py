@@ -24,3 +24,10 @@ def test_compare_routes_catches_the_injected_bug(monkeypatch):
     assert compare_routes(tbox, abox, sg) is None
     monkeypatch.setattr(model, "INJECT_SUCC_FILTER_BUG", True)
     assert compare_routes(tbox, abox, sg) is not None
+
+
+@pytest.mark.parametrize("case", [72, 76])
+def test_pure_alchi_counts_sub_role_edges(case):
+    # both cases need an edge the role hierarchy derives from a raw sub-role
+    # edge; pure-alchi used to miss it and answer VIOLATION
+    assert compare_routes(*gen_case(case_rng(1, case))) is None
