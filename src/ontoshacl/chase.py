@@ -16,8 +16,6 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from .core import (
     TOP,
     ABox,
-    Anon,
-    Individual,
     Interpretation,
     Node,
     Null,
@@ -43,8 +41,8 @@ class NotTerminated(RuntimeError):
 
 
 def _node_sig(n: Node) -> str:
-    if isinstance(n, Individual):
-        return n.name
+    if isinstance(n, str):
+        return n
     if isinstance(n, Null):
         return f"_n:{n.key}"
     return n.base + "".join("." + str(t) for t in n.path)
@@ -58,11 +56,11 @@ def fire_axioms(sat: SaturatedTBox, atoms: Interpretation) -> Interpretation:
     """One parallel oblivious step followed by the at-most-one substitution."""
     tbox = sat.tbox
     nodes: Set[Node] = set(atoms.nodes)
-    concepts: Set[Tuple[str, Node]] = set(atoms.concepts)
-    edges: Set[Tuple[str, Node, Node]] = set(atoms.edges)
+    concepts: Set[Tuple[str, Node]] = set(atoms.concept_atoms)
+    edges: Set[Tuple[str, Node, Node]] = set(atoms.role_atoms)
 
     def holds(c: str, n: Node) -> bool:
-        return c == TOP or (c, n) in atoms.concepts
+        return c == TOP or (c, n) in atoms.concept_atoms
 
     for ax in tbox.conj:
         for x in atoms.domain():
@@ -87,7 +85,7 @@ def fire_axioms(sat: SaturatedTBox, atoms: Interpretation) -> Interpretation:
             if ax.filler != TOP:
                 concepts.add((ax.filler, y))
     for ax in tbox.roles:
-        for name, x, y in atoms.edges:
+        for name, x, y in atoms.role_atoms:
             if Role(name) == ax.sub:
                 pair = (y, x) if ax.sup.inverted else (x, y)
                 edges.add((ax.sup.name, *pair))
@@ -95,7 +93,7 @@ def fire_axioms(sat: SaturatedTBox, atoms: Interpretation) -> Interpretation:
                 pair = (x, y) if ax.sup.inverted else (y, x)
                 edges.add((ax.sup.name, *pair))
 
-    return _merge_counted(tbox, Interpretation(frozenset(nodes), frozenset(concepts), frozenset(edges), atoms.complete))
+    return _merge_counted(tbox, Interpretation(frozenset(concepts), frozenset(edges), frozenset(nodes), atoms.complete))
 
 
 def _merge_counted(tbox, interp: Interpretation) -> Interpretation:
@@ -106,8 +104,8 @@ def _merge_counted(tbox, interp: Interpretation) -> Interpretation:
     elsewhere).
     """
     nodes = set(interp.nodes)
-    concepts = set(interp.concepts)
-    edges = set(interp.edges)
+    concepts = set(interp.concept_atoms)
+    edges = set(interp.role_atoms)
 
     def substitute(drop: Node, keep: Node) -> None:
         nodes.discard(drop)
@@ -123,7 +121,7 @@ def _merge_counted(tbox, interp: Interpretation) -> Interpretation:
     changed = True
     while changed:
         changed = False
-        view = Interpretation(frozenset(nodes), frozenset(concepts), frozenset(edges))
+        view = Interpretation(frozenset(concepts), frozenset(edges), frozenset(nodes))
         for ax in sorted(tbox.atmost, key=str):
             for x in view.domain():
                 if ax.lhs != TOP and not view.has_concept(ax.lhs, x):
@@ -135,8 +133,8 @@ def _merge_counted(tbox, interp: Interpretation) -> Interpretation:
                 ]
                 if len(wits) < 2:
                     continue
-                named = [w for w in wits if isinstance(w, Individual)]
-                unnamed = [w for w in wits if not isinstance(w, Individual)]
+                named = [w for w in wits if isinstance(w, str)]
+                unnamed = [w for w in wits if not isinstance(w, str)]
                 if not unnamed or (not named and len(unnamed) < 2):
                     continue
                 if named:
@@ -150,7 +148,7 @@ def _merge_counted(tbox, interp: Interpretation) -> Interpretation:
             if changed:
                 break
     return Interpretation(
-        frozenset(nodes), frozenset(concepts), frozenset(edges), interp.complete
+        frozenset(concepts), frozenset(edges), frozenset(nodes), interp.complete
     )
 
 
@@ -173,12 +171,6 @@ class Homomorphism:
     def is_isomorphism(self) -> bool:
         return self.is_embedding and self.surjective
 
-    def __call__(self, n: Node) -> Node:
-        for a, b in self.mapping:
-            if a == n:
-                return b
-        raise KeyError(n)
-
     def image(self) -> FrozenSet[Node]:
         return frozenset(b for _, b in self.mapping)
 
@@ -199,7 +191,7 @@ def _search_endos(
     ctypes = {n: interp.concepts_of(n) for n in nodes}
     out_edges: Dict[Node, List[Tuple[str, Node]]] = {n: [] for n in nodes}
     in_edges: Dict[Node, List[Tuple[str, Node]]] = {n: [] for n in nodes}
-    for r, a, b in sorted(interp.edges, key=lambda e: (e[0], node_key(e[1]), node_key(e[2]))):
+    for r, a, b in sorted(interp.role_atoms, key=lambda e: (e[0], node_key(e[1]), node_key(e[2]))):
         out_edges[a].append((r, b))
         in_edges[b].append((r, a))
     results: List[Dict[Node, Node]] = []
@@ -210,12 +202,12 @@ def _search_endos(
         if not ctypes[x] <= ctypes[y]:
             return False
         for r, b in out_edges[x]:
-            if b in partial and (r, y, partial[b]) not in interp.edges:
+            if b in partial and (r, y, partial[b]) not in interp.role_atoms:
                 return False
-            if b == x and (r, y, y) not in interp.edges:
+            if b == x and (r, y, y) not in interp.role_atoms:
                 return False
         for r, a in in_edges[x]:
-            if a in partial and (r, partial[a], y) not in interp.edges:
+            if a in partial and (r, partial[a], y) not in interp.role_atoms:
                 return False
         return True
 
@@ -224,7 +216,7 @@ def _search_endos(
             results.append(dict(partial))
             return first_only
         x = nodes[i]
-        cands = [x] if isinstance(x, Individual) else nodes
+        cands = [x] if isinstance(x, str) else nodes
         for y in cands:
             if ok(x, y, partial):
                 partial[x] = y
@@ -247,15 +239,15 @@ def _classify(interp: Interpretation, m: Dict[Node, Node]) -> Homomorphism:
         for x in interp.nodes:
             if cdict[x] != cdict[m[x]]:
                 return False
-        for r, a, b in interp.edges:
-            if (r, m[a], m[b]) not in interp.edges:
+        for r, a, b in interp.role_atoms:
+            if (r, m[a], m[b]) not in interp.role_atoms:
                 return False
         # reflection: an atom between images must come from an atom
-        roles = {r for r, _, _ in interp.edges}
+        roles = {r for r, _, _ in interp.role_atoms}
         for x in interp.nodes:
             for y in interp.nodes:
                 for r in roles:
-                    if (r, m[x], m[y]) in interp.edges and (r, x, y) not in interp.edges:
+                    if (r, m[x], m[y]) in interp.role_atoms and (r, x, y) not in interp.role_atoms:
                         return False
         return True
 
@@ -280,7 +272,7 @@ def core_of(atoms: Interpretation, max_nodes: int = DEFAULT_NODE_BOUND) -> Inter
     while shrunk:
         shrunk = False
         for v in current.domain():
-            if isinstance(v, Individual):
+            if isinstance(v, str):
                 continue
             found = _search_endos(current, forbidden_image=frozenset({v}), first_only=True)
             if found:
@@ -301,7 +293,7 @@ def run_core_chase(
     When given, ``trace`` collects each round's (fired, cored) pair,
     including the final no-op round that confirms the fixpoint.
     """
-    current = Interpretation.from_abox(abox)
+    current = abox
     for _ in range(max_rounds):
         fired = fire_axioms(sat, current)
         cored = core_of(fired, max_nodes=max(DEFAULT_NODE_BOUND, len(fired.nodes)))
@@ -317,7 +309,7 @@ def run_oblivious_chase(
     sat: SaturatedTBox, abox: ABox, max_rounds: int = 32, max_nodes: int = 512
 ) -> Interpretation:
     """Fire rounds until nothing changes; witnesses are never reused."""
-    current = Interpretation.from_abox(abox)
+    current = abox
     for _ in range(max_rounds):
         _guard(current, max_nodes)
         fired = fire_axioms(sat, current)
@@ -333,11 +325,9 @@ def is_isomorphic(a: Interpretation, b: Interpretation, max_nodes: int = 64) -> 
     _guard(b, max_nodes)
     if len(a.nodes) != len(b.nodes):
         return False
-    if len(a.concepts) != len(b.concepts) or len(a.edges) != len(b.edges):
+    if len(a.concept_atoms) != len(b.concept_atoms) or len(a.role_atoms) != len(b.role_atoms):
         return False
-    named_a = {n.name for n in a.named()}
-    named_b = {n.name for n in b.named()}
-    if named_a != named_b:
+    if a.individuals() != b.individuals():
         return False
 
     a_nodes = a.domain()
@@ -346,24 +336,23 @@ def is_isomorphic(a: Interpretation, b: Interpretation, max_nodes: int = 64) -> 
     b_ct = {n: b.concepts_of(n) for n in b_nodes}
     if sorted(map(sorted, a_ct.values())) != sorted(map(sorted, b_ct.values())):
         return False
-    b_named = {n.name: n for n in b.named()}
 
     def ok(x: Node, y: Node, partial: Dict[Node, Node]) -> bool:
         if a_ct[x] != b_ct[y]:
             return False
-        for r, s, t in a.edges:
+        for r, s, t in a.role_atoms:
             if s == x and (t in partial or t == x):
-                if (r, y, y if t == x else partial[t]) not in b.edges:
+                if (r, y, y if t == x else partial[t]) not in b.role_atoms:
                     return False
             if t == x and s in partial and s != x:
-                if (r, partial[s], y) not in b.edges:
+                if (r, partial[s], y) not in b.role_atoms:
                     return False
-        for r, s, t in b.edges:
+        for r, s, t in b.role_atoms:
             inv = {v: k for k, v in partial.items()}
             inv[y] = x
-            if s == y and t in inv and (r, x, inv[t]) not in a.edges:
+            if s == y and t in inv and (r, x, inv[t]) not in a.role_atoms:
                 return False
-            if t == y and s in inv and (r, inv[s], x) not in a.edges:
+            if t == y and s in inv and (r, inv[s], x) not in a.role_atoms:
                 return False
         return True
 
@@ -371,10 +360,10 @@ def is_isomorphic(a: Interpretation, b: Interpretation, max_nodes: int = 64) -> 
         if i == len(a_nodes):
             return True
         x = a_nodes[i]
-        if isinstance(x, Individual):
-            cands = [b_named[x.name]]
+        if isinstance(x, str):
+            cands = [x]
         else:
-            cands = [y for y in b_nodes if not isinstance(y, Individual) and y not in used]
+            cands = [y for y in b_nodes if not isinstance(y, str) and y not in used]
         for y in cands:
             if y in used:
                 continue

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .chase import NotTerminated, SizeGuardExceeded, run_core_chase
-from .core import ABox, Individual, Interpretation, Role, TBox
+from .core import ABox, Interpretation, Role, TBox
 from .evaluate import (
     TruncationRefused,
     ValidationResult,
@@ -265,9 +265,8 @@ def _chase(kb: PreparedKB) -> Outcome:
 
 
 def _validate_over(data: ABox, cons: Sequence[Constraint], kb: PreparedKB) -> Outcome:
-    interp = Interpretation.from_abox(data, complete=True)
-    res = validate(interp, ShapesGraph.of(cons, kb.sg.targets))
-    return Outcome(interp, _verdicts(res), tuple(cons))
+    res = validate(data, ShapesGraph.of(cons, kb.sg.targets))
+    return Outcome(data, _verdicts(res), tuple(cons))
 
 
 def _rewrite(kb: PreparedKB) -> Outcome:
@@ -280,10 +279,9 @@ def _pure_alchi(kb: PreparedKB) -> Outcome:
 
 def _pure_shaclb(kb: PreparedKB) -> Outcome:
     items = pure_rewrite_shaclb(kb.sat, kb.c_t)
-    interp = Interpretation.from_abox(kb.abox, complete=True)
-    unary = perfect_assignment_b(interp, items).unary
-    verdicts = {(s, i): (s, Individual(i)) in unary for s, i in kb.sg.targets}
-    return Outcome(interp, verdicts, items)
+    unary = perfect_assignment_b(kb.abox, items).unary
+    verdicts = {(s, i): (s, i) in unary for s, i in kb.sg.targets}
+    return Outcome(kb.abox, verdicts, items)
 
 
 @dataclass(frozen=True)
@@ -397,9 +395,9 @@ def cmd_build_model(cfg: RunConfig) -> int:
     if cfg.emit:
         sys.stdout.write(serialize_interpretation(interp))
     else:
-        named = sum(1 for n in interp.nodes if isinstance(n, Individual))
         print(
-            f"nodes={len(interp.nodes)} named={named} edges={len(interp.edges)} "
+            f"nodes={len(interp.nodes)} named={len(interp.individuals())} "
+            f"edges={len(interp.role_atoms)} "
             f"complete={'true' if interp.complete else 'false'} depth={cfg.depth}"
         )
     return EXIT_VALID

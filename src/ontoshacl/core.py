@@ -3,17 +3,21 @@
 Concept names are plain strings starting with an uppercase letter; the
 reserved tokens ``top`` and ``bot`` stand for the universal and empty
 concept. Roles carry an inversion flag, so ``Role("p", True)`` is p
-read backwards. ABoxes and interpretations store role atoms under the
-non-inverted name only; lookups resolve inversion on the fly.
+read backwards. Interpretations store role atoms under the non-inverted
+name only; lookups resolve inversion on the fly.
 
 Everything here is immutable and orderable so that the rest of the
 package can iterate deterministically.
 
-``ABox`` and ``Interpretation`` answer their lookups (the concepts of a
-node, the nodes of a concept, the neighbours of a node along a role, the
-roles between two nodes) from a ``GraphIndex`` that each object derives
-from its atoms lazily, on the first lookup, and then keeps. The index is
-not a field: equality, hashing and ordering read the atoms only.
+A named individual is a node that is its name (a ``str``); anonymous
+model nodes are ``Anon`` words and chase nulls are ``Null``. Data is an
+interpretation of names: the raw ABox, its completion, model prefixes
+and chase states are all one ``Interpretation``, and ``ABox`` is only
+another name for that class. Its lookups (the concepts of a node, the
+nodes of a concept, the neighbours of a node along a role, the roles
+between two nodes) read a ``GraphIndex`` derived from the atoms lazily,
+on the first lookup, and then kept. The index is not a field: equality
+and hashing read the atoms, the nodes and the ``complete`` flag only.
 """
 from __future__ import annotations
 
@@ -22,14 +26,11 @@ from functools import cached_property
 from typing import (
     Dict,
     FrozenSet,
-    Generic,
-    Hashable,
     Iterable,
     Iterator,
     List,
     Mapping,
     Tuple,
-    TypeVar,
     Union,
 )
 
@@ -206,120 +207,6 @@ class TBox:
         return tuple(Role(n, inv) for n in names for inv in (False, True))
 
 
-# ---------------------------------------------------------------------------
-# the lookup index shared by ABoxes and interpretations
-
-N = TypeVar("N", bound=Hashable)
-
-_EMPTY: FrozenSet = frozenset()
-
-
-class GraphIndex(Generic[N]):
-    """Concept, adjacency and link tables over one set of atoms.
-
-    ``extension[c]`` is the nodes with concept c, ``ctype[n]`` the
-    concepts of n, ``adjacency[r][x]`` the r-neighbours of x for both
-    polarities of every role, and ``links[x][y]`` the roles from x to y.
-    Nodes without atoms of a kind have no entry of that kind.
-    """
-
-    __slots__ = ("extension", "ctype", "adjacency", "links")
-
-    def __init__(
-        self,
-        concept_atoms: Iterable[Tuple[str, N]],
-        role_atoms: Iterable[Tuple[str, N, N]],
-    ) -> None:
-        extension: Dict[str, set] = {}
-        ctype: Dict[N, set] = {}
-        for c, n in concept_atoms:
-            extension.setdefault(c, set()).add(n)
-            ctype.setdefault(n, set()).add(c)
-        adjacency: Dict[Role, Dict[N, set]] = {}
-        links: Dict[N, Dict[N, set]] = {}
-        for name, a, b in role_atoms:
-            fwd, bwd = Role(name), Role(name, True)
-            adjacency.setdefault(fwd, {}).setdefault(a, set()).add(b)
-            adjacency.setdefault(bwd, {}).setdefault(b, set()).add(a)
-            links.setdefault(a, {}).setdefault(b, set()).add(fwd)
-            links.setdefault(b, {}).setdefault(a, set()).add(bwd)
-        self.extension: Dict[str, FrozenSet[N]] = _freeze(extension)
-        self.ctype: Dict[N, FrozenSet[str]] = _freeze(ctype)
-        self.adjacency: Dict[Role, Dict[N, FrozenSet[N]]] = {
-            r: _freeze(adj) for r, adj in adjacency.items()
-        }
-        self.links: Dict[N, Dict[N, FrozenSet[Role]]] = {
-            x: _freeze(ys) for x, ys in links.items()
-        }
-
-
-def _freeze(d: Dict) -> Dict:
-    return {k: frozenset(v) for k, v in d.items()}
-
-
-# ---------------------------------------------------------------------------
-# ABoxes
-
-
-@dataclass(frozen=True)
-class ABox:
-    """Concept and role assertions over named individuals.
-
-    Role atoms are keyed by the non-inverted role name. Use
-    :meth:`role_pairs` or :meth:`has_role` to query either polarity.
-    """
-
-    concept_atoms: FrozenSet[Tuple[str, str]] = frozenset()
-    role_atoms: FrozenSet[Tuple[str, str, str]] = frozenset()
-
-    @staticmethod
-    def of(
-        concepts: Iterable[Tuple[str, str]] = (),
-        roles: Iterable[Tuple[Role, str, str]] = (),
-    ) -> "ABox":
-        catoms = frozenset((c, a) for c, a in concepts if c != TOP)
-        ratoms = set()
-        for role, a, b in roles:
-            if role.inverted:
-                ratoms.add((role.name, b, a))
-            else:
-                ratoms.add((role.name, a, b))
-        return ABox(catoms, frozenset(ratoms))
-
-    @cached_property
-    def _index(self) -> GraphIndex[str]:
-        return GraphIndex(self.concept_atoms, self.role_atoms)
-
-    @cached_property
-    def _individuals(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._index.ctype.keys() | self._index.links.keys()))
-
-    def individuals(self) -> Tuple[str, ...]:
-        return self._individuals
-
-    def concepts_of(self, a: str) -> FrozenSet[str]:
-        return self._index.ctype.get(a, _EMPTY)
-
-    def has_role(self, role: Role, a: str, b: str) -> bool:
-        if role.inverted:
-            return (role.name, b, a) in self.role_atoms
-        return (role.name, a, b) in self.role_atoms
-
-    def role_pairs(self, role: Role) -> Iterator[Tuple[str, str]]:
-        for name, a, b in sorted(self.role_atoms):
-            if name == role.name:
-                yield (b, a) if role.inverted else (a, b)
-
-    def roles_between(self, a: str, b: str) -> FrozenSet[Role]:
-        """All roles (either polarity) connecting a to b."""
-        return self.links(a).get(b, _EMPTY)
-
-    def links(self, a: str) -> Mapping[str, FrozenSet[Role]]:
-        """Each individual a role atom connects to a, with the roles from a to it."""
-        return self._index.links.get(a, {})
-
-    def is_empty(self) -> bool:
-        return not self.concept_atoms and not self.role_atoms
 
 
 # ---------------------------------------------------------------------------
@@ -373,15 +260,7 @@ def half_type_key(u: OneHalfType) -> Tuple:
 
 
 # ---------------------------------------------------------------------------
-# interpretations
-
-
-@dataclass(frozen=True)
-class Individual:
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
+# nodes
 
 
 @dataclass(frozen=True)
@@ -416,65 +295,123 @@ class Null:
         return f"_n:{self.key}"
 
 
-Node = Union[Individual, Anon, Null]
+# a named individual is its name
+Node = Union[str, Anon, Null]
 
 
 def node_key(n: Node) -> Tuple:
-    if isinstance(n, Individual):
-        return (0, n.name)
+    if isinstance(n, str):
+        return (0, n)
     if isinstance(n, Anon):
         return (1, n.base, len(n.path), tuple(type_key(t) for t in n.path))
     return (2, n.key)
 
 
-@dataclass(frozen=True)
-class Interpretation:
-    """A finite (fragment of an) interpretation.
+# ---------------------------------------------------------------------------
+# the lookup index
 
-    ``complete`` records whether this is the whole intended structure or a
-    truncation of something deeper.
+_EMPTY: FrozenSet = frozenset()
+
+
+class GraphIndex:
+    """Concept, adjacency and link tables over one set of atoms.
+
+    ``extension[c]`` is the nodes with concept c, ``ctype[n]`` the
+    concepts of n, ``adjacency[r][x]`` the r-neighbours of x for both
+    polarities of every role, and ``links[x][y]`` the roles from x to y.
+    Nodes without atoms of a kind have no entry of that kind.
     """
 
+    __slots__ = ("extension", "ctype", "adjacency", "links")
+
+    def __init__(
+        self,
+        concept_atoms: Iterable[Tuple[str, Node]],
+        role_atoms: Iterable[Tuple[str, Node, Node]],
+    ) -> None:
+        extension: Dict[str, set] = {}
+        ctype: Dict[Node, set] = {}
+        for c, n in concept_atoms:
+            extension.setdefault(c, set()).add(n)
+            ctype.setdefault(n, set()).add(c)
+        adjacency: Dict[Role, Dict[Node, set]] = {}
+        links: Dict[Node, Dict[Node, set]] = {}
+        for name, a, b in role_atoms:
+            fwd, bwd = Role(name), Role(name, True)
+            adjacency.setdefault(fwd, {}).setdefault(a, set()).add(b)
+            adjacency.setdefault(bwd, {}).setdefault(b, set()).add(a)
+            links.setdefault(a, {}).setdefault(b, set()).add(fwd)
+            links.setdefault(b, {}).setdefault(a, set()).add(bwd)
+        self.extension: Dict[str, FrozenSet[Node]] = _freeze(extension)
+        self.ctype: Dict[Node, FrozenSet[str]] = _freeze(ctype)
+        self.adjacency: Dict[Role, Dict[Node, FrozenSet[Node]]] = {
+            r: _freeze(adj) for r, adj in adjacency.items()
+        }
+        self.links: Dict[Node, Dict[Node, FrozenSet[Role]]] = {
+            x: _freeze(ys) for x, ys in links.items()
+        }
+
+
+def _freeze(d: Dict) -> Dict:
+    return {k: frozenset(v) for k, v in d.items()}
+
+
+# ---------------------------------------------------------------------------
+# interpretations
+
+
+@dataclass(frozen=True)
+class Interpretation:
+    """A finite (fragment of an) interpretation: atoms over nodes.
+
+    Data, its completion, model prefixes and chase states are all of this
+    class. The nodes of data are exactly the individuals its atoms
+    mention. ``complete`` records whether this is the whole intended
+    structure or a truncation of something deeper.
+    """
+
+    concept_atoms: FrozenSet[Tuple[str, Node]]
+    role_atoms: FrozenSet[Tuple[str, Node, Node]]
     nodes: FrozenSet[Node]
-    concepts: FrozenSet[Tuple[str, Node]]
-    edges: FrozenSet[Tuple[str, Node, Node]]
     complete: bool = True
 
     @staticmethod
     def of(
-        nodes: Iterable[Node],
         concepts: Iterable[Tuple[str, Node]] = (),
-        edges: Iterable[Tuple[Role, Node, Node]] = (),
+        roles: Iterable[Tuple[Role, Node, Node]] = (),
+        nodes: Iterable[Node] = (),
         complete: bool = True,
     ) -> "Interpretation":
-        eatoms = set()
-        for role, x, y in edges:
-            if role.inverted:
-                eatoms.add((role.name, y, x))
-            else:
-                eatoms.add((role.name, x, y))
-        catoms = frozenset((c, n) for c, n in concepts if c != TOP)
-        return Interpretation(frozenset(nodes), catoms, frozenset(eatoms), complete)
-
-    @staticmethod
-    def from_abox(abox: ABox, complete: bool = True) -> "Interpretation":
-        nodes = {a: Individual(a) for a in abox.individuals()}
+        """The given atoms over the given nodes and every node an atom
+        mentions; ``top`` atoms only mention their node."""
+        domain = set(nodes)
+        catoms = set()
+        for c, n in concepts:
+            domain.add(n)
+            if c != TOP:
+                catoms.add((c, n))
+        ratoms = set()
+        for role, x, y in roles:
+            domain.update((x, y))
+            ratoms.add((role.name, y, x) if role.inverted else (role.name, x, y))
         return Interpretation(
-            frozenset(nodes.values()),
-            frozenset((c, nodes[a]) for c, a in abox.concept_atoms),
-            frozenset((r, nodes[a], nodes[b]) for r, a, b in abox.role_atoms),
-            complete,
+            frozenset(catoms), frozenset(ratoms), frozenset(domain), complete
         )
+
+    @cached_property
+    def _index(self) -> GraphIndex:
+        return GraphIndex(self.concept_atoms, self.role_atoms)
+
+    @cached_property
+    def _individuals(self) -> Tuple[str, ...]:
+        return tuple(sorted(n for n in self.nodes if isinstance(n, str)))
+
+    def individuals(self) -> Tuple[str, ...]:
+        """The named nodes, sorted."""
+        return self._individuals
 
     def domain(self) -> List[Node]:
         return sorted(self.nodes, key=node_key)
-
-    def named(self) -> List[Individual]:
-        return [n for n in self.domain() if isinstance(n, Individual)]
-
-    @cached_property
-    def _index(self) -> GraphIndex[Node]:
-        return GraphIndex(self.concepts, self.edges)
 
     def concepts_of(self, n: Node) -> FrozenSet[str]:
         return self._index.ctype.get(n, _EMPTY)
@@ -489,33 +426,36 @@ class Interpretation:
         """Each node with a role successor, mapped to its role successors."""
         return self._index.adjacency.get(role, {})
 
+    def links(self, x: Node) -> Mapping[Node, FrozenSet[Role]]:
+        """Each node a role atom connects to x, with the roles from x to it."""
+        return self._index.links.get(x, {})
+
     def has_concept(self, c: str, n: Node) -> bool:
         if c == TOP:
             return n in self.nodes
-        return (c, n) in self.concepts
+        return (c, n) in self.concept_atoms
 
     def has_edge(self, role: Role, x: Node, y: Node) -> bool:
         if role.inverted:
-            return (role.name, y, x) in self.edges
-        return (role.name, x, y) in self.edges
+            return (role.name, y, x) in self.role_atoms
+        return (role.name, x, y) in self.role_atoms
 
     def successors(self, x: Node, role: Role) -> List[Node]:
         return sorted(self.adjacency(role).get(x, ()), key=node_key)
 
     def roles_between(self, x: Node, y: Node) -> FrozenSet[Role]:
-        return self._index.links.get(x, {}).get(y, _EMPTY)
-
-    def role_names(self) -> FrozenSet[str]:
-        return frozenset(name for name, _, _ in self.edges)
-
-    def concept_names(self) -> FrozenSet[str]:
-        return frozenset(c for c, _ in self.concepts)
+        """All roles (either polarity) from x to y."""
+        return self.links(x).get(y, _EMPTY)
 
     def restrict(self, keep: Iterable[Node]) -> "Interpretation":
         keep = frozenset(keep)
         return Interpretation(
+            frozenset((c, n) for c, n in self.concept_atoms if n in keep),
+            frozenset((r, a, b) for r, a, b in self.role_atoms if a in keep and b in keep),
             keep,
-            frozenset((c, n) for c, n in self.concepts if n in keep),
-            frozenset((r, a, b) for r, a, b in self.edges if a in keep and b in keep),
             self.complete,
         )
+
+
+# data: an interpretation of names (a name for signatures, not a second class)
+ABox = Interpretation

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .core import Individual, Interpretation, Node, Role
+from .core import Interpretation, Node, Role
 from .paths import NFA, Regex, regex_to_nfa
 from .shapes import (
     And,
@@ -142,8 +142,7 @@ class _Evaluator:
     def body(self, body: ShapeBody) -> AbstractSet[Node]:
         interp = self.interp
         if isinstance(body, IndividualRef):
-            node = Individual(body.name)
-            return {node} if node in interp.nodes else _EMPTY
+            return {body.name} if body.name in interp.nodes else _EMPTY
         if isinstance(body, ShapeRef):
             return self.unary.get(body.name, _EMPTY)
         if isinstance(body, NegShapeRef):
@@ -166,7 +165,7 @@ class _Evaluator:
                     "eq/disj must be guarded by an individual: without the guard, "
                     "nodes reached over the two paths cannot be told apart"
                 )
-            node = Individual(body.guard)
+            node = body.guard
             if node not in interp.nodes:
                 return _EMPTY
             left = _path_reach(interp, node, _nfa(self.nfas, body.left))
@@ -327,9 +326,8 @@ def validate(interp: Interpretation, sg: ShapesGraph) -> ValidationResult:
             "approximation; negative facts at the frontier are unreliable"
         )
     unary, _ = _fixpoint(interp, strat.strata)
-    named = {n.name: n for n in interp.named()}
     results = tuple(
-        TargetResult(shape, ind, named.get(ind) in unary.get(shape, _EMPTY))
+        TargetResult(shape, ind, ind in unary.get(shape, _EMPTY))
         for shape, ind in sg.targets
     )
     return ValidationResult(

@@ -6,6 +6,12 @@ comment, blank lines are skipped, uppercase-initial identifiers are
 concepts, lowercase-initial are roles, `$x` is a shape, `@x` is an
 individual, `^r` is the inverse of r. Serializers round-trip: parsing
 their output reproduces the value.
+
+Data and every other interpretation share one printer,
+``serialize_interpretation``: one atom a line, in sorted order, with
+anonymous nodes and nulls labelled `_:...` and a `top(x)` line for a
+node that no atom mentions. Data mentions each of its nodes, so its text
+is a `.abox` file that ``parse_abox`` reads back to the same value.
 """
 from __future__ import annotations
 
@@ -21,7 +27,6 @@ from .core import (
     Axiom,
     ConjInclusion,
     ExistsInclusion,
-    Individual,
     Interpretation,
     Node,
     Role,
@@ -227,12 +232,6 @@ def parse_abox(text: str, source: str = "<abox>") -> ABox:
     return ABox.of(concepts=concepts, roles=roles)
 
 
-def serialize_abox(abox: ABox) -> str:
-    out = [f"{c}({a})" for c, a in sorted(abox.concept_atoms)]
-    out += [f"{r}({a},{b})" for r, a, b in sorted(abox.role_atoms)]
-    return "".join(s + "\n" for s in out)
-
-
 # ---------------------------------------------------------------------------
 # .shacl
 
@@ -300,11 +299,11 @@ def _body_atom(cur: _Cursor) -> ShapeBody:
                 roles.append(_role(cur))
             cur.eat("]")
             cur.eat(".")
-            return ExistsRoles(frozenset(roles), _body_unary(cur))
+            return ExistsRoles(frozenset(roles), _body_atom(cur))
         if cur.peek() == "<":
             path = _angle_regex(cur)
             cur.eat(".")
-            return ExistsPath(path, _body_unary(cur))
+            return ExistsPath(path, _body_atom(cur))
         raise cur.error("'some' takes '[roles]' or '<path>'")
     if word in ("eq", "disj") and cur.peek() == "(":
         return _comparison(cur, word)
@@ -312,10 +311,6 @@ def _body_atom(cur: _Cursor) -> ShapeBody:
         return ConceptRef(word)
     cur.i = mark
     raise cur.error(f"cannot read a shape body at {word!r}")
-
-
-def _body_unary(cur: _Cursor) -> ShapeBody:
-    return _body_atom(cur)
 
 
 def _guard_fuse(left: ShapeBody, right: ShapeBody) -> ShapeBody:
@@ -327,9 +322,9 @@ def _guard_fuse(left: ShapeBody, right: ShapeBody) -> ShapeBody:
 
 
 def _body_conj(cur: _Cursor) -> ShapeBody:
-    out = _body_unary(cur)
+    out = _body_atom(cur)
     while cur.try_eat("&"):
-        out = _guard_fuse(out, _body_unary(cur))
+        out = _guard_fuse(out, _body_atom(cur))
     return out
 
 
@@ -338,13 +333,6 @@ def _body_alt(cur: _Cursor) -> ShapeBody:
     while cur.try_eat("|"):
         out = Or(out, _body_conj(cur))
     return out
-
-
-def parse_shape_body(text: str, line: int = 1, source: str = "<shacl>") -> ShapeBody:
-    cur = _Cursor(text, line, source)
-    body = _body_alt(cur)
-    cur.expect_done()
-    return body
 
 
 def parse_constraints(text: str, source: str = "<shacl>") -> List[Constraint]:
@@ -394,8 +382,8 @@ def serialize_targets(targets: Iterable[Tuple[str, str]]) -> str:
 
 
 def node_label(n: Node, numbering: Dict[Node, str]) -> str:
-    if isinstance(n, Individual):
-        return n.name
+    if isinstance(n, str):
+        return n
     return numbering[n]
 
 
@@ -422,7 +410,7 @@ def _number_anonymous(interp: Interpretation) -> Dict[Node, str]:
         labels[n] = "_:" + n.base + "." + ".".join(parts)
     out: Dict[Node, str] = dict(labels)
     rest = sorted(
-        (n for n in interp.nodes if not isinstance(n, (Individual, Anon))),
+        (n for n in interp.nodes if not isinstance(n, (str, Anon))),
         key=node_key,
     )
     for k, n in enumerate(rest, start=1):
@@ -433,18 +421,13 @@ def _number_anonymous(interp: Interpretation) -> Dict[Node, str]:
 def serialize_interpretation(interp: Interpretation) -> str:
     numbering = _number_anonymous(interp)
     atoms: List[str] = []
-    for c, n in interp.concepts:
+    for c, n in interp.concept_atoms:
         atoms.append(f"{c}({node_label(n, numbering)})")
-    for r, x, y in interp.edges:
+    for r, x, y in interp.role_atoms:
         atoms.append(f"{r}({node_label(x, numbering)},{node_label(y, numbering)})")
-    lonely = [
-        n
-        for n in interp.nodes
-        if not any(n in (x, y) for _, x, y in interp.edges)
-        and not any(n == x for _, x in interp.concepts)
-    ]
-    for n in sorted(lonely, key=node_key):
-        atoms.append(f"top({node_label(n, numbering)})")
+    for n in interp.nodes:
+        if not interp.concepts_of(n) and not interp.links(n):
+            atoms.append(f"top({node_label(n, numbering)})")
     return "".join(s + "\n" for s in sorted(atoms))
 
 

@@ -34,8 +34,8 @@ from .core import (
     ValueRestriction,
 )
 from .formats import (
-    serialize_abox,
     serialize_constraints,
+    serialize_interpretation,
     serialize_targets,
     serialize_tbox,
 )
@@ -225,10 +225,18 @@ def _still_fails(tbox: TBox, abox: ABox, sg: ShapesGraph) -> bool:
         return True
 
 
+def _roles(atoms) -> List[Tuple[Role, str, str]]:
+    return [(Role(r), a, b) for r, a, b in atoms]
+
+
 def shrink(
     tbox: TBox, abox: ABox, sg: ShapesGraph, budget: int = 400
 ) -> Tuple[TBox, ABox, ShapesGraph]:
-    """Greedy one-at-a-time removal of axioms, atoms, constraints, targets."""
+    """Greedy one-at-a-time removal of axioms, atoms, constraints, targets.
+
+    A smaller ABox is built by ``ABox.of``, so an individual whose last
+    atom goes is gone too, as it is from the printed repro.
+    """
 
     def axioms(t: TBox) -> List:
         return list(t.conj) + list(t.atmost) + list(t.value) + list(t.exists) + list(t.roles)
@@ -243,12 +251,12 @@ def shrink(
             if _still_fails(cand, abox, sg):
                 tbox, changed = cand, True
         for atom in sorted(abox.concept_atoms):
-            cand_a = ABox(abox.concept_atoms - {atom}, abox.role_atoms)
+            cand_a = ABox.of(abox.concept_atoms - {atom}, _roles(abox.role_atoms))
             spent += 1
             if _still_fails(tbox, cand_a, sg):
                 abox, changed = cand_a, True
         for ratom in sorted(abox.role_atoms):
-            cand_a = ABox(abox.concept_atoms, abox.role_atoms - {ratom})
+            cand_a = ABox.of(abox.concept_atoms, _roles(abox.role_atoms - {ratom}))
             spent += 1
             if _still_fails(tbox, cand_a, sg):
                 abox, changed = cand_a, True
@@ -272,7 +280,7 @@ def render_bundle(tbox: TBox, abox: ABox, sg: ShapesGraph) -> str:
         "-- tbox --\n"
         + serialize_tbox(tbox)
         + "-- abox --\n"
-        + serialize_abox(abox)
+        + serialize_interpretation(abox)
         + "-- shapes --\n"
         + serialize_constraints(sg.constraints)
         + "-- targets --\n"

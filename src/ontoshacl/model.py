@@ -19,7 +19,6 @@ from .core import (
     TOP,
     ABox,
     Anon,
-    Individual,
     Interpretation,
     Node,
     OneHalfType,
@@ -120,7 +119,7 @@ def _complete(
                             add_edge(r, a, b)
         changed = (len(concepts), len(edges)) != before
 
-    completed = ABox(frozenset(concepts), frozenset(edges))
+    completed = Interpretation(frozenset(concepts), frozenset(edges), abox.nodes)
     # consistency: bottom membership
     for a in individuals:
         if BOT in ctype[a]:
@@ -226,16 +225,9 @@ def build_can(
     sat = sat or saturate(tbox)
     if completed is None:
         completed = complete_abox(tbox, abox, sat)
-    nodes: Set[Node] = set()
-    concepts: Set[Tuple[str, Node]] = set()
-    edges: Set[Tuple[str, Node, Node]] = set()
-
-    named: Dict[str, Individual] = {a: Individual(a) for a in completed.individuals()}
-    nodes.update(named.values())
-    for c, a in completed.concept_atoms:
-        concepts.add((c, named[a]))
-    for r, a, b in completed.role_atoms:
-        edges.add((r, named[a], named[b]))
+    nodes: Set[Node] = set(completed.nodes)
+    concepts: Set[Tuple[str, Node]] = set(completed.concept_atoms)
+    edges: Set[Tuple[str, Node, Node]] = set(completed.role_atoms)
 
     def attach(parent: Node, child: Anon, letter: TwoType) -> None:
         nodes.add(child)
@@ -261,7 +253,7 @@ def build_can(
             roots.append((a, TwoType(mine, u.roles, u.concepts)))
     if depth == 0:
         return Interpretation(
-            frozenset(nodes), frozenset(concepts), frozenset(edges), not roots
+            frozenset(concepts), frozenset(edges), frozenset(nodes), not roots
         )
 
     # count the nodes before making them. size[t] is the size, capped just
@@ -294,7 +286,7 @@ def build_can(
     frontier: Deque[Anon] = deque()
     for a, letter in roots:
         child = Anon(a, (letter,))
-        attach(named[a], child, letter)
+        attach(a, child, letter)
         frontier.append(child)
     while frontier:
         w = frontier.popleft()
@@ -308,7 +300,7 @@ def build_can(
             attach(w, child, letter)
             frontier.append(child)
 
-    return Interpretation(frozenset(nodes), frozenset(concepts), frozenset(edges), complete)
+    return Interpretation(frozenset(concepts), frozenset(edges), frozenset(nodes), complete)
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +309,11 @@ def build_can(
 
 def is_model(tbox: TBox, abox: ABox, interp: Interpretation) -> bool:
     """Does the interpretation satisfy every axiom and every ABox atom?"""
-    named = {n.name: n for n in interp.named()}
-    for c, a in abox.concept_atoms:
-        if a not in named or not interp.has_concept(c, named[a]):
-            return False
-    for r, a, b in abox.role_atoms:
-        if a not in named or b not in named:
-            return False
-        if (r, named[a], named[b]) not in interp.edges:
-            return False
+    if not (
+        abox.concept_atoms <= interp.concept_atoms
+        and abox.role_atoms <= interp.role_atoms
+    ):
+        return False
 
     domain = interp.domain()
     for ax in tbox.conj:
@@ -360,7 +348,7 @@ def is_model(tbox: TBox, abox: ABox, interp: Interpretation) -> bool:
             if len(set(wits)) > 1:
                 return False
     for ax in tbox.roles:
-        for name, x, y in interp.edges:
+        for name, x, y in interp.role_atoms:
             if Role(name) == ax.sub:
                 if not interp.has_edge(ax.sup, x, y):
                     return False

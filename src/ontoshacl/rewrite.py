@@ -224,9 +224,11 @@ def _classify(cons: Sequence[Constraint]):
 
 def _close(st: SaturatedTBox, cons: Sequence[Constraint], K: _K, ctx: _Ctx) -> None:
     by_concept, by_ind, by_ref, by_and, by_neg, by_exists = _classify(cons)
+    # the rules only add, so the saturated K does not depend on the order
+    # they visit it in; _emit sorts once for output
     while True:
         changed = False
-        items = sorted(K.items(), key=_key_sort)
+        items = list(K.items())
 
         for (t, p, q), h in items:
             bare = not t.roles and not t.others
@@ -286,7 +288,7 @@ def _close(st: SaturatedTBox, cons: Sequence[Constraint], K: _K, ctx: _Ctx) -> N
         # own witness claims that could only be satisfied or refuted by the
         # parent are discharged against the parent's H.
         if by_exists:
-            items = sorted(K.items(), key=_key_sort)
+            items = list(K.items())
             children = []
             for (tc, pc, qc), hc in items:
                 if any(isinstance(e, IndRef) for e in pc):
@@ -322,10 +324,10 @@ def _close(st: SaturatedTBox, cons: Sequence[Constraint], K: _K, ctx: _Ctx) -> N
 
         # combine quadruples that agree on which witnesses are absent
         buckets: Dict[Tuple[TwoType, FrozenSet[BasicConceptExpr]], List[_Key]] = {}
-        for key, _ in sorted(K.items(), key=_key_sort):
+        for key in K:
             t, p, q = key
             buckets.setdefault((t, _concept_part(q)), []).append(key)
-        for _, keys in sorted(buckets.items(), key=lambda kv: type_key(kv[0][0])):
+        for keys in buckets.values():
             if len(keys) < 2:
                 continue
             for k1, k2 in itertools.combinations(keys, 2):

@@ -15,7 +15,6 @@ from ontoshacl.core import (
     BOT,
     TOP,
     ABox,
-    Individual,
     Interpretation,
     Node,
     Role,
@@ -411,15 +410,15 @@ def oracle_complete(
 
 def naive_endos(interp: Interpretation) -> List[Dict[Node, Node]]:
     nodes = sorted(interp.nodes, key=str)
-    anon = [n for n in nodes if not isinstance(n, Individual)]
-    fixed = {n: n for n in nodes if isinstance(n, Individual)}
+    anon = [n for n in nodes if not isinstance(n, str)]
+    fixed = {n: n for n in nodes if isinstance(n, str)}
     out: List[Dict[Node, Node]] = []
     for image in itertools.product(nodes, repeat=len(anon)):
         m = dict(fixed)
         m.update(dict(zip(anon, image)))
         if all(
-            (c, m[n]) in interp.concepts for c, n in interp.concepts
-        ) and all((r, m[x], m[y]) in interp.edges for r, x, y in interp.edges):
+            (c, m[n]) in interp.concept_atoms for c, n in interp.concept_atoms
+        ) and all((r, m[x], m[y]) in interp.role_atoms for r, x, y in interp.role_atoms):
             out.append(m)
     return out
 
@@ -506,7 +505,7 @@ def naive_assignment(
 
     def sat_by(body, n: Node) -> bool:
         if isinstance(body, IndividualRef):
-            return isinstance(n, Individual) and n.name == body.name
+            return n == body.name
         if isinstance(body, ShapeRef):
             return (body.name, n) in assign
         if isinstance(body, ConceptRef):

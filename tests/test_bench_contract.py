@@ -4,7 +4,9 @@
 and ``bench/workloads.py`` runs ``validate`` in a fixed list of modes. A
 refactor that renames one of those functions or modes would silently
 drop spans from ``bench/run.py --trace 1`` or break every run, so both
-lists are checked here. The files are only read.
+lists are checked here. The sizers that ``spans.py`` runs on a traced
+call's result read fields of the package's values, so they are run too,
+on a small KB in every benchmarked mode. The files are only read.
 """
 from __future__ import annotations
 
@@ -50,3 +52,39 @@ def test_every_benchmarked_mode_is_a_cli_mode():
     for path in ("workloads.py", "run.py"):
         modes = _literal(os.path.join(BENCH, path), "MODES")
         assert set(modes) <= set(cli.MODES), path
+
+
+# an existential, a role inclusion and a path shape, so that saturation,
+# completion, the model builder and every rewriting have work to size
+SIZED_TBOX = "A <= some r.B\nr <= s\n"
+SIZED_ABOX = "A(a)\nr(a,b)\nB(b)\n"
+SIZED_SHAPES = "$p <- some <s/s*>.B\n$q <- some [s].$p | A\n"
+SIZED_TARGETS = "$p(@a)\n$q(@a)\n"
+
+
+def test_every_sizer_reads_what_the_package_returns(monkeypatch, tmp_path, capsys):
+    spans = _load_spans(monkeypatch)
+    sized = {name for name, _, _, sizer in spans.TRACED if sizer is not spans._none}
+    files = {}
+    for kind, text in (("tbox", SIZED_TBOX), ("abox", SIZED_ABOX),
+                       ("shacl", SIZED_SHAPES), ("targets", SIZED_TARGETS)):
+        files[kind] = tmp_path / f"kb.{kind}"
+        files[kind].write_text(text, encoding="utf-8")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for mode in _literal(os.path.join(BENCH, "run.py"), "MODES"):
+            tracer.mode = mode
+            rc = cli.main(["validate", "--tbox", str(files["tbox"]),
+                           "--abox", str(files["abox"]), "--shapes", str(files["shacl"]),
+                           "--targets", str(files["targets"]), "--mode", mode,
+                           "--format", "json"])
+            assert rc == cli.EXIT_VALID, mode
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    seen = {s.name for s in tracer.spans}
+    assert sized <= seen, sorted(sized - seen)
+    for span in tracer.spans:
+        if span.name in sized:
+            assert span.sizes, f"{span.name} in mode {span.mode} recorded no sizes"

@@ -7,6 +7,9 @@ stderr are the ones a user sees.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -189,3 +192,29 @@ def test_model_over_the_node_budget_exits_5(tmp_path, capsys):
     # a depth whose prefix fits the budget is still built
     assert cli.main(["build-model", "--tbox", f["tbox"], "--abox", f["abox"], "--depth", "3"]) == 0
     assert "nodes=15 " in capsys.readouterr().out
+
+
+# the rewrite saturates a dict of quadruples in whatever order it holds
+# them; the printed rewriting must not depend on how strings hash
+HASHED_TBOX = "A <= some r.B\nB <= some r.C\nr <= s\n"
+HASHED_ABOX = "A(a)\nr(a,b)\nD(b)\ns(b,c)\nC(c)\n"
+HASHED_SHAPES = "$s <- some <s/s*>.C\n$t <- some [r].$s | D\n$u <- !$t & A\n"
+HASHED_TARGETS = "$s(@a)\n$t(@b)\n$u(@a)\n"
+
+
+@pytest.mark.parametrize("mode", ["rewrite", "pure-shaclb"])
+def test_show_rewrite_does_not_depend_on_the_hash_seed(tmp_path, mode):
+    f = write(tmp_path, tbox=HASHED_TBOX, abox=HASHED_ABOX, shacl=HASHED_SHAPES,
+              targets=HASHED_TARGETS)
+    argv = [sys.executable, "-m", "ontoshacl.cli", "validate", "--tbox", f["tbox"],
+            "--abox", f["abox"], "--shapes", f["shacl"], "--targets", f["targets"],
+            "--mode", mode, "--show-rewrite"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode in (cli.EXIT_VALID, cli.EXIT_VIOLATIONS), proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count("\n") > len(HASHED_TARGETS.splitlines()) + 3

@@ -9,7 +9,8 @@ from __future__ import annotations
 import pytest
 
 from ontoshacl import model
-from ontoshacl.harness import case_rng, compare_routes, gen_case, run_selftest
+from ontoshacl.formats import parse_abox, serialize_interpretation
+from ontoshacl.harness import case_rng, compare_routes, gen_case, run_selftest, shrink
 
 
 @pytest.mark.parametrize("seed", [0, 2])
@@ -24,6 +25,16 @@ def test_compare_routes_catches_the_injected_bug(monkeypatch):
     assert compare_routes(tbox, abox, sg) is None
     monkeypatch.setattr(model, "INJECT_SUCC_FILTER_BUG", True)
     assert compare_routes(tbox, abox, sg) is not None
+
+
+def test_shrunk_data_is_the_data_the_repro_prints(monkeypatch):
+    # an individual whose last atom the shrinker removes leaves the data,
+    # as it leaves the printed bundle
+    monkeypatch.setattr(model, "INJECT_SUCC_FILTER_BUG", True)
+    tbox, abox, sg = gen_case(case_rng(0, 47))
+    _, small, _ = shrink(tbox, abox, sg)
+    assert len(small.individuals()) < len(abox.individuals())
+    assert parse_abox(serialize_interpretation(small)) == small
 
 
 @pytest.mark.parametrize("case", [72, 76])

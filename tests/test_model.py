@@ -22,7 +22,6 @@ from ontoshacl.core import (
     AtMostOne,
     ConjInclusion,
     ExistsInclusion,
-    Individual,
     OneHalfType,
     Role,
     RoleInclusion,
@@ -187,10 +186,10 @@ def test_completion_merges_are_impossible_between_names():
 def test_pet_model_needs_no_anonymous_nodes():
     got = build_can(PET_TBOX, PET_ABOX, depth=5)
     assert got.complete
-    assert got.nodes == frozenset({Individual("linda"), Individual("blu")})
-    assert ("hasPet", Individual("linda"), Individual("blu")) in got.edges
-    assert got.concepts == frozenset(
-        {("PetOwner", Individual("linda")), ("Bird", Individual("blu"))}
+    assert got.nodes == frozenset({"linda", "blu"})
+    assert ("hasPet", "linda", "blu") in got.role_atoms
+    assert got.concept_atoms == frozenset(
+        {("PetOwner", "linda"), ("Bird", "blu")}
     )
 
 
@@ -206,13 +205,13 @@ def test_infinite_chain_truncates_to_the_requested_depth():
     for n in range(6):
         got = build_can(tb, ab, depth=n)
         assert not got.complete  # there is always one more step owed
-        named = [x for x in got.nodes if isinstance(x, Individual)]
+        named = [x for x in got.nodes if isinstance(x, str)]
         anon = sorted(
             (x for x in got.nodes if isinstance(x, Anon)), key=lambda w: w.depth
         )
-        assert named == [Individual("a")]
+        assert named == ["a"]
         assert [w.depth for w in anon] == list(range(1, n + 1))
-        assert len(got.edges) == n  # a simple chain, one edge per letter
+        assert len(got.role_atoms) == n  # a simple chain, one edge per letter
         for w in anon:
             assert got.has_concept("A", w)
 
@@ -238,7 +237,7 @@ def test_is_model_accepts_the_golden_and_rejects_a_truncation():
 
 def test_is_model_rejects_missing_assertions():
     got = build_can(PET_TBOX, PET_ABOX, depth=1)
-    smaller = got.restrict([Individual("linda")])
+    smaller = got.restrict(["linda"])
     assert not is_model(PET_TBOX, PET_ABOX, smaller)
 
 

@@ -20,8 +20,6 @@ from ontoshacl.core import (
     ABox,
     AtMostOne,
     ExistsInclusion,
-    Individual,
-    Interpretation,
     Role,
     TBox,
 )
@@ -97,7 +95,7 @@ def test_chain_target_is_valid_over_the_completed_graph():
     completed = complete_abox(CHAIN_TBOX, CHAIN_DATA)
     assert completed == CHAIN_DATA  # nothing ground to add here
     res = validate(
-        Interpretation.from_abox(completed),
+        completed,
         ShapesGraph.of(out, targets=[("s", "a")]),
     )
     assert res.valid
@@ -113,7 +111,7 @@ def test_two_stratum_target_is_valid_over_the_completed_graph():
     out = emitted(TWO_STRATUM_TBOX, TWO_STRATUM_SHAPES)
     completed = complete_abox(TWO_STRATUM_TBOX, TWO_STRATUM_DATA)
     res = validate(
-        Interpretation.from_abox(completed),
+        completed,
         ShapesGraph.of(out, targets=[("s", "a")]),
     )
     assert res.valid
@@ -142,7 +140,7 @@ def test_rewrite_output_never_mentions_fresh_unknown_shapes():
 def test_pure_alchi_agrees_on_the_chain_fixture():
     c_t = emitted(CHAIN_TBOX, CHAIN_SHAPES)
     plus = pure_rewrite_alchi(saturate(CHAIN_TBOX), c_t)
-    raw = Interpretation.from_abox(CHAIN_DATA)
+    raw = CHAIN_DATA
     res = validate(raw, ShapesGraph.of(plus, targets=[("s", "a")]))
     assert res.valid
 
@@ -174,12 +172,12 @@ def test_pure_binary_route_recovers_completion_merges():
     completed = complete_abox(tb, ab)
     assert ("B", "c") in completed.concept_atoms
     over_completed = validate(
-        Interpretation.from_abox(completed),
+        completed,
         ShapesGraph.of(c_t, targets=[("s", "a")]),
     )
 
     items = pure_rewrite_shaclb(saturate(tb), c_t)
-    asg = perfect_assignment_b(Interpretation.from_abox(ab), items)
-    raw_verdict = ("s", Individual("a")) in asg.unary
+    asg = perfect_assignment_b(ab, items)
+    raw_verdict = ("s", "a") in asg.unary
     assert over_completed.valid
     assert raw_verdict
