@@ -10,7 +10,6 @@ to validate production data.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .core import (
@@ -156,25 +155,6 @@ def _merge_counted(tbox, interp: Interpretation) -> Interpretation:
 # morphisms
 
 
-@dataclass(frozen=True)
-class Homomorphism:
-    mapping: Tuple[Tuple[Node, Node], ...]
-    injective: bool
-    surjective: bool
-    strong: bool
-
-    @property
-    def is_embedding(self) -> bool:
-        return self.strong and self.injective
-
-    @property
-    def is_isomorphism(self) -> bool:
-        return self.is_embedding and self.surjective
-
-    def image(self) -> FrozenSet[Node]:
-        return frozenset(b for _, b in self.mapping)
-
-
 def _guard(interp: Interpretation, max_nodes: int) -> None:
     if len(interp.nodes) > max_nodes:
         raise SizeGuardExceeded(
@@ -229,41 +209,6 @@ def _search_endos(
     return results
 
 
-def _classify(interp: Interpretation, m: Dict[Node, Node]) -> Homomorphism:
-    image = set(m.values())
-    injective = len(image) == len(m)
-    surjective = image == set(interp.nodes)
-
-    def is_strong() -> bool:
-        cdict = {n: interp.concepts_of(n) for n in interp.nodes}
-        for x in interp.nodes:
-            if cdict[x] != cdict[m[x]]:
-                return False
-        for r, a, b in interp.role_atoms:
-            if (r, m[a], m[b]) not in interp.role_atoms:
-                return False
-        # reflection: an atom between images must come from an atom
-        roles = {r for r, _, _ in interp.role_atoms}
-        for x in interp.nodes:
-            for y in interp.nodes:
-                for r in roles:
-                    if (r, m[x], m[y]) in interp.role_atoms and (r, x, y) not in interp.role_atoms:
-                        return False
-        return True
-
-    mapping = tuple(sorted(m.items(), key=lambda kv: node_key(kv[0])))
-    return Homomorphism(mapping, injective, surjective, is_strong())
-
-
-def enumerate_endomorphisms(
-    interp: Interpretation, max_nodes: int = DEFAULT_NODE_BOUND
-) -> List[Homomorphism]:
-    """All endomorphisms, each tagged injective/surjective/strong."""
-    _guard(interp, max_nodes)
-    out = [_classify(interp, m) for m in _search_endos(interp)]
-    return sorted(out, key=lambda h: tuple(node_key(b) for _, b in h.mapping))
-
-
 def core_of(atoms: Interpretation, max_nodes: int = DEFAULT_NODE_BOUND) -> Interpretation:
     """The unique-up-to-isomorphism core, by iterated proper retraction."""
     _guard(atoms, max_nodes)
@@ -302,20 +247,6 @@ def run_core_chase(
         if is_isomorphic(cored, current):
             return current
         current = cored
-    raise NotTerminated(max_rounds, current)
-
-
-def run_oblivious_chase(
-    sat: SaturatedTBox, abox: ABox, max_rounds: int = 32, max_nodes: int = 512
-) -> Interpretation:
-    """Fire rounds until nothing changes; witnesses are never reused."""
-    current = abox
-    for _ in range(max_rounds):
-        _guard(current, max_nodes)
-        fired = fire_axioms(sat, current)
-        if fired == current:
-            return current
-        current = fired
     raise NotTerminated(max_rounds, current)
 
 

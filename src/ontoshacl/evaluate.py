@@ -13,15 +13,17 @@ scans all node pairs. The fixpoint keeps its atoms as tables from shape
 name to nodes or node pairs, so a shape reference is one lookup. A concept
 is its extension; ``some [r1,...,rk].B`` walks back from each node of B
 along the inverse adjacency of every ri and intersects, so it costs
-O(edges) rather than O(nodes x |B|); ``some <path>.B`` walks the product of
-the data and the path automaton backwards from B the same way, and a role
-step reads the role's adjacency. Semi-naive rounds are not used: each
-round re-evaluates every item of its stratum.
+O(edges) rather than O(nodes x |B|). One walk over the product of the data
+and the ε-free path automaton serves both path readers: ``some <path>.B``
+walks it backwards from B's nodes in the final states, and ``eq``/``disj``
+forwards from the guard in the initial state. A role step reads the role's
+adjacency. Semi-naive rounds are not used: each round re-evaluates every
+item of its stratum.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .core import Interpretation, Node, Role
 from .paths import NFA, Regex, regex_to_nfa
@@ -77,44 +79,39 @@ def _nfa(nfas: NFAs, path: Regex) -> NFA:
     return nfas[path]
 
 
-def _path_reach(interp: Interpretation, start: Node, nfa: NFA) -> FrozenSet[Node]:
-    """Nodes reachable from start along words of the path language."""
-    seen: Set[Tuple[Node, int]] = {(start, q) for q in nfa.eps_closure({nfa.initial})}
+def _walk(
+    interp: Interpretation, nfa: NFA, seeds: Iterable[Tuple[Node, int]], backward: bool
+) -> Set[Tuple[Node, int]]:
+    """The (node, state) pairs of the data x automaton product reachable
+    from seeds along the transitions, or against them when backward."""
+    steps: Dict[int, List[Tuple[Role, int]]] = {}
+    for a, r, b in nfa.transitions:
+        if backward:
+            steps.setdefault(b, []).append((r.invert(), a))
+        else:
+            steps.setdefault(a, []).append((r, b))
+    seen = set(seeds)
     work = list(seen)
     while work:
         n, q = work.pop()
-        for a, r, b in nfa.transitions:
-            if a != q:
-                continue
+        for r, q2 in steps.get(q, ()):
             for m in interp.adjacency(r).get(n, ()):
-                for q2 in nfa.eps_closure({b}):
-                    if (m, q2) not in seen:
-                        seen.add((m, q2))
-                        work.append((m, q2))
-    return frozenset(n for n, q in seen if q == nfa.final)
+                if (m, q2) not in seen:
+                    seen.add((m, q2))
+                    work.append((m, q2))
+    return seen
+
+
+def _path_reach(interp: Interpretation, start: Node, nfa: NFA) -> FrozenSet[Node]:
+    """Nodes reachable from start along words of the path language."""
+    seen = _walk(interp, nfa, [(start, nfa.initial)], backward=False)
+    return frozenset(n for n, q in seen if q in nfa.finals)
 
 
 def _path_sources(interp: Interpretation, nfa: NFA, targets: AbstractSet[Node]) -> Set[Node]:
-    """Nodes from which some word of the path language reaches a target.
-
-    Walks the product of the data and the automaton backwards from the
-    (target, final) pairs, along the inverse-role adjacency.
-    """
-    into: Dict[int, List[Tuple[int, Role]]] = {}
-    for a, r, b in nfa.transitions:
-        for q2 in nfa.eps_closure({b}):
-            into.setdefault(q2, []).append((a, r.invert()))
-    seen: Set[Tuple[Node, int]] = {(t, nfa.final) for t in targets}
-    work = list(seen)
-    while work:
-        m, q2 = work.pop()
-        for q, back in into.get(q2, ()):
-            for n in interp.adjacency(back).get(m, ()):
-                if (n, q) not in seen:
-                    seen.add((n, q))
-                    work.append((n, q))
-    start = nfa.eps_closure({nfa.initial})
-    return {n for n, q in seen if q in start}
+    """Nodes from which some word of the path language reaches a target."""
+    seeds = [(t, f) for t in targets for f in nfa.finals]
+    return {n for n, q in _walk(interp, nfa, seeds, backward=True) if q == nfa.initial}
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,16 @@
 
 Surface syntax: role names, ``^r`` for the inverse of r, ``/`` for
 concatenation, ``|`` for union, ``*`` for iteration, parentheses.
+
+``regex_to_nfa`` builds the partial-derivative automaton, which has no
+ε-moves and at most one state per symbol occurrence plus one.
+``shapes.normalize`` names one shape per state, and ``evaluate`` walks the
+product of the data and the automaton.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple, Union
 
 from .core import Role
 
@@ -140,78 +145,80 @@ def _parse_atom(toks, i) -> Tuple[Regex, int]:
 
 
 # ---------------------------------------------------------------------------
-# automata
+# automata (Antimirov, "Partial derivatives of regular expressions and
+# finite automaton constructions", TCS 1996)
+#
+# A state is the concatenation still to be read, kept flat as a tuple of
+# regexes none of which is an ``RSeq``; a letter moves it to each of its
+# partial derivatives by that letter.
+
+Rest = Tuple[Regex, ...]
 
 
 @dataclass(frozen=True)
 class NFA:
-    """Nondeterministic automaton over roles, single initial and final state."""
+    """ε-free automaton over roles: states ``0 .. n_states - 1``, one initial
+    state, and the states whose remaining concatenation accepts the empty
+    word as ``finals``."""
 
     n_states: int
     initial: int
-    final: int
+    finals: FrozenSet[int]
     transitions: Tuple[Tuple[int, Role, int], ...]
-    eps: Tuple[Tuple[int, int], ...]
 
     def alphabet(self) -> FrozenSet[Role]:
         return frozenset(r for _, r, _ in self.transitions)
 
-    def eps_closure(self, states: Set[int]) -> FrozenSet[int]:
-        out = set(states)
-        work = list(states)
-        while work:
-            q = work.pop()
-            for a, b in self.eps:
-                if a == q and b not in out:
-                    out.add(b)
-                    work.append(b)
-        return frozenset(out)
-
     def accepts(self, word: Sequence[Role]) -> bool:
-        current = self.eps_closure({self.initial})
+        current = {self.initial}
         for letter in word:
-            nxt = {b for a, r, b in self.transitions if a in current and r == letter}
-            current = self.eps_closure(nxt)
-            if not current:
-                return False
-        return self.final in current
+            current = {b for a, r, b in self.transitions if a in current and r == letter}
+        return not current.isdisjoint(self.finals)
+
+
+def _nullable(e: Regex) -> bool:
+    if isinstance(e, RSym):
+        return False
+    if isinstance(e, RSeq):
+        return all(_nullable(p) for p in e.parts)
+    if isinstance(e, RAlt):
+        return any(_nullable(o) for o in e.options)
+    return True
+
+
+def _flat(e: Regex) -> Rest:
+    if isinstance(e, RSeq):
+        return tuple(x for p in e.parts for x in _flat(p))
+    return (e,)
+
+
+def _moves(rest: Rest, k: Rest) -> Iterator[Tuple[Role, Rest]]:
+    """Each letter with a partial derivative of the concatenation ``rest``
+    by it, followed by ``k``, over the words that read at least one letter
+    of ``rest``."""
+    for i, e in enumerate(rest):
+        after = rest[i + 1 :] + k
+        if isinstance(e, RSym):
+            yield e.role, after
+        elif isinstance(e, RAlt):
+            for o in e.options:
+                yield from _moves(_flat(o), after)
+        else:  # RStar: a flat rest holds no RSeq
+            yield from _moves(_flat(e.inner), (e,) + after)
+        if not _nullable(e):
+            return
 
 
 def regex_to_nfa(e: Regex) -> NFA:
+    start = _flat(e)
+    index: Dict[Rest, int] = {start: 0}
+    order = [start]
     transitions: List[Tuple[int, Role, int]] = []
-    eps: List[Tuple[int, int]] = []
-    counter = [0]
-
-    def fresh() -> int:
-        counter[0] += 1
-        return counter[0] - 1
-
-    def build(x: Regex) -> Tuple[int, int]:
-        if isinstance(x, RSym):
-            i, f = fresh(), fresh()
-            transitions.append((i, x.role, f))
-            return i, f
-        if isinstance(x, RSeq):
-            first_i, prev_f = build(x.parts[0])
-            for part in x.parts[1:]:
-                i, f = build(part)
-                eps.append((prev_f, i))
-                prev_f = f
-            return first_i, prev_f
-        if isinstance(x, RAlt):
-            i, f = fresh(), fresh()
-            for opt in x.options:
-                oi, of = build(opt)
-                eps.append((i, oi))
-                eps.append((of, f))
-            return i, f
-        i, f = fresh(), fresh()
-        ii, ff = build(x.inner)
-        eps.append((i, f))
-        eps.append((i, ii))
-        eps.append((ff, f))
-        eps.append((ff, ii))
-        return i, f
-
-    init, final = build(e)
-    return NFA(counter[0], init, final, tuple(transitions), tuple(eps))
+    for state in order:  # breadth first: order grows as states are found
+        for role, nxt in dict.fromkeys(_moves(state, ())):
+            if nxt not in index:
+                index[nxt] = len(order)
+                order.append(nxt)
+            transitions.append((index[state], role, index[nxt]))
+    finals = frozenset(i for i, rest in enumerate(order) if all(map(_nullable, rest)))
+    return NFA(len(order), 0, finals, tuple(transitions))

@@ -455,13 +455,7 @@ def rewrite(
     if stats is not None:
         stats["quadruples"] = len(K)
 
-    seen: Set[Constraint] = set()
-    out: List[Constraint] = []
-    for c in list(all_cons) + emitted:
-        if c not in seen:
-            seen.add(c)
-            out.append(c)
-    return tuple(out)
+    return tuple(dict.fromkeys(all_cons + tuple(emitted)))
 
 
 # ---------------------------------------------------------------------------
@@ -485,10 +479,6 @@ def _entailed_conj(st: SaturatedTBox) -> List[Tuple[FrozenSet[str], str]]:
             continue
         out.append((prem, head))
     return out
-
-
-def _all_concepts(st: SaturatedTBox, c_t: Sequence[Constraint]) -> List[str]:
-    return sorted(_nc_universe(st, c_t))
 
 
 def _simplify_roles(st: SaturatedTBox, roles: FrozenSet[Role]) -> FrozenSet[Role]:
@@ -558,7 +548,7 @@ def pure_rewrite_alchi(
                     ExistsRoles(frozenset({s.invert()}), inner),
                 )
             )
-    for a in _all_concepts(st, c_t):
+    for a in sorted(_nc_universe(st, c_t)):
         ts.append(Constraint(_concept_shape(a), ConceptRef(a)))
 
     # over raw data a role r holds wherever one of its sub-roles does
@@ -573,25 +563,16 @@ def pure_rewrite_alchi(
         return reduce(Or, [ExistsRoles(frozenset(pick), inner) for pick in picks])
 
     replaced = [Constraint(c.head, _subst(c.body, exists)) for c in c_t]
-    out: List[Constraint] = []
-    seen: Set[Constraint] = set()
-    for c in replaced + ts:
-        if c not in seen:
-            seen.add(c)
-            out.append(c)
-    return tuple(out)
+    return tuple(dict.fromkeys(replaced + ts))
 
 
 def _roles_in(body: ShapeBody) -> Set[Role]:
     if isinstance(body, ExistsRoles):
-        inner = _roles_in(body.body)
-        return set(body.roles) | inner
-    if isinstance(body, (And,)):
+        return set(body.roles) | _roles_in(body.body)
+    if isinstance(body, (And, Or)):
         return _roles_in(body.left) | _roles_in(body.right)
     if isinstance(body, Not):
         return _roles_in(body.body)
-    if isinstance(body, Or):
-        return _roles_in(body.left) | _roles_in(body.right)
     return set()
 
 
@@ -676,16 +657,10 @@ def pure_rewrite_shaclb(
         fwd, bwd = Role(name), Role(name, inverted=True)
         ts.append(BinConstraint(_role_shape(bwd), PInverse(BinRef(_role_shape(fwd)))))
         ts.append(BinConstraint(_role_shape(fwd), PInverse(BinRef(_role_shape(bwd)))))
-    for a in _all_concepts(st, c_t):
+    for a in sorted(_nc_universe(st, c_t)):
         ts.append(Constraint(_concept_shape(a), ConceptRef(a)))
 
     replaced: List[Union[Constraint, BinConstraint]] = [
         Constraint(c.head, _subst(c.body, _exists_via_edge_shapes)) for c in c_t
     ]
-    out: List[Union[Constraint, BinConstraint]] = []
-    seen: Set[Union[Constraint, BinConstraint]] = set()
-    for c in replaced + ts:
-        if c not in seen:
-            seen.add(c)
-            out.append(c)
-    return tuple(out)
+    return tuple(dict.fromkeys(replaced + ts))

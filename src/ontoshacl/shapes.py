@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .core import TOP, Role
-from .paths import Regex, regex_str, regex_to_nfa
+from .paths import NFA, Regex, regex_str, regex_to_nfa
 
 RESERVED_PREFIX = "_"
 
@@ -383,7 +383,14 @@ class _Namer:
 
 
 def normalize(sg: ShapesGraph) -> Tuple[ShapesGraph, Dict[str, str]]:
-    """Compile to normal form; returns the new graph and aux-name origins."""
+    """Compile to normal form; returns the new graph and aux-name origins.
+
+    A path compiles through its automaton (``paths.regex_to_nfa``) into one
+    shape per state and one existential per transition. ``some <path>.B``
+    adds one constraint ``f <- B`` per final state f; each side of a guarded
+    ``eq``/``disj`` marks the states forward from the guard and unions its
+    final states into one shape.
+    """
     out: List[Constraint] = []
     namer = _Namer(set(sg.shape_names()))
     origin: Dict[str, str] = {}
@@ -395,6 +402,12 @@ def normalize(sg: ShapesGraph) -> Tuple[ShapesGraph, Dict[str, str]]:
         origin[name] = owner
         compile_into(name, body, owner)
         return name
+
+    def state_names(nfa: NFA, owner: str) -> List[str]:
+        names = [namer.fresh("q") for _ in range(nfa.n_states)]
+        for q in names:
+            origin[q] = owner
+        return names
 
     def compile_into(head: str, body: ShapeBody, owner: str) -> None:
         if isinstance(body, (IndividualRef, ShapeRef, NegShapeRef, ConceptRef)):
@@ -417,9 +430,7 @@ def normalize(sg: ShapesGraph) -> Tuple[ShapesGraph, Dict[str, str]]:
             )
         elif isinstance(body, ExistsPath):
             nfa = regex_to_nfa(body.path)
-            states = {q: namer.fresh("q") for q in range(nfa.n_states)}
-            for q in states.values():
-                origin[q] = owner
+            states = state_names(nfa, owner)
             out.append(Constraint(head, ShapeRef(states[nfa.initial])))
             for q, role, q2 in nfa.transitions:
                 out.append(
@@ -427,9 +438,9 @@ def normalize(sg: ShapesGraph) -> Tuple[ShapesGraph, Dict[str, str]]:
                         states[q], ExistsRoles(frozenset({role}), ShapeRef(states[q2]))
                     )
                 )
-            for q, q2 in nfa.eps:
-                out.append(Constraint(states[q], ShapeRef(states[q2])))
-            out.append(Constraint(states[nfa.final], ShapeRef(aux(body.body, owner))))
+            target = ShapeRef(aux(body.body, owner))
+            for f in sorted(nfa.finals):
+                out.append(Constraint(states[f], target))
         elif isinstance(body, (GuardedEq, GuardedDisj)):
             _compile_comparison(head, body, owner)
         else:
@@ -445,9 +456,7 @@ def normalize(sg: ShapesGraph) -> Tuple[ShapesGraph, Dict[str, str]]:
         right_nfa = regex_to_nfa(body.right)
         sides = []
         for nfa in (left_nfa, right_nfa):
-            states = {q: namer.fresh("q") for q in range(nfa.n_states)}
-            for q in states.values():
-                origin[q] = owner
+            states = state_names(nfa, owner)
             # forward marking from the guard along the automaton
             out.append(Constraint(states[nfa.initial], IndividualRef(body.guard)))
             for q, role, q2 in nfa.transitions:
@@ -457,9 +466,11 @@ def normalize(sg: ShapesGraph) -> Tuple[ShapesGraph, Dict[str, str]]:
                         ExistsRoles(frozenset({role.invert()}), ShapeRef(states[q])),
                     )
                 )
-            for q, q2 in nfa.eps:
-                out.append(Constraint(states[q2], ShapeRef(states[q])))
-            sides.append(states[nfa.final])
+            side = namer.fresh("side")
+            origin[side] = owner
+            for f in sorted(nfa.finals):
+                out.append(Constraint(side, ShapeRef(states[f])))
+            sides.append(side)
         err = namer.fresh("err")
         origin[err] = owner
         if isinstance(body, GuardedEq):

@@ -23,7 +23,6 @@ from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 from .core import (
     BOT,
     TOP,
-    ABox,
     ConjInclusion,
     ExistsInclusion,
     OneHalfType,
@@ -350,10 +349,3 @@ class SaturatedTBox:
 
 def saturate(tbox: TBox) -> SaturatedTBox:
     return SaturatedTBox(tbox)
-
-
-def is_consistent(tbox: TBox, abox: ABox) -> bool:
-    """Whether the knowledge base has a model (standard names assumed)."""
-    from .model import completion_failure
-
-    return completion_failure(tbox, abox) is None

@@ -4,13 +4,22 @@ Everything here is deliberately naive: explicit fixpoints over atom
 sets, exhaustive enumeration where instances are small enough, and a
 from-scratch ground chase. None of it shares code with the package
 beyond the plain AST types, so agreement is evidence rather than
-tautology.
+tautology. The one exception is the last section: entry points that
+only the tests call, kept here rather than in the package.
 """
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ontoshacl.chase import (
+    DEFAULT_NODE_BOUND,
+    NotTerminated,
+    _guard,
+    _search_endos,
+    fire_axioms,
+)
 from ontoshacl.core import (
     BOT,
     TOP,
@@ -20,7 +29,9 @@ from ontoshacl.core import (
     Role,
     TBox,
     TwoType,
+    node_key,
 )
+from ontoshacl.model import completion_failure
 from ontoshacl.paths import RAlt, RSeq, RStar, RSym, Regex
 from ontoshacl.shapes import (
     And,
@@ -495,6 +506,101 @@ def regex_word_match(e: Regex, word: Sequence[Role]) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Thompson automata: a second path automaton, built with ε-moves
+
+
+@dataclass(frozen=True)
+class ThompsonNFA:
+    """Nondeterministic automaton over roles, single initial and final state."""
+
+    n_states: int
+    initial: int
+    final: int
+    transitions: Tuple[Tuple[int, Role, int], ...]
+    eps: Tuple[Tuple[int, int], ...]
+
+    def eps_closure(self, states: Set[int]) -> FrozenSet[int]:
+        out = set(states)
+        work = list(states)
+        while work:
+            q = work.pop()
+            for a, b in self.eps:
+                if a == q and b not in out:
+                    out.add(b)
+                    work.append(b)
+        return frozenset(out)
+
+    def accepts(self, word: Sequence[Role]) -> bool:
+        current = self.eps_closure({self.initial})
+        for letter in word:
+            nxt = {b for a, r, b in self.transitions if a in current and r == letter}
+            current = self.eps_closure(nxt)
+            if not current:
+                return False
+        return self.final in current
+
+    def reach(self, interp: Interpretation, start: Node) -> FrozenSet[Node]:
+        """Nodes reachable from start along words of the language, stepping
+        over the role atoms themselves rather than the interpretation's index."""
+        seen: Set[Tuple[Node, int]] = {(start, q) for q in self.eps_closure({self.initial})}
+        work = list(seen)
+        while work:
+            n, q = work.pop()
+            for a, r, b in self.transitions:
+                if a != q:
+                    continue
+                for name, x, y in interp.role_atoms:
+                    src, dst = (y, x) if r.inverted else (x, y)
+                    if name != r.name or src != n:
+                        continue
+                    for q2 in self.eps_closure({b}):
+                        if (dst, q2) not in seen:
+                            seen.add((dst, q2))
+                            work.append((dst, q2))
+        return frozenset(n for n, q in seen if q == self.final)
+
+
+def thompson_nfa(e: Regex) -> ThompsonNFA:
+    transitions: List[Tuple[int, Role, int]] = []
+    eps: List[Tuple[int, int]] = []
+    counter = [0]
+
+    def fresh() -> int:
+        counter[0] += 1
+        return counter[0] - 1
+
+    def build(x: Regex) -> Tuple[int, int]:
+        if isinstance(x, RSym):
+            i, f = fresh(), fresh()
+            transitions.append((i, x.role, f))
+            return i, f
+        if isinstance(x, RSeq):
+            first_i, prev_f = build(x.parts[0])
+            for part in x.parts[1:]:
+                i, f = build(part)
+                eps.append((prev_f, i))
+                prev_f = f
+            return first_i, prev_f
+        if isinstance(x, RAlt):
+            i, f = fresh(), fresh()
+            for opt in x.options:
+                oi, of = build(opt)
+                eps.append((i, oi))
+                eps.append((of, f))
+            return i, f
+        i, f = fresh(), fresh()
+        ii, ff = build(x.inner)
+        eps.append((i, f))
+        eps.append((i, ii))
+        eps.append((ff, f))
+        eps.append((ff, ii))
+        return i, f
+
+    init, final = build(e)
+    return ThompsonNFA(counter[0], init, final, tuple(transitions), tuple(eps))
+
+
+# ---------------------------------------------------------------------------
 # naive bottom-up evaluation of positive normal constraints
 
 
@@ -594,3 +700,83 @@ def naive_levels(items) -> Optional[Dict[str, int]]:
                     return None
                 changed = True
     return level
+
+
+# ---------------------------------------------------------------------------
+# entry points only the tests call: endomorphism classification, the
+# oblivious chase and consistency. Unlike the oracles above they drive
+# package internals (``chase._search_endos``, ``chase.fire_axioms``,
+# ``model.completion_failure``).
+
+
+@dataclass(frozen=True)
+class Homomorphism:
+    mapping: Tuple[Tuple[Node, Node], ...]
+    injective: bool
+    surjective: bool
+    strong: bool
+
+    @property
+    def is_embedding(self) -> bool:
+        return self.strong and self.injective
+
+    @property
+    def is_isomorphism(self) -> bool:
+        return self.is_embedding and self.surjective
+
+    def image(self) -> FrozenSet[Node]:
+        return frozenset(b for _, b in self.mapping)
+
+
+def _classify(interp: Interpretation, m: Dict[Node, Node]) -> Homomorphism:
+    image = set(m.values())
+    injective = len(image) == len(m)
+    surjective = image == set(interp.nodes)
+
+    def is_strong() -> bool:
+        cdict = {n: interp.concepts_of(n) for n in interp.nodes}
+        for x in interp.nodes:
+            if cdict[x] != cdict[m[x]]:
+                return False
+        for r, a, b in interp.role_atoms:
+            if (r, m[a], m[b]) not in interp.role_atoms:
+                return False
+        # reflection: an atom between images must come from an atom
+        roles = {r for r, _, _ in interp.role_atoms}
+        for x in interp.nodes:
+            for y in interp.nodes:
+                for r in roles:
+                    if (r, m[x], m[y]) in interp.role_atoms and (r, x, y) not in interp.role_atoms:
+                        return False
+        return True
+
+    mapping = tuple(sorted(m.items(), key=lambda kv: node_key(kv[0])))
+    return Homomorphism(mapping, injective, surjective, is_strong())
+
+
+def enumerate_endomorphisms(
+    interp: Interpretation, max_nodes: int = DEFAULT_NODE_BOUND
+) -> List[Homomorphism]:
+    """All endomorphisms, each tagged injective/surjective/strong."""
+    _guard(interp, max_nodes)
+    out = [_classify(interp, m) for m in _search_endos(interp)]
+    return sorted(out, key=lambda h: tuple(node_key(b) for _, b in h.mapping))
+
+
+def run_oblivious_chase(
+    sat: SaturatedTBox, abox: ABox, max_rounds: int = 32, max_nodes: int = 512
+) -> Interpretation:
+    """Fire rounds until nothing changes; witnesses are never reused."""
+    current = abox
+    for _ in range(max_rounds):
+        _guard(current, max_nodes)
+        fired = fire_axioms(sat, current)
+        if fired == current:
+            return current
+        current = fired
+    raise NotTerminated(max_rounds, current)
+
+
+def is_consistent(tbox: TBox, abox: ABox) -> bool:
+    """Whether the knowledge base has a model (standard names assumed)."""
+    return completion_failure(tbox, abox) is None

@@ -12,16 +12,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_endos
+from oracles import enumerate_endomorphisms, naive_endos, run_oblivious_chase
 from ontoshacl.chase import (
     NotTerminated,
     SizeGuardExceeded,
     core_of,
-    enumerate_endomorphisms,
     fire_axioms,
     is_isomorphic,
     run_core_chase,
-    run_oblivious_chase,
 )
 from ontoshacl.core import (
     TOP,

@@ -13,10 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_assignment
+from oracles import naive_assignment, thompson_nfa
 from ontoshacl.core import ABox, Interpretation, Role
 from ontoshacl.evaluate import (
-    _path_reach,
     BinConstraint,
     BinRef,
     PConcat,
@@ -30,7 +29,7 @@ from ontoshacl.evaluate import (
     validate,
 )
 from ontoshacl.harness import gen_abox
-from ontoshacl.paths import parse_regex, regex_to_nfa
+from ontoshacl.paths import parse_regex
 from ontoshacl.shapes import (
     And,
     ConceptRef,
@@ -252,12 +251,28 @@ def test_exists_path_backward_walk_matches_forward_reach(seed):
     interp = gen_abox(rng)
     regex = parse_regex(rng.choice(PATHS))
     targets = ConceptRef(rng.choice(["C0", "C1", "top"]))
-    nfa = regex_to_nfa(regex)
+    nfa = thompson_nfa(regex)
     want = {
         e for e in interp.nodes
-        if _path_reach(interp, e, nfa) & eval_body(targets, interp, frozenset())
+        if nfa.reach(interp, e) & eval_body(targets, interp, frozenset())
     }
     assert eval_body(ExistsPath(regex, targets), interp, frozenset()) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_guarded_comparisons_match_forward_reach(seed):
+    rng = random.Random(seed)
+    interp = gen_abox(rng)
+    if not interp.individuals():
+        return
+    guard = rng.choice(interp.individuals())
+    left, right = (parse_regex(rng.choice(PATHS)) for _ in range(2))
+    got_l, got_r = (thompson_nfa(p).reach(interp, guard) for p in (left, right))
+    want_eq = {guard} if got_l == got_r else set()
+    want_disj = set() if got_l & got_r else {guard}
+    assert eval_body(GuardedEq(guard, left, right), interp, frozenset()) == want_eq
+    assert eval_body(GuardedDisj(guard, left, right), interp, frozenset()) == want_disj
 
 
 def test_two_layerings_same_assignment():

@@ -1,8 +1,8 @@
 """Role-path expressions: parsing, printing, and NFA membership.
 
-The automaton construction is checked against an independent oracle
-that decides word membership by syntactic derivatives, so the two
-implementations share no code path.
+The automaton construction is checked against two independent oracles,
+one deciding word membership by syntactic derivatives and one by a
+Thompson automaton with ε-moves, so neither shares a code path with it.
 """
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import regex_word_match
+from oracles import regex_word_match, thompson_nfa
 from ontoshacl.core import Role
 from ontoshacl.paths import (
     RAlt,
@@ -111,6 +111,41 @@ def test_inverse_symbols_are_distinct_letters():
 @given(regexes, words)
 def test_nfa_agrees_with_derivative_oracle(e, word):
     assert regex_to_nfa(e).accepts(word) == regex_word_match(e, word)
+
+
+@settings(max_examples=300, deadline=None)
+@given(regexes, words)
+def test_nfa_agrees_with_thompson_oracle(e, word):
+    assert regex_to_nfa(e).accepts(word) == thompson_nfa(e).accepts(word)
+
+
+def _occurrences(e) -> int:
+    if isinstance(e, RSym):
+        return 1
+    if isinstance(e, RStar):
+        return _occurrences(e.inner)
+    return sum(map(_occurrences, e.parts if isinstance(e, RSeq) else e.options))
+
+
+@settings(max_examples=300, deadline=None)
+@given(regexes)
+def test_nfa_has_a_reachable_state_per_symbol_occurrence_at_most(e):
+    nfa = regex_to_nfa(e)
+    assert nfa.n_states <= _occurrences(e) + 1
+    seen = {nfa.initial}
+    work = [nfa.initial]
+    while work:
+        q = work.pop()
+        for a, _, b in nfa.transitions:
+            if a == q and b not in seen:
+                seen.add(b)
+                work.append(b)
+    assert seen == set(range(nfa.n_states))
+
+
+def test_star_then_letter_needs_two_states():
+    assert regex_to_nfa(parse_regex("p*/q")).n_states == 2
+    assert regex_to_nfa(parse_regex("s/s*")).n_states == 2
 
 
 @settings(max_examples=150, deadline=None)

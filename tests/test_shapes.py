@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -109,6 +110,21 @@ def test_normalize_emits_only_normal_constraints():
     assert fresh and all(n.startswith("_") for n in fresh)
     assert set(origin) == fresh
     assert set(origin.values()) == {"s"}
+
+
+def test_normalize_gives_one_shape_per_automaton_state():
+    # s/s* needs two states, and the automaton has no ε-moves to copy
+    # one state's nodes into another's
+    sg = ShapesGraph.of([Constraint("s", ExistsPath(parse_regex("s/s*"), ConceptRef("C")))])
+    out, _ = normalize(sg)
+    names = {c.head for c in out.constraints}
+    names |= {n for c in out.constraints for n, _ in shape_occurrences(c.body)}
+    states = {n for n in names if re.fullmatch(r"_q\d+", n)}
+    assert len(states) == 2
+    assert not [
+        c for c in out.constraints
+        if c.head in states and isinstance(c.body, ShapeRef) and c.body.name in states
+    ]
 
 
 def test_normalize_keeps_already_normal_graphs_small():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_entailed, brute_existentials
+from oracles import brute_entailed, brute_existentials, is_consistent
 from ontoshacl.core import (
     BOT,
     TOP,
@@ -32,7 +32,6 @@ from ontoshacl.harness import gen_tbox
 from ontoshacl.tbox import (
     UnsupportedPattern,
     collapse_role_cycles,
-    is_consistent,
     role_hierarchy,
     saturate,
 )
