@@ -11,7 +11,8 @@ Exit codes: 0 all targets valid, 1 violations, 2 inconsistent KB,
 verdict would need the missing part: a target that fails on a model
 truncated at ``--depth`` (reported UNKNOWN, ``"valid": null`` in JSON),
 negation over a truncated model, a model prefix over
-``model.MAX_MODEL_NODES`` nodes, the chase's round budget, or the
+``model.MAX_MODEL_NODES`` nodes, a rewriting over
+``rewrite.MAX_QUADRUPLES`` quadruples, the chase's round budget, or the
 chase's size guard.
 
 A target whose shape no constraint defines, or whose individual is not
@@ -44,7 +45,7 @@ from .formats import (
 )
 from .model import InconsistentKB, ModelTooLarge, build_can, complete_abox
 from .paths import RAlt, RSeq, RStar, RSym, Regex
-from .rewrite import pure_rewrite_alchi, pure_rewrite_shaclb, rewrite
+from .rewrite import RewriteTooLarge, pure_rewrite_alchi, pure_rewrite_shaclb, rewrite
 from .shapes import (
     And,
     ConceptRef,
@@ -356,6 +357,9 @@ def run(cfg: RunConfig) -> int:
         return EXIT_DEPTH
     except ModelTooLarge as exc:
         print(f"error: {exc} (lower --depth)", file=sys.stderr)
+        return EXIT_DEPTH
+    except RewriteTooLarge as exc:
+        print(f"error: {exc} (--mode direct needs no rewriting)", file=sys.stderr)
         return EXIT_DEPTH
     except SizeGuardExceeded as exc:
         print(f"error: {exc} (mode {cfg.mode} is a cross-check for small inputs)", file=sys.stderr)

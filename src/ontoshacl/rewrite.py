@@ -37,8 +37,18 @@ from .shapes import (
     ShapesGraph,
     Stratification,
     Test,
+    _components,
+    shape_occurrences,
 )
 from .tbox import SaturatedTBox, UnsupportedPattern, _key_exist
+
+# the saturation of one component stops with RewriteTooLarge beyond this
+# many quadruples
+MAX_QUADRUPLES = 100_000
+
+
+class RewriteTooLarge(RuntimeError):
+    """The saturation needs more than ``MAX_QUADRUPLES`` quadruples."""
 
 
 def _role_str(roles: FrozenSet[Role]) -> str:
@@ -103,6 +113,18 @@ class Lit:
 
 _Key = Tuple[TwoType, FrozenSet[Entry], FrozenSet[Entry]]
 _K = Dict[_Key, Set[Lit]]
+
+
+def _slot(K: _K, key: _Key) -> Set[Lit]:
+    """The literals at ``key``, added empty when new, within the budget."""
+    h = K.get(key)
+    if h is None:
+        if len(K) >= MAX_QUADRUPLES:
+            raise RewriteTooLarge(
+                f"the rewriting needs more than {MAX_QUADRUPLES} quadruples"
+            )
+        h = K[key] = set()
+    return h
 
 
 def _expr(u: OneHalfType) -> BasicConceptExpr:
@@ -186,7 +208,7 @@ def _seed_dict(ctx: _Ctx, universe: Sequence[TwoType]) -> _K:
             for combo in itertools.combinations(cand, n):
                 q = frozenset(combo)
                 p: FrozenSet[Entry] = frozenset(ie - q)
-                K.setdefault((t, p, q), set())
+                _slot(K, (t, p, q))
     return K
 
 
@@ -226,6 +248,7 @@ def _close(st: SaturatedTBox, cons: Sequence[Constraint], K: _K, ctx: _Ctx) -> N
     by_concept, by_ind, by_ref, by_and, by_neg, by_exists = _classify(cons)
     # the rules only add, so the saturated K does not depend on the order
     # they visit it in; _emit sorts once for output
+    read: Dict[_Key, int] = {}  # |H| of each key when the last merge step ran
     while True:
         changed = False
         items = list(K.items())
@@ -241,9 +264,8 @@ def _close(st: SaturatedTBox, cons: Sequence[Constraint], K: _K, ctx: _Ctx) -> N
             for head, ref in by_ind:
                 if ref in q:
                     continue
-                key2 = (t, p | {ref}, q)
                 lit = Lit(head)
-                tgt = K.setdefault(key2, set())
+                tgt = _slot(K, (t, p | {ref}, q))
                 need = (h | {lit}) - tgt
                 if need:
                     tgt.update(h | {lit})
@@ -262,9 +284,8 @@ def _close(st: SaturatedTBox, cons: Sequence[Constraint], K: _K, ctx: _Ctx) -> N
                     )
                 if not ok:
                     continue
-                key2 = (t, p | {e}, q)
                 lit = Lit(head)
-                tgt = K.setdefault(key2, set())
+                tgt = _slot(K, (t, p | {e}, q))
                 need = (h | {lit}) - tgt
                 if need:
                     tgt.update(h | {lit})
@@ -322,18 +343,25 @@ def _close(st: SaturatedTBox, cons: Sequence[Constraint], K: _K, ctx: _Ctx) -> N
                         changed = True
                         break
 
-        # combine quadruples that agree on which witnesses are absent
-        buckets: Dict[Tuple[TwoType, FrozenSet[BasicConceptExpr]], List[_Key]] = {}
-        for key in K:
-            t, p, q = key
-            buckets.setdefault((t, _concept_part(q)), []).append(key)
-        for keys in buckets.values():
-            if len(keys) < 2:
-                continue
-            for k1, k2 in itertools.combinations(keys, 2):
+        # combine quadruples that agree on which witnesses are absent; a pair
+        # whose H sets are both as the last merge step read them is skipped,
+        # since that step combined it or found it combined
+        buckets: Dict[
+            Tuple[TwoType, FrozenSet[BasicConceptExpr]], Tuple[List[_Key], List[_Key]]
+        ] = {}
+        for key, h in K.items():
+            t, _, q = key
+            fresh, old = buckets.setdefault((t, _concept_part(q)), ([], []))
+            (fresh if read.get(key) != len(h) else old).append(key)
+        read = {key: len(h) for key, h in K.items()}
+        for fresh, old in buckets.values():
+            pairs = itertools.chain(
+                itertools.combinations(fresh, 2), itertools.product(fresh, old)
+            )
+            for k1, k2 in pairs:
                 merged = (k1[0], k1[1] | k2[1], k1[2] | k2[2])
                 lits = K[k1] | K[k2]
-                tgt = K.setdefault(merged, set())
+                tgt = _slot(K, merged)
                 if not lits <= tgt:
                     tgt.update(lits)
                     changed = True
@@ -425,6 +453,52 @@ def _emit(K: _K, heads: FrozenSet[str], nc: FrozenSet[str]) -> List[Constraint]:
     return out
 
 
+def _split(strat: Stratification) -> List[Tuple[Tuple[Constraint, ...], ...]]:
+    """The strata of each weakly connected component of the graph that
+    links a head to every shape name its body reads, in the order of each
+    component's first item in ``strat``; empty strata are dropped."""
+    adj: Dict[str, Set[str]] = {}
+    for group in strat.strata:
+        for c in group:
+            adj.setdefault(c.head, set())
+            for name, _ in shape_occurrences(c.body):
+                adj[c.head].add(name)
+                adj.setdefault(name, set()).add(c.head)
+    # in a symmetric graph the strongly connected components are the
+    # weakly connected ones
+    comps = _components({n: sorted(m) for n, m in adj.items()})
+    comp_of = {n: i for i, comp in enumerate(comps) for n in comp}
+    parts: Dict[int, List[List[Constraint]]] = {}
+    for i, group in enumerate(strat.strata):
+        for c in group:
+            strata = parts.setdefault(comp_of[c.head], [[] for _ in strat.strata])
+            strata[i].append(c)
+    return [tuple(tuple(g) for g in strata if g) for strata in parts.values()]
+
+
+def _rewrite_component(
+    ctx: _Ctx, strata: Sequence[Sequence[Constraint]]
+) -> Tuple[List[Constraint], int]:
+    """One saturation over constraints that read no shape outside them:
+    the constraints and their emitted rewriting, and the quadruple count."""
+    st = ctx.st
+    cons = [c for group in strata for c in group]
+    nc = _nc_universe(st, cons)
+    K = _seed_dict(ctx, _type_universe(st, nc))
+
+    occurring = ShapesGraph.of(cons).shape_names()
+    out = list(cons)
+    for i, group in enumerate(strata):
+        scope = tuple(c for g in strata[:i] for c in g)
+        later_heads = {c.head for g in strata[i:] for c in g}
+        settled = frozenset(n for n in occurring if n not in later_heads)
+        K = _completion_dict(K, scope, settled)
+        _close(st, group, K, ctx)
+        heads = frozenset(c.head for c in group)
+        out.extend(_emit(K, heads, nc))
+    return out, len(K)
+
+
 def rewrite(
     st: SaturatedTBox,
     strat: Stratification,
@@ -434,28 +508,24 @@ def rewrite(
     """Compile TBox consequences into the constraints themselves.
 
     The result is validated over the completed data graph with no further
-    reasoning. Emission happens per stratum so the result stays stratified.
+    reasoning. Shapes that never read each other cannot change each
+    other's quadruples, so each weakly connected component of the shape
+    references is saturated on its own, and the outputs are concatenated
+    in the order of the components' first items in ``strat``. Emission
+    happens per stratum so the result stays stratified. ``quadruples`` in
+    ``stats`` is the sum over the components; a component that needs more
+    than ``MAX_QUADRUPLES`` raises RewriteTooLarge.
     """
-    all_cons = tuple(c for group in strat.strata for c in group)
-    nc = _nc_universe(st, all_cons)
     ctx = _Ctx(st)
-    K = _seed_dict(ctx, _type_universe(st, nc))
-
-    occurring = ShapesGraph.of(all_cons).shape_names()
-    emitted: List[Constraint] = []
-    for i, group in enumerate(strat.strata):
-        scope = tuple(c for g in strat.strata[:i] for c in g)
-        later_heads = {c.head for g in strat.strata[i:] for c in g}
-        settled = frozenset(n for n in occurring if n not in later_heads)
-        K = _completion_dict(K, scope, settled)
-        _close(st, group, K, ctx)
-        heads = frozenset(c.head for c in group)
-        emitted.extend(_emit(K, heads, nc))
-
+    out: List[Constraint] = []
+    quadruples = 0
+    for strata in _split(strat):
+        cons, size = _rewrite_component(ctx, strata)
+        out.extend(cons)
+        quadruples += size
     if stats is not None:
-        stats["quadruples"] = len(K)
-
-    return tuple(dict.fromkeys(all_cons + tuple(emitted)))
+        stats["quadruples"] = quadruples
+    return tuple(dict.fromkeys(out))
 
 
 # ---------------------------------------------------------------------------

@@ -518,9 +518,6 @@ class Stratification:
                 return i
         return 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self.index)
-
 
 class NotStratified(ValueError):
     def __init__(self, cycle: Tuple[str, ...]):

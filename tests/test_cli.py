@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from ontoshacl import cli, model
+from ontoshacl import cli, model, rewrite
 
 MODES = ("direct", "rewrite", "pure-alchi", "pure-shaclb", "chase")
 
@@ -192,6 +192,15 @@ def test_model_over_the_node_budget_exits_5(tmp_path, capsys):
     # a depth whose prefix fits the budget is still built
     assert cli.main(["build-model", "--tbox", f["tbox"], "--abox", f["abox"], "--depth", "3"]) == 0
     assert "nodes=15 " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", ["rewrite", "pure-alchi", "pure-shaclb"])
+def test_rewriting_over_the_quadruple_budget_exits_5(tmp_path, mode, monkeypatch, capsys):
+    monkeypatch.setattr(rewrite, "MAX_QUADRUPLES", 5)
+    assert validate(tmp_path, mode, "$s(@a)\n") == cli.EXIT_DEPTH
+    err = capsys.readouterr().err
+    assert "more than 5 quadruples" in err
+    assert "Traceback" not in err
 
 
 # the rewrite saturates a dict of quadruples in whatever order it holds

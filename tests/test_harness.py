@@ -42,3 +42,9 @@ def test_pure_alchi_counts_sub_role_edges(case):
     # both cases need an edge the role hierarchy derives from a raw sub-role
     # edge; pure-alchi used to miss it and answer VIOLATION
     assert compare_routes(*gen_case(case_rng(1, case))) is None
+
+
+def test_slowest_selftest_case_agrees():
+    # the largest rewriting of seeds 0-3 x 100: about 8,000 quadruples
+    # when every shape was saturated together
+    assert compare_routes(*gen_case(case_rng(3, 76))) is None
