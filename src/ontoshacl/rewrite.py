@@ -6,13 +6,25 @@ model part. From the saturated set it emits plain constraints that are
 evaluated over the completed data graph alone. Two pure variants push the
 completion itself into constraints: one for TBoxes without counting
 axioms, one using binary (edge) shapes.
+
+Quadruples are bit-encoded per component of the shapes (``_Codes``). The
+2-type is its index in the component's type universe, which is sorted by
+``type_key``. Each witness entry (a concept or shape existential, or an
+individual constant) and each shape literal gets a bit the first time it
+is seen, so P and Q are integer masks over entries and H an integer mask
+over literals: K maps ``(type index, P, Q)`` to H. A union is ``|`` and a
+subset test ``a & ~b == 0``. Emission decodes the masks back to entries
+and literals and sorts rows by the printed entries, so the output does not
+depend on the order in which bits were given out.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 from .core import BOT, TOP, OneHalfType, Role, TwoType, type_key
 from .model import succ_config
@@ -111,11 +123,64 @@ class Lit:
         return ("!" if self.neg else "") + self.name
 
 
-_Key = Tuple[TwoType, FrozenSet[Entry], FrozenSet[Entry]]
-_K = Dict[_Key, Set[Lit]]
+class _Codes:
+    """One component's quadruple encoding: its type universe, the bit of
+    each entry and literal seen so far, and in ``concepts``, ``inds`` and
+    ``shapes`` the masks of the entries of each kind."""
+
+    def __init__(self, types: Sequence[TwoType]):
+        self.types = types
+        self._entry_bit: Dict[Entry, int] = {}
+        self.entries: Dict[int, Entry] = {}
+        self._lit_bit: Dict[Lit, int] = {}
+        self.lits: Dict[int, Lit] = {}
+        self.concepts = self.inds = self.shapes = 0
+
+    def entry(self, e: Entry) -> int:
+        bit = self._entry_bit.get(e)
+        if bit is None:
+            bit = self._entry_bit[e] = 1 << len(self.entries)
+            self.entries[bit] = e
+            if isinstance(e, BasicConceptExpr):
+                self.concepts |= bit
+            elif isinstance(e, IndRef):
+                self.inds |= bit
+            else:
+                self.shapes |= bit
+        return bit
+
+    def known(self, e: Entry) -> int:
+        """The bit of ``e``, or 0 when it was never seen."""
+        return self._entry_bit.get(e, 0)
+
+    def mask(self, entries: Iterable[Entry]) -> int:
+        m = 0
+        for e in entries:
+            m |= self.entry(e)
+        return m
+
+    def lit(self, name: str, neg: bool = False) -> int:
+        lit = Lit(name, neg)
+        bit = self._lit_bit.get(lit)
+        if bit is None:
+            bit = self._lit_bit[lit] = 1 << len(self.lits)
+            self.lits[bit] = lit
+        return bit
 
 
-def _slot(K: _K, key: _Key) -> Set[Lit]:
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first, each as a mask of its own."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+_Key = Tuple[int, int, int]  # type index, P mask, Q mask
+_K = Dict[_Key, int]  # key -> H mask
+
+
+def _slot(K: _K, key: _Key) -> int:
     """The literals at ``key``, added empty when new, within the budget."""
     h = K.get(key)
     if h is None:
@@ -123,16 +188,21 @@ def _slot(K: _K, key: _Key) -> Set[Lit]:
             raise RewriteTooLarge(
                 f"the rewriting needs more than {MAX_QUADRUPLES} quadruples"
             )
-        h = K[key] = set()
+        h = K[key] = 0
     return h
+
+
+def _put(K: _K, key: _Key, lits: int) -> bool:
+    """Add ``lits`` at ``key``; whether that changed K."""
+    h = _slot(K, key)
+    if lits & ~h:
+        K[key] = h | lits
+        return True
+    return False
 
 
 def _expr(u: OneHalfType) -> BasicConceptExpr:
     return BasicConceptExpr(u.roles, u.concepts)
-
-
-def _concept_part(entries: Iterable[Entry]) -> FrozenSet[BasicConceptExpr]:
-    return frozenset(e for e in entries if isinstance(e, BasicConceptExpr))
 
 
 class _Ctx:
@@ -197,28 +267,18 @@ def _type_universe(st: SaturatedTBox, nc: FrozenSet[str]) -> Tuple[TwoType, ...]
     return tuple(sorted(types, key=type_key))
 
 
-def _seed_dict(ctx: _Ctx, universe: Sequence[TwoType]) -> _K:
+def _seed_dict(ctx: _Ctx, codes: _Codes) -> _K:
     """Fresh quadruples: every way of splitting a type's witness
     expressions into present (P) and absent (Q)."""
     K: _K = {}
-    for t in universe:
-        cand = sorted(ctx.cand_exprs(t), key=_entry_key)
-        ie = ctx.ie_exprs(t.concepts)
+    for i, t in enumerate(codes.types):
+        cand = [codes.entry(e) for e in sorted(ctx.cand_exprs(t), key=_entry_key)]
+        ie = codes.mask(ctx.ie_exprs(t.concepts))
         for n in range(len(cand) + 1):
             for combo in itertools.combinations(cand, n):
-                q = frozenset(combo)
-                p: FrozenSet[Entry] = frozenset(ie - q)
-                _slot(K, (t, p, q))
+                q = sum(combo)  # distinct bits
+                _slot(K, (i, ie & ~q, q))
     return K
-
-
-def _key_sort(item: Tuple[_Key, Set[Lit]]) -> Tuple:
-    (t, p, q), _ = item
-    return (
-        type_key(t),
-        tuple(sorted(str(e) for e in p)),
-        tuple(sorted(str(e) for e in q)),
-    )
 
 
 def _classify(cons: Sequence[Constraint]):
@@ -244,126 +304,139 @@ def _classify(cons: Sequence[Constraint]):
     return by_concept, by_ind, by_ref, by_and, by_neg, by_exists
 
 
-def _close(st: SaturatedTBox, cons: Sequence[Constraint], K: _K, ctx: _Ctx) -> None:
+def _close(ctx: _Ctx, codes: _Codes, cons: Sequence[Constraint], K: _K) -> None:
     by_concept, by_ind, by_ref, by_and, by_neg, by_exists = _classify(cons)
+    types = codes.types
+    lit = codes.lit
+    # the rules as masks, built once per call. Concept-name bodies fire on
+    # a type's own concepts: ``fire`` holds each type's heads. A constant
+    # body is a (head, constant entry) pair, a plain implication a (needed
+    # literals, head) pair.
+    fire = [0] * len(types)
+    for i, t in enumerate(types):
+        for head, a in by_concept:
+            if a == TOP or a in t.concepts:
+                fire[i] |= lit(head)
+    inds = [(lit(head), codes.entry(ref)) for head, ref in by_ind]
+    implied = [(lit(inner), lit(head)) for head, inner in by_ref]
+    implied += [(lit(left) | lit(right), lit(head)) for head, left, right in by_and]
+    implied += [(lit(inner, neg=True), lit(head)) for head, inner in by_neg]
+    # an existential body needs its roles at the type (``at``, the type
+    # indices that allow it) or under a present concept witness (``via``,
+    # the concept entries whose roles allow it). A rule is (head, roles,
+    # inner literal, witness entry, at, via).
+    exists = []
+    for head, roles, inner in by_exists:
+        via = 0
+        for bit, e in codes.entries.items():
+            if isinstance(e, BasicConceptExpr) and roles <= e.roles:
+                via |= bit
+        at = frozenset(
+            i for i, t in enumerate(types)
+            if roles <= t.roles or (not t.roles and not t.others)
+        )
+        witness = codes.entry(BasicShapeExpr(roles, inner.name, inner.neg))
+        exists.append((lit(head), roles, lit(inner.name, inner.neg), witness, at, via))
+    # each type's pinned witnesses, the edge back to its parent, the bit of
+    # the parent's witness for it (0 when unseen), and the shape entries
+    # whose roles it carries
+    pinned = [codes.mask(ctx.pinned(t)) for t in types]
+    edges = [frozenset(r.invert() for r in t.roles) for t in types]
+    wits = [codes.known(BasicConceptExpr(edges[i], t.concepts)) for i, t in enumerate(types)]
+    carried = [0] * len(types)
+    holds: Dict[int, int] = {}  # shape entry -> the literal it claims
+    fails: Dict[int, int] = {}  # shape entry -> the literal it refutes
+    for bit, e in codes.entries.items():
+        if not isinstance(e, BasicShapeExpr):
+            continue
+        holds[bit] = lit(e.shape, e.neg)
+        fails[bit] = lit(e.shape, not e.neg)
+        for i, t in enumerate(types):
+            if e.roles <= t.roles:
+                carried[i] |= bit
+
     # the rules only add, so the saturated K does not depend on the order
     # they visit it in; _emit sorts once for output
-    read: Dict[_Key, int] = {}  # |H| of each key when the last merge step ran
+    read: _K = {}  # H of each key when the last merge step ran
     while True:
         changed = False
-        items = list(K.items())
 
-        for (t, p, q), h in items:
-            bare = not t.roles and not t.others
-            # concept-name bodies fire on the type's own concepts
-            for head, a in by_concept:
-                if (a == TOP or a in t.concepts) and Lit(head) not in h:
-                    h.add(Lit(head))
-                    changed = True
+        for key in list(K):
+            i, p, q = key
+            h0 = K[key]
+            h = h0 | fire[i]
             # individual-constant bodies, unless the constant is known absent
-            for head, ref in by_ind:
-                if ref in q:
+            for head, ref in inds:
+                if q & ref:
                     continue
-                lit = Lit(head)
-                tgt = _slot(K, (t, p | {ref}, q))
-                need = (h | {lit}) - tgt
-                if need:
-                    tgt.update(h | {lit})
+                if p & ref:
+                    h |= head
+                elif _put(K, (i, p | ref, q), h | head):
                     changed = True
-            # existential bodies need the role available at this type
-            for head, roles, inner in by_exists:
-                e = BasicShapeExpr(roles, inner.name, inner.neg)
-                if e in q:
+            for head, _, _, witness, at, via in exists:
+                if q & witness or (i not in at and not p & via):
                     continue
-                ok = roles <= t.roles or bare
-                if not ok:
-                    ok = any(
-                        roles <= b.roles
-                        for b in p
-                        if isinstance(b, BasicConceptExpr)
-                    )
-                if not ok:
-                    continue
-                lit = Lit(head)
-                tgt = _slot(K, (t, p | {e}, q))
-                need = (h | {lit}) - tgt
-                if need:
-                    tgt.update(h | {lit})
+                if p & witness:
+                    h |= head
+                elif _put(K, (i, p | witness, q), h | head):
                     changed = True
-            # plain implications over derived literals
-            for head, inner in by_ref:
-                if Lit(inner) in h and Lit(head) not in h:
-                    h.add(Lit(head))
-                    changed = True
-            for head, left, right in by_and:
-                if Lit(left) in h and Lit(right) in h and Lit(head) not in h:
-                    h.add(Lit(head))
-                    changed = True
-            for head, inner in by_neg:
-                if Lit(inner, neg=True) in h and Lit(head) not in h:
-                    h.add(Lit(head))
-                    changed = True
+            for need, head in implied:
+                if h & need == need:
+                    h |= head
+            if h != h0:
+                K[key] = h
+                changed = True
 
         # propagate through an anonymous child: the child quadruple models a
         # border node whose only listed neighbor is the parent. The child's
         # own witness claims that could only be satisfied or refuted by the
-        # parent are discharged against the parent's H.
-        if by_exists:
-            items = list(K.items())
-            children = []
-            for (tc, pc, qc), hc in items:
-                if any(isinstance(e, IndRef) for e in pc):
+        # parent are discharged against the parent's H. Children are grouped
+        # by the parent concepts they hang off, then by the rule they serve.
+        if exists:
+            kids: Dict[FrozenSet[str], List[List[Tuple[int, int]]]] = {}
+            for (ic, pc, qc), hc in K.items():
+                if not wits[ic] or pc & codes.inds or pc & codes.concepts != pinned[ic]:
                     continue
-                if _concept_part(pc) != ctx.pinned(tc):
+                discharge = 0
+                for bit in _bits(pc & codes.shapes):
+                    discharge |= holds[bit]
+                for bit in _bits(qc & carried[ic]):
+                    discharge |= fails[bit]
+                per_rule = kids.setdefault(types[ic].others, [[] for _ in exists])
+                for rule, (_, roles, inner, _, _, _) in zip(per_rule, exists):
+                    if hc & inner and roles <= edges[ic]:
+                        rule.append((wits[ic], discharge))
+            for key, h in list(K.items()):
+                per_rule = kids.get(types[key[0]].concepts)
+                if per_rule is None:
                     continue
-                edge = frozenset(r.invert() for r in tc.roles)
-                discharge_a = frozenset(
-                    Lit(e.shape, e.neg) for e in pc if isinstance(e, BasicShapeExpr)
-                )
-                discharge_b = frozenset(
-                    Lit(e.shape, not e.neg)
-                    for e in qc
-                    if isinstance(e, BasicShapeExpr) and e.roles <= tc.roles
-                )
-                children.append((tc, edge, hc, discharge_a | discharge_b))
-            for (t, p, q), h in items:
-                for head, roles, inner in by_exists:
-                    if Lit(head) in h:
+                q = key[2]
+                h0 = h
+                for rule, (head, _, _, _, _, _) in zip(per_rule, exists):
+                    if h & head:
                         continue
-                    for tc, edge, hc, discharge in children:
-                        if inner not in hc:
-                            continue
-                        if tc.others != t.concepts or not roles <= edge:
-                            continue
-                        if BasicConceptExpr(edge, tc.concepts) not in q:
-                            continue
-                        if not discharge <= h:
-                            continue
-                        h.add(Lit(head))
-                        changed = True
-                        break
+                    for wit, discharge in rule:
+                        if q & wit and not discharge & ~h:
+                            h |= head
+                            break
+                if h != h0:
+                    K[key] = h
+                    changed = True
 
         # combine quadruples that agree on which witnesses are absent; a pair
-        # whose H sets are both as the last merge step read them is skipped,
+        # whose H masks are both as the last merge step read them is skipped,
         # since that step combined it or found it combined
-        buckets: Dict[
-            Tuple[TwoType, FrozenSet[BasicConceptExpr]], Tuple[List[_Key], List[_Key]]
-        ] = {}
+        buckets: Dict[Tuple[int, int], Tuple[List[_Key], List[_Key]]] = {}
         for key, h in K.items():
-            t, _, q = key
-            fresh, old = buckets.setdefault((t, _concept_part(q)), ([], []))
-            (fresh if read.get(key) != len(h) else old).append(key)
-        read = {key: len(h) for key, h in K.items()}
+            fresh, old = buckets.setdefault((key[0], key[2] & codes.concepts), ([], []))
+            (fresh if read.get(key) != h else old).append(key)
+        read = dict(K)
         for fresh, old in buckets.values():
             pairs = itertools.chain(
                 itertools.combinations(fresh, 2), itertools.product(fresh, old)
             )
-            for k1, k2 in pairs:
-                merged = (k1[0], k1[1] | k2[1], k1[2] | k2[2])
-                lits = K[k1] | K[k2]
-                tgt = _slot(K, merged)
-                if not lits <= tgt:
-                    tgt.update(lits)
+            for (i, p1, q1), (_, p2, q2) in pairs:
+                if _put(K, (i, p1 | p2, q1 | q2), K[i, p1, q1] | K[i, p2, q2]):
                     changed = True
 
         if not changed:
@@ -371,7 +444,10 @@ def _close(st: SaturatedTBox, cons: Sequence[Constraint], K: _K, ctx: _Ctx) -> N
 
 
 def _completion_dict(
-    K: _K, cons: Sequence[Constraint], extra_settled: FrozenSet[str] = frozenset()
+    K: _K,
+    codes: _Codes,
+    cons: Sequence[Constraint],
+    extra_settled: FrozenSet[str] = frozenset(),
 ) -> _K:
     """Between strata: settle unfired shapes as negative knowledge.
 
@@ -380,20 +456,22 @@ def _completion_dict(
     """
     settled = sorted(ShapesGraph.of(cons).shape_names() | extra_settled)
     _, by_ind, _, _, _, by_exists = _classify(cons)
+    # (head, body): the body goes into Q where the head did not fire
+    failed = [
+        (codes.lit(head), codes.entry(BasicShapeExpr(roles, inner.name, inner.neg)))
+        for head, roles, inner in by_exists
+    ]
+    failed += [(codes.lit(head), codes.entry(ref)) for head, ref in by_ind]
+    negated = [(codes.lit(name), codes.lit(name, neg=True)) for name in settled]
     out: _K = {}
-    for (t, p, q), h in K.items():
-        q_new = set(q)
-        for head, roles, inner in by_exists:
-            if Lit(head) not in h:
-                q_new.add(BasicShapeExpr(roles, inner.name, inner.neg))
-        for head, ref in by_ind:
-            if Lit(head) not in h:
-                q_new.add(ref)
-        h_new = set(h)
-        for name in settled:
-            if Lit(name) not in h:
-                h_new.add(Lit(name, neg=True))
-        out.setdefault((t, frozenset(p), frozenset(q_new)), set()).update(h_new)
+    for (i, p, q), h in K.items():
+        for head, body in failed:
+            if not h & head:
+                q |= body
+        for pos, neg in negated:
+            if not h & pos:
+                h |= neg
+        out[i, p, q] = out.get((i, p, q), 0) | h
     return out
 
 
@@ -427,28 +505,67 @@ def _and_chain(parts: Sequence[ShapeBody]) -> ShapeBody:
     return body
 
 
-def _emit(K: _K, heads: FrozenSet[str], nc: FrozenSet[str]) -> List[Constraint]:
+def _emit(
+    K: _K, codes: _Codes, heads: FrozenSet[str], nc: FrozenSet[str]
+) -> List[Constraint]:
+    wanted = 0
+    for name in heads:
+        wanted |= codes.lit(name)
+    # the vacuous rows, with some witness both required and forbidden, and
+    # the rows that derive no head are dropped before sorting
+    rows = [
+        (key, h & wanted)
+        for key, h in K.items()
+        if h & wanted and not key[1] & key[2]
+    ]
+    text = {bit: str(e) for bit, e in codes.entries.items()}
+
+    def row_key(row: Tuple[_Key, int]) -> Tuple:
+        # the universe is sorted by type_key, so the index sorts as the type
+        (i, p, q), _ = row
+        return (
+            i,
+            tuple(sorted(text[b] for b in _bits(p))),
+            tuple(sorted(text[b] for b in _bits(q))),
+        )
+
+    # the conjuncts of each type and of each entry, present and absent,
+    # with their printed forms
+    type_parts: Dict[int, Tuple[List[ShapeBody], List[str]]] = {}
+    present: Dict[int, Tuple[ShapeBody, str]] = {}
+    absent: Dict[int, Tuple[ShapeBody, str]] = {}
+    for bit, e in codes.entries.items():
+        body = _entry_body(e)
+        present[bit] = (body, str(body))
+        absent[bit] = (Not(body), str(Not(body)))
+    order = {bit: _entry_key(e) for bit, e in codes.entries.items()}
+
     per_head: Dict[str, Dict[FrozenSet[str], List[ShapeBody]]] = {}
-    for (t, p, q), h in sorted(K.items(), key=_key_sort):
-        if p & q:
-            continue  # vacuous: some witness both required and forbidden
-        names = sorted({lit.name for lit in h if not lit.neg and lit.name in heads})
-        if not names:
-            continue
-        parts: List[ShapeBody] = [ConceptRef(a) for a in sorted(t.concepts)]
-        parts += [Not(ConceptRef(a)) for a in sorted(nc - t.concepts)]
-        parts += [_entry_body(e) for e in sorted(p, key=_entry_key)]
-        parts += [Not(_entry_body(e)) for e in sorted(q, key=_entry_key)]
-        tokens = frozenset(str(x) for x in parts)
-        for name in names:
+    for (i, p, q), h in sorted(rows, key=row_key):
+        if i not in type_parts:
+            t = codes.types[i]
+            own: List[ShapeBody] = [ConceptRef(a) for a in sorted(t.concepts)]
+            own += [Not(ConceptRef(a)) for a in sorted(nc - t.concepts)]
+            type_parts[i] = (own, [str(x) for x in own])
+        own, strs = type_parts[i]
+        conj = [present[b] for b in sorted(_bits(p), key=order.__getitem__)]
+        conj += [absent[b] for b in sorted(_bits(q), key=order.__getitem__)]
+        parts = own + [x for x, _ in conj]
+        tokens = frozenset(strs + [s for _, s in conj])
+        for name in sorted(codes.lits[b].name for b in _bits(h)):
             per_head.setdefault(name, {}).setdefault(tokens, parts)
     out: List[Constraint] = []
     for head in sorted(per_head):
         cands = per_head[head]
-        # a body whose conjuncts include all of another body's is subsumed
+        # a body whose conjuncts include all of another body's is subsumed.
+        # Bodies come by size, so the kept ones are the minimal ones, and a
+        # body with a strict subset among the candidates has a minimal one,
+        # which was kept: comparing with the kept bodies is enough.
+        kept: List[FrozenSet[str]] = []
         for tok in sorted(cands, key=lambda t: (len(t), sorted(t))):
-            if any(other < tok for other in cands):
+            if any(k < tok for k in kept):
                 continue
+            kept.append(tok)
             out.append(Constraint(head, _and_chain(cands[tok])))
     return out
 
@@ -484,7 +601,8 @@ def _rewrite_component(
     st = ctx.st
     cons = [c for group in strata for c in group]
     nc = _nc_universe(st, cons)
-    K = _seed_dict(ctx, _type_universe(st, nc))
+    codes = _Codes(_type_universe(st, nc))
+    K = _seed_dict(ctx, codes)
 
     occurring = ShapesGraph.of(cons).shape_names()
     out = list(cons)
@@ -492,10 +610,10 @@ def _rewrite_component(
         scope = tuple(c for g in strata[:i] for c in g)
         later_heads = {c.head for g in strata[i:] for c in g}
         settled = frozenset(n for n in occurring if n not in later_heads)
-        K = _completion_dict(K, scope, settled)
-        _close(st, group, K, ctx)
+        K = _completion_dict(K, codes, scope, settled)
+        _close(ctx, codes, group, K)
         heads = frozenset(c.head for c in group)
-        out.extend(_emit(K, heads, nc))
+        out.extend(_emit(K, codes, heads, nc))
     return out, len(K)
 
 

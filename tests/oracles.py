@@ -4,8 +4,10 @@ Everything here is deliberately naive: explicit fixpoints over atom
 sets, exhaustive enumeration where instances are small enough, and a
 from-scratch ground chase. None of it shares code with the package
 beyond the plain AST types, so agreement is evidence rather than
-tautology. The one exception is the last section: entry points that
-only the tests call, kept here rather than in the package.
+tautology. The exceptions are the last two sections: entry points that
+only the tests call, kept here rather than in the package, and the
+set-based quadruple saturation that the bit-encoded one in
+``ontoshacl.rewrite`` replaced.
 """
 from __future__ import annotations
 
@@ -30,9 +32,25 @@ from ontoshacl.core import (
     TBox,
     TwoType,
     node_key,
+    type_key,
 )
 from ontoshacl.model import completion_failure
 from ontoshacl.paths import RAlt, RSeq, RStar, RSym, Regex
+from ontoshacl.rewrite import (
+    BasicConceptExpr,
+    BasicShapeExpr,
+    Entry,
+    IndRef,
+    Lit,
+    _and_chain,
+    _classify as _classify_constraints,
+    _Ctx,
+    _entry_body,
+    _entry_key,
+    _nc_universe,
+    _split,
+    _type_universe,
+)
 from ontoshacl.shapes import (
     And,
     BinRef,
@@ -51,7 +69,10 @@ from ontoshacl.shapes import (
     PInverse,
     PStar,
     PUnion,
+    ShapeBody,
     ShapeRef,
+    ShapesGraph,
+    Stratification,
     Test,
 )
 from ontoshacl.tbox import SaturatedTBox
@@ -780,3 +801,232 @@ def run_oblivious_chase(
 def is_consistent(tbox: TBox, abox: ABox) -> bool:
     """Whether the knowledge base has a model (standard names assumed)."""
     return completion_failure(tbox, abox) is None
+
+
+# ---------------------------------------------------------------------------
+# the set-based quadruple saturation: a quadruple is a (2-type, present
+# witnesses P, absent witnesses Q) key holding a set of shape literals H.
+# ``rewrite.rewrite`` encodes the same quadruples as integer masks and
+# must emit the same constraints in the same order from as many
+# quadruples. Like the last section it drives package internals
+# (``rewrite._Ctx``, ``_classify``, ``_split``, ``_type_universe``).
+
+_SetKey = Tuple[TwoType, FrozenSet[Entry], FrozenSet[Entry]]
+_SetK = Dict[_SetKey, Set[Lit]]
+
+
+def _set_slot(K: _SetK, key: _SetKey) -> Set[Lit]:
+    return K.setdefault(key, set())
+
+
+def _concept_part(entries: Iterable[Entry]) -> FrozenSet[BasicConceptExpr]:
+    return frozenset(e for e in entries if isinstance(e, BasicConceptExpr))
+
+
+def _set_seed(ctx: _Ctx, universe: Sequence[TwoType]) -> _SetK:
+    K: _SetK = {}
+    for t in universe:
+        cand = sorted(ctx.cand_exprs(t), key=_entry_key)
+        ie = ctx.ie_exprs(t.concepts)
+        for n in range(len(cand) + 1):
+            for combo in itertools.combinations(cand, n):
+                q = frozenset(combo)
+                p: FrozenSet[Entry] = frozenset(ie - q)
+                _set_slot(K, (t, p, q))
+    return K
+
+
+def _set_close(cons: Sequence[Constraint], K: _SetK, ctx: _Ctx) -> None:
+    by_concept, by_ind, by_ref, by_and, by_neg, by_exists = _classify_constraints(cons)
+    read: Dict[_SetKey, int] = {}  # |H| of each key when the last merge step ran
+    while True:
+        changed = False
+        items = list(K.items())
+
+        for (t, p, q), h in items:
+            bare = not t.roles and not t.others
+            for head, a in by_concept:
+                if (a == TOP or a in t.concepts) and Lit(head) not in h:
+                    h.add(Lit(head))
+                    changed = True
+            for head, ref in by_ind:
+                if ref in q:
+                    continue
+                lit = Lit(head)
+                tgt = _set_slot(K, (t, p | {ref}, q))
+                need = (h | {lit}) - tgt
+                if need:
+                    tgt.update(h | {lit})
+                    changed = True
+            for head, roles, inner in by_exists:
+                e = BasicShapeExpr(roles, inner.name, inner.neg)
+                if e in q:
+                    continue
+                ok = roles <= t.roles or bare
+                if not ok:
+                    ok = any(
+                        roles <= b.roles
+                        for b in p
+                        if isinstance(b, BasicConceptExpr)
+                    )
+                if not ok:
+                    continue
+                lit = Lit(head)
+                tgt = _set_slot(K, (t, p | {e}, q))
+                need = (h | {lit}) - tgt
+                if need:
+                    tgt.update(h | {lit})
+                    changed = True
+            for head, inner in by_ref:
+                if Lit(inner) in h and Lit(head) not in h:
+                    h.add(Lit(head))
+                    changed = True
+            for head, left, right in by_and:
+                if Lit(left) in h and Lit(right) in h and Lit(head) not in h:
+                    h.add(Lit(head))
+                    changed = True
+            for head, inner in by_neg:
+                if Lit(inner, neg=True) in h and Lit(head) not in h:
+                    h.add(Lit(head))
+                    changed = True
+
+        if by_exists:
+            items = list(K.items())
+            children = []
+            for (tc, pc, qc), hc in items:
+                if any(isinstance(e, IndRef) for e in pc):
+                    continue
+                if _concept_part(pc) != ctx.pinned(tc):
+                    continue
+                edge = frozenset(r.invert() for r in tc.roles)
+                discharge_a = frozenset(
+                    Lit(e.shape, e.neg) for e in pc if isinstance(e, BasicShapeExpr)
+                )
+                discharge_b = frozenset(
+                    Lit(e.shape, not e.neg)
+                    for e in qc
+                    if isinstance(e, BasicShapeExpr) and e.roles <= tc.roles
+                )
+                children.append((tc, edge, hc, discharge_a | discharge_b))
+            for (t, p, q), h in items:
+                for head, roles, inner in by_exists:
+                    if Lit(head) in h:
+                        continue
+                    for tc, edge, hc, discharge in children:
+                        if inner not in hc:
+                            continue
+                        if tc.others != t.concepts or not roles <= edge:
+                            continue
+                        if BasicConceptExpr(edge, tc.concepts) not in q:
+                            continue
+                        if not discharge <= h:
+                            continue
+                        h.add(Lit(head))
+                        changed = True
+                        break
+
+        buckets: Dict[
+            Tuple[TwoType, FrozenSet[BasicConceptExpr]],
+            Tuple[List[_SetKey], List[_SetKey]],
+        ] = {}
+        for key, h in K.items():
+            t, _, q = key
+            fresh, old = buckets.setdefault((t, _concept_part(q)), ([], []))
+            (fresh if read.get(key) != len(h) else old).append(key)
+        read = {key: len(h) for key, h in K.items()}
+        for fresh, old in buckets.values():
+            pairs = itertools.chain(
+                itertools.combinations(fresh, 2), itertools.product(fresh, old)
+            )
+            for k1, k2 in pairs:
+                merged = (k1[0], k1[1] | k2[1], k1[2] | k2[2])
+                lits = K[k1] | K[k2]
+                tgt = _set_slot(K, merged)
+                if not lits <= tgt:
+                    tgt.update(lits)
+                    changed = True
+
+        if not changed:
+            return
+
+
+def _set_completion(
+    K: _SetK, cons: Sequence[Constraint], extra_settled: FrozenSet[str]
+) -> _SetK:
+    settled = sorted(ShapesGraph.of(cons).shape_names() | extra_settled)
+    _, by_ind, _, _, _, by_exists = _classify_constraints(cons)
+    out: _SetK = {}
+    for (t, p, q), h in K.items():
+        q_new = set(q)
+        for head, roles, inner in by_exists:
+            if Lit(head) not in h:
+                q_new.add(BasicShapeExpr(roles, inner.name, inner.neg))
+        for head, ref in by_ind:
+            if Lit(head) not in h:
+                q_new.add(ref)
+        h_new = set(h)
+        for name in settled:
+            if Lit(name) not in h:
+                h_new.add(Lit(name, neg=True))
+        out.setdefault((t, frozenset(p), frozenset(q_new)), set()).update(h_new)
+    return out
+
+
+def _set_key_sort(item: Tuple[_SetKey, Set[Lit]]) -> Tuple:
+    (t, p, q), _ = item
+    return (
+        type_key(t),
+        tuple(sorted(str(e) for e in p)),
+        tuple(sorted(str(e) for e in q)),
+    )
+
+
+def _set_emit(K: _SetK, heads: FrozenSet[str], nc: FrozenSet[str]) -> List[Constraint]:
+    per_head: Dict[str, Dict[FrozenSet[str], List[ShapeBody]]] = {}
+    for (t, p, q), h in sorted(K.items(), key=_set_key_sort):
+        if p & q:
+            continue
+        names = sorted({lit.name for lit in h if not lit.neg and lit.name in heads})
+        if not names:
+            continue
+        parts: List[ShapeBody] = [ConceptRef(a) for a in sorted(t.concepts)]
+        parts += [Not(ConceptRef(a)) for a in sorted(nc - t.concepts)]
+        parts += [_entry_body(e) for e in sorted(p, key=_entry_key)]
+        parts += [Not(_entry_body(e)) for e in sorted(q, key=_entry_key)]
+        tokens = frozenset(str(x) for x in parts)
+        for name in names:
+            per_head.setdefault(name, {}).setdefault(tokens, parts)
+    out: List[Constraint] = []
+    for head in sorted(per_head):
+        cands = per_head[head]
+        # a body whose conjuncts include all of another body's is subsumed
+        for tok in sorted(cands, key=lambda t: (len(t), sorted(t))):
+            if any(other < tok for other in cands):
+                continue
+            out.append(Constraint(head, _and_chain(cands[tok])))
+    return out
+
+
+def set_rewrite(
+    st: SaturatedTBox, strat: Stratification
+) -> Tuple[Tuple[Constraint, ...], int]:
+    """``rewrite.rewrite`` over sets of objects: the rewriting and the
+    summed quadruple count, with no budget."""
+    ctx = _Ctx(st)
+    out: List[Constraint] = []
+    quadruples = 0
+    for strata in _split(strat):
+        cons = [c for group in strata for c in group]
+        nc = _nc_universe(st, cons)
+        K = _set_seed(ctx, _type_universe(st, nc))
+        occurring = ShapesGraph.of(cons).shape_names()
+        out.extend(cons)
+        for i, group in enumerate(strata):
+            scope = tuple(c for g in strata[:i] for c in g)
+            later_heads = {c.head for g in strata[i:] for c in g}
+            settled = frozenset(n for n in occurring if n not in later_heads)
+            K = _set_completion(K, scope, settled)
+            _set_close(group, K, ctx)
+            out.extend(_set_emit(K, frozenset(c.head for c in group), nc))
+        quadruples += len(K)
+    return tuple(dict.fromkeys(out)), quadruples

@@ -13,7 +13,7 @@ from ontoshacl.formats import parse_abox, serialize_interpretation
 from ontoshacl.harness import case_rng, compare_routes, gen_case, run_selftest, shrink
 
 
-@pytest.mark.parametrize("seed", [0, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_selftest_slice_passes(seed):
     report = run_selftest(seed, 15)
     assert report.passed, report.render()

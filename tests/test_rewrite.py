@@ -12,12 +12,14 @@ Two pinned fixtures:
 Pure routes are checked on small KBs by comparing verdicts against
 validation over the completed graph. Shapes that read no common shape
 name are rewritten apart, so their quadruples add up instead of
-multiplying.
+multiplying. The bit-encoded saturation is checked against the set-based
+one kept in ``oracles.set_rewrite``.
 """
 from __future__ import annotations
 
 import pytest
 
+from ontoshacl import rewrite as rw
 from ontoshacl.cli import ROUTES, prepare
 from ontoshacl.core import (
     ABox,
@@ -28,10 +30,18 @@ from ontoshacl.core import (
 )
 from ontoshacl.evaluate import perfect_assignment_b, validate
 from ontoshacl.formats import parse_abox, parse_constraints, parse_tbox
+from ontoshacl.harness import case_rng, gen_case
 from ontoshacl.model import complete_abox
 from ontoshacl.rewrite import pure_rewrite_alchi, pure_rewrite_shaclb, rewrite
-from ontoshacl.shapes import And, Constraint, ShapesGraph, compute_stratification
+from ontoshacl.shapes import (
+    And,
+    Constraint,
+    ShapesGraph,
+    compute_stratification,
+    normalize,
+)
 from ontoshacl.tbox import UnsupportedPattern, saturate
+from oracles import set_rewrite
 
 # =============================================================================
 # FIXTURES
@@ -66,6 +76,12 @@ TWO_STRATUM_SHAPES = parse_constraints(
 
 TWO_STRATUM_DATA = parse_abox("A(a)\np(a,b)\nC(b)\n")
 
+# defect 4: a path shape and a guarded comparison under the benchmark's
+# `paths` ontology
+DEFECT_4_TBOX = parse_tbox("A <= some r.B\nB <= some r.C\nr <= s\n")
+
+DEFECT_4_SHAPES = parse_constraints("$s <- some <s/s*>.C\n$u <- (@a & eq(<q>,<q>))\n")
+
 
 def conjuncts(body):
     """Flatten a conjunction tree into its printed conjuncts."""
@@ -80,6 +96,19 @@ def emitted(tbox, shapes, **kw):
 
 def heads_with_conjuncts(out, head):
     return [frozenset(conjuncts(c.body)) for c in out if c.head == head]
+
+
+def normal_form(tbox, shapes):
+    """The saturated TBox and the stratified normal form of the shapes."""
+    nsg, _ = normalize(ShapesGraph.of(shapes))
+    return saturate(tbox), compute_stratification(nsg.constraints)
+
+
+def selftest_slice(seed, cases):
+    """The TBox and the constraints of the first selftest cases of a seed."""
+    for i in range(cases):
+        tbox, _, sg = gen_case(case_rng(seed, i))
+        yield tbox, sg.constraints
 
 
 # =============================================================================
@@ -161,16 +190,71 @@ def test_disjoint_shape_sets_rewrite_as_their_union():
 
 
 def test_defect_4_shapes_are_saturated_apart():
-    # a path shape and a guarded comparison under the benchmark's `paths`
-    # ontology: saturated together they needed 4,020 quadruples
-    tbox = parse_tbox("A <= some r.B\nB <= some r.C\nr <= s\n")
+    # saturated together the two shapes needed 4,020 quadruples
     abox = parse_abox("A(a)\nq(a,b)\nq(b,c)\nD(c)\nr(c,a)\n")
-    shapes = parse_constraints("$s <- some <s/s*>.C\n$u <- (@a & eq(<q>,<q>))\n")
     targets = [("s", "a"), ("s", "b"), ("s", "c"), ("u", "a")]
-    kb = prepare(tbox, abox, ShapesGraph.of(shapes, targets), depth=10)
+    kb = prepare(DEFECT_4_TBOX, abox, ShapesGraph.of(DEFECT_4_SHAPES, targets), depth=10)
     verdicts = ROUTES["rewrite"].run(kb).verdicts
     assert verdicts == {("s", "a"): True, ("s", "b"): False, ("s", "c"): True, ("u", "a"): True}
     assert kb.stats["quadruples"] < 2000
+
+
+# =============================================================================
+# BIT-ENCODED SATURATION
+# =============================================================================
+
+
+@pytest.mark.parametrize("seed", [0, 1, None], ids=["seed0", "seed1", "defect4"])
+def test_bit_saturation_matches_set_oracle(seed):
+    if seed is None:
+        cases = [(DEFECT_4_TBOX, DEFECT_4_SHAPES)]
+    else:
+        cases = selftest_slice(seed, 20)
+    for tbox, shapes in cases:
+        st, strat = normal_form(tbox, shapes)
+        stats = {}
+        got = rewrite(st, strat, stats=stats)
+        want, quadruples = set_rewrite(st, strat)
+        assert [str(c) for c in got] == [str(c) for c in want]
+        assert stats["quadruples"] == quadruples
+
+
+def test_every_new_key_is_within_the_budget(monkeypatch):
+    # one component with existential and constant bodies. Under any budget
+    # below the saturated count the rewriting stops with K exactly full: in
+    # the seed while the budget is below the seeded count, inside _close
+    # from there on. So no rule or merge step stores a key past the budget.
+    shapes = TWO_STRATUM_SHAPES + parse_constraints("$s <- @a\n")
+    st, strat = normal_form(TWO_STRATUM_TBOX, shapes)
+    stats = {}
+    rewrite(st, strat, stats=stats)
+    stages = []
+    for budget in range(1, stats["quadruples"]):
+        monkeypatch.setattr(rw, "MAX_QUADRUPLES", budget)
+        with pytest.raises(rw.RewriteTooLarge) as info:
+            rewrite(st, strat)
+        where = [entry.name for entry in info.traceback]
+        assert where[-1] == "_slot"
+        assert len(info.traceback[-1].frame.f_locals["K"]) == budget
+        stages.append("_close" if "_close" in where else "_seed_dict")
+    seeded = stages.count("_seed_dict")
+    assert stages == ["_seed_dict"] * seeded + ["_close"] * (len(stages) - seeded)
+    assert len(stages) - seeded > 1
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_emitted_bodies_are_minimal(seed):
+    # no body emitted for a head has all the conjuncts of another one
+    for tbox, shapes in selftest_slice(seed, 20):
+        st, strat = normal_form(tbox, shapes)
+        given = {c for group in strat.strata for c in group}
+        bodies = {}
+        for c in rewrite(st, strat):
+            if c not in given:
+                bodies.setdefault(c.head, []).append(frozenset(conjuncts(c.body)))
+        for head, found in bodies.items():
+            for small in found:
+                assert not any(small < other for other in found), (head, sorted(small))
 
 
 # =============================================================================
