@@ -28,12 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .chase import NotTerminated, SizeGuardExceeded, run_core_chase
 from .core import ABox, Interpretation, Role, TBox
-from .evaluate import (
-    TruncationRefused,
-    ValidationResult,
-    perfect_assignment_b,
-    validate,
-)
+from .evaluate import TruncationRefused, Verdicts, perfect_assignment_b, validate
 from .formats import (
     ParseError,
     parse_abox,
@@ -201,9 +196,6 @@ def load_shapes(cfg: RunConfig, renaming: Dict[str, Role]) -> ShapesGraph:
 
 STATS = ("quadruples", "model_nodes", "rounds")
 
-# (shape, individual) -> verdict; None where a truncated model cannot tell
-Verdicts = Dict[Tuple[str, str], Optional[bool]]
-
 
 @dataclass
 class PreparedKB:
@@ -243,31 +235,22 @@ class Outcome:
     items: Tuple[Item, ...] = ()  # the constraints --show-rewrite prints
 
 
-def _verdicts(res: ValidationResult) -> Verdicts:
-    # over a truncated model only the valid targets are definitive
-    return {
-        (r.shape, r.node): r.valid or (None if res.lower_bound else False)
-        for r in res.targets
-    }
-
-
 def _direct(kb: PreparedKB) -> Outcome:
     interp = build_can(
         kb.sat.tbox, kb.abox, depth=kb.depth, sat=kb.sat, completed=kb.completed
     )
-    return Outcome(interp, _verdicts(validate(interp, kb.sg)))
+    return Outcome(interp, validate(interp, kb.sg.constraints, kb.sg.targets))
 
 
 def _chase(kb: PreparedKB) -> Outcome:
     trace: List[Tuple[Interpretation, Interpretation]] = []
     interp = run_core_chase(kb.sat, kb.abox, max_rounds=kb.depth, trace=trace)
     kb.stats["rounds"] = len(trace)
-    return Outcome(interp, _verdicts(validate(interp, kb.sg)))
+    return Outcome(interp, validate(interp, kb.sg.constraints, kb.sg.targets))
 
 
-def _validate_over(data: ABox, cons: Sequence[Constraint], kb: PreparedKB) -> Outcome:
-    res = validate(data, ShapesGraph.of(cons, kb.sg.targets))
-    return Outcome(data, _verdicts(res), tuple(cons))
+def _validate_over(data: ABox, cons: Tuple[Constraint, ...], kb: PreparedKB) -> Outcome:
+    return Outcome(data, validate(data, cons, kb.sg.targets), cons)
 
 
 def _rewrite(kb: PreparedKB) -> Outcome:
@@ -280,8 +263,8 @@ def _pure_alchi(kb: PreparedKB) -> Outcome:
 
 def _pure_shaclb(kb: PreparedKB) -> Outcome:
     items = pure_rewrite_shaclb(kb.sat, kb.c_t)
-    unary = perfect_assignment_b(kb.abox, items).unary
-    verdicts = {(s, i): (s, i) in unary for s, i in kb.sg.targets}
+    unary, _ = perfect_assignment_b(kb.abox, items)
+    verdicts = {(s, i): i in unary.get(s, ()) for s, i in kb.sg.targets}
     return Outcome(kb.abox, verdicts, items)
 
 

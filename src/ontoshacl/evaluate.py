@@ -1,12 +1,14 @@
 """Fixpoint evaluation of shape constraints over finite interpretations.
 
-One engine serves unary and binary (SHACL^b) shapes alike. It computes
-the perfect assignment stratum by stratum, in the strata of
-``shapes.compute_stratification``: each stratum is a least fixpoint that
-grows unary and binary atoms jointly, seeded with the finished lower
-strata and reading negation as failure against them. ``validate`` reads
-per-target verdicts off the unary atoms; ``perfect_assignment_b`` returns
-both kinds.
+One engine, ``_fixpoint``, serves unary and binary (SHACL^b) shapes
+alike. It computes the perfect assignment stratum by stratum, in the
+strata of ``shapes.compute_stratification``: each stratum is a least
+fixpoint that grows unary and binary atoms jointly, seeded with the
+finished lower strata and reading negation as failure against them. The
+perfect assignment does not depend on the order of the constraints, so
+they are evaluated in the order given. ``validate`` returns the verdict
+of each target, read off the unary table; ``perfect_assignment_b``
+returns the unary and binary tables.
 
 Evaluation reads the interpretation's index (``core.GraphIndex``) and never
 scans all node pairs. The fixpoint keeps its atoms as tables from shape
@@ -22,7 +24,6 @@ item of its stratum.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .core import Interpretation, Node, Role
@@ -32,6 +33,7 @@ from .shapes import (
     BinConstraint,
     BinRef,
     ConceptRef,
+    Constraint,
     ExistsPath,
     ExistsRoles,
     ExistsVia,
@@ -52,17 +54,17 @@ from .shapes import (
     RoleStep,
     ShapeBody,
     ShapeRef,
-    ShapesGraph,
-    Stratification,
     Test,
     UnguardedComparison,
     compute_stratification,
     has_negation,
 )
 
-Assignment = FrozenSet[Tuple[str, Node]]
-BinAssignment = FrozenSet[Tuple[str, Node, Node]]
 Pair = Tuple[Node, Node]
+# shape name -> nodes, and edge-shape name -> node pairs
+Tables = Tuple[Dict[str, Set[Node]], Dict[str, Set[Pair]]]
+# (shape, individual) -> verdict; None where a truncated model cannot tell
+Verdicts = Dict[Tuple[str, str], Optional[bool]]
 # path automata compiled during one evaluation, dropped when it returns
 NFAs = Dict[Regex, NFA]
 
@@ -231,45 +233,11 @@ class _Evaluator:
         raise TypeError(f"unknown path {p!r}")
 
 
-def _evaluator(
-    interp: Interpretation, assign: Assignment, bin_assign: BinAssignment, nfas: NFAs
-) -> _Evaluator:
-    unary: Dict[str, Set[Node]] = {}
-    binary: Dict[str, Set[Pair]] = {}
-    for s, n in assign:
-        unary.setdefault(s, set()).add(n)
-    for s, x, y in bin_assign:
-        binary.setdefault(s, set()).add((x, y))
-    return _Evaluator(interp, unary, binary, nfas)
-
-
-def eval_body(
-    body: ShapeBody,
-    interp: Interpretation,
-    assign: Assignment,
-    bin_assign: BinAssignment = frozenset(),
-    nfas: Optional[NFAs] = None,
-) -> FrozenSet[Node]:
-    ev = _evaluator(interp, assign, bin_assign, {} if nfas is None else nfas)
-    return frozenset(ev.body(body))
-
-
-def eval_path(
-    p: PathExpr,
-    interp: Interpretation,
-    assign: Assignment,
-    bin_assign: BinAssignment,
-) -> FrozenSet[Pair]:
-    return frozenset(_evaluator(interp, assign, bin_assign, {}).path(p))
-
-
 # ---------------------------------------------------------------------------
 # the fixpoint engine
 
 
-def _fixpoint(
-    interp: Interpretation, strata: Sequence[Sequence[Item]]
-) -> Tuple[Dict[str, Set[Node]], Dict[str, Set[Pair]]]:
+def _fixpoint(interp: Interpretation, strata: Sequence[Sequence[Item]]) -> Tables:
     """Unary and binary atoms of the perfect assignment, stratum by stratum.
 
     Within a stratum every round evaluates each item and adds its atoms at
@@ -293,60 +261,25 @@ def _fixpoint(
     return ev.unary, ev.binary
 
 
-def perfect_assignment(interp: Interpretation, strat: Stratification) -> Assignment:
-    unary, _ = _fixpoint(interp, strat.strata)
-    return frozenset((s, n) for s, ns in unary.items() for n in ns)
-
-
-@dataclass(frozen=True)
-class TargetResult:
-    shape: str
-    node: str
-    valid: bool
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    targets: Tuple[TargetResult, ...]
-    valid: bool
-    lower_bound: bool  # evaluated over a truncated model, positive-only
-    undefined_shapes: Tuple[str, ...]
-
-
-def validate(interp: Interpretation, sg: ShapesGraph) -> ValidationResult:
-    """Per-target verdicts from the perfect assignment."""
-    strat = compute_stratification(sg.constraints)
-    negation = any(has_negation(c.body) for c in sg.constraints)
-    if not interp.complete and negation:
+def validate(
+    interp: Interpretation,
+    constraints: Sequence[Constraint],
+    targets: Iterable[Tuple[str, str]],
+) -> Verdicts:
+    """Per-target verdicts from the perfect assignment. Over a truncated
+    model only a target that holds is definitive; one that fails is None."""
+    strat = compute_stratification(constraints)
+    if not interp.complete and any(has_negation(c.body) for c in constraints):
         raise TruncationRefused(
             "constraints use negation but the model is a truncated "
             "approximation; negative facts at the frontier are unreliable"
         )
     unary, _ = _fixpoint(interp, strat.strata)
-    results = tuple(
-        TargetResult(shape, ind, ind in unary.get(shape, _EMPTY))
-        for shape, ind in sg.targets
-    )
-    return ValidationResult(
-        results,
-        all(r.valid for r in results),
-        not interp.complete,
-        sg.undefined_target_shapes(),
-    )
+    failed = False if interp.complete else None
+    return {(shape, ind): ind in unary.get(shape, _EMPTY) or failed for shape, ind in targets}
 
 
-@dataclass(frozen=True)
-class ShapeAssignmentB:
-    unary: Assignment
-    binary: BinAssignment
-
-
-def perfect_assignment_b(
-    interp: Interpretation, constraints: Sequence[Item]
-) -> ShapeAssignmentB:
-    """Joint unary/binary perfect assignment of a SHACL^b constraint set."""
-    unary, binary = _fixpoint(interp, compute_stratification(constraints).strata)
-    return ShapeAssignmentB(
-        frozenset((s, n) for s, ns in unary.items() for n in ns),
-        frozenset((s, x, y) for s, pairs in binary.items() for x, y in pairs),
-    )
+def perfect_assignment_b(interp: Interpretation, constraints: Sequence[Item]) -> Tables:
+    """The unary and binary tables of a SHACL^b constraint set's perfect
+    assignment."""
+    return _fixpoint(interp, compute_stratification(constraints).strata)

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import model
 from .chase import NotTerminated, SizeGuardExceeded
-from .cli import ROUTES, Verdicts, prepare
+from .cli import ROUTES, prepare
 from .core import (
     TOP,
     ABox,
@@ -33,6 +33,7 @@ from .core import (
     TBox,
     ValueRestriction,
 )
+from .evaluate import Verdicts
 from .formats import (
     serialize_constraints,
     serialize_interpretation,
@@ -238,15 +239,12 @@ def shrink(
     atom goes is gone too, as it is from the printed repro.
     """
 
-    def axioms(t: TBox) -> List:
-        return list(t.conj) + list(t.atmost) + list(t.value) + list(t.exists) + list(t.roles)
-
     spent = 0
     changed = True
     while changed and spent < budget:
         changed = False
-        for ax in axioms(tbox):
-            cand = TBox.of([a for a in axioms(tbox) if a != ax])
+        for ax in tbox.axioms():
+            cand = TBox.of([a for a in tbox.axioms() if a != ax])
             spent += 1
             if _still_fails(cand, abox, sg):
                 tbox, changed = cand, True

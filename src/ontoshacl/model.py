@@ -52,9 +52,9 @@ class ModelTooLarge(RuntimeError):
 # ABox completion
 
 
-def _complete(
-    tbox: TBox, abox: ABox, sat: Optional[SaturatedTBox] = None
-) -> Tuple[ABox, Optional[str]]:
+def complete_abox(tbox: TBox, abox: ABox, sat: Optional[SaturatedTBox] = None) -> ABox:
+    """The data closed under the TBox; raises InconsistentKB, with the
+    reason, when the knowledge base is inconsistent."""
     sat = sat or saturate(tbox)
     individuals = abox.individuals()
     # the atoms, with each individual's concepts and each role's
@@ -119,11 +119,10 @@ def _complete(
                             add_edge(r, a, b)
         changed = (len(concepts), len(edges)) != before
 
-    completed = Interpretation(frozenset(concepts), frozenset(edges), abox.nodes)
     # consistency: bottom membership
     for a in individuals:
         if BOT in ctype[a]:
-            return completed, f"bot holds at {a}"
+            raise InconsistentKB(f"bot holds at {a}")
     # consistency: two distinct named witnesses under a counted role
     for ax in tbox.atmost:
         for a in individuals:
@@ -135,25 +134,11 @@ def _complete(
                 if ax.filler == TOP or ax.filler in ctype[b]
             ]
             if len(wits) > 1:
-                return (
-                    completed,
+                raise InconsistentKB(
                     f"{a} has {len(wits)} named {ax.role}.{ax.filler} successors "
-                    f"but at most one is allowed",
+                    f"but at most one is allowed"
                 )
-    return completed, None
-
-
-def complete_abox(tbox: TBox, abox: ABox, sat: Optional[SaturatedTBox] = None) -> ABox:
-    completed, failure = _complete(tbox, abox, sat)
-    if failure is not None:
-        raise InconsistentKB(failure)
-    return completed
-
-
-def completion_failure(tbox: TBox, abox: ABox) -> Optional[str]:
-    """None when consistent, else a human-readable reason."""
-    _, failure = _complete(tbox, abox)
-    return failure
+    return Interpretation(frozenset(concepts), frozenset(edges), abox.nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -46,10 +46,11 @@ from .shapes import (
     RoleStep,
     ShapeBody,
     ShapeRef,
-    ShapesGraph,
     Stratification,
     Test,
     _components,
+    concept_names,
+    shape_names,
     shape_occurrences,
 )
 from .tbox import SaturatedTBox, UnsupportedPattern, _key_exist
@@ -454,7 +455,7 @@ def _completion_dict(
     Adds the failed existential and constant bodies to Q and the negations
     of settled-but-unfired shape names to H.
     """
-    settled = sorted(ShapesGraph.of(cons).shape_names() | extra_settled)
+    settled = sorted(shape_names(cons) | extra_settled)
     _, by_ind, _, _, _, by_exists = _classify(cons)
     # (head, body): the body goes into Q where the head did not fire
     failed = [
@@ -476,10 +477,7 @@ def _completion_dict(
 
 
 def _nc_universe(st: SaturatedTBox, cons: Sequence[Constraint]) -> FrozenSet[str]:
-    sg = ShapesGraph.of(cons, ())
-    return frozenset(
-        (st.tbox.concept_names() | sg.concept_names()) - {TOP, BOT}
-    )
+    return (st.tbox.concept_names() | concept_names(cons)) - {TOP, BOT}
 
 
 def _entry_body(e: Entry) -> ShapeBody:
@@ -604,7 +602,7 @@ def _rewrite_component(
     codes = _Codes(_type_universe(st, nc))
     K = _seed_dict(ctx, codes)
 
-    occurring = ShapesGraph.of(cons).shape_names()
+    occurring = shape_names(cons)
     out = list(cons)
     for i, group in enumerate(strata):
         scope = tuple(c for g in strata[:i] for c in g)

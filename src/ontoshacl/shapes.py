@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .core import TOP, Role
 from .paths import NFA, Regex, regex_str, regex_to_nfa
@@ -84,7 +84,8 @@ class And:
 
 @dataclass(frozen=True)
 class Not:
-    """General complement; not in the source grammar, used internally."""
+    """General complement, written ``!(...)``; ``normalize`` compiles it to
+    a negated shape reference."""
 
     body: "ShapeBody"
 
@@ -274,28 +275,36 @@ class ShapesGraph:
     def of(
         constraints: Sequence[Constraint], targets: Sequence[Tuple[str, str]] = ()
     ) -> "ShapesGraph":
+        """Deduplicated and sorted, constraints by printed form: the order
+        every later layer keeps."""
         return ShapesGraph(
             tuple(sorted(set(constraints), key=str)), tuple(sorted(set(targets)))
         )
 
     def shape_names(self) -> FrozenSet[str]:
-        out: Set[str] = set()
-        for c in self.constraints:
-            out.add(c.head)
-            out |= {n for n, _ in shape_occurrences(c.body)}
-        out |= {s for s, _ in self.targets}
-        return frozenset(out)
-
-    def concept_names(self) -> FrozenSet[str]:
-        out: Set[str] = set()
-        for c in self.constraints:
-            out |= _concepts_in(c.body)
-        return frozenset(out - {TOP})
+        return shape_names(self.constraints) | {s for s, _ in self.targets}
 
     def undefined_target_shapes(self) -> Tuple[str, ...]:
         """Target shapes that no constraint has as its head, sorted."""
         defined = {c.head for c in self.constraints}
         return tuple(sorted({s for s, _ in self.targets} - defined))
+
+
+def shape_names(items: Iterable[Item]) -> FrozenSet[str]:
+    """The heads and the shape names the bodies read."""
+    out: Set[str] = set()
+    for it in items:
+        out.add(it.head)
+        out |= {n for n, _ in shape_occurrences(it.body)}
+    return frozenset(out)
+
+
+def concept_names(items: Iterable[Constraint]) -> FrozenSet[str]:
+    """The concept names the bodies read, the top token excluded."""
+    out: Set[str] = set()
+    for c in items:
+        out |= _concepts_in(c.body)
+    return frozenset(out - {TOP})
 
 
 def _concepts_in(body: ShapeBody) -> Set[str]:
@@ -510,13 +519,6 @@ def normalize(sg: ShapesGraph) -> Tuple[ShapesGraph, Dict[str, str]]:
 @dataclass(frozen=True)
 class Stratification:
     strata: Tuple[Tuple[Item, ...], ...]
-    index: Tuple[Tuple[str, int], ...]  # shape name -> stratum
-
-    def stratum_of(self, name: str) -> int:
-        for n, i in self.index:
-            if n == name:
-                return i
-        return 0
 
 
 class NotStratified(ValueError):
@@ -533,10 +535,9 @@ def compute_stratification(items: Sequence[Item]) -> Stratification:
     when the occurrence is negative. A strongly connected component that
     holds a marked edge is rejected with a cycle through that edge.
     Otherwise a name's stratum is the largest number of marked edges on
-    any path into it. Empty strata are dropped, and names that head no
-    constraint sit in stratum 0.
+    any path into it. Empty strata are dropped, and each stratum keeps
+    the order of ``items``.
     """
-    items = sorted(set(items), key=str)
     succ: Dict[str, Set[str]] = {}
     marked: Set[Tuple[str, str]] = set()
     for it in items:
@@ -563,12 +564,10 @@ def compute_stratification(items: Sequence[Item]) -> Stratification:
 
     used = sorted({level[it.head] for it in items})
     renum = {lvl: i for i, lvl in enumerate(used)}
-    heads = {it.head for it in items}
-    index = {n: renum[lvl] if n in heads else 0 for n, lvl in level.items()}
     strata: List[List[Item]] = [[] for _ in used]
     for it in items:
-        strata[index[it.head]].append(it)
-    return Stratification(tuple(map(tuple, strata)), tuple(sorted(index.items())))
+        strata[renum[level[it.head]]].append(it)
+    return Stratification(tuple(map(tuple, strata)))
 
 
 def _components(adj: Dict[str, List[str]]) -> List[List[str]]:

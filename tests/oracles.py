@@ -34,7 +34,7 @@ from ontoshacl.core import (
     node_key,
     type_key,
 )
-from ontoshacl.model import completion_failure
+from ontoshacl.model import InconsistentKB, complete_abox
 from ontoshacl.paths import RAlt, RSeq, RStar, RSym, Regex
 from ontoshacl.rewrite import (
     BasicConceptExpr,
@@ -71,9 +71,9 @@ from ontoshacl.shapes import (
     PUnion,
     ShapeBody,
     ShapeRef,
-    ShapesGraph,
     Stratification,
     Test,
+    shape_names,
 )
 from ontoshacl.tbox import SaturatedTBox
 
@@ -727,7 +727,7 @@ def naive_levels(items) -> Optional[Dict[str, int]]:
 # entry points only the tests call: endomorphism classification, the
 # oblivious chase and consistency. Unlike the oracles above they drive
 # package internals (``chase._search_endos``, ``chase.fire_axioms``,
-# ``model.completion_failure``).
+# ``model.complete_abox``).
 
 
 @dataclass(frozen=True)
@@ -800,7 +800,11 @@ def run_oblivious_chase(
 
 def is_consistent(tbox: TBox, abox: ABox) -> bool:
     """Whether the knowledge base has a model (standard names assumed)."""
-    return completion_failure(tbox, abox) is None
+    try:
+        complete_abox(tbox, abox)
+    except InconsistentKB:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -953,7 +957,7 @@ def _set_close(cons: Sequence[Constraint], K: _SetK, ctx: _Ctx) -> None:
 def _set_completion(
     K: _SetK, cons: Sequence[Constraint], extra_settled: FrozenSet[str]
 ) -> _SetK:
-    settled = sorted(ShapesGraph.of(cons).shape_names() | extra_settled)
+    settled = sorted(shape_names(cons) | extra_settled)
     _, by_ind, _, _, _, by_exists = _classify_constraints(cons)
     out: _SetK = {}
     for (t, p, q), h in K.items():
@@ -1019,7 +1023,7 @@ def set_rewrite(
         cons = [c for group in strata for c in group]
         nc = _nc_universe(st, cons)
         K = _set_seed(ctx, _type_universe(st, nc))
-        occurring = ShapesGraph.of(cons).shape_names()
+        occurring = shape_names(cons)
         out.extend(cons)
         for i, group in enumerate(strata):
             scope = tuple(c for g in strata[:i] for c in g)

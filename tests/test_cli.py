@@ -14,6 +14,8 @@ import sys
 import pytest
 
 from ontoshacl import cli, model, rewrite
+from ontoshacl.formats import parse_constraints
+from ontoshacl.shapes import Constraint, ShapesGraph, normalize
 
 MODES = ("direct", "rewrite", "pure-alchi", "pure-shaclb", "chase")
 
@@ -227,3 +229,22 @@ def test_show_rewrite_does_not_depend_on_the_hash_seed(tmp_path, mode):
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
     assert outs[0].count("\n") > len(HASHED_TARGETS.splitlines()) + 3
+
+
+def test_a_rewrite_run_orders_each_constraint_set_once(tmp_path, monkeypatch, capsys):
+    # the source shapes and their normal form are sorted by printed form
+    # when they are made; no later layer prints a constraint to re-sort it
+    sg = ShapesGraph.of(parse_constraints(HASHED_SHAPES))
+    normal, _ = normalize(sg)
+    printed = []
+    to_str = Constraint.__str__
+
+    def counted(c):
+        printed.append(c)
+        return to_str(c)
+
+    monkeypatch.setattr(Constraint, "__str__", counted)
+    rc = validate(tmp_path, "rewrite", HASHED_TARGETS, tbox=HASHED_TBOX, abox=HASHED_ABOX,
+                  shapes=HASHED_SHAPES, extra=["--format", "json"])
+    assert rc in (cli.EXIT_VALID, cli.EXIT_VIOLATIONS), capsys.readouterr().err
+    assert len(printed) <= len(sg.constraints) + len(normal.constraints)

@@ -12,10 +12,15 @@ Two pinned fixtures:
 Pure routes are checked on small KBs by comparing verdicts against
 validation over the completed graph. Shapes that read no common shape
 name are rewritten apart, so their quadruples add up instead of
-multiplying. The bit-encoded saturation is checked against the set-based
-one kept in ``oracles.set_rewrite``.
+multiplying. A shrunk selftest case pins the check that settles a
+child's witness claims against its parent, and shuffled rewritings pin
+that verdicts do not depend on the order of C_T. The bit-encoded
+saturation is checked against the set-based one kept in
+``oracles.set_rewrite``.
 """
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -31,7 +36,7 @@ from ontoshacl.core import (
 from ontoshacl.evaluate import perfect_assignment_b, validate
 from ontoshacl.formats import parse_abox, parse_constraints, parse_tbox
 from ontoshacl.harness import case_rng, gen_case
-from ontoshacl.model import complete_abox
+from ontoshacl.model import InconsistentKB, complete_abox
 from ontoshacl.rewrite import pure_rewrite_alchi, pure_rewrite_shaclb, rewrite
 from ontoshacl.shapes import (
     And,
@@ -39,6 +44,7 @@ from ontoshacl.shapes import (
     ShapesGraph,
     compute_stratification,
     normalize,
+    shape_names,
 )
 from ontoshacl.tbox import UnsupportedPattern, saturate
 from oracles import set_rewrite
@@ -81,6 +87,16 @@ TWO_STRATUM_DATA = parse_abox("A(a)\np(a,b)\nC(b)\n")
 DEFECT_4_TBOX = parse_tbox("A <= some r.B\nB <= some r.C\nr <= s\n")
 
 DEFECT_4_SHAPES = parse_constraints("$s <- some <s/s*>.C\n$u <- (@a & eq(<q>,<q>))\n")
+
+DEFECT_4_DATA = parse_abox("A(a)\nq(a,b)\nq(b,c)\nD(c)\nr(c,a)\n")
+
+DEFECT_4_TARGETS = [("s", "a"), ("s", "b"), ("s", "c"), ("u", "a")]
+
+# selftest case (6, 39), shrunk: the anonymous p-child of d is an r-edge
+# in both directions, so an s0 claim of the child could only rest on d
+DISCHARGE_TBOX = parse_tbox("C4 <= some p.top\np <= r\n^p <= r\n")
+
+DISCHARGE_SHAPES = parse_constraints("$s0 <- some [^r].$s0\n")
 
 
 def conjuncts(body):
@@ -126,11 +142,7 @@ def test_chain_target_is_valid_over_the_completed_graph():
     out = emitted(CHAIN_TBOX, CHAIN_SHAPES)
     completed = complete_abox(CHAIN_TBOX, CHAIN_DATA)
     assert completed == CHAIN_DATA  # nothing ground to add here
-    res = validate(
-        completed,
-        ShapesGraph.of(out, targets=[("s", "a")]),
-    )
-    assert res.valid
+    assert validate(completed, out, [("s", "a")]) == {("s", "a"): True}
 
 
 def test_two_stratum_emission_threads_the_lower_shape():
@@ -142,11 +154,7 @@ def test_two_stratum_emission_threads_the_lower_shape():
 def test_two_stratum_target_is_valid_over_the_completed_graph():
     out = emitted(TWO_STRATUM_TBOX, TWO_STRATUM_SHAPES)
     completed = complete_abox(TWO_STRATUM_TBOX, TWO_STRATUM_DATA)
-    res = validate(
-        completed,
-        ShapesGraph.of(out, targets=[("s", "a")]),
-    )
-    assert res.valid
+    assert validate(completed, out, [("s", "a")]) == {("s", "a"): True}
 
 
 def test_rewrite_is_deterministic_and_reports_work():
@@ -160,8 +168,7 @@ def test_rewrite_is_deterministic_and_reports_work():
 def test_rewrite_output_never_mentions_fresh_unknown_shapes():
     out = emitted(TWO_STRATUM_TBOX, TWO_STRATUM_SHAPES)
     original = {c.head for c in TWO_STRATUM_SHAPES}
-    sg = ShapesGraph.of(out)
-    assert {h for h in sg.shape_names()} <= original
+    assert shape_names(out) <= original
 
 
 # =============================================================================
@@ -191,12 +198,45 @@ def test_disjoint_shape_sets_rewrite_as_their_union():
 
 def test_defect_4_shapes_are_saturated_apart():
     # saturated together the two shapes needed 4,020 quadruples
-    abox = parse_abox("A(a)\nq(a,b)\nq(b,c)\nD(c)\nr(c,a)\n")
-    targets = [("s", "a"), ("s", "b"), ("s", "c"), ("u", "a")]
-    kb = prepare(DEFECT_4_TBOX, abox, ShapesGraph.of(DEFECT_4_SHAPES, targets), depth=10)
+    sg = ShapesGraph.of(DEFECT_4_SHAPES, DEFECT_4_TARGETS)
+    kb = prepare(DEFECT_4_TBOX, DEFECT_4_DATA, sg, depth=10)
     verdicts = ROUTES["rewrite"].run(kb).verdicts
     assert verdicts == {("s", "a"): True, ("s", "b"): False, ("s", "c"): True, ("u", "a"): True}
     assert kb.stats["quadruples"] < 2000
+
+
+# =============================================================================
+# CHILD DISCHARGE AND CONSTRAINT ORDER
+# =============================================================================
+
+
+def test_child_claims_are_discharged_against_the_parent():
+    # s0 has no base case, so it holds nowhere. A child quadruple that
+    # claims s0 only through its parent must not derive s0 for the parent:
+    # without the discharge test in ``rewrite._close`` the three rewrite
+    # routes call this target VALID
+    sg = ShapesGraph.of(DISCHARGE_SHAPES, [("s0", "d")])
+    kb = prepare(DISCHARGE_TBOX, parse_abox("C4(d)\n"), sg, depth=10)
+    for mode, route in ROUTES.items():
+        assert route.run(kb).verdicts == {("s0", "d"): False}, mode
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, None], ids=["seed0", "seed1", "seed2", "defect4"])
+def test_verdicts_do_not_depend_on_the_constraint_order(seed):
+    if seed is None:
+        cases = [(DEFECT_4_TBOX, DEFECT_4_DATA, ShapesGraph.of(DEFECT_4_SHAPES, DEFECT_4_TARGETS))]
+    else:
+        cases = [gen_case(case_rng(seed, i)) for i in range(10)]
+    rng = random.Random(seed)
+    for tbox, abox, sg in cases:
+        try:
+            kb = prepare(tbox, abox, sg, depth=10)
+        except InconsistentKB:
+            continue
+        want = validate(kb.completed, kb.c_t, sg.targets)
+        for _ in range(3):
+            shuffled = rng.sample(kb.c_t, len(kb.c_t))
+            assert validate(kb.completed, shuffled, sg.targets) == want
 
 
 # =============================================================================
@@ -265,9 +305,7 @@ def test_emitted_bodies_are_minimal(seed):
 def test_pure_alchi_agrees_on_the_chain_fixture():
     c_t = emitted(CHAIN_TBOX, CHAIN_SHAPES)
     plus = pure_rewrite_alchi(saturate(CHAIN_TBOX), c_t)
-    raw = CHAIN_DATA
-    res = validate(raw, ShapesGraph.of(plus, targets=[("s", "a")]))
-    assert res.valid
+    assert validate(CHAIN_DATA, plus, [("s", "a")]) == {("s", "a"): True}
 
 
 def test_pure_alchi_refuses_counting_axioms():
@@ -296,13 +334,8 @@ def test_pure_binary_route_recovers_completion_merges():
 
     completed = complete_abox(tb, ab)
     assert ("B", "c") in completed.concept_atoms
-    over_completed = validate(
-        completed,
-        ShapesGraph.of(c_t, targets=[("s", "a")]),
-    )
+    assert validate(completed, c_t, [("s", "a")]) == {("s", "a"): True}
 
     items = pure_rewrite_shaclb(saturate(tb), c_t)
-    asg = perfect_assignment_b(ab, items)
-    raw_verdict = ("s", "a") in asg.unary
-    assert over_completed.valid
-    assert raw_verdict
+    unary, _ = perfect_assignment_b(ab, items)
+    assert "a" in unary["s"]

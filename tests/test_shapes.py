@@ -38,9 +38,11 @@ from ontoshacl.shapes import (
     Test as ShapeTest,
     UnguardedComparison,
     compute_stratification,
+    concept_names,
     has_negation,
     is_normal,
     normalize,
+    shape_names,
     shape_occurrences,
 )
 from ontoshacl.paths import parse_regex
@@ -156,14 +158,18 @@ def test_normalize_accepts_guarded_comparisons():
 # =============================================================================
 
 
+def stratum_index(strat, head):
+    """The index of the one stratum that holds the constraints with this head."""
+    (i,) = {i for i, group in enumerate(strat.strata) for it in group if it.head == head}
+    return i
+
+
 def test_positive_recursion_sits_in_one_stratum():
     cs = [
         Constraint("s", exists("r", ShapeRef("s"))),
         Constraint("s", ConceptRef("A")),
     ]
-    st = compute_stratification(cs)
-    assert len(st.strata) == 1
-    assert st.stratum_of("s") == 0
+    assert compute_stratification(cs).strata == (tuple(cs),)
 
 
 def test_negation_pushes_the_reader_up():
@@ -172,7 +178,7 @@ def test_negation_pushes_the_reader_up():
         Constraint("s", NegShapeRef("t")),
     ]
     st = compute_stratification(cs)
-    assert st.stratum_of("t") < st.stratum_of("s")
+    assert stratum_index(st, "t") < stratum_index(st, "s")
 
 
 def test_self_negation_is_rejected():
@@ -213,25 +219,22 @@ def test_two_stratum_negation_example_layers_as_expected():
         Constraint("s", And(ShapeRef("sp"), ShapeRef("spp"))),
     ]
     st = compute_stratification(c0 + c1)
-    assert st.stratum_of("s_C") < st.stratum_of("spp")
-    assert st.stratum_of("s_C") < st.stratum_of("s")
-    assert st.stratum_of("sp") < st.stratum_of("spp")
-    assert st.stratum_of("sp") < st.stratum_of("s")
-    # the strata partition the constraints
-    flat = [c for group in st.strata for c in group]
-    assert sorted(flat, key=str) == sorted(c0 + c1, key=str)
+    assert stratum_index(st, "s_C") < stratum_index(st, "spp")
+    assert stratum_index(st, "s_C") < stratum_index(st, "s")
+    assert stratum_index(st, "sp") < stratum_index(st, "spp")
+    assert stratum_index(st, "sp") < stratum_index(st, "s")
+    # the strata partition the constraints, each in the order given
+    assert st.strata == (tuple(c0), tuple(c1))
 
 
 def test_empty_constraint_set_stratifies_trivially():
-    st = compute_stratification([])
-    assert st.strata == () and st.index == ()
+    assert compute_stratification([]).strata == ()
 
 
-def test_stratification_indexes_undefined_names_too():
+def test_negating_an_undefined_name_keeps_stratum_0():
+    # packing drops the empty bottom layer of the undefined name
     cs = [Constraint("s", NegShapeRef("ghost"))]
-    st = compute_stratification(cs)
-    assert st.stratum_of("ghost") == 0
-    assert st.stratum_of("s") == 0  # packing drops the empty bottom layer
+    assert compute_stratification(cs).strata == (tuple(cs),)
 
 
 # random unary and binary constraint sets over a few shared names
@@ -287,17 +290,14 @@ def random_items(rng: random.Random):
 
 
 def packed(items, level) -> Stratification:
-    """The stratification the levels describe: constraint heads renumbered
-    over the non-empty levels, every other name at stratum 0."""
-    items = sorted(set(items), key=str)
+    """The stratification the levels describe: the items grouped by the
+    level of their head over the non-empty levels, each group in input
+    order."""
     used = sorted({level[it.head] for it in items})
-    renum = {lv: i for i, lv in enumerate(used)}
-    heads = {it.head for it in items}
-    index = {n: renum[lv] if n in heads else 0 for n, lv in level.items()}
     strata = tuple(
-        tuple(it for it in items if index[it.head] == i) for i in range(len(used))
+        tuple(it for it in items if level[it.head] == lv) for lv in used
     )
-    return Stratification(strata, tuple(sorted(index.items())))
+    return Stratification(strata)
 
 
 @settings(max_examples=300, deadline=None)
@@ -330,5 +330,5 @@ def test_shapes_graph_of_sorts_and_deduplicates():
     sg = ShapesGraph.of([c1, c2, c1], targets=[("s", "b"), ("s", "a")])
     assert sg.constraints == (c2, c1)
     assert sg.targets == (("s", "a"), ("s", "b"))
-    assert sg.shape_names() == frozenset({"s", "r"})
-    assert sg.concept_names() == frozenset({"A", "B"})
+    assert sg.shape_names() == shape_names(sg.constraints) == frozenset({"s", "r"})
+    assert concept_names(sg.constraints) == frozenset({"A", "B"})
