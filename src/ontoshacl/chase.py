@@ -4,13 +4,15 @@
 existential fires regardless of existing witnesses, with nulls keyed by
 (trigger, parent) so a refire is a no-op. ``core_of`` shrinks a finite
 structure by iterated proper retractions. ``run_core_chase`` alternates
-the two. Endomorphism enumeration is plain backtracking and guarded by
-a node bound; this module exists to cross-check the model builder, not
-to validate production data.
+the two. ``homomorphisms`` is the one search for structure-preserving
+maps: ``core_of`` takes its first retraction from it and
+``is_isomorphic`` its first injective map. It is plain backtracking,
+guarded by a node bound; this module exists to cross-check the model
+builder, not to validate production data.
 """
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from .core import (
     TOP,
@@ -162,51 +164,45 @@ def _guard(interp: Interpretation, max_nodes: int) -> None:
         )
 
 
-def _search_endos(
-    interp: Interpretation,
-    forbidden_image: FrozenSet[Node] = frozenset(),
-    first_only: bool = False,
-) -> List[Dict[Node, Node]]:
-    nodes = interp.domain()
-    ctypes = {n: interp.concepts_of(n) for n in nodes}
-    out_edges: Dict[Node, List[Tuple[str, Node]]] = {n: [] for n in nodes}
-    in_edges: Dict[Node, List[Tuple[str, Node]]] = {n: [] for n in nodes}
-    for r, a, b in sorted(interp.role_atoms, key=lambda e: (e[0], node_key(e[1]), node_key(e[2]))):
-        out_edges[a].append((r, b))
-        in_edges[b].append((r, a))
-    results: List[Dict[Node, Node]] = []
+def homomorphisms(
+    src: Interpretation,
+    dst: Interpretation,
+    avoid: FrozenSet[Node] = frozenset(),
+    injective: bool = False,
+) -> Iterator[Dict[Node, Node]]:
+    """Every homomorphism from src to dst that fixes named individuals and
+    has no image in ``avoid``, by backtracking: src nodes in ``domain()``
+    order, candidates in ``dst.domain()`` order."""
+    nodes = src.domain()
+    targets = dst.domain()
 
     def ok(x: Node, y: Node, partial: Dict[Node, Node]) -> bool:
-        if y in forbidden_image:
+        if y in avoid or (injective and y in partial.values()):
             return False
-        if not ctypes[x] <= ctypes[y]:
+        if not src.concepts_of(x) <= dst.concepts_of(y):
             return False
-        for r, b in out_edges[x]:
-            if b in partial and (r, y, partial[b]) not in interp.role_atoms:
-                return False
-            if b == x and (r, y, y) not in interp.role_atoms:
-                return False
-        for r, a in in_edges[x]:
-            if a in partial and (r, partial[a], y) not in interp.role_atoms:
+        for z, roles in src.links(x).items():
+            image = y if z == x else partial.get(z)
+            if image is not None and not roles <= dst.roles_between(y, image):
                 return False
         return True
 
-    def rec(i: int, partial: Dict[Node, Node]) -> bool:
+    def rec(i: int, partial: Dict[Node, Node]) -> Iterator[Dict[Node, Node]]:
         if i == len(nodes):
-            results.append(dict(partial))
-            return first_only
+            yield dict(partial)
+            return
         x = nodes[i]
-        cands = [x] if isinstance(x, str) else nodes
+        if isinstance(x, str):
+            cands = [x] if x in dst.nodes else []
+        else:
+            cands = targets
         for y in cands:
             if ok(x, y, partial):
                 partial[x] = y
-                if rec(i + 1, partial):
-                    return True
+                yield from rec(i + 1, partial)
                 del partial[x]
-        return False
 
-    rec(0, {})
-    return results
+    return rec(0, {})
 
 
 def core_of(atoms: Interpretation, max_nodes: int = DEFAULT_NODE_BOUND) -> Interpretation:
@@ -219,9 +215,9 @@ def core_of(atoms: Interpretation, max_nodes: int = DEFAULT_NODE_BOUND) -> Inter
         for v in current.domain():
             if isinstance(v, str):
                 continue
-            found = _search_endos(current, forbidden_image=frozenset({v}), first_only=True)
-            if found:
-                current = current.restrict(set(found[0].values()))
+            found = next(homomorphisms(current, current, avoid=frozenset({v})), None)
+            if found is not None:
+                current = current.restrict(set(found.values()))
                 shrunk = True
                 break
     return current
@@ -251,60 +247,17 @@ def run_core_chase(
 
 
 def is_isomorphic(a: Interpretation, b: Interpretation, max_nodes: int = 64) -> bool:
-    """Bijective strong homomorphism fixing named individuals."""
+    """Bijective strong homomorphism fixing named individuals.
+
+    With equal node and atom counts, an injective homomorphism is one: it
+    maps the atoms of a one to one into those of b, so onto them.
+    """
     _guard(a, max_nodes)
     _guard(b, max_nodes)
+    if a.individuals() != b.individuals():
+        return False
     if len(a.nodes) != len(b.nodes):
         return False
     if len(a.concept_atoms) != len(b.concept_atoms) or len(a.role_atoms) != len(b.role_atoms):
         return False
-    if a.individuals() != b.individuals():
-        return False
-
-    a_nodes = a.domain()
-    b_nodes = b.domain()
-    a_ct = {n: a.concepts_of(n) for n in a_nodes}
-    b_ct = {n: b.concepts_of(n) for n in b_nodes}
-    if sorted(map(sorted, a_ct.values())) != sorted(map(sorted, b_ct.values())):
-        return False
-
-    def ok(x: Node, y: Node, partial: Dict[Node, Node]) -> bool:
-        if a_ct[x] != b_ct[y]:
-            return False
-        for r, s, t in a.role_atoms:
-            if s == x and (t in partial or t == x):
-                if (r, y, y if t == x else partial[t]) not in b.role_atoms:
-                    return False
-            if t == x and s in partial and s != x:
-                if (r, partial[s], y) not in b.role_atoms:
-                    return False
-        for r, s, t in b.role_atoms:
-            inv = {v: k for k, v in partial.items()}
-            inv[y] = x
-            if s == y and t in inv and (r, x, inv[t]) not in a.role_atoms:
-                return False
-            if t == y and s in inv and (r, inv[s], x) not in a.role_atoms:
-                return False
-        return True
-
-    def rec(i: int, partial: Dict[Node, Node], used: Set[Node]) -> bool:
-        if i == len(a_nodes):
-            return True
-        x = a_nodes[i]
-        if isinstance(x, str):
-            cands = [x]
-        else:
-            cands = [y for y in b_nodes if not isinstance(y, str) and y not in used]
-        for y in cands:
-            if y in used:
-                continue
-            if ok(x, y, partial):
-                partial[x] = y
-                used.add(y)
-                if rec(i + 1, partial, used):
-                    return True
-                del partial[x]
-                used.discard(y)
-        return False
-
-    return rec(0, {}, set())
+    return next(homomorphisms(a, b, injective=True), None) is not None

@@ -6,14 +6,17 @@ materializes a finite approximation of the canonical model, ``chase``
 dumps the rounds of the core chase, and ``selftest`` cross-checks the
 routes against each other on random inputs.
 
-Exit codes: 0 all targets valid, 1 violations, 2 inconsistent KB,
-3 input error, 4 constraints not stratified, 5 a budget hit where a
-verdict would need the missing part: a target that fails on a model
-truncated at ``--depth`` (reported UNKNOWN, ``"valid": null`` in JSON),
-negation over a truncated model, a model prefix over
+Exit codes: 0 all targets valid, 1 violations. Every failure has one
+entry in ``FAILURES``, read for every subcommand: 2 inconsistent KB;
+3 input error (an unreadable file, a parse error, an unsupported TBox
+pattern, an unguarded comparison, a negative ``--depth``); 4 constraints
+not stratified; 5 a budget hit where a verdict would need the missing
+part: negation over a truncated model, a model prefix over
 ``model.MAX_MODEL_NODES`` nodes, a rewriting over
 ``rewrite.MAX_QUADRUPLES`` quadruples, the chase's round budget, or the
-chase's size guard.
+chase's size guard. ``validate`` also exits 5 when a target fails on a
+model truncated at ``--depth`` (reported UNKNOWN, ``"valid": null`` in
+JSON), and ``chase`` when it runs out of rounds, after printing them.
 
 A target whose shape no constraint defines, or whose individual is not
 in the data, is a VIOLATION like any other failed target; ``validate``
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .chase import NotTerminated, SizeGuardExceeded, run_core_chase
@@ -72,24 +75,25 @@ EXIT_NOT_STRATIFIED = 4
 EXIT_DEPTH = 5
 
 
-@dataclass
-class RunConfig:
-    tbox: str = ""
-    abox: str = ""
-    shapes: Optional[str] = None
-    targets: Optional[str] = None
-    mode: str = "direct"
-    depth: int = 32
-    fmt: str = "text"
-    seed: int = 0
-    cases: int = 100
-    emit: bool = False
-    show_rewrite: bool = False
-    inject_bug: bool = False
-
-
 class InputError(Exception):
     pass
+
+
+# exception class -> (exit code, leading word, advice after the message);
+# ``main`` reports a failure by the entry of its nearest listed class
+FAILURES: Dict[type, Tuple[int, str, str]] = {
+    InconsistentKB: (EXIT_INCONSISTENT, "inconsistent", ""),
+    InputError: (EXIT_INPUT, "error", ""),
+    ParseError: (EXIT_INPUT, "error", ""),
+    UnsupportedPattern: (EXIT_INPUT, "error", ""),
+    UnguardedComparison: (EXIT_INPUT, "error", ""),
+    NotStratified: (EXIT_NOT_STRATIFIED, "error", ""),
+    TruncationRefused: (EXIT_DEPTH, "error", " (raise --depth)"),
+    NotTerminated: (EXIT_DEPTH, "error", " (raise --depth)"),
+    ModelTooLarge: (EXIT_DEPTH, "error", " (lower --depth)"),
+    RewriteTooLarge: (EXIT_DEPTH, "error", " (--mode direct needs no rewriting)"),
+    SizeGuardExceeded: (EXIT_DEPTH, "error", " (the chase is a cross-check for small inputs)"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -165,29 +169,17 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc.strerror}")
 
 
-def load_kb(cfg: RunConfig) -> Tuple[TBox, ABox, Dict[str, Role]]:
+def load_kb(args: argparse.Namespace) -> Tuple[TBox, ABox, Dict[str, Role]]:
     """Parse TBox and ABox and collapse role-inclusion cycles."""
-    try:
-        tbox0 = parse_tbox(_read(cfg.tbox), source=cfg.tbox)
-        abox0 = parse_abox(_read(cfg.abox), source=cfg.abox)
-        tbox, renaming = collapse_role_cycles(tbox0)
-    except (ParseError, UnsupportedPattern) as exc:
-        raise InputError(str(exc))
+    tbox0 = parse_tbox(_read(args.tbox), source=args.tbox)
+    abox0 = parse_abox(_read(args.abox), source=args.abox)
+    tbox, renaming = collapse_role_cycles(tbox0)
     return tbox, rename_abox(abox0, renaming), renaming
 
 
-def load_shapes(cfg: RunConfig, renaming: Dict[str, Role]) -> ShapesGraph:
-    if cfg.shapes is None:
-        raise InputError("validate needs --shapes")
-    try:
-        cons = parse_constraints(_read(cfg.shapes), source=cfg.shapes)
-        targets = (
-            parse_targets(_read(cfg.targets), source=cfg.targets)
-            if cfg.targets
-            else []
-        )
-    except ParseError as exc:
-        raise InputError(str(exc))
+def load_shapes(args: argparse.Namespace, renaming: Dict[str, Role]) -> ShapesGraph:
+    cons = parse_constraints(_read(args.shapes), source=args.shapes)
+    targets = parse_targets(_read(args.targets), source=args.targets) if args.targets else []
     return ShapesGraph.of(rename_constraints(cons, renaming), targets)
 
 
@@ -286,15 +278,15 @@ MODES = tuple(ROUTES)
 
 
 def _emit_report(
-    cfg: RunConfig,
+    args: argparse.Namespace,
     consistent: bool,
     triples: Sequence[Tuple[str, str, Optional[bool]]],
     stats: Dict[str, int],
 ) -> None:
-    if cfg.fmt == "json":
-        sys.stdout.write(report_to_json(consistent, cfg.mode, triples, stats))
+    if args.fmt == "json":
+        sys.stdout.write(report_to_json(consistent, args.mode, triples, stats))
         return
-    lines = [f"consistent: {'true' if consistent else 'false'}", f"mode: {cfg.mode}"]
+    lines = [f"consistent: {'true' if consistent else 'false'}", f"mode: {args.mode}"]
     word = {True: "VALID", False: "VIOLATION", None: "UNKNOWN"}
     for shape, ind, ok in triples:
         lines.append(f"${shape}(@{ind}): {word[ok]}")
@@ -303,116 +295,67 @@ def _emit_report(
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def run(cfg: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     """The validate pipeline; returns the process exit code."""
-    route = ROUTES[cfg.mode]
+    route = ROUTES[args.mode]
+    tbox, abox, renaming = load_kb(args)
+    sg = load_shapes(args, renaming)
+    if tbox.atmost and not route.counting:
+        raise InputError(f"mode {args.mode} cannot handle max1 axioms; use pure-shaclb")
     try:
-        tbox, abox, renaming = load_kb(cfg)
-        sg = load_shapes(cfg, renaming)
-        if tbox.atmost and not route.counting:
-            raise InputError(f"mode {cfg.mode} cannot handle max1 axioms; use pure-shaclb")
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
-    try:
-        kb = prepare(tbox, abox, sg, cfg.depth)
-    except InconsistentKB as exc:
-        print(f"inconsistent: {exc}", file=sys.stderr)
-        _emit_report(cfg, False, [], dict.fromkeys(STATS, 0))
-        return EXIT_INCONSISTENT
+        kb = prepare(tbox, abox, sg, args.depth)
+    except InconsistentKB:
+        _emit_report(args, False, [], dict.fromkeys(STATS, 0))
+        raise
 
     for shape in sg.undefined_target_shapes():
         print(f"warning: no constraint defines target shape ${shape}", file=sys.stderr)
     for ind in sorted({i for _, i in sg.targets} - set(abox.individuals())):
         print(f"warning: target individual @{ind} is not in the data", file=sys.stderr)
 
-    try:
-        out = route.run(kb)
-    except (UnguardedComparison, UnsupportedPattern) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NotStratified as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_STRATIFIED
-    except (TruncationRefused, NotTerminated) as exc:
-        print(f"error: {exc} (raise --depth)", file=sys.stderr)
-        return EXIT_DEPTH
-    except ModelTooLarge as exc:
-        print(f"error: {exc} (lower --depth)", file=sys.stderr)
-        return EXIT_DEPTH
-    except RewriteTooLarge as exc:
-        print(f"error: {exc} (--mode direct needs no rewriting)", file=sys.stderr)
-        return EXIT_DEPTH
-    except SizeGuardExceeded as exc:
-        print(f"error: {exc} (mode {cfg.mode} is a cross-check for small inputs)", file=sys.stderr)
-        return EXIT_DEPTH
-
-    if cfg.show_rewrite:
+    out = route.run(kb)
+    if args.show_rewrite:
         for it in out.items:
             print(it)
     kb.stats["model_nodes"] = len(out.interp.nodes)
-    _emit_report(cfg, True, [(s, i, v) for (s, i), v in out.verdicts.items()], kb.stats)
+    _emit_report(args, True, [(s, i, v) for (s, i), v in out.verdicts.items()], kb.stats)
     unknown = sum(v is None for v in out.verdicts.values())
     if unknown:
         print(
             f"unknown: {unknown} target(s) do not hold on the model truncated at "
-            f"depth {cfg.depth}, which cannot refute them (raise --depth)",
+            f"depth {args.depth}, which cannot refute them (raise --depth)",
             file=sys.stderr,
         )
         return EXIT_DEPTH
     return EXIT_VALID if all(out.verdicts.values()) else EXIT_VIOLATIONS
 
 
-def cmd_build_model(cfg: RunConfig) -> int:
-    try:
-        tbox, abox, _ = load_kb(cfg)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    sat = SaturatedTBox(tbox)
-    try:
-        interp = build_can(tbox, abox, depth=cfg.depth, sat=sat)
-    except InconsistentKB as exc:
-        print(f"inconsistent: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    except ModelTooLarge as exc:
-        print(f"error: {exc} (lower --depth)", file=sys.stderr)
-        return EXIT_DEPTH
-    if cfg.emit:
+def cmd_build_model(args: argparse.Namespace) -> int:
+    tbox, abox, _ = load_kb(args)
+    interp = build_can(tbox, abox, depth=args.depth, sat=SaturatedTBox(tbox))
+    if args.emit:
         sys.stdout.write(serialize_interpretation(interp))
     else:
         print(
             f"nodes={len(interp.nodes)} named={len(interp.individuals())} "
             f"edges={len(interp.role_atoms)} "
-            f"complete={'true' if interp.complete else 'false'} depth={cfg.depth}"
+            f"complete={'true' if interp.complete else 'false'} depth={args.depth}"
         )
     return EXIT_VALID
 
 
-def cmd_chase(cfg: RunConfig) -> int:
-    try:
-        tbox, abox, _ = load_kb(cfg)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+def cmd_chase(args: argparse.Namespace) -> int:
+    tbox, abox, _ = load_kb(args)
     sat = SaturatedTBox(tbox)
-    try:
-        complete_abox(tbox, abox, sat)
-    except InconsistentKB as exc:
-        print(f"inconsistent: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
+    complete_abox(tbox, abox, sat)  # raises InconsistentKB
 
     trace: List[Tuple[Interpretation, Interpretation]] = []
     final: Optional[Interpretation] = None
     try:
-        final = run_core_chase(sat, abox, max_rounds=cfg.depth, trace=trace)
+        final = run_core_chase(sat, abox, max_rounds=args.depth, trace=trace)
         last = f"# fixpoint after {len(trace)} rounds"
     except NotTerminated as exc:
         last = f"# {exc}"
-    except SizeGuardExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEPTH
 
     for k, (fired, cored) in enumerate(trace, start=1):
         print(f"# round {k}: fired ({len(fired.nodes)} nodes)")
@@ -426,12 +369,20 @@ def cmd_chase(cfg: RunConfig) -> int:
     return EXIT_VALID
 
 
-def cmd_selftest(cfg: RunConfig) -> int:
+def cmd_selftest(args: argparse.Namespace) -> int:
     from .harness import run_selftest
 
-    report = run_selftest(cfg.seed, cfg.cases, inject_bug=cfg.inject_bug)
+    report = run_selftest(args.seed, args.cases, inject_bug=args.inject_bug)
     sys.stdout.write(report.render())
     return EXIT_VALID if report.passed else EXIT_VIOLATIONS
+
+
+COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
+    "validate": run,
+    "build-model": cmd_build_model,
+    "chase": cmd_chase,
+    "selftest": cmd_selftest,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -485,25 +436,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """The parsed options; those a subcommand lacks keep their defaults."""
-    given = vars(args)
-    return RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = config_from_args(args)
-    if cfg.depth < 0:
-        print("error: --depth must be non-negative", file=sys.stderr)
-        return EXIT_INPUT
-    if args.command == "validate":
-        return run(cfg)
-    if args.command == "build-model":
-        return cmd_build_model(cfg)
-    if args.command == "chase":
-        return cmd_chase(cfg)
-    return cmd_selftest(cfg)
+    try:
+        if getattr(args, "depth", 0) < 0:
+            raise InputError("--depth must be non-negative")
+        return COMMANDS[args.command](args)
+    except tuple(FAILURES) as exc:
+        code, word, advice = next(FAILURES[t] for t in type(exc).__mro__ if t in FAILURES)
+        print(f"{word}: {exc}{advice}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

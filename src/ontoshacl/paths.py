@@ -11,7 +11,7 @@ product of the data and the automaton.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Tuple, Union
 
 from .core import Role
 
@@ -168,12 +168,6 @@ class NFA:
 
     def alphabet(self) -> FrozenSet[Role]:
         return frozenset(r for _, r, _ in self.transitions)
-
-    def accepts(self, word: Sequence[Role]) -> bool:
-        current = {self.initial}
-        for letter in word:
-            current = {b for a, r, b in self.transitions if a in current and r == letter}
-        return not current.isdisjoint(self.finals)
 
 
 def _nullable(e: Regex) -> bool:

@@ -13,9 +13,10 @@ Quadruples are bit-encoded per component of the shapes (``_Codes``). The
 individual constant) and each shape literal gets a bit the first time it
 is seen, so P and Q are integer masks over entries and H an integer mask
 over literals: K maps ``(type index, P, Q)`` to H. A union is ``|`` and a
-subset test ``a & ~b == 0``. Emission decodes the masks back to entries
-and literals and sorts rows by the printed entries, so the output does not
-depend on the order in which bits were given out.
+subset test ``a & ~b == 0``. Emission drops subsumed bodies on the masks,
+decodes only the kept ones back to entries and literals, and sorts them by
+their printed conjuncts, so the output does not depend on the order in
+which bits were given out.
 """
 from __future__ import annotations
 
@@ -509,27 +510,19 @@ def _emit(
     wanted = 0
     for name in heads:
         wanted |= codes.lit(name)
-    # the vacuous rows, with some witness both required and forbidden, and
-    # the rows that derive no head are dropped before sorting
-    rows = [
-        (key, h & wanted)
-        for key, h in K.items()
-        if h & wanted and not key[1] & key[2]
-    ]
-    text = {bit: str(e) for bit, e in codes.entries.items()}
+    # each head's bodies as (type concepts, P, Q): rows that agree on them
+    # print the same body. The vacuous rows, with some witness both
+    # required and forbidden, and the rows that derive no head are dropped.
+    per_head: Dict[str, Dict[FrozenSet[str], Set[Tuple[int, int]]]] = {}
+    for (i, p, q), h in K.items():
+        if not h & wanted or p & q:
+            continue
+        concepts = codes.types[i].concepts
+        for bit in _bits(h & wanted):
+            per_head.setdefault(codes.lits[bit].name, {}).setdefault(concepts, set()).add((p, q))
 
-    def row_key(row: Tuple[_Key, int]) -> Tuple:
-        # the universe is sorted by type_key, so the index sorts as the type
-        (i, p, q), _ = row
-        return (
-            i,
-            tuple(sorted(text[b] for b in _bits(p))),
-            tuple(sorted(text[b] for b in _bits(q))),
-        )
-
-    # the conjuncts of each type and of each entry, present and absent,
-    # with their printed forms
-    type_parts: Dict[int, Tuple[List[ShapeBody], List[str]]] = {}
+    # the conjuncts of each entry, present and absent, with their printed
+    # forms, and of each type's concepts
     present: Dict[int, Tuple[ShapeBody, str]] = {}
     absent: Dict[int, Tuple[ShapeBody, str]] = {}
     for bit, e in codes.entries.items():
@@ -537,34 +530,33 @@ def _emit(
         present[bit] = (body, str(body))
         absent[bit] = (Not(body), str(Not(body)))
     order = {bit: _entry_key(e) for bit, e in codes.entries.items()}
+    type_parts: Dict[FrozenSet[str], List[Tuple[ShapeBody, str]]] = {}
 
-    per_head: Dict[str, Dict[FrozenSet[str], List[ShapeBody]]] = {}
-    for (i, p, q), h in sorted(rows, key=row_key):
-        if i not in type_parts:
-            t = codes.types[i]
-            own: List[ShapeBody] = [ConceptRef(a) for a in sorted(t.concepts)]
-            own += [Not(ConceptRef(a)) for a in sorted(nc - t.concepts)]
-            type_parts[i] = (own, [str(x) for x in own])
-        own, strs = type_parts[i]
-        conj = [present[b] for b in sorted(_bits(p), key=order.__getitem__)]
-        conj += [absent[b] for b in sorted(_bits(q), key=order.__getitem__)]
-        parts = own + [x for x, _ in conj]
-        tokens = frozenset(strs + [s for _, s in conj])
-        for name in sorted(codes.lits[b].name for b in _bits(h)):
-            per_head.setdefault(name, {}).setdefault(tokens, parts)
     out: List[Constraint] = []
     for head in sorted(per_head):
-        cands = per_head[head]
-        # a body whose conjuncts include all of another body's is subsumed.
-        # Bodies come by size, so the kept ones are the minimal ones, and a
-        # body with a strict subset among the candidates has a minimal one,
-        # which was kept: comparing with the kept bodies is enough.
-        kept: List[FrozenSet[str]] = []
-        for tok in sorted(cands, key=lambda t: (len(t), sorted(t))):
-            if any(k < tok for k in kept):
-                continue
-            kept.append(tok)
-            out.append(Constraint(head, _and_chain(cands[tok])))
+        bodies = []
+        for concepts, masks in per_head[head].items():
+            # every body lists each name of nc, so only a body with the same
+            # concepts can subsume another: one whose P and Q are subsets.
+            # Bodies come by size, so the kept ones are the minimal ones,
+            # and comparing with them is enough.
+            kept: List[Tuple[int, int]] = []
+            for p, q in sorted(masks, key=lambda m: (m[0] | m[1]).bit_count()):
+                if not any(not kp & ~p and not kq & ~q for kp, kq in kept):
+                    kept.append((p, q))
+            if concepts not in type_parts:
+                own: List[ShapeBody] = [ConceptRef(a) for a in sorted(concepts)]
+                own += [Not(ConceptRef(a)) for a in sorted(nc - concepts)]
+                type_parts[concepts] = [(x, str(x)) for x in own]
+            for p, q in kept:
+                conj = type_parts[concepts] + [
+                    present[b] for b in sorted(_bits(p), key=order.__getitem__)
+                ]
+                conj += [absent[b] for b in sorted(_bits(q), key=order.__getitem__)]
+                tokens = sorted(s for _, s in conj)
+                bodies.append(((len(tokens), tokens), [x for x, _ in conj]))
+        bodies.sort(key=lambda b: b[0])
+        out.extend(Constraint(head, _and_chain(parts)) for _, parts in bodies)
     return out
 
 
@@ -656,15 +648,26 @@ def _role_shape(r: Role) -> str:
     return f"_b_{r}"
 
 
-def _entailed_conj(st: SaturatedTBox) -> List[Tuple[FrozenSet[str], str]]:
+def _concept_ref(a: str) -> ShapeBody:
+    """The shape that mimics concept a in the completed graph."""
+    return ConceptRef(TOP) if a == TOP else ShapeRef(_concept_shape(a))
+
+
+def _entailed_conj(st: SaturatedTBox) -> List[Constraint]:
+    """``_c_B <- _c_A1 & ... & _c_An`` for each entailed ``A1 & ... & An <= B``
+    that is neither trivial nor about ``bot``."""
     out = []
     for prem, head in sorted(st.conj, key=lambda x: (sorted(x[0]), x[1])):
-        if head == BOT or BOT in prem:
+        if head == BOT or BOT in prem or prem == frozenset({head}):
             continue
-        if prem == frozenset({head}):
-            continue
-        out.append((prem, head))
+        body = _and_chain([ShapeRef(_concept_shape(a)) for a in sorted(prem)])
+        out.append(Constraint(_concept_shape(head), body))
     return out
+
+
+def _concept_seeds(st: SaturatedTBox, c_t: Sequence[Constraint]) -> List[Constraint]:
+    """``_c_A <- A`` for each concept name of the TBox and of C_T."""
+    return [Constraint(_concept_shape(a), ConceptRef(a)) for a in sorted(_nc_universe(st, c_t))]
 
 
 def _simplify_roles(st: SaturatedTBox, roles: FrozenSet[Role]) -> FrozenSet[Role]:
@@ -715,27 +718,14 @@ def pure_rewrite_alchi(
         raise UnsupportedPattern(
             "counting axioms need edge rewriting; use the binary-shape variant"
         )
-    ts: List[Constraint] = []
-    for prem, head in _entailed_conj(st):
-        body = _and_chain([ShapeRef(_concept_shape(a)) for a in sorted(prem)])
-        ts.append(Constraint(_concept_shape(head), body))
+    ts = _entailed_conj(st)
     all_roles = sorted(st.tbox.all_roles())
     for ax in st.tbox.value:
-        subs = [s for s in all_roles if ax.role in st.superroles(s)]
-        for s in subs:
-            inner: ShapeBody
-            if ax.lhs == TOP:
-                inner = ConceptRef(TOP)
-            else:
-                inner = ShapeRef(_concept_shape(ax.lhs))
-            ts.append(
-                Constraint(
-                    _concept_shape(ax.filler),
-                    ExistsRoles(frozenset({s.invert()}), inner),
-                )
-            )
-    for a in sorted(_nc_universe(st, c_t)):
-        ts.append(Constraint(_concept_shape(a), ConceptRef(a)))
+        for s in all_roles:
+            if ax.role in st.superroles(s):
+                body = ExistsRoles(frozenset({s.invert()}), _concept_ref(ax.lhs))
+                ts.append(Constraint(_concept_shape(ax.filler), body))
+    ts += _concept_seeds(st, c_t)
 
     # over raw data a role r holds wherever one of its sub-roles does
     subroles = {
@@ -778,22 +768,10 @@ def pure_rewrite_shaclb(
     Edge shapes carry derived role atoms, so the counting-axiom merges of
     the completion can be reproduced pair by pair.
     """
-    ts: List[Union[Constraint, BinConstraint]] = []
-    for prem, head in _entailed_conj(st):
-        body = _and_chain([ShapeRef(_concept_shape(a)) for a in sorted(prem)])
-        ts.append(Constraint(_concept_shape(head), body))
+    ts: List[Union[Constraint, BinConstraint]] = list(_entailed_conj(st))
     for ax in st.tbox.value:
-        inner: ShapeBody
-        if ax.lhs == TOP:
-            inner = ConceptRef(TOP)
-        else:
-            inner = ShapeRef(_concept_shape(ax.lhs))
-        ts.append(
-            Constraint(
-                _concept_shape(ax.filler),
-                ExistsVia(BinRef(_role_shape(ax.role.invert())), inner),
-            )
-        )
+        body = ExistsVia(BinRef(_role_shape(ax.role.invert())), _concept_ref(ax.lhs))
+        ts.append(Constraint(_concept_shape(ax.filler), body))
     # counting: an implied witness merges onto an existing one, so the
     # edge shape gains the implied roles and the witness gains the fillers
     hat_n = 0
@@ -815,23 +793,9 @@ def pure_rewrite_shaclb(
                 to_witness = PConcat(to_witness, Test(_concept_shape(ax.filler)))
             for ri in sorted(e.roles):
                 ts.append(BinConstraint(_role_shape(ri), to_witness))
-            wit: ShapeBody
-            if ax.filler == TOP:
-                wit = ConceptRef(TOP)
-            else:
-                wit = ShapeRef(_concept_shape(ax.filler))
+            from_hat = ExistsVia(PInverse(BinRef(_role_shape(ax.role))), ShapeRef(hat))
             for bj in sorted(e.fillers):
-                ts.append(
-                    Constraint(
-                        _concept_shape(bj),
-                        And(
-                            wit,
-                            ExistsVia(
-                                PInverse(BinRef(_role_shape(ax.role))), ShapeRef(hat)
-                            ),
-                        ),
-                    )
-                )
+                ts.append(Constraint(_concept_shape(bj), And(_concept_ref(ax.filler), from_hat)))
     for ri in st.tbox.roles:
         ts.append(BinConstraint(_role_shape(ri.sup), BinRef(_role_shape(ri.sub))))
     base_roles = set(st.tbox.all_roles())
@@ -843,8 +807,7 @@ def pure_rewrite_shaclb(
         fwd, bwd = Role(name), Role(name, inverted=True)
         ts.append(BinConstraint(_role_shape(bwd), PInverse(BinRef(_role_shape(fwd)))))
         ts.append(BinConstraint(_role_shape(fwd), PInverse(BinRef(_role_shape(bwd)))))
-    for a in sorted(_nc_universe(st, c_t)):
-        ts.append(Constraint(_concept_shape(a), ConceptRef(a)))
+    ts += _concept_seeds(st, c_t)
 
     replaced: List[Union[Constraint, BinConstraint]] = [
         Constraint(c.head, _subst(c.body, _exists_via_edge_shapes)) for c in c_t

@@ -307,10 +307,6 @@ class SaturatedTBox:
 
     # -- queries ---------------------------------------------------------------
 
-    def entails_conj(self, premise: Iterable[str], concept: str) -> bool:
-        closed = self.cl(premise)
-        return concept == TOP or concept in closed or BOT in closed
-
     def implied_existentials(self, concepts: Iterable[str]) -> Tuple[OneHalfType, ...]:
         """Maximal successor candidates forced by a 1-type."""
         closed = self.cl(concepts)

@@ -19,8 +19,8 @@ from ontoshacl.chase import (
     DEFAULT_NODE_BOUND,
     NotTerminated,
     _guard,
-    _search_endos,
     fire_axioms,
+    homomorphisms,
 )
 from ontoshacl.core import (
     BOT,
@@ -35,7 +35,7 @@ from ontoshacl.core import (
     type_key,
 )
 from ontoshacl.model import InconsistentKB, complete_abox
-from ontoshacl.paths import RAlt, RSeq, RStar, RSym, Regex
+from ontoshacl.paths import NFA, RAlt, RSeq, RStar, RSym, Regex
 from ontoshacl.rewrite import (
     BasicConceptExpr,
     BasicShapeExpr,
@@ -224,7 +224,7 @@ def locally_consistent_direct(sat: SaturatedTBox, t: TwoType, nc: Iterable[str])
     nc = set(nc) | {BOT}
     for side in (t.concepts, t.others):
         for b in nc:
-            if sat.entails_conj(side, b) and b not in side:
+            if entails_conj(sat, side, b) and b not in side:
                 return False
     if BOT in t.concepts or BOT in t.others:
         return False
@@ -725,9 +725,22 @@ def naive_levels(items) -> Optional[Dict[str, int]]:
 
 # ---------------------------------------------------------------------------
 # entry points only the tests call: endomorphism classification, the
-# oblivious chase and consistency. Unlike the oracles above they drive
-# package internals (``chase._search_endos``, ``chase.fire_axioms``,
-# ``model.complete_abox``).
+# oblivious chase, consistency, entailment and automaton membership.
+# Unlike the oracles above they drive package internals
+# (``chase.homomorphisms``, ``chase.fire_axioms``, ``model.complete_abox``,
+# ``SaturatedTBox.cl``, ``paths.NFA``).
+
+
+def entails_conj(sat: SaturatedTBox, premise: Iterable[str], concept: str) -> bool:
+    closed = sat.cl(premise)
+    return concept == TOP or concept in closed or BOT in closed
+
+
+def nfa_accepts(nfa: NFA, word: Sequence[Role]) -> bool:
+    current = {nfa.initial}
+    for letter in word:
+        current = {b for a, r, b in nfa.transitions if a in current and r == letter}
+    return not current.isdisjoint(nfa.finals)
 
 
 @dataclass(frozen=True)
@@ -780,7 +793,7 @@ def enumerate_endomorphisms(
 ) -> List[Homomorphism]:
     """All endomorphisms, each tagged injective/surjective/strong."""
     _guard(interp, max_nodes)
-    out = [_classify(interp, m) for m in _search_endos(interp)]
+    out = [_classify(interp, m) for m in homomorphisms(interp, interp)]
     return sorted(out, key=lambda h: tuple(node_key(b) for _, b in h.mapping))
 
 

@@ -162,6 +162,14 @@ def test_isomorphism_ignores_null_names_but_not_structure():
     assert not is_isomorphic(left, other)
 
 
+def test_isomorphism_keeps_the_named_individuals():
+    # same counts, and a map that fits the atoms, but b has a name a lacks
+    left = Interpretation.of([("A", Null("n"))], nodes=["a"])
+    right = Interpretation.of([("A", "b")], nodes=["a"])
+    assert not is_isomorphic(left, right)
+    assert not is_isomorphic(Interpretation.of(nodes=["a"]), Interpretation.of(nodes=["b"]))
+
+
 @settings(max_examples=40, deadline=None)
 @given(seeds)
 def test_endomorphisms_match_exhaustive_oracle(seed):

@@ -248,3 +248,57 @@ def test_a_rewrite_run_orders_each_constraint_set_once(tmp_path, monkeypatch, ca
                   shapes=HASHED_SHAPES, extra=["--format", "json"])
     assert rc in (cli.EXIT_VALID, cli.EXIT_VIOLATIONS), capsys.readouterr().err
     assert len(printed) <= len(sg.constraints) + len(normal.constraints)
+
+
+# =============================================================================
+# THE CHASE AND BUILD-MODEL SUBCOMMANDS
+# =============================================================================
+
+
+def subcommand(tmp_path, command, tbox=TBOX, abox=ABOX, extra=()):
+    f = write(tmp_path, tbox=tbox, abox=abox)
+    return cli.main([command, "--tbox", f["tbox"], "--abox", f["abox"], *extra])
+
+
+def test_chase_prints_its_rounds_up_to_the_fixpoint(tmp_path, capsys):
+    assert subcommand(tmp_path, "chase") == cli.EXIT_VALID
+    out = capsys.readouterr().out
+    assert "# round 1: fired (3 nodes)" in out
+    assert "# fixpoint after 2 rounds" in out.splitlines()
+
+
+def test_chase_out_of_rounds_exits_5(tmp_path, capsys):
+    rc = subcommand(tmp_path, "chase", tbox="A <= some r.A\n", abox="A(a)\n", extra=["--depth", "3"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_DEPTH
+    assert "# round 3: cored" in captured.out
+    assert captured.out.splitlines()[-1] == "# no fixpoint after 3 rounds"
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("command", ["chase", "build-model"])
+def test_subcommands_exit_2_on_an_inconsistent_kb(tmp_path, command, capsys):
+    rc = subcommand(tmp_path, command, tbox=TBOX + "A & D <= bot\n", abox="A(a)\nD(a)\n")
+    assert rc == cli.EXIT_INCONSISTENT
+    assert capsys.readouterr().err.startswith("inconsistent:")
+
+
+@pytest.mark.parametrize("command", ["chase", "build-model"])
+def test_subcommands_exit_3_on_input_errors(tmp_path, command, capsys):
+    assert subcommand(tmp_path, command, tbox="A <= some r.B &\n") == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+    argv = [command, "--tbox", str(tmp_path / "none.tbox"), "--abox", str(tmp_path / "none.abox")]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_chase_size_guard_reads_the_same_in_both_subcommands(tmp_path, capsys):
+    abox = "".join(f"A(i{k})\n" for k in range(70))
+    rc = validate(tmp_path, "chase", "$s(@i0)\n", tbox="A <= B\n", abox=abox, shapes="$s <- B\n")
+    assert rc == cli.EXIT_DEPTH
+    via_validate = capsys.readouterr().err
+    assert subcommand(tmp_path, "chase", tbox="A <= B\n", abox=abox) == cli.EXIT_DEPTH
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: 70 nodes exceeds")
+    assert err == via_validate
