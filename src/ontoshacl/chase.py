@@ -26,6 +26,8 @@ from .core import (
 from .tbox import SaturatedTBox
 
 DEFAULT_NODE_BOUND = 12
+# the most nodes the chase's isomorphism test takes, and so its data
+MAX_CHASE_NODES = 64
 
 
 class SizeGuardExceeded(ValueError):
@@ -236,6 +238,9 @@ def run_core_chase(
     """
     current = abox
     for _ in range(max_rounds):
+        # refuse before firing: coring keeps every named individual, so
+        # the isomorphism test would refuse too many only after the round
+        _guard(current, MAX_CHASE_NODES)
         fired = fire_axioms(sat, current)
         cored = core_of(fired, max_nodes=max(DEFAULT_NODE_BOUND, len(fired.nodes)))
         if trace is not None:
@@ -246,7 +251,9 @@ def run_core_chase(
     raise NotTerminated(max_rounds, current)
 
 
-def is_isomorphic(a: Interpretation, b: Interpretation, max_nodes: int = 64) -> bool:
+def is_isomorphic(
+    a: Interpretation, b: Interpretation, max_nodes: int = MAX_CHASE_NODES
+) -> bool:
     """Bijective strong homomorphism fixing named individuals.
 
     With equal node and atom counts, an injective homomorphism is one: it

@@ -1,14 +1,17 @@
 """Fixpoint evaluation of shape constraints over finite interpretations.
 
 One engine, ``_fixpoint``, serves unary and binary (SHACL^b) shapes
-alike. It computes the perfect assignment stratum by stratum, in the
-strata of ``shapes.compute_stratification``: each stratum is a least
-fixpoint that grows unary and binary atoms jointly, seeded with the
-finished lower strata and reading negation as failure against them. The
+alike. It computes the perfect assignment one strongly connected
+component of the dependency graph at a time, in the topological order
+that ``shapes.compute_stratification`` gives: each component reads only
+the finished components before it, negation included, and itself only
+positively. A component that reads none of its own heads is evaluated in
+one round; a recursive one is a least fixpoint that grows its unary and
+binary atoms jointly, round after round, until a round adds nothing. The
 perfect assignment does not depend on the order of the constraints, so
-they are evaluated in the order given. ``validate`` returns the verdict
-of each target, read off the unary table; ``perfect_assignment_b``
-returns the unary and binary tables.
+each component's constraints are evaluated in the order given.
+``validate`` returns the verdict of each target, read off the unary
+table; ``perfect_assignment_b`` returns the unary and binary tables.
 
 Evaluation reads the interpretation's index (``core.GraphIndex``) and never
 scans all node pairs. The fixpoint keeps its atoms as tables from shape
@@ -19,12 +22,15 @@ O(edges) rather than O(nodes x |B|). One walk over the product of the data
 and the ε-free path automaton serves both path readers: ``some <path>.B``
 walks it backwards from B's nodes in the final states, and ``eq``/``disj``
 forwards from the guard in the initial state. A role step reads the role's
-adjacency. Semi-naive rounds are not used: each round re-evaluates every
-item of its stratum.
+adjacency. A node's case is found by its type in one table. Semi-naive
+rounds are not used: each round of a recursive component re-evaluates
+every item of that component.
 """
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+)
 
 from .core import Interpretation, Node, Role
 from .paths import NFA, Regex, regex_to_nfa
@@ -139,46 +145,16 @@ class _Evaluator:
         self.nfas = nfas
 
     def body(self, body: ShapeBody) -> AbstractSet[Node]:
-        interp = self.interp
-        if isinstance(body, IndividualRef):
-            return {body.name} if body.name in interp.nodes else _EMPTY
-        if isinstance(body, ShapeRef):
-            return self.unary.get(body.name, _EMPTY)
-        if isinstance(body, NegShapeRef):
-            return interp.nodes - self.unary.get(body.name, _EMPTY)
-        if isinstance(body, ConceptRef):
-            return interp.extension(body.name)
-        if isinstance(body, Or):
-            return self.body(body.left) | self.body(body.right)
-        if isinstance(body, And):
-            return self.body(body.left) & self.body(body.right)
-        if isinstance(body, Not):
-            return interp.nodes - self.body(body.body)
-        if isinstance(body, ExistsRoles):
-            return self._exists_roles(body)
-        if isinstance(body, ExistsPath):
-            return _path_sources(interp, _nfa(self.nfas, body.path), self.body(body.body))
-        if isinstance(body, (GuardedEq, GuardedDisj)):
-            if body.guard is None:
-                raise UnguardedComparison(
-                    "eq/disj must be guarded by an individual: without the guard, "
-                    "nodes reached over the two paths cannot be told apart"
-                )
-            node = body.guard
-            if node not in interp.nodes:
-                return _EMPTY
-            left = _path_reach(interp, node, _nfa(self.nfas, body.left))
-            right = _path_reach(interp, node, _nfa(self.nfas, body.right))
-            if isinstance(body, GuardedEq):
-                ok = left == right
-            else:
-                ok = not (left & right)
-            return {node} if ok else _EMPTY
-        if isinstance(body, ExistsVia):
-            pairs = self.path(body.path)
-            targets = self.body(body.body)
-            return {e for e, e2 in pairs if e2 in targets}
-        raise TypeError(f"unknown body {body!r}")
+        case = self._BODIES.get(type(body))
+        if case is None:
+            raise TypeError(f"unknown body {body!r}")
+        return case(self, body)
+
+    def path(self, p: PathExpr) -> AbstractSet[Pair]:
+        case = self._PATHS.get(type(p))
+        if case is None:
+            raise TypeError(f"unknown path {p!r}")
+        return case(self, p)
 
     def _exists_roles(self, body: ExistsRoles) -> AbstractSet[Node]:
         # walk back from each target along every role and keep the nodes
@@ -195,69 +171,115 @@ class _Evaluator:
             out |= preds
         return out
 
-    def path(self, p: PathExpr) -> AbstractSet[Pair]:
-        if isinstance(p, RoleStep):
-            return {(x, y) for x, ys in self.interp.adjacency(p.role).items() for y in ys}
-        if isinstance(p, BinRef):
-            return self.binary.get(p.name, _EMPTY)
-        if isinstance(p, Test):
-            return {(n, n) for n in self.unary.get(p.shape, _EMPTY)}
-        if isinstance(p, PUnion):
-            return self.path(p.left) | self.path(p.right)
-        if isinstance(p, PInter):
-            return self.path(p.left) & self.path(p.right)
-        if isinstance(p, PDiff):
-            return self.path(p.left) - self.path(p.right)
-        if isinstance(p, PConcat):
-            by_mid: Dict[Node, Set[Node]] = {}
-            for x, y in self.path(p.left):
-                by_mid.setdefault(y, set()).add(x)
-            return {(x, z) for y, z in self.path(p.right) for x in by_mid.get(y, ())}
-        if isinstance(p, PInverse):
-            return {(y, x) for x, y in self.path(p.inner)}
-        if isinstance(p, PStar):
-            succ: Dict[Node, Set[Node]] = {}
-            for x, y in self.path(p.inner):
-                succ.setdefault(x, set()).add(y)
-            out: Set[Pair] = set()
-            for n in self.interp.nodes | succ.keys():
-                seen = {n}
-                work = [n]
-                while work:
-                    for y in succ.get(work.pop(), ()):
-                        if y not in seen:
-                            seen.add(y)
-                            work.append(y)
-                out.update((n, y) for y in seen)
-            return out
-        raise TypeError(f"unknown path {p!r}")
+    def _comparison(self, body: Union[GuardedEq, GuardedDisj]) -> AbstractSet[Node]:
+        if body.guard is None:
+            raise UnguardedComparison(
+                "eq/disj must be guarded by an individual: without the guard, "
+                "nodes reached over the two paths cannot be told apart"
+            )
+        node = body.guard
+        if node not in self.interp.nodes:
+            return _EMPTY
+        left = _path_reach(self.interp, node, _nfa(self.nfas, body.left))
+        right = _path_reach(self.interp, node, _nfa(self.nfas, body.right))
+        if isinstance(body, GuardedEq):
+            ok = left == right
+        else:
+            ok = not (left & right)
+        return {node} if ok else _EMPTY
+
+    def _exists_via(self, body: ExistsVia) -> AbstractSet[Node]:
+        pairs = self.path(body.path)
+        targets = self.body(body.body)
+        return {e for e, e2 in pairs if e2 in targets}
+
+    def _concat(self, p: PConcat) -> AbstractSet[Pair]:
+        by_mid: Dict[Node, Set[Node]] = {}
+        for x, y in self.path(p.left):
+            by_mid.setdefault(y, set()).add(x)
+        return {(x, z) for y, z in self.path(p.right) for x in by_mid.get(y, ())}
+
+    def _star(self, p: PStar) -> AbstractSet[Pair]:
+        succ: Dict[Node, Set[Node]] = {}
+        for x, y in self.path(p.inner):
+            succ.setdefault(x, set()).add(y)
+        out: Set[Pair] = set()
+        for n in self.interp.nodes | succ.keys():
+            seen = {n}
+            work = [n]
+            while work:
+                for y in succ.get(work.pop(), ()):
+                    if y not in seen:
+                        seen.add(y)
+                        work.append(y)
+            out.update((n, y) for y in seen)
+        return out
+
+    # the case of each node type, called as case(evaluator, node): a body's
+    # nodes, or a path expression's node pairs
+    _BODIES = {
+        IndividualRef: lambda ev, b: {b.name} if b.name in ev.interp.nodes else _EMPTY,
+        ShapeRef: lambda ev, b: ev.unary.get(b.name, _EMPTY),
+        NegShapeRef: lambda ev, b: ev.interp.nodes - ev.unary.get(b.name, _EMPTY),
+        ConceptRef: lambda ev, b: ev.interp.extension(b.name),
+        Or: lambda ev, b: ev.body(b.left) | ev.body(b.right),
+        And: lambda ev, b: ev.body(b.left) & ev.body(b.right),
+        Not: lambda ev, b: ev.interp.nodes - ev.body(b.body),
+        ExistsRoles: _exists_roles,
+        ExistsPath: lambda ev, b: _path_sources(
+            ev.interp, _nfa(ev.nfas, b.path), ev.body(b.body)
+        ),
+        GuardedEq: _comparison,
+        GuardedDisj: _comparison,
+        ExistsVia: _exists_via,
+    }
+    _PATHS = {
+        RoleStep: lambda ev, p: {
+            (x, y) for x, ys in ev.interp.adjacency(p.role).items() for y in ys
+        },
+        BinRef: lambda ev, p: ev.binary.get(p.name, _EMPTY),
+        Test: lambda ev, p: {(n, n) for n in ev.unary.get(p.shape, _EMPTY)},
+        PUnion: lambda ev, p: ev.path(p.left) | ev.path(p.right),
+        PInter: lambda ev, p: ev.path(p.left) & ev.path(p.right),
+        PDiff: lambda ev, p: ev.path(p.left) - ev.path(p.right),
+        PConcat: _concat,
+        PInverse: lambda ev, p: {(y, x) for x, y in ev.path(p.inner)},
+        PStar: _star,
+    }
 
 
 # ---------------------------------------------------------------------------
 # the fixpoint engine
 
 
-def _fixpoint(interp: Interpretation, strata: Sequence[Sequence[Item]]) -> Tables:
-    """Unary and binary atoms of the perfect assignment, stratum by stratum.
+def _round(ev: _Evaluator, group: Sequence[Item]) -> bool:
+    """Evaluate each item once and add its atoms; whether any were new."""
+    grew = False
+    for it in group:
+        if isinstance(it, BinConstraint):
+            new, table = ev.path(it.body), ev.binary
+        else:
+            new, table = ev.body(it.body), ev.unary
+        have = table.setdefault(it.head, set())
+        size = len(have)
+        have |= new
+        grew = grew or len(have) > size
+    return grew
 
-    Within a stratum every round evaluates each item and adds its atoms at
-    once, until a round adds nothing. Items read their own stratum only
-    positively, so the order of the additions does not change the result.
+
+def _fixpoint(
+    interp: Interpretation, components: Sequence[Tuple[Sequence[Item], bool]]
+) -> Tables:
+    """Unary and binary atoms of the perfect assignment, one group at a time.
+
+    Each (items, recursive) group reads only the groups before it and
+    itself, and itself only positively. A recursive group repeats rounds
+    until one adds nothing; any other group is final after one round.
     """
     ev = _Evaluator(interp, {}, {}, {})
-    for group in strata:
-        grew = True
-        while grew:
-            grew = False
-            for it in group:
-                if isinstance(it, BinConstraint):
-                    new, table = ev.path(it.body), ev.binary
-                else:
-                    new, table = ev.body(it.body), ev.unary
-                have = table.setdefault(it.head, set())
-                size = len(have)
-                have |= new
-                grew = grew or len(have) > size
+    for group, recursive in components:
+        while _round(ev, group) and recursive:
+            pass
     return ev.unary, ev.binary
 
 
@@ -274,7 +296,7 @@ def validate(
             "constraints use negation but the model is a truncated "
             "approximation; negative facts at the frontier are unreliable"
         )
-    unary, _ = _fixpoint(interp, strat.strata)
+    unary, _ = _fixpoint(interp, strat.components)
     failed = False if interp.complete else None
     return {(shape, ind): ind in unary.get(shape, _EMPTY) or failed for shape, ind in targets}
 
@@ -282,4 +304,4 @@ def validate(
 def perfect_assignment_b(interp: Interpretation, constraints: Sequence[Item]) -> Tables:
     """The unary and binary tables of a SHACL^b constraint set's perfect
     assignment."""
-    return _fixpoint(interp, compute_stratification(constraints).strata)
+    return _fixpoint(interp, compute_stratification(constraints).components)

@@ -36,7 +36,7 @@ from .core import (
     node_key,
     type_key,
 )
-from .paths import parse_regex, RegexError, regex_str
+from .paths import parse_regex, RegexError
 from .shapes import (
     RESERVED_PREFIX,
     And,

@@ -10,13 +10,14 @@ existential over a shape ref, or a negated shape ref. ``normalize``
 compiles the richer source grammar down to these, introducing fresh
 shape names under a reserved prefix.
 
-``compute_stratification`` is the one stratifier for both kinds.
+``compute_stratification`` is the one stratifier for both kinds, and its
+condensation also fixes the order in which ``evaluate`` runs the items.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .core import TOP, Role
 from .paths import NFA, Regex, regex_str, regex_to_nfa
@@ -319,36 +320,42 @@ def _concepts_in(body: ShapeBody) -> Set[str]:
     return set()
 
 
+_PAIRS = frozenset({Or, And, PUnion, PInter, PConcat})
+
+
 def shape_occurrences(
     body: Union[ShapeBody, PathExpr], negative: bool = False
-) -> Iterator[Tuple[str, bool]]:
-    """Yield (name, occurs-negatively) pairs, including duplicates, for the
+) -> List[Tuple[str, bool]]:
+    """The (name, occurs-negatively) pairs, including duplicates, for the
     shape and edge-shape names a shape body or path expression reads.
 
     A read is negative inside any complement or negated reference, and on
     the right side of a path difference.
     """
-    if isinstance(body, (ShapeRef, BinRef)):
-        yield body.name, negative
-    elif isinstance(body, NegShapeRef):
-        yield body.name, True
-    elif isinstance(body, Test):
-        yield body.shape, negative
-    elif isinstance(body, (Or, And, PUnion, PInter, PConcat)):
-        yield from shape_occurrences(body.left, negative)
-        yield from shape_occurrences(body.right, negative)
-    elif isinstance(body, PDiff):
-        yield from shape_occurrences(body.left, negative)
-        yield from shape_occurrences(body.right, True)
-    elif isinstance(body, Not):
-        yield from shape_occurrences(body.body, True)
-    elif isinstance(body, ExistsVia):
-        yield from shape_occurrences(body.path, negative)
-        yield from shape_occurrences(body.body, negative)
-    elif isinstance(body, (ExistsRoles, ExistsPath)):
-        yield from shape_occurrences(body.body, negative)
-    elif isinstance(body, (PStar, PInverse)):
-        yield from shape_occurrences(body.inner, negative)
+    out: List[Tuple[str, bool]] = []
+    work = [(body, negative)]
+    while work:
+        b, neg = work.pop()
+        kind = type(b)
+        if kind is ShapeRef or kind is BinRef:
+            out.append((b.name, neg))
+        elif kind is NegShapeRef:
+            out.append((b.name, True))
+        elif kind is Test:
+            out.append((b.shape, neg))
+        elif kind in _PAIRS:
+            work += ((b.right, neg), (b.left, neg))
+        elif kind is PDiff:
+            work += ((b.right, True), (b.left, neg))
+        elif kind is Not:
+            work.append((b.body, True))
+        elif kind is ExistsVia:
+            work += ((b.body, neg), (b.path, neg))
+        elif kind is ExistsRoles or kind is ExistsPath:
+            work.append((b.body, neg))
+        elif kind is PStar or kind is PInverse:
+            work.append((b.inner, neg))
+    return out
 
 
 def has_negation(body: ShapeBody) -> bool:
@@ -519,6 +526,8 @@ def normalize(sg: ShapesGraph) -> Tuple[ShapesGraph, Dict[str, str]]:
 @dataclass(frozen=True)
 class Stratification:
     strata: Tuple[Tuple[Item, ...], ...]
+    # (items, recursive) per strongly connected component, in evaluation order
+    components: Tuple[Tuple[Tuple[Item, ...], bool], ...]
 
 
 class NotStratified(ValueError):
@@ -529,7 +538,8 @@ class NotStratified(ValueError):
 
 
 def compute_stratification(items: Sequence[Item]) -> Stratification:
-    """Strata from the condensation of the marked dependency graph.
+    """Strata and evaluation order from the condensation of the marked
+    dependency graph.
 
     An edge s -> s' says s occurs in a body with head s'; it is marked
     when the occurrence is negative. A strongly connected component that
@@ -537,6 +547,12 @@ def compute_stratification(items: Sequence[Item]) -> Stratification:
     Otherwise a name's stratum is the largest number of marked edges on
     any path into it. Empty strata are dropped, and each stratum keeps
     the order of ``items``.
+
+    ``components`` groups the items by the component of their head, each
+    group after every group it reads and in the order of ``items``. A
+    group is recursive when its component has an edge inside it: more
+    than one name, or a name that reads itself. Only a recursive group
+    needs more than one round of evaluation.
     """
     succ: Dict[str, Set[str]] = {}
     marked: Set[Tuple[str, str]] = set()
@@ -565,9 +581,15 @@ def compute_stratification(items: Sequence[Item]) -> Stratification:
     used = sorted({level[it.head] for it in items})
     renum = {lvl: i for i, lvl in enumerate(used)}
     strata: List[List[Item]] = [[] for _ in used]
+    groups: Dict[int, List[Item]] = {}
     for it in items:
         strata[renum[level[it.head]]].append(it)
-    return Stratification(tuple(map(tuple, strata)))
+        groups.setdefault(comp_of[it.head], []).append(it)
+    components = tuple(
+        (tuple(groups[i]), len(comps[i]) > 1 or comps[i][0] in succ[comps[i][0]])
+        for i in sorted(groups, reverse=True)
+    )
+    return Stratification(tuple(map(tuple, strata)), components)
 
 
 def _components(adj: Dict[str, List[str]]) -> List[List[str]]:

@@ -23,8 +23,6 @@ from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 from .core import (
     BOT,
     TOP,
-    ConjInclusion,
-    ExistsInclusion,
     OneHalfType,
     Role,
     RoleInclusion,

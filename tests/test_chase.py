@@ -13,7 +13,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import enumerate_endomorphisms, naive_endos, run_oblivious_chase
+from ontoshacl import chase
 from ontoshacl.chase import (
+    MAX_CHASE_NODES,
     NotTerminated,
     SizeGuardExceeded,
     core_of,
@@ -216,6 +218,16 @@ def test_oblivious_fixpoint_cores_down_to_the_direct_model():
 def test_core_chase_diverges_on_the_chain():
     with pytest.raises(NotTerminated):
         run_core_chase(saturate(CHAIN_TBOX), CHAIN_ABOX, max_rounds=6)
+
+
+def test_core_chase_refuses_too_much_data_before_firing(monkeypatch):
+    def no_round(sat, atoms):
+        raise AssertionError("fired a round")
+
+    monkeypatch.setattr(chase, "fire_axioms", no_round)
+    big = ABox.of(concepts=[("A", f"i{k}") for k in range(MAX_CHASE_NODES + 1)])
+    with pytest.raises(SizeGuardExceeded, match=f"{MAX_CHASE_NODES + 1} nodes exceeds"):
+        run_core_chase(saturate(CHAIN_TBOX), big)
 
 
 @settings(max_examples=25, deadline=None)

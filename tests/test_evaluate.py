@@ -8,6 +8,7 @@ evaluated under two different hand-built layerings.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -79,7 +80,7 @@ def atoms(unary):
 
 
 def assignment(interp, cs):
-    unary, _ = _fixpoint(interp, compute_stratification(cs).strata)
+    unary, _ = _fixpoint(interp, compute_stratification(cs).components)
     return atoms(unary)
 
 
@@ -175,6 +176,26 @@ def test_reachability_via_positive_recursion():
         Constraint("reach", ExistsRoles(frozenset({Role("r", True)}), ShapeRef("reach"))),
     ]
     assert assignment(TRIANGLE, cs) == {("reach", A), ("reach", B), ("reach", C)}
+
+
+def test_each_item_of_a_chain_is_evaluated_once(monkeypatch):
+    # given last to first, so a loop over one stratum would need 30 rounds
+    chain = [Constraint("s0", ConceptRef("B"))] + [
+        Constraint(f"s{i}", exists("r", ShapeRef(f"s{i - 1}"))) for i in range(1, 30)
+    ]
+    cs = chain[::-1]
+    calls: Counter = Counter()
+    body = _Evaluator.body
+
+    def counting(self, b):
+        calls[b] += 1
+        return body(self, b)
+
+    monkeypatch.setattr(_Evaluator, "body", counting)
+    got = assignment(TRIANGLE, cs)
+    assert [calls[c.body] for c in cs] == [1] * len(cs)
+    monkeypatch.undo()
+    assert got == naive_assignment(TRIANGLE, cs)
 
 
 def test_negation_reads_the_finished_lower_stratum():
@@ -291,8 +312,11 @@ def test_two_layerings_same_assignment():
 
     fine = ((c_low, c_free), (c_mid,), (c_top,))
     coarse = ((c_low,), (c_mid, c_free), (c_top,))
-    auto = compute_stratification(all_cs).strata
-    got = {atoms(_fixpoint(TRIANGLE, layering)[0]) for layering in (fine, coarse, auto)}
+    strat = compute_stratification(all_cs)
+    # a plain layering is run as recursive groups, each to its own fixpoint
+    layerings = [[(g, True) for g in lay] for lay in (fine, coarse, strat.strata)]
+    layerings.append(strat.components)
+    got = {atoms(_fixpoint(TRIANGLE, layering)[0]) for layering in layerings}
     assert len(got) == 1
 
 

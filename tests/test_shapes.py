@@ -34,7 +34,6 @@ from ontoshacl.shapes import (
     RoleStep,
     ShapeRef,
     ShapesGraph,
-    Stratification,
     Test as ShapeTest,
     UnguardedComparison,
     compute_stratification,
@@ -289,15 +288,11 @@ def random_items(rng: random.Random):
     return items
 
 
-def packed(items, level) -> Stratification:
-    """The stratification the levels describe: the items grouped by the
-    level of their head over the non-empty levels, each group in input
-    order."""
+def packed(items, level):
+    """The strata the levels describe: the items grouped by the level of
+    their head over the non-empty levels, each group in input order."""
     used = sorted({level[it.head] for it in items})
-    strata = tuple(
-        tuple(it for it in items if level[it.head] == lv) for lv in used
-    )
-    return Stratification(strata)
+    return tuple(tuple(it for it in items if level[it.head] == lv) for lv in used)
 
 
 @settings(max_examples=300, deadline=None)
@@ -306,7 +301,7 @@ def test_stratification_matches_the_relaxation_oracle(seed):
     items = random_items(random.Random(seed))
     level = naive_levels(items)
     if level is not None:
-        assert compute_stratification(items) == packed(items, level)
+        assert compute_stratification(items).strata == packed(items, level)
         return
     with pytest.raises(NotStratified, match="not stratified") as exc:
         compute_stratification(items)
@@ -315,6 +310,29 @@ def test_stratification_matches_the_relaxation_oracle(seed):
     steps = list(zip(exc.value.cycle, exc.value.cycle[1:] + exc.value.cycle[:1]))
     assert all(any((s, t) == e[:2] for e in edges) for s, t in steps)
     assert any((s, t, True) in edges for s, t in steps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_components_order_the_items_for_evaluation(seed):
+    items = random_items(random.Random(seed))
+    if naive_levels(items) is None:
+        return
+    components = compute_stratification(items).components
+    position = {id(it): i for i, it in enumerate(items)}
+    # every item exactly once, in input order inside its component
+    assert sorted(id(it) for group, _ in components for it in group) == sorted(position)
+    for group, _ in components:
+        assert [position[id(it)] for it in group] == sorted(position[id(it)] for it in group)
+    # a reader comes no earlier than what it reads; names nothing defines
+    # have no component
+    comp_of = {it.head: k for k, (group, _) in enumerate(components) for it in group}
+    edges = dependency_edges(items)
+    assert all(comp_of[s] <= comp_of[t] for s, t, _ in edges if s in comp_of)
+    # recursive exactly when the component has an edge inside it
+    for k, (_, recursive) in enumerate(components):
+        inner = any(comp_of.get(s) == k and comp_of[t] == k for s, t, _ in edges)
+        assert recursive == inner
 
 
 def test_binary_reads_count_as_occurrences():
