@@ -17,6 +17,17 @@ subset test ``a & ~b == 0``. Emission drops subsumed bodies on the masks,
 decodes only the kept ones back to entries and literals, and sorts them by
 their printed conjuncts, so the output does not depend on the order in
 which bits were given out.
+
+A component's type universe and its bodies range over its signature R
+(``_signature``), not over every concept name: the names its normal-form
+constraints read and, when one of them takes a role step, the premises
+and fillers of every existential of the saturated TBox. The rewriting is
+evaluated over completed data, where a node's concept set S is closed
+under ``cl``, and ``cl(S & R)`` is the one type of the universe that agrees
+with S on R. As every existential premise and filler is in R, that type
+has the implied existentials, successor candidates and consistent
+children of S. Without a role step no rule reads a witness, so the
+constraints' own names are enough.
 """
 from __future__ import annotations
 
@@ -248,10 +259,12 @@ def _closed_subsets(st: SaturatedTBox, names: Sequence[str]) -> Set[FrozenSet[st
     return out
 
 
-def _type_universe(st: SaturatedTBox, nc: FrozenSet[str]) -> Tuple[TwoType, ...]:
-    """All 2-types a quadruple can mention: data-level bare types plus the
-    types of anonymous tree nodes reachable from them."""
-    names = sorted(nc)
+def _type_universe(st: SaturatedTBox, sig: FrozenSet[str]) -> Tuple[TwoType, ...]:
+    """All 2-types a quadruple can mention: the bare type ``cl`` of each
+    subset of the signature ``sig`` that is consistent, one per part of
+    sig a data node can have, plus the types of anonymous tree nodes
+    reachable from them."""
+    names = sorted(sig)
     bare_sets = _closed_subsets(st, names)
     types: Set[TwoType] = {TwoType(s, frozenset(), frozenset()) for s in bare_sets}
     work = list(bare_sets)
@@ -477,8 +490,15 @@ def _completion_dict(
     return out
 
 
-def _nc_universe(st: SaturatedTBox, cons: Sequence[Constraint]) -> FrozenSet[str]:
-    return (st.tbox.concept_names() | concept_names(cons)) - {TOP, BOT}
+def _signature(st: SaturatedTBox, cons: Sequence[Constraint]) -> FrozenSet[str]:
+    """The concept names a component's rewriting is built over: those its
+    normal-form constraints read, and, when one of them takes a role step,
+    the premises and fillers of every existential of the saturated TBox."""
+    sig = set(concept_names(cons))
+    if any(isinstance(c.body, ExistsRoles) for c in cons):
+        for e in st.existentials:
+            sig |= e.premise | e.fillers
+    return frozenset(sig - {TOP, BOT})
 
 
 def _entry_body(e: Entry) -> ShapeBody:
@@ -505,21 +525,26 @@ def _and_chain(parts: Sequence[ShapeBody]) -> ShapeBody:
 
 
 def _emit(
-    K: _K, codes: _Codes, heads: FrozenSet[str], nc: FrozenSet[str]
+    K: _K, codes: _Codes, heads: FrozenSet[str], sig: FrozenSet[str]
 ) -> List[Constraint]:
     wanted = 0
     for name in heads:
         wanted |= codes.lit(name)
-    # each head's bodies as (type concepts, P, Q): rows that agree on them
-    # print the same body. The vacuous rows, with some witness both
-    # required and forbidden, and the rows that derive no head are dropped.
-    per_head: Dict[str, Dict[FrozenSet[str], Set[Tuple[int, int]]]] = {}
+    # a body lists its type's concepts, the names of sig the type lacks
+    # negated, and P and Q: so only a body whose type agrees with another's
+    # on sig can subsume it, one whose concepts, P and Q are all subsets.
+    # Each head's rows are grouped by their type's part of sig; rows that
+    # agree on (type concepts, P, Q) print the same body. The vacuous rows,
+    # with some witness both required and forbidden, and the rows that
+    # derive no head are dropped.
+    part = [t.concepts & sig for t in codes.types]
+    per_head: Dict[str, Dict[FrozenSet[str], Set[Tuple[FrozenSet[str], int, int]]]] = {}
     for (i, p, q), h in K.items():
         if not h & wanted or p & q:
             continue
-        concepts = codes.types[i].concepts
+        row = (codes.types[i].concepts, p, q)
         for bit in _bits(h & wanted):
-            per_head.setdefault(codes.lits[bit].name, {}).setdefault(concepts, set()).add((p, q))
+            per_head.setdefault(codes.lits[bit].name, {}).setdefault(part[i], set()).add(row)
 
     # the conjuncts of each entry, present and absent, with their printed
     # forms, and of each type's concepts
@@ -535,20 +560,20 @@ def _emit(
     out: List[Constraint] = []
     for head in sorted(per_head):
         bodies = []
-        for concepts, masks in per_head[head].items():
-            # every body lists each name of nc, so only a body with the same
-            # concepts can subsume another: one whose P and Q are subsets.
-            # Bodies come by size, so the kept ones are the minimal ones,
-            # and comparing with them is enough.
-            kept: List[Tuple[int, int]] = []
-            for p, q in sorted(masks, key=lambda m: (m[0] | m[1]).bit_count()):
-                if not any(not kp & ~p and not kq & ~q for kp, kq in kept):
-                    kept.append((p, q))
-            if concepts not in type_parts:
-                own: List[ShapeBody] = [ConceptRef(a) for a in sorted(concepts)]
-                own += [Not(ConceptRef(a)) for a in sorted(nc - concepts)]
-                type_parts[concepts] = [(x, str(x)) for x in own]
-            for p, q in kept:
+        for rows in per_head[head].values():
+            # bodies come by size, so the kept ones are the minimal ones,
+            # and comparing with them is enough
+            kept: List[Tuple[FrozenSet[str], int, int]] = []
+            for c, p, q in sorted(rows, key=lambda r: len(r[0]) + (r[1] | r[2]).bit_count()):
+                if not any(
+                    not kp & ~p and not kq & ~q and kc <= c for kc, kp, kq in kept
+                ):
+                    kept.append((c, p, q))
+            for concepts, p, q in kept:
+                if concepts not in type_parts:
+                    own: List[ShapeBody] = [ConceptRef(a) for a in sorted(concepts)]
+                    own += [Not(ConceptRef(a)) for a in sorted(sig - concepts)]
+                    type_parts[concepts] = [(x, str(x)) for x in own]
                 conj = type_parts[concepts] + [
                     present[b] for b in sorted(_bits(p), key=order.__getitem__)
                 ]
@@ -590,8 +615,8 @@ def _rewrite_component(
     the constraints and their emitted rewriting, and the quadruple count."""
     st = ctx.st
     cons = [c for group in strata for c in group]
-    nc = _nc_universe(st, cons)
-    codes = _Codes(_type_universe(st, nc))
+    sig = _signature(st, cons)
+    codes = _Codes(_type_universe(st, sig))
     K = _seed_dict(ctx, codes)
 
     occurring = shape_names(cons)
@@ -603,7 +628,7 @@ def _rewrite_component(
         K = _completion_dict(K, codes, scope, settled)
         _close(ctx, codes, group, K)
         heads = frozenset(c.head for c in group)
-        out.extend(_emit(K, codes, heads, nc))
+        out.extend(_emit(K, codes, heads, sig))
     return out, len(K)
 
 
@@ -667,7 +692,8 @@ def _entailed_conj(st: SaturatedTBox) -> List[Constraint]:
 
 def _concept_seeds(st: SaturatedTBox, c_t: Sequence[Constraint]) -> List[Constraint]:
     """``_c_A <- A`` for each concept name of the TBox and of C_T."""
-    return [Constraint(_concept_shape(a), ConceptRef(a)) for a in sorted(_nc_universe(st, c_t))]
+    names = (st.tbox.concept_names() | concept_names(c_t)) - {TOP, BOT}
+    return [Constraint(_concept_shape(a), ConceptRef(a)) for a in sorted(names)]
 
 
 def _simplify_roles(st: SaturatedTBox, roles: FrozenSet[Role]) -> FrozenSet[Role]:

@@ -7,7 +7,8 @@ beyond the plain AST types, so agreement is evidence rather than
 tautology. The exceptions are the last two sections: entry points that
 only the tests call, kept here rather than in the package, and the
 set-based quadruple saturation that the bit-encoded one in
-``ontoshacl.rewrite`` replaced.
+``ontoshacl.rewrite`` replaced, with the full signature of every concept
+name that the per-component one is checked against.
 """
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ from ontoshacl.rewrite import (
     _Ctx,
     _entry_body,
     _entry_key,
-    _nc_universe,
+    _signature,
     _split,
     _type_universe,
 )
@@ -73,6 +74,7 @@ from ontoshacl.shapes import (
     ShapeRef,
     Stratification,
     Test,
+    concept_names,
     shape_names,
 )
 from ontoshacl.tbox import SaturatedTBox
@@ -998,7 +1000,7 @@ def _set_key_sort(item: Tuple[_SetKey, Set[Lit]]) -> Tuple:
     )
 
 
-def _set_emit(K: _SetK, heads: FrozenSet[str], nc: FrozenSet[str]) -> List[Constraint]:
+def _set_emit(K: _SetK, heads: FrozenSet[str], sig: FrozenSet[str]) -> List[Constraint]:
     per_head: Dict[str, Dict[FrozenSet[str], List[ShapeBody]]] = {}
     for (t, p, q), h in sorted(K.items(), key=_set_key_sort):
         if p & q:
@@ -1007,7 +1009,7 @@ def _set_emit(K: _SetK, heads: FrozenSet[str], nc: FrozenSet[str]) -> List[Const
         if not names:
             continue
         parts: List[ShapeBody] = [ConceptRef(a) for a in sorted(t.concepts)]
-        parts += [Not(ConceptRef(a)) for a in sorted(nc - t.concepts)]
+        parts += [Not(ConceptRef(a)) for a in sorted(sig - t.concepts)]
         parts += [_entry_body(e) for e in sorted(p, key=_entry_key)]
         parts += [Not(_entry_body(e)) for e in sorted(q, key=_entry_key)]
         tokens = frozenset(str(x) for x in parts)
@@ -1034,8 +1036,8 @@ def set_rewrite(
     quadruples = 0
     for strata in _split(strat):
         cons = [c for group in strata for c in group]
-        nc = _nc_universe(st, cons)
-        K = _set_seed(ctx, _type_universe(st, nc))
+        sig = _signature(st, cons)
+        K = _set_seed(ctx, _type_universe(st, sig))
         occurring = shape_names(cons)
         out.extend(cons)
         for i, group in enumerate(strata):
@@ -1044,6 +1046,13 @@ def set_rewrite(
             settled = frozenset(n for n in occurring if n not in later_heads)
             K = _set_completion(K, scope, settled)
             _set_close(group, K, ctx)
-            out.extend(_set_emit(K, frozenset(c.head for c in group), nc))
+            out.extend(_set_emit(K, frozenset(c.head for c in group), sig))
         quadruples += len(K)
     return tuple(dict.fromkeys(out)), quadruples
+
+
+def full_signature(st: SaturatedTBox, cons: Sequence[Constraint]) -> FrozenSet[str]:
+    """Every concept name of the TBox and of the constraints: the widest
+    signature a component's rewriting can range over, and so a stand-in
+    for ``rewrite._signature`` that drops nothing."""
+    return (st.tbox.concept_names() | concept_names(cons)) - {TOP, BOT}

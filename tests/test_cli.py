@@ -231,6 +231,19 @@ def test_show_rewrite_does_not_depend_on_the_hash_seed(tmp_path, mode):
     assert outs[0].count("\n") > len(HASHED_TARGETS.splitlines()) + 3
 
 
+def test_show_rewrite_ignores_an_axiom_over_fresh_names(tmp_path, capsys):
+    # no shape reads P, Q or P2 and no existential mentions them, so the
+    # rewriting does not change
+    outs = []
+    for tbox in (HASHED_TBOX, HASHED_TBOX + "P & Q <= P2\n"):
+        rc = validate(tmp_path, "rewrite", HASHED_TARGETS, tbox=tbox, abox=HASHED_ABOX,
+                      shapes=HASHED_SHAPES, extra=["--show-rewrite"])
+        assert rc in (cli.EXIT_VALID, cli.EXIT_VIOLATIONS), capsys.readouterr().err
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert outs[0].count("\n") > len(HASHED_TARGETS.splitlines()) + 3
+
+
 def test_a_rewrite_run_orders_each_constraint_set_once(tmp_path, monkeypatch, capsys):
     # the source shapes and their normal form are sorted by printed form
     # when they are made; no later layer prints a constraint to re-sort it

@@ -16,11 +16,15 @@ multiplying. A shrunk selftest case pins the check that settles a
 child's witness claims against its parent, and shuffled rewritings pin
 that verdicts do not depend on the order of C_T. The bit-encoded
 saturation is checked against the set-based one kept in
-``oracles.set_rewrite``.
+``oracles.set_rewrite``. Each component is rewritten over its own
+signature of concept names; three inputs pin the existential premises it
+must keep, and a seeded slice of denser cases checks its verdicts
+against those over every concept name.
 """
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -35,7 +39,7 @@ from ontoshacl.core import (
 )
 from ontoshacl.evaluate import perfect_assignment_b, validate
 from ontoshacl.formats import parse_abox, parse_constraints, parse_tbox
-from ontoshacl.harness import case_rng, gen_case
+from ontoshacl.harness import SAFE_DEPTH, case_rng, gen_abox, gen_case, gen_constraints, gen_tbox
 from ontoshacl.model import InconsistentKB, complete_abox
 from ontoshacl.rewrite import pure_rewrite_alchi, pure_rewrite_shaclb, rewrite
 from ontoshacl.shapes import (
@@ -43,11 +47,12 @@ from ontoshacl.shapes import (
     Constraint,
     ShapesGraph,
     compute_stratification,
+    concept_names,
     normalize,
     shape_names,
 )
 from ontoshacl.tbox import UnsupportedPattern, saturate
-from oracles import set_rewrite
+from oracles import full_signature, set_rewrite
 
 # =============================================================================
 # FIXTURES
@@ -295,6 +300,87 @@ def test_emitted_bodies_are_minimal(seed):
         for head, found in bodies.items():
             for small in found:
                 assert not any(small < other for other in found), (head, sorted(small))
+
+
+# =============================================================================
+# THE SIGNATURE OF A COMPONENT
+# =============================================================================
+
+# each verdict rests on a concept name that no shape reads: the premise
+# of an existential, a premise that a value restriction adds to one, and
+# one that a counting axiom adds when it merges two. $s(@a) is VALID
+SIGNATURE_CASES = {
+    "existential": ("X <= some r.B\n", "X(a)\n", "$s <- some [r].$t\n$t <- B\n"),
+    "value": (
+        "A <= some r.B\nY <= only r.C\n",
+        "A(a)\nY(a)\n",
+        "$s <- some [r].$c\n$c <- C\n",
+    ),
+    "counting": (
+        "A <= some r.B\nA <= some r.C\nZ <= max1 r.top\n",
+        "A(a)\nZ(a)\n",
+        "$s <- some [r].$t\n$t <- $b & $c\n$b <- B\n$c <- C\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIGNATURE_CASES))
+def test_the_signature_keeps_every_existential_premise(case):
+    tbox, abox, shapes = SIGNATURE_CASES[case]
+    sg = ShapesGraph.of(parse_constraints(shapes), [("s", "a")])
+    kb = prepare(parse_tbox(tbox), parse_abox(abox), sg, depth=10)
+    for mode, route in ROUTES.items():
+        if route.small_only or (kb.sat.tbox.atmost and not route.counting):
+            continue
+        assert route.run(kb).verdicts == {("s", "a"): True}, mode
+
+
+def test_a_component_without_a_role_step_names_only_its_own_concepts(monkeypatch):
+    # the TBox's names, the existential's premise D among them, cannot
+    # change what $s and $t read; over every concept name each body lists
+    # them all
+    tbox = parse_tbox("B & C <= D\nD <= some r.E\n")
+    shapes = parse_constraints("$s <- @a\n$t <- A\n")
+    assert concept_names(emitted(tbox, shapes)) == {"A"}
+    monkeypatch.setattr(rw, "_signature", full_signature)
+    assert concept_names(emitted(tbox, shapes)) == {"A", "B", "C", "D", "E"}
+
+
+def merged_case(seed, index):
+    """A selftest case drawn over two TBoxes and two ABoxes, merged: more
+    existentials, with premises that no shape reads, than one draw gives."""
+    rng = case_rng(seed, index)
+    tboxes = [gen_tbox(rng) for _ in range(2)]
+    aboxes = [gen_abox(rng) for _ in range(2)]
+    tbox = TBox.of(ax for t in tboxes for ax in t.axioms())
+    abox = ABox.of(
+        [atom for a in aboxes for atom in a.concept_atoms],
+        [(Role(name), x, y) for a in aboxes for name, x, y in a.role_atoms],
+    )
+    cons = gen_constraints(rng, abox)
+    targets = [(s, x) for s in sorted({c.head for c in cons}) for x in abox.individuals()]
+    return tbox, abox, ShapesGraph.of(cons, targets)
+
+
+def test_the_signature_gives_the_verdicts_of_every_concept_name(monkeypatch):
+    # a signature of the shapes' own names answers differently on cases
+    # 3, 6, 40 and 57
+    def verdicts(kb):
+        fresh = replace(kb, _c_t=None)
+        return [ROUTES[mode].run(fresh).verdicts for mode in ("rewrite", "pure-shaclb")]
+
+    compared = 0
+    for i in range(60):
+        try:
+            kb = prepare(*merged_case(4, i), SAFE_DEPTH)
+        except InconsistentKB:
+            continue
+        got = verdicts(kb)
+        with monkeypatch.context() as m:
+            m.setattr(rw, "_signature", full_signature)
+            assert verdicts(kb) == got, i
+        compared += 1
+    assert compared == 55  # the other cases are inconsistent
 
 
 # =============================================================================
