@@ -6,13 +6,15 @@ materializes a finite approximation of the canonical model, ``chase``
 dumps the rounds of the core chase, and ``selftest`` cross-checks the
 routes against each other on random inputs.
 
-Exit codes: 0 all targets valid, 1 violations. Every failure has one
-entry in ``FAILURES``, read for every subcommand: 2 inconsistent KB;
-3 input error (an unreadable file, a parse error, an unsupported TBox
-pattern, an unguarded comparison, a negative ``--depth``); 4 constraints
-not stratified; 5 a budget hit where a verdict would need the missing
-part: negation over a truncated model, a model prefix over
-``model.MAX_MODEL_NODES`` nodes, a rewriting over
+Exit codes: 0 all targets valid, 1 violations. Every failure but a
+usage error, which argparse reports after its usage line, has one entry
+in ``FAILURES``, read for every subcommand: 2 inconsistent KB; 3 input
+error (a usage error: an unknown subcommand, option or mode, a missing
+required option, a non-integer number; an unreadable file, a parse
+error, an unsupported TBox pattern, an unguarded comparison, a negative
+``--depth``); 4 constraints not stratified; 5 a budget hit where a
+verdict would need the missing part: negation over a truncated model, a
+model prefix over ``model.MAX_MODEL_NODES`` nodes, a rewriting over
 ``rewrite.MAX_QUADRUPLES`` quadruples, the chase's round budget, or the
 chase's size guard. ``validate`` also exits 5 when a target fails on a
 model truncated at ``--depth`` (reported UNKNOWN, ``"valid": null`` in
@@ -21,13 +23,18 @@ JSON), and ``chase`` when it runs out of rounds, after printing them.
 A target whose shape no constraint defines, or whose individual is not
 in the data, is a VIOLATION like any other failed target; ``validate``
 also warns about it on stderr.
+
+``main(argv)`` may be called many times in one process. Only the
+argparse parser (``build_parser``) is shared between calls: each call
+reads its files and computes its KB, rewriting and verdicts again.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from .chase import NotTerminated, SizeGuardExceeded, run_core_chase
 from .core import ABox, Interpretation, Role, TBox
@@ -389,13 +396,28 @@ COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit 3 (input error), not 2."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _add_kb_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tbox", required=True, help="axiom file (.tbox)")
     p.add_argument("--abox", required=True, help="assertion file (.abox)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="ontoshacl")
+    """The process's one parser: built on the first call, then shared.
+
+    ``parse_args`` returns a fresh ``Namespace`` each time and reads
+    ``sys.stderr`` and the terminal width when it prints, so ``main`` may
+    reuse it across calls; nothing else may change it.
+    """
+    ap = _Parser(prog="ontoshacl")
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("validate", help="validate targets against shapes")

@@ -6,6 +6,7 @@ stderr are the ones a user sees.
 """
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -315,3 +316,79 @@ def test_chase_size_guard_reads_the_same_in_both_subcommands(tmp_path, capsys):
     assert "Traceback" not in err
     assert err.startswith("error: 70 nodes exceeds")
     assert err == via_validate
+
+
+# =============================================================================
+# USAGE ERRORS AND THE SHARED PARSER
+# =============================================================================
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "--tbox", "x", "--abox", "y", "--shapes", "z", "--mode", "nosuch"],
+     "ontoshacl validate: error: argument --mode: invalid choice: 'nosuch'"),
+    (["validate", "--tbox", "x", "--shapes", "z"],
+     "ontoshacl validate: error: the following arguments are required: --abox"),
+    (["nosuch"], "ontoshacl: error: argument command: invalid choice: 'nosuch'"),
+    (["chase", "--tbox", "x", "--abox", "y", "--depth", "abc"],
+     "ontoshacl chase: error: argument --depth: invalid int value: 'abc'"),
+], ids=["mode", "missing-option", "subcommand", "depth"])
+def test_usage_errors_exit_3(argv, message, capsys):
+    # a typo in the command line is an input error, not an inconsistent KB
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ontoshacl")
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["validate", "--help"])
+    assert exc.value.code == 0
+    assert "--show-rewrite" in capsys.readouterr().out
+
+
+def test_one_parser_serves_independent_calls(tmp_path, monkeypatch, capsys):
+    f = write(tmp_path, tbox=TBOX, abox=ABOX, shacl=SHAPES, targets="$s(@a)\n$t(@b)\n")
+    kb = ["--tbox", f["tbox"], "--abox", f["abox"]]
+    check = ["validate", *kb, "--shapes", f["shacl"], "--targets", f["targets"],
+             "--format", "json"]
+
+    seen = []  # the Namespace of every command that ran
+    for name, command in list(cli.COMMANDS.items()):
+        def spy(args, command=command):
+            seen.append(args)
+            return command(args)
+        monkeypatch.setitem(cli.COMMANDS, name, spy)
+
+    built = []  # top-level parsers; each subcommand's parser has a longer prog
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        if kwargs.get("prog") == "ontoshacl":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+
+    assert cli.main(check) == cli.EXIT_VALID
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["validate", *kb, "--shapes", f["shacl"], "--mode", "nosuch"])
+    assert exc.value.code == cli.EXIT_INPUT
+    capsys.readouterr()
+    assert cli.main(["chase", *kb]) == cli.EXIT_VALID
+    assert cli.main(["build-model", *kb]) == cli.EXIT_VALID
+    capsys.readouterr()
+    assert cli.main(check) == cli.EXIT_VALID
+    assert capsys.readouterr().out == first
+
+    assert [a.command for a in seen] == ["validate", "chase", "build-model", "validate"]
+    assert [a.depth for a in seen] == [32, 10, 32, 32]
+    assert len({id(a) for a in seen}) == len(seen)
+    assert not hasattr(seen[1], "fmt") and not hasattr(seen[1], "mode")
+    assert len(built) == 1
