@@ -28,6 +28,10 @@ with S on R. As every existential premise and filler is in R, that type
 has the implied existentials, successor candidates and consistent
 children of S. Without a role step no rule reads a witness, so the
 constraints' own names are enough.
+
+The pure rewritings substitute inside C_T through a memo keyed by node
+identity, so they visit each distinct node once: ``_emit`` builds every
+body over one shared object per conjunct, which occurs in many bodies.
 """
 from __future__ import annotations
 
@@ -49,6 +53,7 @@ from .shapes import (
     ExistsRoles,
     ExistsVia,
     IndividualRef,
+    Item,
     NegShapeRef,
     Not,
     Or,
@@ -690,10 +695,10 @@ def _entailed_conj(st: SaturatedTBox) -> List[Constraint]:
     return out
 
 
-def _concept_seeds(st: SaturatedTBox, c_t: Sequence[Constraint]) -> List[Constraint]:
-    """``_c_A <- A`` for each concept name of the TBox and of C_T."""
-    names = (st.tbox.concept_names() | concept_names(c_t)) - {TOP, BOT}
-    return [Constraint(_concept_shape(a), ConceptRef(a)) for a in sorted(names)]
+def _concept_seeds(st: SaturatedTBox, names: Iterable[str]) -> List[Constraint]:
+    """``_c_A <- A`` for each concept name of the TBox and of ``names``."""
+    seeds = (st.tbox.concept_names() | set(names)) - {TOP, BOT}
+    return [Constraint(_concept_shape(a), ConceptRef(a)) for a in sorted(seeds)]
 
 
 def _simplify_roles(st: SaturatedTBox, roles: FrozenSet[Role]) -> FrozenSet[Role]:
@@ -711,23 +716,57 @@ def _simplify_roles(st: SaturatedTBox, roles: FrozenSet[Role]) -> FrozenSet[Role
 
 
 def _subst(
-    body: ShapeBody, exists: Callable[[FrozenSet[Role], ShapeBody], ShapeBody]
+    body: ShapeBody,
+    exists: Callable[[FrozenSet[Role], ShapeBody], ShapeBody],
+    memo: Dict[int, ShapeBody],
+    names: Set[str],
 ) -> ShapeBody:
     """Concept names become the shapes that mimic the completed graph, and
-    ``exists`` rebuilds each role existential over its substituted body."""
+    ``exists`` rebuilds each role existential over its substituted body.
+
+    Each replaced concept name goes into ``names``. ``memo`` maps the id of
+    each node substituted so far to its result, so a shared node is
+    substituted once. An id names one node only while that node lives:
+    every node keyed here is reachable from the C_T the caller holds for
+    as long as it keeps ``memo``.
+    """
+    done = memo.get(id(body))
+    if done is not None:
+        return done
+    out: ShapeBody
     if isinstance(body, ConceptRef):
         if body.name in (TOP, BOT):
-            return body
-        return ShapeRef(_concept_shape(body.name))
-    if isinstance(body, (IndividualRef, ShapeRef, NegShapeRef)):
-        return body
-    if isinstance(body, (And, Or)):
-        return type(body)(_subst(body.left, exists), _subst(body.right, exists))
-    if isinstance(body, Not):
-        return Not(_subst(body.body, exists))
-    if isinstance(body, ExistsRoles):
-        return exists(body.roles, _subst(body.body, exists))
-    raise ValueError(f"cannot substitute inside {body!r}")
+            out = body
+        else:
+            names.add(body.name)
+            out = ShapeRef(_concept_shape(body.name))
+    elif isinstance(body, (IndividualRef, ShapeRef, NegShapeRef)):
+        out = body
+    elif isinstance(body, (And, Or)):
+        out = type(body)(
+            _subst(body.left, exists, memo, names), _subst(body.right, exists, memo, names)
+        )
+    elif isinstance(body, Not):
+        out = Not(_subst(body.body, exists, memo, names))
+    elif isinstance(body, ExistsRoles):
+        out = exists(body.roles, _subst(body.body, exists, memo, names))
+    else:
+        raise ValueError(f"cannot substitute inside {body!r}")
+    memo[id(body)] = out
+    return out
+
+
+def _alchi_tbox(st: SaturatedTBox) -> List[Constraint]:
+    """The TBox's part of ``pure_rewrite_alchi``: the entailed conjunctions
+    and, for each value restriction, one step back over each sub-role."""
+    ts = _entailed_conj(st)
+    all_roles = sorted(st.tbox.all_roles())
+    for ax in st.tbox.value:
+        for s in all_roles:
+            if ax.role in st.superroles(s):
+                body = ExistsRoles(frozenset({s.invert()}), _concept_ref(ax.lhs))
+                ts.append(Constraint(_concept_shape(ax.filler), body))
+    return ts
 
 
 def pure_rewrite_alchi(
@@ -744,38 +783,26 @@ def pure_rewrite_alchi(
         raise UnsupportedPattern(
             "counting axioms need edge rewriting; use the binary-shape variant"
         )
-    ts = _entailed_conj(st)
-    all_roles = sorted(st.tbox.all_roles())
-    for ax in st.tbox.value:
-        for s in all_roles:
-            if ax.role in st.superroles(s):
-                body = ExistsRoles(frozenset({s.invert()}), _concept_ref(ax.lhs))
-                ts.append(Constraint(_concept_shape(ax.filler), body))
-    ts += _concept_seeds(st, c_t)
-
+    ts = _alchi_tbox(st)
     # over raw data a role r holds wherever one of its sub-roles does
+    all_roles = sorted(st.tbox.all_roles())
     subroles = {
         r: [r] + [s for s in all_roles if s != r and r in st.superroles(s)]
         for r in all_roles
     }
+    picks: Dict[FrozenSet[Role], List[FrozenSet[Role]]] = {}  # per role set
 
     def exists(roles: FrozenSet[Role], inner: ShapeBody) -> ShapeBody:
-        choices = [subroles.get(r, [r]) for r in sorted(_simplify_roles(st, roles))]
-        picks = itertools.product(*choices)
-        return reduce(Or, [ExistsRoles(frozenset(pick), inner) for pick in picks])
+        if roles not in picks:
+            choices = [subroles.get(r, [r]) for r in sorted(_simplify_roles(st, roles))]
+            picks[roles] = [frozenset(pick) for pick in itertools.product(*choices)]
+        return reduce(Or, [ExistsRoles(pick, inner) for pick in picks[roles]])
 
-    replaced = [Constraint(c.head, _subst(c.body, exists)) for c in c_t]
+    names: Set[str] = set()
+    memo: Dict[int, ShapeBody] = {}
+    replaced = [Constraint(c.head, _subst(c.body, exists, memo, names)) for c in c_t]
+    ts += _concept_seeds(st, names)
     return tuple(dict.fromkeys(replaced + ts))
-
-
-def _roles_in(body: ShapeBody) -> Set[Role]:
-    if isinstance(body, ExistsRoles):
-        return set(body.roles) | _roles_in(body.body)
-    if isinstance(body, (And, Or)):
-        return _roles_in(body.left) | _roles_in(body.right)
-    if isinstance(body, Not):
-        return _roles_in(body.body)
-    return set()
 
 
 def _exists_via_edge_shapes(roles: FrozenSet[Role], inner: ShapeBody) -> ShapeBody:
@@ -786,15 +813,10 @@ def _exists_via_edge_shapes(roles: FrozenSet[Role], inner: ShapeBody) -> ShapeBo
     return ExistsVia(path, inner)
 
 
-def pure_rewrite_shaclb(
-    st: SaturatedTBox, c_t: Sequence[Constraint]
-) -> Tuple[Union[Constraint, BinConstraint], ...]:
-    """Validation over the raw data graph for the full axiom language.
-
-    Edge shapes carry derived role atoms, so the counting-axiom merges of
-    the completion can be reproduced pair by pair.
-    """
-    ts: List[Union[Constraint, BinConstraint]] = list(_entailed_conj(st))
+def _shaclb_tbox(st: SaturatedTBox) -> List[Item]:
+    """The TBox's part of ``pure_rewrite_shaclb``: the entailed
+    conjunctions, value restrictions, counting merges and role inclusions."""
+    ts: List[Item] = list(_entailed_conj(st))
     for ax in st.tbox.value:
         body = ExistsVia(BinRef(_role_shape(ax.role.invert())), _concept_ref(ax.lhs))
         ts.append(Constraint(_concept_shape(ax.filler), body))
@@ -824,18 +846,41 @@ def pure_rewrite_shaclb(
                 ts.append(Constraint(_concept_shape(bj), And(_concept_ref(ax.filler), from_hat)))
     for ri in st.tbox.roles:
         ts.append(BinConstraint(_role_shape(ri.sup), BinRef(_role_shape(ri.sub))))
-    base_roles = set(st.tbox.all_roles())
-    for c in c_t:
-        base_roles.update(_roles_in(c.body))
-    for r in sorted(base_roles):
-        ts.append(BinConstraint(_role_shape(r), RoleStep(r)))
-    for name in sorted({r.name for r in base_roles}):
+    return ts
+
+
+def _role_bases(roles: Set[Role]) -> List[Item]:
+    """Each role's edge shape over its data edges, and each role name's two
+    directions as inverses of each other."""
+    ts: List[Item] = [BinConstraint(_role_shape(r), RoleStep(r)) for r in sorted(roles)]
+    for name in sorted({r.name for r in roles}):
         fwd, bwd = Role(name), Role(name, inverted=True)
         ts.append(BinConstraint(_role_shape(bwd), PInverse(BinRef(_role_shape(fwd)))))
         ts.append(BinConstraint(_role_shape(fwd), PInverse(BinRef(_role_shape(bwd)))))
-    ts += _concept_seeds(st, c_t)
+    return ts
 
-    replaced: List[Union[Constraint, BinConstraint]] = [
-        Constraint(c.head, _subst(c.body, _exists_via_edge_shapes)) for c in c_t
+
+def pure_rewrite_shaclb(
+    st: SaturatedTBox, c_t: Sequence[Constraint]
+) -> Tuple[Item, ...]:
+    """Validation over the raw data graph for the full axiom language.
+
+    Edge shapes carry derived role atoms, so the counting-axiom merges of
+    the completion can be reproduced pair by pair.
+    """
+    ts = _shaclb_tbox(st)
+    # the roles of the TBox and of every role existential of C_T
+    base_roles = set(st.tbox.all_roles())
+
+    def exists(roles: FrozenSet[Role], inner: ShapeBody) -> ShapeBody:
+        base_roles.update(roles)
+        return _exists_via_edge_shapes(roles, inner)
+
+    names: Set[str] = set()
+    memo: Dict[int, ShapeBody] = {}
+    replaced: List[Item] = [
+        Constraint(c.head, _subst(c.body, exists, memo, names)) for c in c_t
     ]
+    ts += _role_bases(base_roles)
+    ts += _concept_seeds(st, names)
     return tuple(dict.fromkeys(replaced + ts))

@@ -4,17 +4,19 @@ Everything here is deliberately naive: explicit fixpoints over atom
 sets, exhaustive enumeration where instances are small enough, and a
 from-scratch ground chase. None of it shares code with the package
 beyond the plain AST types, so agreement is evidence rather than
-tautology. The exceptions are the last two sections: entry points that
-only the tests call, kept here rather than in the package, and the
+tautology. The exceptions are the last three sections: entry points that
+only the tests call, kept here rather than in the package; the
 set-based quadruple saturation that the bit-encoded one in
 ``ontoshacl.rewrite`` replaced, with the full signature of every concept
-name that the per-component one is checked against.
+name that the per-component one is checked against; and the pure
+rewritings as they were before they substituted each shared node once.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from functools import reduce
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ontoshacl.chase import (
     DEFAULT_NODE_BOUND,
@@ -43,12 +45,19 @@ from ontoshacl.rewrite import (
     Entry,
     IndRef,
     Lit,
+    _alchi_tbox,
     _and_chain,
     _classify as _classify_constraints,
+    _concept_seeds,
+    _concept_shape,
     _Ctx,
     _entry_body,
     _entry_key,
+    _exists_via_edge_shapes,
+    _role_bases,
+    _shaclb_tbox,
     _signature,
+    _simplify_roles,
     _split,
     _type_universe,
 )
@@ -61,6 +70,7 @@ from ontoshacl.shapes import (
     ExistsRoles,
     ExistsVia,
     IndividualRef,
+    Item,
     NegShapeRef,
     Not,
     Or,
@@ -1056,3 +1066,70 @@ def full_signature(st: SaturatedTBox, cons: Sequence[Constraint]) -> FrozenSet[s
     signature a component's rewriting can range over, and so a stand-in
     for ``rewrite._signature`` that drops nothing."""
     return (st.tbox.concept_names() | concept_names(cons)) - {TOP, BOT}
+
+
+# ---------------------------------------------------------------------------
+# the pure rewritings, substituted at every occurrence: ``_subst`` rebuilds
+# a node each time a body reaches it, the sub-role choices are recomputed
+# at each role existential, and the concept names and roles of C_T come
+# from walking its bodies again. ``rewrite.pure_rewrite_alchi`` and
+# ``pure_rewrite_shaclb`` visit each shared node once and must print the
+# same items in the same order. The TBox's part of each is the package's.
+
+
+def occurrence_subst(
+    body: ShapeBody, exists: Callable[[FrozenSet[Role], ShapeBody], ShapeBody]
+) -> ShapeBody:
+    if isinstance(body, ConceptRef):
+        if body.name in (TOP, BOT):
+            return body
+        return ShapeRef(_concept_shape(body.name))
+    if isinstance(body, (IndividualRef, ShapeRef, NegShapeRef)):
+        return body
+    if isinstance(body, (And, Or)):
+        return type(body)(occurrence_subst(body.left, exists), occurrence_subst(body.right, exists))
+    if isinstance(body, Not):
+        return Not(occurrence_subst(body.body, exists))
+    if isinstance(body, ExistsRoles):
+        return exists(body.roles, occurrence_subst(body.body, exists))
+    raise ValueError(f"cannot substitute inside {body!r}")
+
+
+def occurrence_roles_in(body: ShapeBody) -> Set[Role]:
+    if isinstance(body, ExistsRoles):
+        return set(body.roles) | occurrence_roles_in(body.body)
+    if isinstance(body, (And, Or)):
+        return occurrence_roles_in(body.left) | occurrence_roles_in(body.right)
+    if isinstance(body, Not):
+        return occurrence_roles_in(body.body)
+    return set()
+
+
+def occurrence_pure_alchi(st: SaturatedTBox, c_t: Sequence[Constraint]) -> Tuple[Constraint, ...]:
+    """``rewrite.pure_rewrite_alchi`` for a TBox without counting axioms."""
+    ts = _alchi_tbox(st) + _concept_seeds(st, concept_names(c_t))
+    all_roles = sorted(st.tbox.all_roles())
+    subroles = {
+        r: [r] + [s for s in all_roles if s != r and r in st.superroles(s)]
+        for r in all_roles
+    }
+
+    def exists(roles: FrozenSet[Role], inner: ShapeBody) -> ShapeBody:
+        choices = [subroles.get(r, [r]) for r in sorted(_simplify_roles(st, roles))]
+        picks = itertools.product(*choices)
+        return reduce(Or, [ExistsRoles(frozenset(pick), inner) for pick in picks])
+
+    replaced = [Constraint(c.head, occurrence_subst(c.body, exists)) for c in c_t]
+    return tuple(dict.fromkeys(replaced + ts))
+
+
+def occurrence_pure_shaclb(st: SaturatedTBox, c_t: Sequence[Constraint]) -> Tuple[Item, ...]:
+    """``rewrite.pure_rewrite_shaclb``."""
+    base_roles = set(st.tbox.all_roles())
+    for c in c_t:
+        base_roles.update(occurrence_roles_in(c.body))
+    ts = _shaclb_tbox(st) + _role_bases(base_roles) + _concept_seeds(st, concept_names(c_t))
+    replaced: List[Item] = [
+        Constraint(c.head, occurrence_subst(c.body, _exists_via_edge_shapes)) for c in c_t
+    ]
+    return tuple(dict.fromkeys(replaced + ts))

@@ -214,7 +214,7 @@ HASHED_SHAPES = "$s <- some <s/s*>.C\n$t <- some [r].$s | D\n$u <- !$t & A\n"
 HASHED_TARGETS = "$s(@a)\n$t(@b)\n$u(@a)\n"
 
 
-@pytest.mark.parametrize("mode", ["rewrite", "pure-shaclb"])
+@pytest.mark.parametrize("mode", ["rewrite", "pure-alchi", "pure-shaclb"])
 def test_show_rewrite_does_not_depend_on_the_hash_seed(tmp_path, mode):
     f = write(tmp_path, tbox=HASHED_TBOX, abox=HASHED_ABOX, shacl=HASHED_SHAPES,
               targets=HASHED_TARGETS)

@@ -19,7 +19,9 @@ saturation is checked against the set-based one kept in
 ``oracles.set_rewrite``. Each component is rewritten over its own
 signature of concept names; three inputs pin the existential premises it
 must keep, and a seeded slice of denser cases checks its verdicts
-against those over every concept name.
+against those over every concept name. The pure rewritings substitute
+each shared node of C_T once; they must print what substituting at every
+occurrence (``oracles.occurrence_pure_*``) prints.
 """
 from __future__ import annotations
 
@@ -45,6 +47,7 @@ from ontoshacl.rewrite import pure_rewrite_alchi, pure_rewrite_shaclb, rewrite
 from ontoshacl.shapes import (
     And,
     Constraint,
+    ExistsRoles,
     ShapesGraph,
     compute_stratification,
     concept_names,
@@ -52,7 +55,8 @@ from ontoshacl.shapes import (
     shape_names,
 )
 from ontoshacl.tbox import UnsupportedPattern, saturate
-from oracles import full_signature, set_rewrite
+from oracles import full_signature, occurrence_pure_alchi, occurrence_pure_shaclb, set_rewrite
+from test_cli import HASHED_ABOX, HASHED_SHAPES, HASHED_TBOX
 
 # =============================================================================
 # FIXTURES
@@ -425,3 +429,91 @@ def test_pure_binary_route_recovers_completion_merges():
     items = pure_rewrite_shaclb(saturate(tb), c_t)
     unary, _ = perfect_assignment_b(ab, items)
     assert "a" in unary["s"]
+
+
+def hashed_kb():
+    """The hash-seed fixture of the CLI tests: its C_T has 226 constraints
+    over a few shared role existentials."""
+    sg = ShapesGraph.of(parse_constraints(HASHED_SHAPES))
+    return prepare(parse_tbox(HASHED_TBOX), parse_abox(HASHED_ABOX), sg, SAFE_DEPTH)
+
+
+def lines(items):
+    return [str(x) for x in items]
+
+
+def test_pure_rewritings_print_what_substitution_per_occurrence_prints():
+    kbs = [hashed_kb()]
+    for i in range(40):
+        try:
+            kbs.append(prepare(*gen_case(case_rng(0, i)), SAFE_DEPTH))
+        except InconsistentKB:
+            continue
+    alchi = 0
+    for kb in kbs:
+        c_t = kb.c_t
+        assert lines(pure_rewrite_shaclb(kb.sat, c_t)) == lines(occurrence_pure_shaclb(kb.sat, c_t))
+        if not kb.sat.tbox.atmost:
+            assert lines(pure_rewrite_alchi(kb.sat, c_t)) == lines(occurrence_pure_alchi(kb.sat, c_t))
+            alchi += 1
+    assert (len(kbs), alchi) == (41, 23)  # the first is the hash-seed fixture
+
+
+def distinct_nodes(c_t):
+    """Each node reachable from the bodies of ``c_t`` once, by identity,
+    and the number of times the bodies reach a role existential."""
+    seen = {}
+    occurrences = 0
+    work = [c.body for c in c_t]
+    while work:
+        node = work.pop()
+        occurrences += isinstance(node, ExistsRoles)
+        if id(node) in seen:
+            continue
+        seen[id(node)] = node
+        work += [getattr(node, f) for f in ("left", "right", "body") if hasattr(node, f)]
+    return list(seen.values()), occurrences
+
+
+def test_pure_rewritings_substitute_each_shared_conjunct_once(monkeypatch):
+    kb = hashed_kb()
+    c_t = kb.c_t
+    nodes, occurrences = distinct_nodes(c_t)
+    exists = [n for n in nodes if isinstance(n, ExistsRoles)]
+    # _emit shares one object per conjunct across the bodies of a stratum
+    assert occurrences > 10 * len(exists)
+
+    calls = {"_simplify_roles": 0, "_exists_via_edge_shapes": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(rw, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(rw, name, counted)
+    pure_rewrite_alchi(kb.sat, c_t)
+    pure_rewrite_shaclb(kb.sat, c_t)
+    # the sub-role choices are worked out once per role set
+    assert calls == {
+        "_simplify_roles": len({n.roles for n in exists}),
+        "_exists_via_edge_shapes": len(exists),
+    }
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    ["$s <- some [q].B\n$t <- !(some [q].C) | D\n", "$s <- some [q].B\n", "$t <- !(some [q].C) | D\n"],
+)
+def test_pure_routes_read_a_role_only_the_shapes_mention(shapes):
+    # the TBox has r and s but not q, so the edges over q, and the choice
+    # among q and its sub-roles, come from the shapes alone
+    cons = parse_constraints(shapes)
+    abox = parse_abox("q(a,b)\nB(b)\nq(c,d)\nC(d)\n")
+    targets = [(h, x) for h in sorted({c.head for c in cons}) for x in sorted(abox.individuals())]
+    kb = prepare(parse_tbox("A <= some r.B\nr <= s\n"), abox, ShapesGraph.of(cons, targets), SAFE_DEPTH)
+    want = ROUTES["direct"].run(kb).verdicts
+    expected = {("s", "a"): True, ("s", "c"): False, ("t", "a"): True, ("t", "c"): False}
+    assert {k: v for k, v in want.items() if k in expected} == {
+        k: v for k, v in expected.items() if k in want
+    }
+    for mode in ("pure-alchi", "pure-shaclb"):
+        assert ROUTES[mode].run(kb).verdicts == want, mode
