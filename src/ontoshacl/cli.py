@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from .chase import NotTerminated, SizeGuardExceeded, run_core_chase
@@ -73,6 +72,7 @@ from .shapes import (
     normalize,
 )
 from .tbox import SaturatedTBox, UnsupportedPattern, collapse_role_cycles
+from .values import value
 
 EXIT_VALID = 0
 EXIT_VIOLATIONS = 1
@@ -196,7 +196,7 @@ def load_shapes(args: argparse.Namespace, renaming: Dict[str, Role]) -> ShapesGr
 STATS = ("quadruples", "model_nodes", "rounds")
 
 
-@dataclass
+@value
 class PreparedKB:
     """A consistent KB and a shapes graph, ready for every route.
 
@@ -209,7 +209,7 @@ class PreparedKB:
     completed: ABox
     sg: ShapesGraph
     depth: int  # tree depth (direct) or round budget (chase)
-    stats: Dict[str, int] = field(default_factory=lambda: dict.fromkeys(STATS, 0))
+    stats: Dict[str, int]
     _c_t: Optional[Tuple[Constraint, ...]] = None
 
     @property
@@ -224,10 +224,12 @@ class PreparedKB:
 def prepare(tbox: TBox, abox: ABox, sg: ShapesGraph, depth: int) -> PreparedKB:
     """Saturate the TBox and complete the ABox; raises InconsistentKB."""
     sat = SaturatedTBox(tbox)
-    return PreparedKB(sat, abox, complete_abox(tbox, abox, sat), sg, depth)
+    return PreparedKB(
+        sat, abox, complete_abox(tbox, abox, sat), sg, depth, dict.fromkeys(STATS, 0)
+    )
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class Outcome:
     interp: Interpretation  # what the verdicts were read from
     verdicts: Verdicts
@@ -267,7 +269,7 @@ def _pure_shaclb(kb: PreparedKB) -> Outcome:
     return Outcome(kb.abox, verdicts, items)
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class Route:
     run: Callable[[PreparedKB], Outcome]
     counting: bool = True  # False: refuses TBoxes with max1 axioms

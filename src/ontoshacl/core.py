@@ -21,7 +21,6 @@ and hashing read the atoms, the nodes and the ``complete`` flag only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import (
     Dict,
@@ -34,6 +33,8 @@ from typing import (
     Union,
 )
 
+from .values import value
+
 TOP = "top"
 BOT = "bot"
 
@@ -44,7 +45,7 @@ RESERVED_CONCEPTS = frozenset({TOP, BOT})
 # roles
 
 
-@dataclass(frozen=True, order=True)
+@value(frozen=True, order=True)
 class Role:
     """A role name with polarity. ``invert`` is an involution."""
 
@@ -73,7 +74,7 @@ def invert_roles(roles: Iterable[Role]) -> FrozenSet[Role]:
 #   RoleInclusion     r <= s
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class ConjInclusion:
     lhs: FrozenSet[str]
     rhs: str
@@ -83,7 +84,7 @@ class ConjInclusion:
         return f"{left} <= {self.rhs}"
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class AtMostOne:
     lhs: str
     role: Role
@@ -93,7 +94,7 @@ class AtMostOne:
         return f"{self.lhs} <= max1 {self.role}.{self.filler}"
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class ValueRestriction:
     lhs: str
     role: Role
@@ -103,7 +104,7 @@ class ValueRestriction:
         return f"{self.lhs} <= only {self.role}.{self.filler}"
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class ExistsInclusion:
     lhs: str
     role: Role
@@ -113,7 +114,7 @@ class ExistsInclusion:
         return f"{self.lhs} <= some {self.role}.{self.filler}"
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class RoleInclusion:
     sub: Role
     sup: Role
@@ -129,7 +130,7 @@ def _conj_key(ax: ConjInclusion) -> Tuple:
     return (tuple(sorted(ax.lhs)), ax.rhs)
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class TBox:
     """A normalized Horn-SHIQ TBox, axioms sorted per family."""
 
@@ -213,7 +214,7 @@ class TBox:
 # 2-types and successor configurations
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class TwoType:
     """(pi1, pi2, pi3): concepts here, roles across, concepts there."""
 
@@ -235,7 +236,7 @@ def bare_type(concepts: Iterable[str]) -> TwoType:
     return TwoType(frozenset(concepts), frozenset(), frozenset())
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class OneHalfType:
     """A successor candidate: roles into the child and the child's concepts."""
 
@@ -263,7 +264,7 @@ def half_type_key(u: OneHalfType) -> Tuple:
 # nodes
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class Anon:
     """An anonymous tree node: base individual plus a word of 2-type letters."""
 
@@ -281,7 +282,7 @@ class Anon:
         return f"{self.base}[{len(self.path)}]"
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class Null:
     """A labeled null introduced by the chase.
 
@@ -360,7 +361,7 @@ def _freeze(d: Dict) -> Dict:
 # interpretations
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class Interpretation:
     """A finite (fragment of an) interpretation: atoms over nodes.
 

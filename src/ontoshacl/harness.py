@@ -16,7 +16,6 @@ That keeps the direct route total: it never has to truncate.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from . import model
@@ -51,6 +50,7 @@ from .shapes import (
     ShapeRef,
     ShapesGraph,
 )
+from .values import replace, value
 
 CONCEPTS = ("C0", "C1", "C2", "C3", "C4")
 ROLES = ("p", "q", "r")
@@ -290,7 +290,7 @@ def render_bundle(tbox: TBox, abox: ABox, sg: ShapesGraph) -> str:
 # driver
 
 
-@dataclass
+@value
 class SelftestReport:
     seed: int
     requested: int

@@ -10,10 +10,10 @@ product of the data and the automaton.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Tuple, Union
 
 from .core import Role
+from .values import value
 
 
 class RegexError(ValueError):
@@ -22,22 +22,22 @@ class RegexError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class RSym:
     role: Role
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class RSeq:
     parts: Tuple["Regex", ...]
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class RAlt:
     options: Tuple["Regex", ...]
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class RStar:
     inner: "Regex"
 
@@ -155,7 +155,7 @@ def _parse_atom(toks, i) -> Tuple[Regex, int]:
 Rest = Tuple[Regex, ...]
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class NFA:
     """ε-free automaton over roles: states ``0 .. n_states - 1``, one initial
     state, and the states whose remaining concatenation accepts the empty

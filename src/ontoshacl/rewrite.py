@@ -36,7 +36,6 @@ body over one shared object per conjunct, which occurs in many bodies.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import reduce
 from typing import (
     Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union,
@@ -71,6 +70,7 @@ from .shapes import (
     shape_occurrences,
 )
 from .tbox import SaturatedTBox, UnsupportedPattern, _key_exist
+from .values import value
 
 # the saturation of one component stops with RewriteTooLarge beyond this
 # many quadruples
@@ -85,7 +85,7 @@ def _role_str(roles: FrozenSet[Role]) -> str:
     return "[" + ",".join(str(r) for r in sorted(roles)) + "]"
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class BasicConceptExpr:
     """Witness expression: some successor over all roles carrying all concepts."""
 
@@ -97,7 +97,7 @@ class BasicConceptExpr:
         return f"some {_role_str(self.roles)}.({inner})"
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class BasicShapeExpr:
     """Witness expression over a shape literal: some successor over all
     roles satisfying the shape (or failing it, when neg is set)."""
@@ -111,7 +111,7 @@ class BasicShapeExpr:
         return f"some {_role_str(self.roles)}.{bang}${self.shape}"
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class IndRef:
     name: str
 
@@ -130,7 +130,7 @@ def _entry_key(e: Entry) -> Tuple[int, str]:
     return (2, str(e))
 
 
-@dataclass(frozen=True, order=True)
+@value(frozen=True, order=True)
 class Lit:
     """A shape literal: the name, possibly negated."""
 

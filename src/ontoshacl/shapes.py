@@ -16,11 +16,11 @@ condensation also fixes the order in which ``evaluate`` runs the items.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .core import TOP, Role
 from .paths import NFA, Regex, regex_str, regex_to_nfa
+from .values import value
 
 RESERVED_PREFIX = "_"
 
@@ -33,7 +33,7 @@ class UnguardedComparison(ValueError):
 # unary shape expressions
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class IndividualRef:
     name: str
 
@@ -41,7 +41,7 @@ class IndividualRef:
         return f"@{self.name}"
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class ShapeRef:
     name: str
 
@@ -49,7 +49,7 @@ class ShapeRef:
         return f"${self.name}"
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class NegShapeRef:
     name: str
 
@@ -57,7 +57,7 @@ class NegShapeRef:
         return f"!${self.name}"
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class ConceptRef:
     name: str  # concept name or the top token
 
@@ -65,7 +65,7 @@ class ConceptRef:
         return self.name
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class Or:
     left: "ShapeBody"
     right: "ShapeBody"
@@ -74,7 +74,7 @@ class Or:
         return f"({self.left} | {self.right})"
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class And:
     left: "ShapeBody"
     right: "ShapeBody"
@@ -83,7 +83,7 @@ class And:
         return f"({self.left} & {self.right})"
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class Not:
     """General complement, written ``!(...)``; ``normalize`` compiles it to
     a negated shape reference."""
@@ -94,7 +94,7 @@ class Not:
         return f"!({self.body})"
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class ExistsRoles:
     roles: FrozenSet[Role]
     body: "ShapeBody"
@@ -104,7 +104,7 @@ class ExistsRoles:
         return f"some [{rs}].{self.body}"
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class ExistsPath:
     path: Regex
     body: "ShapeBody"
@@ -113,7 +113,7 @@ class ExistsPath:
         return f"some <{regex_str(self.path)}>.{self.body}"
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class GuardedEq:
     guard: Optional[str]  # individual name; None means unguarded (rejected)
     left: Regex
@@ -125,7 +125,7 @@ class GuardedEq:
         return f"(@{self.guard} & {inner})" if self.guard else inner
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class GuardedDisj:
     guard: Optional[str]
     left: Regex
@@ -140,7 +140,7 @@ class GuardedDisj:
 # SHACL^b path algebra (binary shapes)
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class RoleStep:
     role: Role
 
@@ -148,7 +148,7 @@ class RoleStep:
         return str(self.role)
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class BinRef:
     name: str
 
@@ -156,7 +156,7 @@ class BinRef:
         return self.name
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class Test:
     shape: str
 
@@ -164,7 +164,7 @@ class Test:
         return f"${self.shape}?"
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class PUnion:
     left: "PathExpr"
     right: "PathExpr"
@@ -173,7 +173,7 @@ class PUnion:
         return f"({self.left} U {self.right})"
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class PInter:
     left: "PathExpr"
     right: "PathExpr"
@@ -182,7 +182,7 @@ class PInter:
         return f"({self.left} ^ {self.right})"
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class PConcat:
     left: "PathExpr"
     right: "PathExpr"
@@ -191,7 +191,7 @@ class PConcat:
         return f"({self.left} . {self.right})"
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class PStar:
     inner: "PathExpr"
 
@@ -199,7 +199,7 @@ class PStar:
         return f"({self.inner})*"
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class PInverse:
     inner: "PathExpr"
 
@@ -207,7 +207,7 @@ class PInverse:
         return f"({self.inner})-"
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class PDiff:
     left: "PathExpr"
     right: "PathExpr"
@@ -219,7 +219,7 @@ class PDiff:
 PathExpr = Union[RoleStep, BinRef, Test, PUnion, PInter, PConcat, PStar, PInverse, PDiff]
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class ExistsVia:
     """Unary body: some node reachable over a path-algebra expression."""
 
@@ -246,7 +246,7 @@ ShapeBody = Union[
 ]
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class Constraint:
     head: str
     body: ShapeBody
@@ -255,7 +255,7 @@ class Constraint:
         return f"${self.head} <- {self.body}"
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class BinConstraint:
     head: str
     body: PathExpr
@@ -267,7 +267,7 @@ class BinConstraint:
 Item = Union[Constraint, BinConstraint]
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class ShapesGraph:
     constraints: Tuple[Constraint, ...]
     targets: Tuple[Tuple[str, str], ...]  # (shape name, individual name)
@@ -523,7 +523,7 @@ def normalize(sg: ShapesGraph) -> Tuple[ShapesGraph, Dict[str, str]]:
 # stratification
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class Stratification:
     strata: Tuple[Tuple[Item, ...], ...]
     # (items, recursive) per strongly connected component, in evaluation order

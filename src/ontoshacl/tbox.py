@@ -17,7 +17,6 @@ collapses onto that parent.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from .core import (
@@ -31,6 +30,7 @@ from .core import (
     half_type_key,
     invert_roles,
 )
+from .values import value
 
 
 class UnsupportedPattern(ValueError):
@@ -124,7 +124,7 @@ def collapse_role_cycles(tbox: TBox) -> Tuple[TBox, Dict[str, Role]]:
 # saturation
 
 
-@dataclass(frozen=True)
+@value(frozen=True)
 class Existential:
     premise: FrozenSet[str]
     roles: FrozenSet[Role]

@@ -392,3 +392,15 @@ def test_one_parser_serves_independent_calls(tmp_path, monkeypatch, capsys):
     assert len({id(a) for a in seen}) == len(seen)
     assert not hasattr(seen[1], "fmt") and not hasattr(seen[1], "mode")
     assert len(built) == 1
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # a structural check on cold start: the value classes are built
+    # without the stdlib's per-class code generation and its imports
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ('import ontoshacl.cli, sys; '
+            'print(sorted(m for m in ("dataclasses", "inspect") if m in sys.modules))')
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

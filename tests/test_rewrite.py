@@ -26,7 +26,6 @@ occurrence (``oracles.occurrence_pure_*``) prints.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -55,6 +54,7 @@ from ontoshacl.shapes import (
     shape_names,
 )
 from ontoshacl.tbox import UnsupportedPattern, saturate
+from ontoshacl.values import replace
 from oracles import full_signature, occurrence_pure_alchi, occurrence_pure_shaclb, set_rewrite
 from test_cli import HASHED_ABOX, HASHED_SHAPES, HASHED_TBOX
 
