@@ -48,24 +48,11 @@ from .formats import (
     serialize_interpretation,
 )
 from .model import InconsistentKB, ModelTooLarge, build_can, complete_abox
-from .paths import RAlt, RSeq, RStar, RSym, Regex
 from .rewrite import RewriteTooLarge, pure_rewrite_alchi, pure_rewrite_shaclb, rewrite
 from .shapes import (
-    And,
-    ConceptRef,
     Constraint,
-    ExistsPath,
-    ExistsRoles,
-    GuardedDisj,
-    GuardedEq,
-    IndividualRef,
     Item,
-    NegShapeRef,
-    Not,
     NotStratified,
-    Or,
-    ShapeBody,
-    ShapeRef,
     ShapesGraph,
     UnguardedComparison,
     compute_stratification,
@@ -104,67 +91,6 @@ FAILURES: Dict[type, Tuple[int, str, str]] = {
 
 
 # ---------------------------------------------------------------------------
-# role renaming after cycle collapse
-
-
-def _fix_role(r: Role, renaming: Dict[str, Role]) -> Role:
-    rep = renaming.get(r.name)
-    if rep is None:
-        return r
-    return rep.invert() if r.inverted else rep
-
-
-def rename_regex(e: Regex, renaming: Dict[str, Role]) -> Regex:
-    if isinstance(e, RSym):
-        return RSym(_fix_role(e.role, renaming))
-    if isinstance(e, RSeq):
-        return RSeq(tuple(rename_regex(p, renaming) for p in e.parts))
-    if isinstance(e, RAlt):
-        return RAlt(tuple(rename_regex(p, renaming) for p in e.options))
-    return RStar(rename_regex(e.inner, renaming))
-
-
-def rename_body(b: ShapeBody, renaming: Dict[str, Role]) -> ShapeBody:
-    if isinstance(b, (IndividualRef, ShapeRef, NegShapeRef, ConceptRef)):
-        return b
-    if isinstance(b, And):
-        return And(rename_body(b.left, renaming), rename_body(b.right, renaming))
-    if isinstance(b, Or):
-        return Or(rename_body(b.left, renaming), rename_body(b.right, renaming))
-    if isinstance(b, Not):
-        return Not(rename_body(b.body, renaming))
-    if isinstance(b, ExistsRoles):
-        roles = frozenset(_fix_role(r, renaming) for r in b.roles)
-        return ExistsRoles(roles, rename_body(b.body, renaming))
-    if isinstance(b, ExistsPath):
-        return ExistsPath(rename_regex(b.path, renaming), rename_body(b.body, renaming))
-    if isinstance(b, (GuardedEq, GuardedDisj)):
-        return type(b)(
-            b.guard,
-            rename_regex(b.left, renaming),
-            rename_regex(b.right, renaming),
-        )
-    raise TypeError(f"unknown body {b!r}")
-
-
-def rename_abox(abox: ABox, renaming: Dict[str, Role]) -> ABox:
-    if not renaming:
-        return abox
-    roles = [
-        (renaming.get(r, Role(r)), a, b) for r, a, b in abox.role_atoms
-    ]
-    return ABox.of(abox.concept_atoms, roles)
-
-
-def rename_constraints(
-    cons: Sequence[Constraint], renaming: Dict[str, Role]
-) -> Tuple[Constraint, ...]:
-    if not renaming:
-        return tuple(cons)
-    return tuple(Constraint(c.head, rename_body(c.body, renaming)) for c in cons)
-
-
-# ---------------------------------------------------------------------------
 # input loading
 
 
@@ -177,17 +103,19 @@ def _read(path: str) -> str:
 
 
 def load_kb(args: argparse.Namespace) -> Tuple[TBox, ABox, Dict[str, Role]]:
-    """Parse TBox and ABox and collapse role-inclusion cycles."""
-    tbox0 = parse_tbox(_read(args.tbox), source=args.tbox)
-    abox0 = parse_abox(_read(args.abox), source=args.abox)
-    tbox, renaming = collapse_role_cycles(tbox0)
-    return tbox, rename_abox(abox0, renaming), renaming
+    """Parse the TBox and collapse its role-inclusion cycles, then parse the
+    ABox with the parser reading role names through the renaming, which is
+    returned for ``load_shapes``. A TBox error, or a cycle that cannot be
+    collapsed, is reported before the ABox is read."""
+    tbox, renaming = collapse_role_cycles(parse_tbox(_read(args.tbox), source=args.tbox))
+    abox = parse_abox(_read(args.abox), source=args.abox, renaming=renaming)
+    return tbox, abox, renaming
 
 
 def load_shapes(args: argparse.Namespace, renaming: Dict[str, Role]) -> ShapesGraph:
-    cons = parse_constraints(_read(args.shapes), source=args.shapes)
+    cons = parse_constraints(_read(args.shapes), source=args.shapes, renaming=renaming)
     targets = parse_targets(_read(args.targets), source=args.targets) if args.targets else []
-    return ShapesGraph.of(rename_constraints(cons, renaming), targets)
+    return ShapesGraph.of(cons, targets)
 
 
 # ---------------------------------------------------------------------------

@@ -52,11 +52,8 @@ from .shapes import (
     Or,
     PathExpr,
     PConcat,
-    PDiff,
     PInter,
     PInverse,
-    PStar,
-    PUnion,
     RoleStep,
     ShapeBody,
     ShapeRef,
@@ -199,22 +196,6 @@ class _Evaluator:
             by_mid.setdefault(y, set()).add(x)
         return {(x, z) for y, z in self.path(p.right) for x in by_mid.get(y, ())}
 
-    def _star(self, p: PStar) -> AbstractSet[Pair]:
-        succ: Dict[Node, Set[Node]] = {}
-        for x, y in self.path(p.inner):
-            succ.setdefault(x, set()).add(y)
-        out: Set[Pair] = set()
-        for n in self.interp.nodes | succ.keys():
-            seen = {n}
-            work = [n]
-            while work:
-                for y in succ.get(work.pop(), ()):
-                    if y not in seen:
-                        seen.add(y)
-                        work.append(y)
-            out.update((n, y) for y in seen)
-        return out
-
     # the case of each node type, called as case(evaluator, node): a body's
     # nodes, or a path expression's node pairs
     _BODIES = {
@@ -239,12 +220,9 @@ class _Evaluator:
         },
         BinRef: lambda ev, p: ev.binary.get(p.name, _EMPTY),
         Test: lambda ev, p: {(n, n) for n in ev.unary.get(p.shape, _EMPTY)},
-        PUnion: lambda ev, p: ev.path(p.left) | ev.path(p.right),
         PInter: lambda ev, p: ev.path(p.left) & ev.path(p.right),
-        PDiff: lambda ev, p: ev.path(p.left) - ev.path(p.right),
         PConcat: _concat,
         PInverse: lambda ev, p: {(y, x) for x, y in ev.path(p.inner)},
-        PStar: _star,
     }
 
 

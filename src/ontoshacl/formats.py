@@ -7,6 +7,11 @@ concepts, lowercase-initial are roles, `$x` is a shape, `@x` is an
 individual, `^r` is the inverse of r. Serializers round-trip: parsing
 their output reproduces the value.
 
+``_role`` reads every role name: in axioms, data, role sets ``[...]`` and
+path expressions ``<...>``. ``parse_abox`` and ``parse_constraints`` take
+the renaming of ``tbox.collapse_role_cycles``, and ``_role`` reads a
+collapsed name as the role it now stands for.
+
 Data and every other interpretation share one printer,
 ``serialize_interpretation``: one atom a line, in sorted order, with
 anonymous nodes and nulls labelled `_:...` and a `top(x)` line for a
@@ -16,7 +21,7 @@ is a `.abox` file that ``parse_abox`` reads back to the same value.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .core import (
     BOT,
@@ -36,7 +41,7 @@ from .core import (
     node_key,
     type_key,
 )
-from .paths import parse_regex, RegexError
+from .paths import RAlt, Regex, RSeq, RStar, RSym
 from .shapes import (
     RESERVED_PREFIX,
     And,
@@ -71,13 +76,17 @@ def _ident_end(text: str, i: int) -> int:
 
 
 class _Cursor:
-    """Single-line scanner with 1-based column reporting."""
+    """Single-line scanner with 1-based column reporting; ``renaming``
+    maps the role names ``_role`` reads to the roles they stand for."""
 
-    def __init__(self, text: str, line: int, source: str):
+    def __init__(
+        self, text: str, line: int, source: str, renaming: Optional[Mapping[str, Role]] = None
+    ):
         self.text = text
         self.i = 0
         self.line = line
         self.source = source
+        self.renaming = renaming or {}
 
     def error(self, msg: str) -> ParseError:
         return ParseError(msg, self.line, self.i + 1, self.source)
@@ -148,7 +157,8 @@ def _role(cur: _Cursor) -> Role:
     word = cur.ident("a role name")
     if not word[0].islower() or word in (TOP, BOT):
         raise cur.error(f"role names start lowercase, got {word!r}")
-    return Role(word, inverted)
+    role = cur.renaming.get(word, Role(word))
+    return role.invert() if inverted else role
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +216,13 @@ def serialize_tbox(tbox: TBox) -> str:
 # .abox
 
 
-def parse_abox(text: str, source: str = "<abox>") -> ABox:
+def parse_abox(
+    text: str, source: str = "<abox>", renaming: Optional[Mapping[str, Role]] = None
+) -> ABox:
     concepts: List[Tuple[str, str]] = []
     roles: List[Tuple[Role, str, str]] = []
     for line_no, body in _lines(text):
-        cur = _Cursor(body, line_no, source)
+        cur = _Cursor(body, line_no, source, renaming)
         if cur.peek() == "^" or cur.peek().islower():
             role = _role(cur)
             cur.eat("(")
@@ -242,17 +254,35 @@ def _shape_name(cur: _Cursor) -> str:
     return name
 
 
-def _angle_regex(cur: _Cursor):
+def _angle_regex(cur: _Cursor) -> Regex:
     cur.eat("<")
-    j = cur.text.find(">", cur.i)
-    if j < 0:
-        raise cur.error("unterminated path expression, expected '>'")
-    raw = cur.text[cur.i : j]
-    try:
-        expr = parse_regex(raw)
-    except RegexError as e:
-        raise ParseError(str(e), cur.line, cur.i + 1 + e.pos, cur.source) from e
-    cur.i = j + 1
+    expr = _path_alt(cur)
+    cur.eat(">")
+    return expr
+
+
+def _path_alt(cur: _Cursor) -> Regex:
+    options = [_path_seq(cur)]
+    while cur.try_eat("|"):
+        options.append(_path_seq(cur))
+    return options[0] if len(options) == 1 else RAlt(tuple(options))
+
+
+def _path_seq(cur: _Cursor) -> Regex:
+    parts = [_path_atom(cur)]
+    while cur.try_eat("/"):
+        parts.append(_path_atom(cur))
+    return parts[0] if len(parts) == 1 else RSeq(tuple(parts))
+
+
+def _path_atom(cur: _Cursor) -> Regex:
+    if cur.try_eat("("):
+        expr = _path_alt(cur)
+        cur.eat(")")
+    else:
+        expr = RSym(_role(cur))
+    while cur.try_eat("*"):  # star binds to the atom
+        expr = RStar(expr)
     return expr
 
 
@@ -335,10 +365,12 @@ def _body_alt(cur: _Cursor) -> ShapeBody:
     return out
 
 
-def parse_constraints(text: str, source: str = "<shacl>") -> List[Constraint]:
+def parse_constraints(
+    text: str, source: str = "<shacl>", renaming: Optional[Mapping[str, Role]] = None
+) -> List[Constraint]:
     out: List[Constraint] = []
     for line_no, body in _lines(text):
-        cur = _Cursor(body, line_no, source)
+        cur = _Cursor(body, line_no, source, renaming)
         head = _shape_name(cur)
         if head.startswith(RESERVED_PREFIX):
             raise cur.error(

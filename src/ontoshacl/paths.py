@@ -1,7 +1,9 @@
 """Role-path regular expressions and their automata.
 
-Surface syntax: role names, ``^r`` for the inverse of r, ``/`` for
-concatenation, ``|`` for union, ``*`` for iteration, parentheses.
+Surface syntax, read by the shapes parser in ``formats`` between ``<`` and
+``>``: role names, ``^r`` for the inverse of r, ``/`` for concatenation,
+``|`` for union, ``*`` for iteration, parentheses. ``regex_str`` prints
+that syntax back.
 
 ``regex_to_nfa`` builds the partial-derivative automaton, which has no
 ε-moves and at most one state per symbol occurrence plus one.
@@ -14,12 +16,6 @@ from typing import Dict, FrozenSet, Iterator, List, Tuple, Union
 
 from .core import Role
 from .values import value
-
-
-class RegexError(ValueError):
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at offset {pos})")
-        self.pos = pos
 
 
 @value(frozen=True)
@@ -60,88 +56,6 @@ def _wrap(e: Regex, top: bool) -> str:
     if isinstance(e, (RAlt, RSeq)) and not top:
         return "(" + s + ")"
     return s
-
-
-# ---------------------------------------------------------------------------
-# parsing
-
-
-def parse_regex(text: str) -> Regex:
-    toks = _tokenize(text)
-    expr, i = _parse_alt(toks, 0)
-    if i != len(toks):
-        raise RegexError(f"unexpected {toks[i][0]!r}", toks[i][1])
-    return expr
-
-
-def _tokenize(text: str) -> List[Tuple[str, int]]:
-    out: List[Tuple[str, int]] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "|/*()^":
-            out.append((ch, i))
-            i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append((text[i:j], i))
-            i = j
-            continue
-        raise RegexError(f"bad character {ch!r}", i)
-    if not out:
-        raise RegexError("empty path expression", 0)
-    return out
-
-
-def _parse_alt(toks, i) -> Tuple[Regex, int]:
-    opts = []
-    expr, i = _parse_seq(toks, i)
-    opts.append(expr)
-    while i < len(toks) and toks[i][0] == "|":
-        expr, i = _parse_seq(toks, i + 1)
-        opts.append(expr)
-    return (opts[0] if len(opts) == 1 else RAlt(tuple(opts))), i
-
-
-def _parse_seq(toks, i) -> Tuple[Regex, int]:
-    parts = []
-    expr, i = _parse_atom(toks, i)
-    parts.append(expr)
-    while i < len(toks) and toks[i][0] == "/":
-        expr, i = _parse_atom(toks, i + 1)
-        parts.append(expr)
-    return (parts[0] if len(parts) == 1 else RSeq(tuple(parts))), i
-
-
-def _parse_atom(toks, i) -> Tuple[Regex, int]:
-    if i >= len(toks):
-        raise RegexError("unexpected end of path expression", toks[-1][1] + 1)
-    tok, pos = toks[i]
-    if tok == "(":
-        expr, i = _parse_alt(toks, i + 1)
-        if i >= len(toks) or toks[i][0] != ")":
-            raise RegexError("missing ')'", pos)
-        i += 1
-    elif tok == "^":
-        if i + 1 >= len(toks) or not toks[i + 1][0][0].isalpha():
-            raise RegexError("'^' must be followed by a role name", pos)
-        expr = RSym(Role(toks[i + 1][0], True))
-        i += 2
-    elif tok[0].isalpha() or tok[0] == "_":
-        expr = RSym(Role(tok))
-        i += 1
-    else:
-        raise RegexError(f"unexpected {tok!r}", pos)
-    while i < len(toks) and toks[i][0] == "*":
-        expr = RStar(expr)
-        i += 1
-    return expr, i
 
 
 # ---------------------------------------------------------------------------

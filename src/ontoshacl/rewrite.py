@@ -627,10 +627,11 @@ def _rewrite_component(
     occurring = shape_names(cons)
     out = list(cons)
     for i, group in enumerate(strata):
-        scope = tuple(c for g in strata[:i] for c in g)
+        # settling is idempotent, and a quadruple that closing adds extends
+        # the P, Q and H of settled ones, so each stratum is settled once
         later_heads = {c.head for g in strata[i:] for c in g}
         settled = frozenset(n for n in occurring if n not in later_heads)
-        K = _completion_dict(K, codes, scope, settled)
+        K = _completion_dict(K, codes, strata[i - 1] if i else (), settled)
         _close(ctx, codes, group, K)
         heads = frozenset(c.head for c in group)
         out.extend(_emit(K, codes, heads, sig))

@@ -137,7 +137,8 @@ class GuardedDisj:
 
 
 # ---------------------------------------------------------------------------
-# SHACL^b path algebra (binary shapes)
+# SHACL^b path algebra (binary shapes): the operators the pure rewritings
+# emit
 
 
 @value(frozen=True)
@@ -165,15 +166,6 @@ class Test:
 
 
 @value(frozen=True)
-class PUnion:
-    left: "PathExpr"
-    right: "PathExpr"
-
-    def __str__(self) -> str:
-        return f"({self.left} U {self.right})"
-
-
-@value(frozen=True)
 class PInter:
     left: "PathExpr"
     right: "PathExpr"
@@ -192,14 +184,6 @@ class PConcat:
 
 
 @value(frozen=True)
-class PStar:
-    inner: "PathExpr"
-
-    def __str__(self) -> str:
-        return f"({self.inner})*"
-
-
-@value(frozen=True)
 class PInverse:
     inner: "PathExpr"
 
@@ -207,16 +191,7 @@ class PInverse:
         return f"({self.inner})-"
 
 
-@value(frozen=True)
-class PDiff:
-    left: "PathExpr"
-    right: "PathExpr"
-
-    def __str__(self) -> str:
-        return f"({self.left} \\ {self.right})"
-
-
-PathExpr = Union[RoleStep, BinRef, Test, PUnion, PInter, PConcat, PStar, PInverse, PDiff]
+PathExpr = Union[RoleStep, BinRef, Test, PInter, PConcat, PInverse]
 
 
 @value(frozen=True)
@@ -320,7 +295,7 @@ def _concepts_in(body: ShapeBody) -> Set[str]:
     return set()
 
 
-_PAIRS = frozenset({Or, And, PUnion, PInter, PConcat})
+_PAIRS = frozenset({Or, And, PInter, PConcat})
 
 
 def shape_occurrences(
@@ -329,8 +304,7 @@ def shape_occurrences(
     """The (name, occurs-negatively) pairs, including duplicates, for the
     shape and edge-shape names a shape body or path expression reads.
 
-    A read is negative inside any complement or negated reference, and on
-    the right side of a path difference.
+    A read is negative inside any complement or negated reference.
     """
     out: List[Tuple[str, bool]] = []
     work = [(body, negative)]
@@ -345,15 +319,13 @@ def shape_occurrences(
             out.append((b.shape, neg))
         elif kind in _PAIRS:
             work += ((b.right, neg), (b.left, neg))
-        elif kind is PDiff:
-            work += ((b.right, True), (b.left, neg))
         elif kind is Not:
             work.append((b.body, True))
         elif kind is ExistsVia:
             work += ((b.body, neg), (b.path, neg))
         elif kind is ExistsRoles or kind is ExistsPath:
             work.append((b.body, neg))
-        elif kind is PStar or kind is PInverse:
+        elif kind is PInverse:
             work.append((b.inner, neg))
     return out
 

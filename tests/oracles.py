@@ -37,6 +37,7 @@ from ontoshacl.core import (
     node_key,
     type_key,
 )
+from ontoshacl.formats import parse_constraints
 from ontoshacl.model import InconsistentKB, complete_abox
 from ontoshacl.paths import NFA, RAlt, RSeq, RStar, RSym, Regex
 from ontoshacl.rewrite import (
@@ -75,11 +76,8 @@ from ontoshacl.shapes import (
     Not,
     Or,
     PConcat,
-    PDiff,
     PInter,
     PInverse,
-    PStar,
-    PUnion,
     ShapeBody,
     ShapeRef,
     Stratification,
@@ -679,8 +677,7 @@ def naive_assignment(
 
 def _reads(node, negative: bool, out: List[Tuple[str, bool]]) -> None:
     """Names a shape body or path expression reads, marked when the read
-    sits inside any negation: a complement, a negated reference, or the
-    right side of a path difference."""
+    sits inside any negation: a complement or a negated reference."""
     if isinstance(node, (ShapeRef, BinRef)):
         out.append((node.name, negative))
     elif isinstance(node, NegShapeRef):
@@ -689,10 +686,7 @@ def _reads(node, negative: bool, out: List[Tuple[str, bool]]) -> None:
         out.append((node.shape, negative))
     elif isinstance(node, Not):
         _reads(node.body, True, out)
-    elif isinstance(node, PDiff):
-        _reads(node.left, negative, out)
-        _reads(node.right, True, out)
-    elif isinstance(node, (And, Or, PUnion, PInter, PConcat)):
+    elif isinstance(node, (And, Or, PInter, PConcat)):
         _reads(node.left, negative, out)
         _reads(node.right, negative, out)
     elif isinstance(node, ExistsVia):
@@ -700,7 +694,7 @@ def _reads(node, negative: bool, out: List[Tuple[str, bool]]) -> None:
         _reads(node.body, negative, out)
     elif isinstance(node, (ExistsRoles, ExistsPath)):
         _reads(node.body, negative, out)
-    elif isinstance(node, (PStar, PInverse)):
+    elif isinstance(node, PInverse):
         _reads(node.inner, negative, out)
 
 
@@ -737,10 +731,18 @@ def naive_levels(items) -> Optional[Dict[str, int]]:
 
 # ---------------------------------------------------------------------------
 # entry points only the tests call: endomorphism classification, the
-# oblivious chase, consistency, entailment and automaton membership.
-# Unlike the oracles above they drive package internals
-# (``chase.homomorphisms``, ``chase.fire_axioms``, ``model.complete_abox``,
-# ``SaturatedTBox.cl``, ``paths.NFA``).
+# oblivious chase, consistency, entailment, automaton membership and
+# reading a path expression. Unlike the oracles above they drive package
+# internals (``chase.homomorphisms``, ``chase.fire_axioms``,
+# ``model.complete_abox``, ``SaturatedTBox.cl``, ``paths.NFA``,
+# ``formats.parse_constraints``).
+
+
+def parse_regex(text: str) -> Regex:
+    """The path expression ``text``, read as the shapes parser reads it
+    between ``<`` and ``>``."""
+    (c,) = parse_constraints(f"$s <- some <{text}>.top")
+    return c.body.path
 
 
 def entails_conj(sat: SaturatedTBox, premise: Iterable[str], concept: str) -> bool:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -73,6 +74,19 @@ def test_parse_errors_exit_3(tmp_path, mode, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shapes, col, message", [
+    ("$s <- some [R].B\n", 14, "role names start lowercase, got 'R'"),
+    ("$s <- some <R>.B\n", 14, "role names start lowercase, got 'R'"),
+    ("$s <- some <top>.B\n", 16, "role names start lowercase, got 'top'"),
+    ("$s <- (@a & eq(<_x>,<p>))\n", 19, "role names start lowercase, got '_x'"),
+    ("$s <- some <>.B\n", 13, "expected a role name"),
+    ("$s <- some <p.B\n", 14, "expected '>'"),
+])
+def test_paths_read_role_names_as_role_sets_do(tmp_path, shapes, col, message, capsys):
+    assert validate(tmp_path, "direct", "$s(@a)\n", shapes=shapes) == cli.EXIT_INPUT
+    assert f"in.shacl:1:{col}: {message}" in capsys.readouterr().err
+
+
 def test_missing_files_exit_3(tmp_path, capsys):
     argv = ["validate", "--tbox", str(tmp_path / "none.tbox"), "--abox", str(tmp_path / "none.abox"),
             "--shapes", str(tmp_path / "none.shacl")]
@@ -108,6 +122,41 @@ def test_chase_round_budget_exits_5(tmp_path):
 
 def test_negative_depth_exits_3(tmp_path):
     assert validate(tmp_path, "direct", "$s(@a)\n", extra=["--depth", "-1"]) == cli.EXIT_INPUT
+
+
+# r and ^s include each other, so s is read as ^r wherever a role is read:
+# in the data, in role sets, in paths and in guarded comparisons
+CYCLE_TBOX = "r <= ^s\n^s <= r\nA <= some r.B\nB <= only s.C\n"
+CYCLE_ABOX = "A(a)\ns(c,a)\nr(c,d)\nC(d)\nA(e)\n"
+CYCLE_SHAPES = (
+    "$p <- some [s].A\n$q <- some <^s/r*>.C\n$e <- @a & eq(<^s>,<r>)\n"
+    "$d <- @c & disj(<s>,<r>)\n$v <- some [s].C\n$c <- C\n"
+)
+# the same KB with ^r written for s
+NO_CYCLE_TBOX = "A <= some r.B\nB <= only ^r.C\n"
+NO_CYCLE_ABOX = "A(a)\n^r(c,a)\nr(c,d)\nC(d)\nA(e)\n"
+NO_CYCLE_SHAPES = (
+    "$p <- some [^r].A\n$q <- some <r/r*>.C\n$e <- @a & eq(<r>,<r>)\n"
+    "$d <- @c & disj(<^r>,<r>)\n$v <- some [^r].C\n$c <- C\n"
+)
+CYCLE_TARGETS = "$p(@c)\n$p(@a)\n$q(@a)\n$q(@e)\n$e(@a)\n$d(@c)\n$v(@c)\n$c(@e)\n"
+ROLE_S = re.compile(r"(?<![$\w])s\b|_b_\^?s\b")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_collapsed_role_is_renamed_wherever_it_is_read(tmp_path, mode, capsys):
+    outs = []
+    for tbox, abox, shapes in ((CYCLE_TBOX, CYCLE_ABOX, CYCLE_SHAPES),
+                               (NO_CYCLE_TBOX, NO_CYCLE_ABOX, NO_CYCLE_SHAPES)):
+        rc = validate(tmp_path, mode, CYCLE_TARGETS, tbox=tbox, abox=abox, shapes=shapes,
+                      extra=["--show-rewrite"])
+        assert rc == cli.EXIT_VIOLATIONS, capsys.readouterr().err
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert "$p(@a): VIOLATION" in outs[0] and "$q(@e): VIOLATION" in outs[0]
+    assert outs[0].count(": VALID") == 6
+    assert ROLE_S.search(outs[0]) is None
+    assert ROLE_S.search(CYCLE_SHAPES) is not None
 
 
 # =============================================================================

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_assignment, thompson_nfa
+from oracles import naive_assignment, parse_regex, thompson_nfa
 from ontoshacl.core import Interpretation, Role
 from ontoshacl.evaluate import (
     BinConstraint,
@@ -29,7 +29,6 @@ from ontoshacl.evaluate import (
     validate,
 )
 from ontoshacl.harness import gen_abox
-from ontoshacl.paths import parse_regex
 from ontoshacl.shapes import (
     And,
     ConceptRef,

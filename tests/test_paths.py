@@ -1,5 +1,8 @@
 """Role-path expressions: parsing, printing, and NFA membership.
 
+Paths are read by the shapes parser, between ``<`` and ``>`` of a shape
+line; ``oracles.parse_regex`` wraps a path in such a line.
+
 The automaton construction is checked against two independent oracles,
 one deciding word membership by syntactic derivatives and one by a
 Thompson automaton with ε-moves, so neither shares a code path with it.
@@ -10,18 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import nfa_accepts, regex_word_match, thompson_nfa
+from oracles import nfa_accepts, parse_regex, regex_word_match, thompson_nfa
 from ontoshacl.core import Role
-from ontoshacl.paths import (
-    RAlt,
-    RegexError,
-    RSeq,
-    RStar,
-    RSym,
-    parse_regex,
-    regex_str,
-    regex_to_nfa,
-)
+from ontoshacl.formats import ParseError, parse_constraints
+from ontoshacl.paths import RAlt, RSeq, RStar, RSym, regex_str, regex_to_nfa
 
 P, Q, IP = Role("p"), Role("q"), Role("p", True)
 
@@ -69,22 +64,24 @@ def test_parse_structure():
 
 
 @pytest.mark.parametrize(
-    "text,fragment,pos",
+    "text,fragment,col",
     [
-        ("", "empty path expression", 0),
-        ("p/", "unexpected end", 2),
-        ("(p", "missing ')'", 0),
-        ("p)", "unexpected ')'", 1),
-        ("^*", "followed by a role name", 0),
-        ("p$q", "bad character", 1),
-        ("*p", "unexpected '*'", 0),
+        ("", "expected a role name", 13),
+        ("p/", "expected a role name", 15),
+        ("(p", "expected ')'", 15),
+        ("p)", "expected '>'", 14),
+        ("^*", "expected a role name", 14),
+        ("p$q", "expected '>'", 14),
+        ("*p", "expected a role name", 13),
     ],
 )
-def test_parse_errors_carry_positions(text, fragment, pos):
-    with pytest.raises(RegexError) as exc:
-        parse_regex(text)
+def test_parse_errors_carry_positions(text, fragment, col):
+    # the path starts at column 13 of the shape line
+    with pytest.raises(ParseError) as exc:
+        parse_constraints(f"$s <- some <{text}>.top", source="in.shacl")
     assert fragment in str(exc.value)
-    assert exc.value.pos == pos
+    assert (exc.value.line, exc.value.col) == (1, col)
+    assert str(exc.value).startswith(f"in.shacl:1:{col}: ")
 
 
 # =============================================================================
