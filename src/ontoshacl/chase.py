@@ -7,8 +7,10 @@ structure by iterated proper retractions. ``run_core_chase`` alternates
 the two. ``homomorphisms`` is the one search for structure-preserving
 maps: ``core_of`` takes its first retraction from it and
 ``is_isomorphic`` its first injective map. It is plain backtracking,
-guarded by a node bound; this module exists to cross-check the model
-builder, not to validate production data.
+guarded by one node bound, ``MAX_CHASE_NODES``, which
+``run_core_chase`` also applies to each state before firing; this
+module exists to cross-check the model builder, not to validate
+production data.
 """
 from __future__ import annotations
 
@@ -17,16 +19,16 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 from .core import (
     TOP,
     ABox,
+    GraphIndex,
     Interpretation,
     Node,
     Null,
-    Role,
     node_key,
 )
 from .tbox import SaturatedTBox
 
-DEFAULT_NODE_BOUND = 12
-# the most nodes the chase's isomorphism test takes, and so its data
+# the chase's one bound: the most nodes its isomorphism test takes, and
+# so the most a state may have before a round fires
 MAX_CHASE_NODES = 64
 
 
@@ -58,101 +60,70 @@ def _node_sig(n: Node) -> str:
 def fire_axioms(sat: SaturatedTBox, atoms: Interpretation) -> Interpretation:
     """One parallel oblivious step followed by the at-most-one substitution."""
     tbox = sat.tbox
+    index = GraphIndex(atoms.concept_atoms, atoms.role_atoms)
     nodes: Set[Node] = set(atoms.nodes)
-    concepts: Set[Tuple[str, Node]] = set(atoms.concept_atoms)
-    edges: Set[Tuple[str, Node, Node]] = set(atoms.role_atoms)
-
-    def holds(c: str, n: Node) -> bool:
-        return c == TOP or (c, n) in atoms.concept_atoms
+    domain = atoms.domain()
 
     for ax in tbox.conj:
-        for x in atoms.domain():
+        for x in domain:
             if ax.lhs <= atoms.concepts_of(x):
-                concepts.add((ax.rhs, x))
+                index.add_concept(ax.rhs, x)
     for ax in tbox.value:
-        for x in atoms.domain():
-            if not holds(ax.lhs, x):
-                continue
-            for y in atoms.successors(x, ax.role):
-                concepts.add((ax.filler, y))
+        for x, ys in atoms.adjacency(ax.role).items():
+            if atoms.has_concept(ax.lhs, x):
+                for y in ys:
+                    index.add_concept(ax.filler, y)
     for ax in tbox.exists:
-        for x in atoms.domain():
-            if not holds(ax.lhs, x):
+        for x in domain:
+            if not atoms.has_concept(ax.lhs, x):
                 continue
             y = Null(f"{_node_sig(x)}!{ax.lhs}.{ax.role}.{ax.filler}")
             nodes.add(y)
-            if ax.role.inverted:
-                edges.add((ax.role.name, y, x))
-            else:
-                edges.add((ax.role.name, x, y))
+            index.add_role(ax.role, x, y)
             if ax.filler != TOP:
-                concepts.add((ax.filler, y))
+                index.add_concept(ax.filler, y)
     for ax in tbox.roles:
-        for name, x, y in atoms.role_atoms:
-            if Role(name) == ax.sub:
-                pair = (y, x) if ax.sup.inverted else (x, y)
-                edges.add((ax.sup.name, *pair))
-            if Role(name, True) == ax.sub:
-                pair = (x, y) if ax.sup.inverted else (y, x)
-                edges.add((ax.sup.name, *pair))
+        for x, ys in atoms.adjacency(ax.sub).items():
+            for y in ys:
+                index.add_role(ax.sup, x, y)
 
-    return _merge_counted(tbox, Interpretation(frozenset(concepts), frozenset(edges), frozenset(nodes), atoms.complete))
+    return _merge_counted(tbox, index.seal(nodes, atoms.complete))
 
 
 def _merge_counted(tbox, interp: Interpretation) -> Interpretation:
-    """Substitute away duplicate witnesses of at-most-one axioms.
+    """Substitute away duplicate witnesses of at-most-one axioms, one
+    pair per scan.
 
     Keeps named individuals; among nulls keeps the smallest. Two named
     witnesses are left alone (that KB is inconsistent and gated
     elsewhere).
     """
-    nodes = set(interp.nodes)
-    concepts = set(interp.concept_atoms)
-    edges = set(interp.role_atoms)
+    axioms = sorted(tbox.atmost, key=str)
+    while (pair := _first_merge(axioms, interp)) is not None:
+        drop, keep = pair
+        swap = {drop: keep}
+        interp = GraphIndex(
+            ((c, swap.get(n, n)) for c, n in interp.concept_atoms),
+            ((r, swap.get(a, a), swap.get(b, b)) for r, a, b in interp.role_atoms),
+        ).seal(interp.nodes - {drop}, interp.complete)
+    return interp
 
-    def substitute(drop: Node, keep: Node) -> None:
-        nodes.discard(drop)
-        for c, n in list(concepts):
-            if n == drop:
-                concepts.discard((c, n))
-                concepts.add((c, keep))
-        for r, a, b in list(edges):
-            if a == drop or b == drop:
-                edges.discard((r, a, b))
-                edges.add((r, keep if a == drop else a, keep if b == drop else b))
 
-    changed = True
-    while changed:
-        changed = False
-        view = Interpretation(frozenset(concepts), frozenset(edges), frozenset(nodes))
-        for ax in sorted(tbox.atmost, key=str):
-            for x in view.domain():
-                if ax.lhs != TOP and not view.has_concept(ax.lhs, x):
-                    continue
-                wits = [
-                    y
-                    for y in view.successors(x, ax.role)
-                    if ax.filler == TOP or view.has_concept(ax.filler, y)
-                ]
-                if len(wits) < 2:
-                    continue
-                named = [w for w in wits if isinstance(w, str)]
-                unnamed = [w for w in wits if not isinstance(w, str)]
-                if not unnamed or (not named and len(unnamed) < 2):
-                    continue
-                if named:
-                    keep = min(named, key=node_key)
-                    drop = min(unnamed, key=node_key)
-                else:
-                    keep, drop, *_ = sorted(unnamed, key=node_key)
-                substitute(drop, keep)
-                changed = True
-                break
-            if changed:
-                break
-    return Interpretation(
-        frozenset(concepts), frozenset(edges), frozenset(nodes), interp.complete
-    )
+def _first_merge(axioms, interp: Interpretation) -> Optional[Tuple[Node, Node]]:
+    """The first pair of witnesses to merge, as (drop, keep): axioms in
+    the given order, nodes in ``domain()`` order; None when none is left."""
+    for ax in axioms:
+        for x in interp.domain():
+            if not interp.has_concept(ax.lhs, x):
+                continue
+            wits = [y for y in interp.successors(x, ax.role) if interp.has_concept(ax.filler, y)]
+            named = [w for w in wits if isinstance(w, str)]
+            unnamed = sorted((w for w in wits if not isinstance(w, str)), key=node_key)
+            if named and unnamed:
+                return unnamed[0], min(named)
+            if len(unnamed) > 1:
+                return unnamed[1], unnamed[0]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +178,8 @@ def homomorphisms(
     return rec(0, {})
 
 
-def core_of(atoms: Interpretation, max_nodes: int = DEFAULT_NODE_BOUND) -> Interpretation:
+def core_of(atoms: Interpretation) -> Interpretation:
     """The unique-up-to-isomorphism core, by iterated proper retraction."""
-    _guard(atoms, max_nodes)
     current = atoms
     shrunk = True
     while shrunk:
@@ -242,7 +212,7 @@ def run_core_chase(
         # the isomorphism test would refuse too many only after the round
         _guard(current, MAX_CHASE_NODES)
         fired = fire_axioms(sat, current)
-        cored = core_of(fired, max_nodes=max(DEFAULT_NODE_BOUND, len(fired.nodes)))
+        cored = core_of(fired)
         if trace is not None:
             trace.append((fired, cored))
         if is_isomorphic(cored, current):
@@ -251,16 +221,14 @@ def run_core_chase(
     raise NotTerminated(max_rounds, current)
 
 
-def is_isomorphic(
-    a: Interpretation, b: Interpretation, max_nodes: int = MAX_CHASE_NODES
-) -> bool:
+def is_isomorphic(a: Interpretation, b: Interpretation) -> bool:
     """Bijective strong homomorphism fixing named individuals.
 
     With equal node and atom counts, an injective homomorphism is one: it
     maps the atoms of a one to one into those of b, so onto them.
     """
-    _guard(a, max_nodes)
-    _guard(b, max_nodes)
+    _guard(a, MAX_CHASE_NODES)
+    _guard(b, MAX_CHASE_NODES)
     if a.individuals() != b.individuals():
         return False
     if len(a.nodes) != len(b.nodes):

@@ -153,7 +153,7 @@ def prepare(tbox: TBox, abox: ABox, sg: ShapesGraph, depth: int) -> PreparedKB:
     """Saturate the TBox and complete the ABox; raises InconsistentKB."""
     sat = SaturatedTBox(tbox)
     return PreparedKB(
-        sat, abox, complete_abox(tbox, abox, sat), sg, depth, dict.fromkeys(STATS, 0)
+        sat, abox, complete_abox(sat, abox), sg, depth, dict.fromkeys(STATS, 0)
     )
 
 
@@ -165,9 +165,7 @@ class Outcome:
 
 
 def _direct(kb: PreparedKB) -> Outcome:
-    interp = build_can(
-        kb.sat.tbox, kb.abox, depth=kb.depth, sat=kb.sat, completed=kb.completed
-    )
+    interp = build_can(kb.sat, kb.completed, kb.depth)
     return Outcome(interp, validate(interp, kb.sg.constraints, kb.sg.targets))
 
 
@@ -269,7 +267,8 @@ def run(args: argparse.Namespace) -> int:
 
 def cmd_build_model(args: argparse.Namespace) -> int:
     tbox, abox, _ = load_kb(args)
-    interp = build_can(tbox, abox, depth=args.depth, sat=SaturatedTBox(tbox))
+    sat = SaturatedTBox(tbox)
+    interp = build_can(sat, complete_abox(sat, abox), args.depth)
     if args.emit:
         sys.stdout.write(serialize_interpretation(interp))
     else:
@@ -284,7 +283,7 @@ def cmd_build_model(args: argparse.Namespace) -> int:
 def cmd_chase(args: argparse.Namespace) -> int:
     tbox, abox, _ = load_kb(args)
     sat = SaturatedTBox(tbox)
-    complete_abox(tbox, abox, sat)  # raises InconsistentKB
+    complete_abox(sat, abox)  # raises InconsistentKB
 
     trace: List[Tuple[Interpretation, Interpretation]] = []
     final: Optional[Interpretation] = None

@@ -4,7 +4,7 @@ Concept names are plain strings starting with an uppercase letter; the
 reserved tokens ``top`` and ``bot`` stand for the universal and empty
 concept. Roles carry an inversion flag, so ``Role("p", True)`` is p
 read backwards. Interpretations store role atoms under the non-inverted
-name only; lookups resolve inversion on the fly.
+name only; their index resolves both polarities.
 
 Everything here is immutable and orderable so that the rest of the
 package can iterate deterministically.
@@ -15,14 +15,19 @@ interpretation of names: the raw ABox, its completion, model prefixes
 and chase states are all one ``Interpretation``, and ``ABox`` is only
 another name for that class. Its lookups (the concepts of a node, the
 nodes of a concept, the neighbours of a node along a role, the roles
-between two nodes) read a ``GraphIndex`` derived from the atoms lazily,
-on the first lookup, and then kept. The index is not a field: equality
-and hashing read the atoms, the nodes and the ``complete`` flag only.
+between two nodes) read a ``GraphIndex``, which also builds them:
+``add_concept`` and ``add_role`` grow the atoms and the tables together,
+and ``seal`` returns the interpretation that reads the tables. The
+storage rule above lives in ``add_role`` (``Interpretation.of`` shares
+its ``_stored``). ``Interpretation.of`` and ``restrict`` leave the index
+to the first lookup. The index is not a field: equality and hashing read
+the atoms, the nodes and the ``complete`` flag only.
 """
 from __future__ import annotations
 
 from functools import cached_property
 from typing import (
+    AbstractSet,
     Dict,
     FrozenSet,
     Iterable,
@@ -309,9 +314,15 @@ def node_key(n: Node) -> Tuple:
 
 
 # ---------------------------------------------------------------------------
-# the lookup index
+# the lookup index, which builds every interpretation
 
 _EMPTY: FrozenSet = frozenset()
+
+
+def _stored(role: Role, x: Node, y: Node) -> Tuple[str, Node, Node]:
+    """The atom role(x, y) as interpretations store it: under the
+    non-inverted name."""
+    return (role.name, y, x) if role.inverted else (role.name, x, y)
 
 
 class GraphIndex:
@@ -321,40 +332,67 @@ class GraphIndex:
     concepts of n, ``adjacency[r][x]`` the r-neighbours of x for both
     polarities of every role, and ``links[x][y]`` the roles from x to y.
     Nodes without atoms of a kind have no entry of that kind.
+
+    ``len`` counts the atoms added so far. ``seal`` freezes the tables;
+    a sealed index keeps no atoms, and adding to it raises ``TypeError``.
     """
 
-    __slots__ = ("extension", "ctype", "adjacency", "links")
+    __slots__ = ("extension", "ctype", "adjacency", "links", "concept_atoms", "role_atoms")
 
     def __init__(
         self,
         concept_atoms: Iterable[Tuple[str, Node]],
         role_atoms: Iterable[Tuple[str, Node, Node]],
     ) -> None:
-        extension: Dict[str, set] = {}
-        ctype: Dict[Node, set] = {}
+        self.extension: Dict[str, AbstractSet[Node]] = {}
+        self.ctype: Dict[Node, AbstractSet[str]] = {}
+        self.adjacency: Dict[Role, Dict[Node, AbstractSet[Node]]] = {}
+        self.links: Dict[Node, Dict[Node, AbstractSet[Role]]] = {}
+        self.concept_atoms = set()
+        self.role_atoms = set()
         for c, n in concept_atoms:
-            extension.setdefault(c, set()).add(n)
-            ctype.setdefault(n, set()).add(c)
-        adjacency: Dict[Role, Dict[Node, set]] = {}
-        links: Dict[Node, Dict[Node, set]] = {}
+            self.add_concept(c, n)
         for name, a, b in role_atoms:
-            fwd, bwd = Role(name), Role(name, True)
-            adjacency.setdefault(fwd, {}).setdefault(a, set()).add(b)
-            adjacency.setdefault(bwd, {}).setdefault(b, set()).add(a)
-            links.setdefault(a, {}).setdefault(b, set()).add(fwd)
-            links.setdefault(b, {}).setdefault(a, set()).add(bwd)
-        self.extension: Dict[str, FrozenSet[Node]] = _freeze(extension)
-        self.ctype: Dict[Node, FrozenSet[str]] = _freeze(ctype)
-        self.adjacency: Dict[Role, Dict[Node, FrozenSet[Node]]] = {
-            r: _freeze(adj) for r, adj in adjacency.items()
-        }
-        self.links: Dict[Node, Dict[Node, FrozenSet[Role]]] = {
-            x: _freeze(ys) for x, ys in links.items()
-        }
+            self.add_role(Role(name), a, b)
 
+    def __len__(self) -> int:
+        return len(self.concept_atoms) + len(self.role_atoms)
 
-def _freeze(d: Dict) -> Dict:
-    return {k: frozenset(v) for k, v in d.items()}
+    def add_concept(self, c: str, n: Node) -> None:
+        if (c, n) not in self.concept_atoms:
+            self.concept_atoms.add((c, n))
+            self.extension.setdefault(c, set()).add(n)
+            self.ctype.setdefault(n, set()).add(c)
+
+    def add_role(self, role: Role, x: Node, y: Node) -> None:
+        """Add role(x, y), stored under the non-inverted name and indexed
+        under both polarities."""
+        atom = _stored(role, x, y)
+        if atom in self.role_atoms:
+            return
+        self.role_atoms.add(atom)
+        name, a, b = atom
+        fwd, bwd = Role(name), Role(name, True)
+        self.adjacency.setdefault(fwd, {}).setdefault(a, set()).add(b)
+        self.adjacency.setdefault(bwd, {}).setdefault(b, set()).add(a)
+        self.links.setdefault(a, {}).setdefault(b, set()).add(fwd)
+        self.links.setdefault(b, {}).setdefault(a, set()).add(bwd)
+
+    def seal(self, nodes: Iterable[Node], complete: bool = True) -> "Interpretation":
+        """The atoms added over the given nodes, which must include every
+        node an atom mentions, as an interpretation that reads this index."""
+        interp = Interpretation(
+            frozenset(self.concept_atoms), frozenset(self.role_atoms), frozenset(nodes), complete
+        )
+        vars(interp)["_index"] = self._freeze()
+        return interp
+
+    def _freeze(self) -> "GraphIndex":
+        self.concept_atoms = self.role_atoms = None
+        for table in (self.extension, self.ctype, *self.adjacency.values(), *self.links.values()):
+            for k, v in table.items():
+                table[k] = frozenset(v)
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +419,6 @@ class Interpretation:
         concepts: Iterable[Tuple[str, Node]] = (),
         roles: Iterable[Tuple[Role, Node, Node]] = (),
         nodes: Iterable[Node] = (),
-        complete: bool = True,
     ) -> "Interpretation":
         """The given atoms over the given nodes and every node an atom
         mentions; ``top`` atoms only mention their node."""
@@ -394,14 +431,12 @@ class Interpretation:
         ratoms = set()
         for role, x, y in roles:
             domain.update((x, y))
-            ratoms.add((role.name, y, x) if role.inverted else (role.name, x, y))
-        return Interpretation(
-            frozenset(catoms), frozenset(ratoms), frozenset(domain), complete
-        )
+            ratoms.add(_stored(role, x, y))
+        return Interpretation(frozenset(catoms), frozenset(ratoms), frozenset(domain))
 
     @cached_property
     def _index(self) -> GraphIndex:
-        return GraphIndex(self.concept_atoms, self.role_atoms)
+        return GraphIndex(self.concept_atoms, self.role_atoms)._freeze()
 
     @cached_property
     def _individuals(self) -> Tuple[str, ...]:
@@ -437,9 +472,7 @@ class Interpretation:
         return (c, n) in self.concept_atoms
 
     def has_edge(self, role: Role, x: Node, y: Node) -> bool:
-        if role.inverted:
-            return (role.name, y, x) in self.role_atoms
-        return (role.name, x, y) in self.role_atoms
+        return y in self.adjacency(role).get(x, _EMPTY)
 
     def successors(self, x: Node, role: Role) -> List[Node]:
         return sorted(self.adjacency(role).get(x, ()), key=node_key)

@@ -88,8 +88,10 @@ class _Cursor:
         self.source = source
         self.renaming = renaming or {}
 
-    def error(self, msg: str) -> ParseError:
-        return ParseError(msg, self.line, self.i + 1, self.source)
+    def error(self, msg: str, back: int = 0) -> ParseError:
+        """The error at the cursor, or ``back`` characters before it: at
+        the first character of a word just read, with ``len(word)``."""
+        return ParseError(msg, self.line, self.i - back + 1, self.source)
 
     def skip_ws(self) -> None:
         while self.i < len(self.text) and self.text[self.i] in " \t":
@@ -148,7 +150,7 @@ def _concept(cur: _Cursor) -> str:
     if word in (TOP, BOT):
         return word
     if not word[0].isupper():
-        raise cur.error(f"concept names start uppercase, got {word!r}")
+        raise cur.error(f"concept names start uppercase, got {word!r}", len(word))
     return word
 
 
@@ -156,7 +158,7 @@ def _role(cur: _Cursor) -> Role:
     inverted = cur.try_eat("^")
     word = cur.ident("a role name")
     if not word[0].islower() or word in (TOP, BOT):
-        raise cur.error(f"role names start lowercase, got {word!r}")
+        raise cur.error(f"role names start lowercase, got {word!r}", len(word))
     role = cur.renaming.get(word, Role(word))
     return role.invert() if inverted else role
 
@@ -235,7 +237,7 @@ def parse_abox(
         else:
             c = _concept(cur)
             if c in (TOP, BOT):
-                raise cur.error(f"{c!r} cannot be asserted")
+                raise cur.error(f"{c!r} cannot be asserted", len(c))
             cur.eat("(")
             a = cur.ident("an individual")
             cur.eat(")")
@@ -319,7 +321,6 @@ def _body_atom(cur: _Cursor) -> ShapeBody:
             cur.eat(")")
             return Not(inner)
         raise cur.error("'!' must be followed by a shape ref or a parenthesized body")
-    mark = cur.i
     word = cur.ident("a concept, 'some', 'eq' or 'disj'")
     if word == "some":
         if cur.peek() == "[":
@@ -339,8 +340,7 @@ def _body_atom(cur: _Cursor) -> ShapeBody:
         return _comparison(cur, word)
     if word in (TOP, BOT) or word[0].isupper():
         return ConceptRef(word)
-    cur.i = mark
-    raise cur.error(f"cannot read a shape body at {word!r}")
+    raise cur.error(f"cannot read a shape body at {word!r}", len(word))
 
 
 def _guard_fuse(left: ShapeBody, right: ShapeBody) -> ShapeBody:
@@ -374,7 +374,7 @@ def parse_constraints(
         head = _shape_name(cur)
         if head.startswith(RESERVED_PREFIX):
             raise cur.error(
-                f"shape names starting with {RESERVED_PREFIX!r} are reserved"
+                f"shape names starting with {RESERVED_PREFIX!r} are reserved", len(head)
             )
         cur.eat("<-")
         expr = _body_alt(cur)

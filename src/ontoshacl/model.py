@@ -1,8 +1,9 @@
 """Canonical model machinery.
 
 ``complete_abox`` closes the data graph under the TBox (the named part
-of the core universal model). ``build_can`` grows the anonymous part
-breadth-first up to a depth bound, tracking whether the result is the
+of the core universal model) inside the ``core.GraphIndex`` that its
+result reads. ``build_can`` grows the anonymous part breadth-first, in
+a second index, up to a depth bound, tracking whether the result is the
 whole model or a truncation.
 
 Anonymous nodes are words over 2-type letters. A letter (X, R, Y) says:
@@ -12,13 +13,14 @@ the roles R, and the child satisfies exactly Y.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Deque, Dict, Iterable, List, Set, Tuple
 
 from .core import (
     BOT,
     TOP,
     ABox,
     Anon,
+    GraphIndex,
     Interpretation,
     Node,
     OneHalfType,
@@ -29,7 +31,7 @@ from .core import (
     half_type_key,
     type_key,
 )
-from .tbox import SaturatedTBox, saturate
+from .tbox import SaturatedTBox
 
 # Selftest mutation hook: when true, the subsumption filter in succ_config is
 # skipped, which breaks the austere-model guarantees in a detectable way.
@@ -52,93 +54,68 @@ class ModelTooLarge(RuntimeError):
 # ABox completion
 
 
-def complete_abox(tbox: TBox, abox: ABox, sat: Optional[SaturatedTBox] = None) -> ABox:
-    """The data closed under the TBox; raises InconsistentKB, with the
-    reason, when the knowledge base is inconsistent."""
-    sat = sat or saturate(tbox)
+def complete_abox(sat: SaturatedTBox, abox: ABox) -> ABox:
+    """The data closed under the TBox, closed inside the ``GraphIndex``
+    that the returned interpretation reads; raises InconsistentKB, with
+    the reason, when the knowledge base is inconsistent."""
+    tbox = sat.tbox
     individuals = abox.individuals()
-    # the atoms, with each individual's concepts and each role's
-    # adjacency (both polarities) kept up to date on insert
-    concepts: Set[Tuple[str, str]] = set()
-    edges: Set[Tuple[str, str, str]] = set()
-    ctype: Dict[str, Set[str]] = {a: set() for a in individuals}
-    succ: Dict[Role, Dict[str, Set[str]]] = {}
-
-    def add_concept(c: str, a: str) -> None:
-        concepts.add((c, a))
-        ctype[a].add(c)
-
-    def add_edge(role: Role, a: str, b: str) -> None:
-        if role.inverted:
-            role, a, b = role.invert(), b, a
-        edges.add((role.name, a, b))
-        succ.setdefault(role, {}).setdefault(a, set()).add(b)
-        succ.setdefault(role.invert(), {}).setdefault(b, set()).add(a)
-
-    def successors(a: str, role: Role) -> List[str]:
-        return sorted(succ.get(role, {}).get(a, ()))
-
-    for c, a in abox.concept_atoms:
-        add_concept(c, a)
-    for name, a, b in abox.role_atoms:
-        add_edge(Role(name), a, b)
+    index = GraphIndex(abox.concept_atoms, abox.role_atoms)
+    ctype, succ = index.ctype, index.adjacency
 
     changed = True
     while changed:
-        before = (len(concepts), len(edges))
+        before = len(index)
         # role hierarchy closure
-        for name, a, b in list(edges):
+        for name, a, b in list(index.role_atoms):
             for sup in sat.superroles(Role(name)):
-                add_edge(sup, a, b)
+                index.add_role(sup, a, b)
         # entailed concept closure
         for a in individuals:
-            for c in sat.cl(ctype[a]):
-                add_concept(c, a)
+            for c in sat.cl(ctype.get(a, ())):
+                index.add_concept(c, a)
         # value restrictions
         for ax in tbox.value:
             for a, bs in succ.get(ax.role, {}).items():
-                if ax.lhs == TOP or ax.lhs in ctype[a]:
+                if ax.lhs == TOP or ax.lhs in ctype.get(a, ()):
                     for b in bs:
-                        add_concept(ax.filler, b)
+                        index.add_concept(ax.filler, b)
         # at-most-one: an implied existential merges onto an existing witness
         for ax in tbox.atmost:
             for a in list(succ.get(ax.role, {})):
-                if ax.lhs != TOP and ax.lhs not in ctype[a]:
+                if ax.lhs != TOP and ax.lhs not in ctype.get(a, ()):
                     continue
-                for cand in sat.implied_existentials(ctype[a]):
+                for cand in sat.implied_existentials(ctype.get(a, ())):
                     if ax.role not in cand.roles:
                         continue
                     if ax.filler != TOP and ax.filler not in cand.concepts:
                         continue
-                    for b in successors(a, ax.role):
-                        if ax.filler != TOP and ax.filler not in ctype[b]:
+                    for b in list(succ[ax.role][a]):
+                        if ax.filler != TOP and ax.filler not in ctype.get(b, ()):
                             continue
                         for c in cand.concepts:
-                            add_concept(c, b)
+                            index.add_concept(c, b)
                         for r in cand.roles:
-                            add_edge(r, a, b)
-        changed = (len(concepts), len(edges)) != before
+                            index.add_role(r, a, b)
+        changed = len(index) != before
 
+    done = index.seal(abox.nodes)
     # consistency: bottom membership
     for a in individuals:
-        if BOT in ctype[a]:
+        if done.has_concept(BOT, a):
             raise InconsistentKB(f"bot holds at {a}")
     # consistency: two distinct named witnesses under a counted role
     for ax in tbox.atmost:
         for a in individuals:
-            if ax.lhs != TOP and ax.lhs not in ctype[a]:
+            if not done.has_concept(ax.lhs, a):
                 continue
-            wits = [
-                b
-                for b in successors(a, ax.role)
-                if ax.filler == TOP or ax.filler in ctype[b]
-            ]
+            wits = [b for b in done.successors(a, ax.role) if done.has_concept(ax.filler, b)]
             if len(wits) > 1:
                 raise InconsistentKB(
                     f"{a} has {len(wits)} named {ax.role}.{ax.filler} successors "
                     f"but at most one is allowed"
                 )
-    return Interpretation(frozenset(concepts), frozenset(edges), abox.nodes)
+    return done
 
 
 # ---------------------------------------------------------------------------
@@ -194,35 +171,22 @@ def root_frontier(sat: SaturatedTBox, completed: ABox, a: str) -> Tuple[TwoType,
 # finite approximations of the core universal model
 
 
-def build_can(
-    tbox: TBox,
-    abox: ABox,
-    depth: int = 0,
-    sat: Optional[SaturatedTBox] = None,
-    completed: Optional[ABox] = None,
-) -> Interpretation:
-    """Approximation of the core universal model up to the given depth.
+def build_can(sat: SaturatedTBox, completed: ABox, depth: int) -> Interpretation:
+    """Approximation of the core universal model up to the given depth,
+    grown from ``completed``, the data's completion.
 
     Depth counts anonymous letters: 0 is just the completed data graph.
     The returned ``complete`` flag is true iff nothing was cut off.
-    ``completed`` is the ABox's completion, when the caller has it.
     """
-    sat = sat or saturate(tbox)
-    if completed is None:
-        completed = complete_abox(tbox, abox, sat)
+    index = GraphIndex(completed.concept_atoms, completed.role_atoms)
     nodes: Set[Node] = set(completed.nodes)
-    concepts: Set[Tuple[str, Node]] = set(completed.concept_atoms)
-    edges: Set[Tuple[str, Node, Node]] = set(completed.role_atoms)
 
     def attach(parent: Node, child: Anon, letter: TwoType) -> None:
         nodes.add(child)
         for c in letter.others:
-            concepts.add((c, child))
+            index.add_concept(c, child)
         for r in letter.roles:
-            if r.inverted:
-                edges.add((r.name, child, parent))
-            else:
-                edges.add((r.name, parent, child))
+            index.add_role(r, parent, child)
 
     kids: Dict[TwoType, Tuple[TwoType, ...]] = {}
 
@@ -237,9 +201,7 @@ def build_can(
         for u in succ_config(sat, root_frontier(sat, completed, a)):
             roots.append((a, TwoType(mine, u.roles, u.concepts)))
     if depth == 0:
-        return Interpretation(
-            frozenset(concepts), frozenset(edges), frozenset(nodes), not roots
-        )
+        return index.seal(nodes, not roots)
 
     # count the nodes before making them. size[t] is the size, capped just
     # above the budget, of a subtree whose root ends in letter t, one more
@@ -285,7 +247,7 @@ def build_can(
             attach(w, child, letter)
             frontier.append(child)
 
-    return Interpretation(frozenset(concepts), frozenset(edges), frozenset(nodes), complete)
+    return index.seal(nodes, complete)
 
 
 # ---------------------------------------------------------------------------

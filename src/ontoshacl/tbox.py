@@ -340,6 +340,3 @@ class SaturatedTBox:
                 return False
         return True
 
-
-def saturate(tbox: TBox) -> SaturatedTBox:
-    return SaturatedTBox(tbox)

@@ -19,7 +19,6 @@ from functools import reduce
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ontoshacl.chase import (
-    DEFAULT_NODE_BOUND,
     NotTerminated,
     _guard,
     fire_axioms,
@@ -38,7 +37,7 @@ from ontoshacl.core import (
     type_key,
 )
 from ontoshacl.formats import parse_constraints
-from ontoshacl.model import InconsistentKB, complete_abox
+from ontoshacl.model import InconsistentKB, build_can, complete_abox
 from ontoshacl.paths import NFA, RAlt, RSeq, RStar, RSym, Regex
 from ontoshacl.rewrite import (
     BasicConceptExpr,
@@ -802,11 +801,13 @@ def _classify(interp: Interpretation, m: Dict[Node, Node]) -> Homomorphism:
     return Homomorphism(mapping, injective, surjective, is_strong())
 
 
-def enumerate_endomorphisms(
-    interp: Interpretation, max_nodes: int = DEFAULT_NODE_BOUND
-) -> List[Homomorphism]:
+# the most nodes enumerate_endomorphisms takes
+MAX_ENDO_NODES = 12
+
+
+def enumerate_endomorphisms(interp: Interpretation) -> List[Homomorphism]:
     """All endomorphisms, each tagged injective/surjective/strong."""
-    _guard(interp, max_nodes)
+    _guard(interp, MAX_ENDO_NODES)
     out = [_classify(interp, m) for m in homomorphisms(interp, interp)]
     return sorted(out, key=lambda h: tuple(node_key(b) for _, b in h.mapping))
 
@@ -825,10 +826,16 @@ def run_oblivious_chase(
     raise NotTerminated(max_rounds, current)
 
 
+def build_model(tbox: TBox, abox: ABox, depth: int) -> Interpretation:
+    """``model.build_can`` over the completion of the raw data."""
+    sat = SaturatedTBox(tbox)
+    return build_can(sat, complete_abox(sat, abox), depth)
+
+
 def is_consistent(tbox: TBox, abox: ABox) -> bool:
     """Whether the knowledge base has a model (standard names assumed)."""
     try:
-        complete_abox(tbox, abox)
+        complete_abox(SaturatedTBox(tbox), abox)
     except InconsistentKB:
         return False
     return True

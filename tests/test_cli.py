@@ -75,16 +75,28 @@ def test_parse_errors_exit_3(tmp_path, mode, capsys):
 
 
 @pytest.mark.parametrize("shapes, col, message", [
-    ("$s <- some [R].B\n", 14, "role names start lowercase, got 'R'"),
-    ("$s <- some <R>.B\n", 14, "role names start lowercase, got 'R'"),
-    ("$s <- some <top>.B\n", 16, "role names start lowercase, got 'top'"),
-    ("$s <- (@a & eq(<_x>,<p>))\n", 19, "role names start lowercase, got '_x'"),
+    ("$s <- some [R].B\n", 13, "role names start lowercase, got 'R'"),
+    ("$s <- some <R>.B\n", 13, "role names start lowercase, got 'R'"),
+    ("$s <- some <top>.B\n", 13, "role names start lowercase, got 'top'"),
+    ("$s <- (@a & eq(<_x>,<p>))\n", 17, "role names start lowercase, got '_x'"),
     ("$s <- some <>.B\n", 13, "expected a role name"),
     ("$s <- some <p.B\n", 14, "expected '>'"),
 ])
 def test_paths_read_role_names_as_role_sets_do(tmp_path, shapes, col, message, capsys):
     assert validate(tmp_path, "direct", "$s(@a)\n", shapes=shapes) == cli.EXIT_INPUT
     assert f"in.shacl:1:{col}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, text, col, message", [
+    ("tbox", "A & b <= C\n", 5, "concept names start uppercase, got 'b'"),
+    ("tbox", "A <= some R.B\n", 11, "role names start lowercase, got 'R'"),
+    ("abox", "top(a)\n", 1, "role names start lowercase, got 'top'"),
+    ("shapes", "$_s <- A\n", 2, "shape names starting with '_' are reserved"),
+])
+def test_a_bad_name_is_reported_at_its_first_character(tmp_path, kind, text, col, message, capsys):
+    assert validate(tmp_path, "direct", "$s(@a)\n", **{kind: text}) == cli.EXIT_INPUT
+    ext = "shacl" if kind == "shapes" else kind
+    assert f"in.{ext}:1:{col}: {message}" in capsys.readouterr().err
 
 
 def test_missing_files_exit_3(tmp_path, capsys):

@@ -4,12 +4,19 @@ The rest of the package leans on three facts checked here: role
 inversion is an involution and role atoms are stored under the plain
 name only, TBox.of drops vacuous axioms and deduplicates into a sorted
 normal form, and Interpretation lookups resolve inversion on the fly.
+Every interpretation the package builds reads tables equal to those of
+a fresh index over its atoms.
 """
 from __future__ import annotations
 
+import random
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ontoshacl.chase import NotTerminated, SizeGuardExceeded, fire_axioms, run_core_chase
+from ontoshacl.cli import prepare
 from ontoshacl.core import (
     BOT,
     TOP,
@@ -18,6 +25,7 @@ from ontoshacl.core import (
     AtMostOne,
     ConjInclusion,
     ExistsInclusion,
+    GraphIndex,
     Interpretation,
     Null,
     OneHalfType,
@@ -30,6 +38,9 @@ from ontoshacl.core import (
     node_key,
     type_key,
 )
+from ontoshacl.harness import CHASE_ROUNDS, SAFE_DEPTH, gen_case
+from ontoshacl.model import InconsistentKB, build_can, complete_abox
+from ontoshacl.tbox import SaturatedTBox
 
 # =============================================================================
 # STRATEGIES
@@ -254,6 +265,10 @@ def test_abox_lookups_equal_scans_of_the_atoms(ab):
 @given(abox_strategy)
 def test_interpretation_lookups_equal_scans_of_the_atoms(ab):
     i = ab
+
+    def has_edge(role, x, y):
+        return (role.name, *((y, x) if role.inverted else (x, y))) in i.role_atoms
+
     every = sorted(i.nodes, key=node_key) + ["zz"]
     for c in ["A", "B", "C", "Z"]:
         assert i.extension(c) == {n for d, n in i.concept_atoms if d == c}
@@ -262,7 +277,8 @@ def test_interpretation_lookups_equal_scans_of_the_atoms(ab):
         assert i.concepts_of(x) == {c for c, n in i.concept_atoms if n == x}
         for name in ["p", "q", "r", "hasPet"]:
             for role in (Role(name), Role(name, True)):
-                scan = [y for y in i.domain() if i.has_edge(role, x, y)]
+                scan = [y for y in i.domain() if has_edge(role, x, y)]
+                assert [y for y in i.domain() if i.has_edge(role, x, y)] == scan
                 assert i.successors(x, role) == scan
                 assert i.adjacency(role).get(x, frozenset()) == set(scan)
         for y in every:
@@ -270,7 +286,7 @@ def test_interpretation_lookups_equal_scans_of_the_atoms(ab):
                 Role(name, inv)
                 for name in ["p", "q", "r", "hasPet"]
                 for inv in (False, True)
-                if i.has_edge(Role(name, inv), x, y)
+                if has_edge(Role(name, inv), x, y)
             }
             assert i.roles_between(x, y) == scan
 
@@ -283,3 +299,66 @@ def test_the_index_is_not_part_of_equality():
     i, j = ab, fresh
     i.successors("a", Role("r"))
     assert i == j and hash(i) == hash(j)
+
+
+# =============================================================================
+# THE ONE BUILDER
+# =============================================================================
+
+
+def _tables(index):
+    return (index.extension, index.ctype, index.adjacency, index.links)
+
+
+def assert_indexed(interp):
+    """The interpretation reads frozen tables equal to a fresh index's."""
+    index = interp._index
+    assert _tables(index) == _tables(GraphIndex(interp.concept_atoms, interp.role_atoms))
+    inner = [*index.adjacency.values(), *index.links.values()]
+    for table in (index.extension, index.ctype, *inner):
+        assert all(type(v) is frozenset for v in table.values())
+
+
+def test_every_built_interpretation_reads_the_index_of_its_atoms():
+    checked = 0
+    for k in range(800):
+        tbox, abox, _ = gen_case(random.Random(k))
+        sat = SaturatedTBox(tbox)
+        assert_indexed(abox)
+        try:
+            completed = complete_abox(sat, abox)
+        except InconsistentKB:
+            continue
+        built = [completed, build_can(sat, completed, 0), build_can(sat, completed, SAFE_DEPTH)]
+        built.append(fire_axioms(sat, abox))
+        if len(abox.individuals()) <= 3:
+            trace = []
+            try:
+                built.append(run_core_chase(sat, abox, CHASE_ROUNDS, trace))
+            except (NotTerminated, SizeGuardExceeded):
+                pass
+            built += [i for pair in trace for i in pair]
+        for interp in built:
+            assert_indexed(interp)
+            checked += 1
+    assert checked > 5000
+
+
+def test_the_completed_data_is_indexed_when_prepared():
+    tbox, abox, sg = gen_case(random.Random(3))
+    kb = prepare(tbox, abox, sg, 0)
+    assert "_index" in vars(kb.completed)
+    assert "_index" not in vars(kb.abox)
+
+
+def test_a_sealed_index_takes_no_atoms():
+    index = GraphIndex([("A", "a")], [])
+    index.add_role(Role("r", True), "b", "a")
+    assert len(index) == 2
+    interp = index.seal(["a", "b"])
+    assert interp.role_atoms == frozenset({("r", "a", "b")})
+    assert interp.successors("b", Role("r", True)) == ["a"]
+    with pytest.raises(TypeError):
+        index.add_concept("B", "b")
+    with pytest.raises(TypeError):
+        index.add_role(Role("r"), "a", "b")

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import check_ground_model, find_ground_model, oracle_complete
+from oracles import build_model, check_ground_model, find_ground_model, oracle_complete
 from ontoshacl import model
 from ontoshacl.core import (
     TOP,
@@ -32,14 +32,13 @@ from ontoshacl.core import (
 from ontoshacl.harness import gen_abox, gen_tbox
 from ontoshacl.model import (
     InconsistentKB,
-    build_can,
     children,
     complete_abox,
     is_model,
     root_frontier,
     succ_config,
 )
-from ontoshacl.tbox import saturate
+from ontoshacl.tbox import SaturatedTBox
 
 # =============================================================================
 # FIXTURES
@@ -88,7 +87,7 @@ def half(roles, concepts):
 
 def test_succ_config_merges_under_counting():
     """A frontier that does not yet witness either requirement owes both."""
-    s = saturate(GOLDEN_SEVEN)
+    s = SaturatedTBox(GOLDEN_SEVEN)
     frontier = [
         two_type({"B0", "B1"}, {"r1"}, {"A2"}),
         two_type({"B0", "B1"}, {"r1"}, {"A2"}),  # duplicate on purpose
@@ -100,13 +99,13 @@ def test_succ_config_merges_under_counting():
 
 
 def test_succ_config_drops_requirements_already_witnessed():
-    s = saturate(GOLDEN_SEVEN)
+    s = SaturatedTBox(GOLDEN_SEVEN)
     frontier = [two_type({"B0", "B1"}, {"r1", "r2"}, {"A2"})]
     assert set(succ_config(s, frontier)) == {half({"r0", "r1"}, {"A0", "A1"})}
 
 
 def test_succ_config_rejects_bad_frontiers():
-    s = saturate(GOLDEN_SEVEN)
+    s = SaturatedTBox(GOLDEN_SEVEN)
     with pytest.raises(ValueError):
         succ_config(s, [])
     with pytest.raises(ValueError):
@@ -118,7 +117,7 @@ def test_succ_config_rejects_bad_frontiers():
 
 def test_succ_filter_mutation_hook_changes_the_golden():
     # the selftest harness relies on this switch producing a real bug
-    s = saturate(GOLDEN_SEVEN)
+    s = SaturatedTBox(GOLDEN_SEVEN)
     frontier = [two_type({"B0", "B1"}, {"r1", "r2"}, {"A2"})]
     model.INJECT_SUCC_FILTER_BUG = True
     try:
@@ -129,7 +128,7 @@ def test_succ_filter_mutation_hook_changes_the_golden():
 
 
 def test_children_follow_the_inverted_letter():
-    s = saturate(GOLDEN_SEVEN)
+    s = SaturatedTBox(GOLDEN_SEVEN)
     letter = two_type({"B0"}, {"r2"}, {"A2"})  # parent is B0, child is A2
     assert children(s, letter) == ()  # A2 owes nothing
 
@@ -144,7 +143,7 @@ def test_completion_golden():
         concepts=[("B0", "a"), ("A0", "b")],
         roles=[(Role("r0"), "a", "b"), (Role("r2"), "a", "b")],
     )
-    done = complete_abox(GOLDEN_SEVEN, ab)
+    done = complete_abox(SaturatedTBox(GOLDEN_SEVEN), ab)
     assert done.concept_atoms == ab.concept_atoms | {("A1", "b"), ("A2", "b")}
     assert done.role_atoms == ab.role_atoms | {("r1", "a", "b")}
 
@@ -154,16 +153,16 @@ def test_completion_is_idempotent_on_the_golden():
         concepts=[("B0", "a"), ("A0", "b")],
         roles=[(Role("r0"), "a", "b"), (Role("r2"), "a", "b")],
     )
-    done = complete_abox(GOLDEN_SEVEN, ab)
-    assert complete_abox(GOLDEN_SEVEN, done) == done
+    done = complete_abox(SaturatedTBox(GOLDEN_SEVEN), ab)
+    assert complete_abox(SaturatedTBox(GOLDEN_SEVEN), done) == done
 
 
 def test_completion_raises_on_clash():
     tb = TBox.of([ConjInclusion(frozenset({"A", "B"}), "bot")])
     ab = ABox.of(concepts=[("A", "a"), ("B", "a")])
     with pytest.raises(InconsistentKB, match="bot holds at a"):
-        complete_abox(tb, ab)
-    complete_abox(GOLDEN_SEVEN, ABox.of(concepts=[("B0", "a")]))
+        complete_abox(SaturatedTBox(tb), ab)
+    complete_abox(SaturatedTBox(GOLDEN_SEVEN), ABox.of(concepts=[("B0", "a")]))
 
 
 def test_completion_merges_are_impossible_between_names():
@@ -173,7 +172,7 @@ def test_completion_merges_are_impossible_between_names():
         concepts=[("A", "a")], roles=[(Role("r"), "a", "b"), (Role("r"), "a", "c")]
     )
     with pytest.raises(InconsistentKB):
-        complete_abox(tb, ab)
+        complete_abox(SaturatedTBox(tb), ab)
 
 
 # =============================================================================
@@ -182,7 +181,7 @@ def test_completion_merges_are_impossible_between_names():
 
 
 def test_pet_model_needs_no_anonymous_nodes():
-    got = build_can(PET_TBOX, PET_ABOX, depth=5)
+    got = build_model(PET_TBOX, PET_ABOX, 5)
     assert got.complete
     assert got.nodes == frozenset({"linda", "blu"})
     assert ("hasPet", "linda", "blu") in got.role_atoms
@@ -192,7 +191,7 @@ def test_pet_model_needs_no_anonymous_nodes():
 
 
 def test_pet_model_at_depth_zero_is_already_closed():
-    got = build_can(PET_TBOX, PET_ABOX, depth=0)
+    got = build_model(PET_TBOX, PET_ABOX, 0)
     assert got.complete
     assert len(got.nodes) == 2
 
@@ -201,7 +200,7 @@ def test_infinite_chain_truncates_to_the_requested_depth():
     tb = TBox.of([ExistsInclusion("A", Role("r"), "A")])
     ab = ABox.of(concepts=[("A", "a")])
     for n in range(6):
-        got = build_can(tb, ab, depth=n)
+        got = build_model(tb, ab, n)
         assert not got.complete  # there is always one more step owed
         named = [x for x in got.nodes if isinstance(x, str)]
         anon = sorted(
@@ -215,8 +214,8 @@ def test_infinite_chain_truncates_to_the_requested_depth():
 
 
 def test_root_frontier_lists_the_bare_type_and_every_neighbour():
-    done = complete_abox(PET_TBOX, PET_ABOX)
-    got = root_frontier(saturate(PET_TBOX), done, "linda")
+    done = complete_abox(SaturatedTBox(PET_TBOX), PET_ABOX)
+    got = root_frontier(SaturatedTBox(PET_TBOX), done, "linda")
     assert len(got) == 2
     bare = [t for t in got if not t.roles]
     edged = [t for t in got if t.roles]
@@ -227,14 +226,14 @@ def test_root_frontier_lists_the_bare_type_and_every_neighbour():
 
 def test_is_model_accepts_the_golden_and_rejects_a_truncation():
     ab = ABox.of(concepts=[("B0", "a"), ("B1", "a")])
-    assert is_model(GOLDEN_SEVEN, ab, build_can(GOLDEN_SEVEN, ab, depth=2))
+    assert is_model(GOLDEN_SEVEN, ab, build_model(GOLDEN_SEVEN, ab, 2))
     chain_tb = TBox.of([ExistsInclusion("A", Role("r"), "A")])
     chain_ab = ABox.of(concepts=[("A", "a")])
-    assert not is_model(chain_tb, chain_ab, build_can(chain_tb, chain_ab, depth=3))
+    assert not is_model(chain_tb, chain_ab, build_model(chain_tb, chain_ab, 3))
 
 
 def test_is_model_rejects_missing_assertions():
-    got = build_can(PET_TBOX, PET_ABOX, depth=1)
+    got = build_model(PET_TBOX, PET_ABOX, 1)
     smaller = got.restrict(["linda"])
     assert not is_model(PET_TBOX, PET_ABOX, smaller)
 
@@ -253,9 +252,9 @@ def test_completion_matches_ground_chase(seed):
     expected = oracle_complete(tb, ab)
     if expected is None:
         with pytest.raises(InconsistentKB):
-            complete_abox(tb, ab)
+            complete_abox(SaturatedTBox(tb), ab)
         return
-    done = complete_abox(tb, ab)
+    done = complete_abox(SaturatedTBox(tb), ab)
     assert (done.concept_atoms, done.role_atoms) == expected
 
 

@@ -53,7 +53,7 @@ from ontoshacl.shapes import (
     normalize,
     shape_names,
 )
-from ontoshacl.tbox import UnsupportedPattern, saturate
+from ontoshacl.tbox import SaturatedTBox, UnsupportedPattern
 from ontoshacl.values import replace
 from oracles import full_signature, occurrence_pure_alchi, occurrence_pure_shaclb, set_rewrite
 from test_cli import HASHED_ABOX, HASHED_SHAPES, HASHED_TBOX
@@ -116,7 +116,7 @@ def conjuncts(body):
 
 
 def emitted(tbox, shapes, **kw):
-    return rewrite(saturate(tbox), compute_stratification(shapes), **kw)
+    return rewrite(SaturatedTBox(tbox), compute_stratification(shapes), **kw)
 
 
 def heads_with_conjuncts(out, head):
@@ -126,7 +126,7 @@ def heads_with_conjuncts(out, head):
 def normal_form(tbox, shapes):
     """The saturated TBox and the stratified normal form of the shapes."""
     nsg, _ = normalize(ShapesGraph.of(shapes))
-    return saturate(tbox), compute_stratification(nsg.constraints)
+    return SaturatedTBox(tbox), compute_stratification(nsg.constraints)
 
 
 def selftest_slice(seed, cases):
@@ -149,7 +149,7 @@ def test_chain_emission_contains_the_summary_constraint():
 
 def test_chain_target_is_valid_over_the_completed_graph():
     out = emitted(CHAIN_TBOX, CHAIN_SHAPES)
-    completed = complete_abox(CHAIN_TBOX, CHAIN_DATA)
+    completed = complete_abox(SaturatedTBox(CHAIN_TBOX), CHAIN_DATA)
     assert completed == CHAIN_DATA  # nothing ground to add here
     assert validate(completed, out, [("s", "a")]) == {("s", "a"): True}
 
@@ -162,7 +162,7 @@ def test_two_stratum_emission_threads_the_lower_shape():
 
 def test_two_stratum_target_is_valid_over_the_completed_graph():
     out = emitted(TWO_STRATUM_TBOX, TWO_STRATUM_SHAPES)
-    completed = complete_abox(TWO_STRATUM_TBOX, TWO_STRATUM_DATA)
+    completed = complete_abox(SaturatedTBox(TWO_STRATUM_TBOX), TWO_STRATUM_DATA)
     assert validate(completed, out, [("s", "a")]) == {("s", "a"): True}
 
 
@@ -394,7 +394,7 @@ def test_the_signature_gives_the_verdicts_of_every_concept_name(monkeypatch):
 
 def test_pure_alchi_agrees_on_the_chain_fixture():
     c_t = emitted(CHAIN_TBOX, CHAIN_SHAPES)
-    plus = pure_rewrite_alchi(saturate(CHAIN_TBOX), c_t)
+    plus = pure_rewrite_alchi(SaturatedTBox(CHAIN_TBOX), c_t)
     assert validate(CHAIN_DATA, plus, [("s", "a")]) == {("s", "a"): True}
 
 
@@ -406,7 +406,7 @@ def test_pure_alchi_refuses_counting_axioms():
         ]
     )
     with pytest.raises(UnsupportedPattern):
-        pure_rewrite_alchi(saturate(tb), [])
+        pure_rewrite_alchi(SaturatedTBox(tb), [])
 
 
 def test_pure_binary_route_recovers_completion_merges():
@@ -422,11 +422,11 @@ def test_pure_binary_route_recovers_completion_merges():
     shapes = parse_constraints("$s <- some [r].$sb\n$sb <- B\n")
     c_t = emitted(tb, shapes)
 
-    completed = complete_abox(tb, ab)
+    completed = complete_abox(SaturatedTBox(tb), ab)
     assert ("B", "c") in completed.concept_atoms
     assert validate(completed, c_t, [("s", "a")]) == {("s", "a"): True}
 
-    items = pure_rewrite_shaclb(saturate(tb), c_t)
+    items = pure_rewrite_shaclb(SaturatedTBox(tb), c_t)
     unary, _ = perfect_assignment_b(ab, items)
     assert "a" in unary["s"]
 

@@ -30,10 +30,10 @@ from ontoshacl.core import (
 )
 from ontoshacl.harness import gen_tbox
 from ontoshacl.tbox import (
+    SaturatedTBox,
     UnsupportedPattern,
     collapse_role_cycles,
     role_hierarchy,
-    saturate,
 )
 
 # =============================================================================
@@ -131,7 +131,7 @@ def test_collapse_is_identity_without_cycles():
 
 def test_golden_seven_merged_requirement():
     """The counted role folds the two existentials into one requirement."""
-    s = saturate(GOLDEN_SEVEN)
+    s = SaturatedTBox(GOLDEN_SEVEN)
     got = set(s.implied_existentials({"B0", "B1"}))
     assert got == {
         half({Role("r0"), Role("r1")}, {"A0", "A1"}),
@@ -145,13 +145,13 @@ def test_golden_seven_without_the_counting_context():
     The second existential is subsumed by it, and the unqualified child
     belongs to B1, so it does not show up here at all.
     """
-    s = saturate(GOLDEN_SEVEN)
+    s = SaturatedTBox(GOLDEN_SEVEN)
     got = set(s.implied_existentials({"B0"}))
     assert got == {half({Role("r0"), Role("r1")}, {"A0", "A1"})}
 
 
 def test_golden_seven_concept_closure():
-    s = saturate(GOLDEN_SEVEN)
+    s = SaturatedTBox(GOLDEN_SEVEN)
     assert "A1" in s.cl({"A0"})
     assert "A1" not in s.cl({"B0"})
 
@@ -166,7 +166,7 @@ def test_forall_fires_backwards_across_an_inverse_subrole():
             RoleInclusion(Role("p"), Role("q", True)),
         ]
     )
-    s = saturate(tb)
+    s = SaturatedTBox(tb)
     assert "C0" in s.cl({"C1"})
     assert set(s.implied_existentials({"C1"})) == {
         half({Role("p"), Role("q", True)}, {"C0", "C1"})
@@ -186,7 +186,7 @@ def test_saturation_terminates_on_feedback_heavy_tbox():
             RoleInclusion(Role("p", True), Role("q", True)),
         ]
     )
-    s = saturate(tb)
+    s = SaturatedTBox(tb)
     assert s.implied_existentials({"C0"})
 
 
@@ -200,7 +200,7 @@ def test_saturation_terminates_on_feedback_heavy_tbox():
 def test_implied_existentials_match_type_table(seed):
     rng = random.Random(seed)
     tb = gen_tbox(rng, allow_atmost=False)
-    s = saturate(tb)
+    s = SaturatedTBox(tb)
     names = sorted(tb.concept_names())
     probes = [{n} for n in names]
     if len(names) >= 2:
@@ -215,7 +215,7 @@ def test_implied_existentials_match_type_table(seed):
 def test_concept_closure_matches_type_table(seed):
     rng = random.Random(seed)
     tb = gen_tbox(rng, allow_atmost=False)
-    s = saturate(tb)
+    s = SaturatedTBox(tb)
     for n in sorted(tb.concept_names()):
         assert s.cl({n}) == brute_entailed(tb, {n})
 
@@ -225,7 +225,7 @@ def test_concept_closure_matches_type_table(seed):
 def test_implied_existentials_form_an_antichain(seed):
     rng = random.Random(seed)
     tb = gen_tbox(rng)
-    s = saturate(tb)
+    s = SaturatedTBox(tb)
     for n in sorted(tb.concept_names()):
         out = s.implied_existentials({n})
         for u in out:
@@ -238,7 +238,7 @@ def test_implied_existentials_form_an_antichain(seed):
 def test_saturation_is_deterministic(seed):
     rng = random.Random(seed)
     tb = gen_tbox(rng)
-    a, b = saturate(tb), saturate(tb)
+    a, b = SaturatedTBox(tb), SaturatedTBox(tb)
     assert a.conj == b.conj
     assert a.existentials == b.existentials
 
