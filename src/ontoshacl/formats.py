@@ -172,14 +172,18 @@ def _peek_word(cur: _Cursor) -> str:
     return cur.text[cur.i : _ident_end(cur.text, cur.i)]
 
 
+def _starts_with_role(cur: _Cursor) -> bool:
+    """Whether a role comes next: ``^`` or a lowercase word other than
+    ``top`` and ``bot``, which are concepts."""
+    first = _peek_word(cur)
+    return cur.peek() == "^" or (first[:1].islower() and first not in (TOP, BOT))
+
+
 def parse_tbox(text: str, source: str = "<tbox>") -> TBox:
     axioms: List[Axiom] = []
     for line_no, body in _lines(text):
         cur = _Cursor(body, line_no, source)
-        first = _peek_word(cur)
-        if cur.peek() == "^" or (
-            first and first[0].islower() and first not in (TOP, BOT)
-        ):
+        if _starts_with_role(cur):
             sub = _role(cur)
             cur.eat("<=")
             sup = _role(cur)
@@ -225,7 +229,7 @@ def parse_abox(
     roles: List[Tuple[Role, str, str]] = []
     for line_no, body in _lines(text):
         cur = _Cursor(body, line_no, source, renaming)
-        if cur.peek() == "^" or cur.peek().islower():
+        if _starts_with_role(cur):
             role = _role(cur)
             cur.eat("(")
             a = cur.ident("an individual")
@@ -251,8 +255,14 @@ def parse_abox(
 
 
 def _shape_name(cur: _Cursor) -> str:
+    """A ``$name`` wherever a shape is read: a head, a body or a target.
+    Names with the reserved prefix belong to the shapes the package makes."""
     cur.eat("$")
     name = cur.ident("a shape name")
+    if name.startswith(RESERVED_PREFIX):
+        raise cur.error(
+            f"shape names starting with {RESERVED_PREFIX!r} are reserved", len(name)
+        )
     return name
 
 
@@ -372,10 +382,6 @@ def parse_constraints(
     for line_no, body in _lines(text):
         cur = _Cursor(body, line_no, source, renaming)
         head = _shape_name(cur)
-        if head.startswith(RESERVED_PREFIX):
-            raise cur.error(
-                f"shape names starting with {RESERVED_PREFIX!r} are reserved", len(head)
-            )
         cur.eat("<-")
         expr = _body_alt(cur)
         cur.expect_done()

@@ -55,6 +55,8 @@ from .values import replace, value
 CONCEPTS = ("C0", "C1", "C2", "C3", "C4")
 ROLES = ("p", "q", "r")
 INDIVIDUALS = ("a", "b", "c", "d", "e", "f")
+# a generated shapes graph uses at most this many shape names
+MAX_SHAPES = 6
 
 # depth that provably exhausts any generated tree: one letter per concept
 SAFE_DEPTH = len(CONCEPTS) + 2
@@ -108,12 +110,10 @@ def gen_abox(rng: random.Random) -> ABox:
     return ABox.of(concepts, roles)
 
 
-def gen_constraints(
-    rng: random.Random, abox: ABox, max_shapes: int = 6
-) -> Tuple[Constraint, ...]:
+def gen_constraints(rng: random.Random, abox: ABox) -> Tuple[Constraint, ...]:
     """Normal-form bodies only; negative references go to strictly lower
     strata so the result is stratified by construction."""
-    names = [f"s{i}" for i in range(rng.randint(1, max_shapes))]
+    names = [f"s{i}" for i in range(rng.randint(1, MAX_SHAPES))]
     stratum = {n: rng.randint(0, 1) for n in names}
     inds = abox.individuals() or ("a",)
 

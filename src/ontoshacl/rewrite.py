@@ -7,16 +7,22 @@ evaluated over the completed data graph alone. Two pure variants push the
 completion itself into constraints: one for TBoxes without counting
 axioms, one using binary (edge) shapes.
 
+P and Q list witness entries, each a formula of the package:
+- a concept witness ``some [roles].(A & B)`` is the ``core.OneHalfType``
+  that ``implied_existentials`` and ``model.succ_config`` return;
+- a shape witness ``some [roles].$s`` or ``some [roles].!$s`` is the
+  ``ExistsRoles`` body of the normal-form constraint that reads it;
+- an individual witness ``@a`` is the constraint's own ``IndividualRef``.
+
 Quadruples are bit-encoded per component of the shapes (``_Codes``). The
 2-type is its index in the component's type universe, which is sorted by
-``type_key``. Each witness entry (a concept or shape existential, or an
-individual constant) and each shape literal gets a bit the first time it
-is seen, so P and Q are integer masks over entries and H an integer mask
-over literals: K maps ``(type index, P, Q)`` to H. A union is ``|`` and a
-subset test ``a & ~b == 0``. Emission drops subsumed bodies on the masks,
-decodes only the kept ones back to entries and literals, and sorts them by
-their printed conjuncts, so the output does not depend on the order in
-which bits were given out.
+``type_key``. Each entry and each shape literal, a ``(name, negated)``
+pair, gets a bit the first time it is seen, so P and Q are integer masks
+over entries and H an integer mask over literals: K maps ``(type index,
+P, Q)`` to H. A union is ``|`` and a subset test ``a & ~b == 0``.
+Emission drops subsumed bodies on the masks, decodes only the kept ones
+back to entries and literals, and sorts them by their printed conjuncts,
+so the output does not depend on the order in which bits were given out.
 
 A component's type universe and its bodies range over its signature R
 (``_signature``), not over every concept name: the names its normal-form
@@ -59,6 +65,7 @@ from .shapes import (
     PConcat,
     PInter,
     PInverse,
+    RESERVED_PREFIX,
     RoleStep,
     ShapeBody,
     ShapeRef,
@@ -70,7 +77,6 @@ from .shapes import (
     shape_occurrences,
 )
 from .tbox import SaturatedTBox, UnsupportedPattern, _key_exist
-from .values import value
 
 # the saturation of one component stops with RewriteTooLarge beyond this
 # many quadruples
@@ -81,77 +87,37 @@ class RewriteTooLarge(RuntimeError):
     """The saturation needs more than ``MAX_QUADRUPLES`` quadruples."""
 
 
-def _role_str(roles: FrozenSet[Role]) -> str:
-    return "[" + ",".join(str(r) for r in sorted(roles)) + "]"
-
-
-@value(frozen=True)
-class BasicConceptExpr:
-    """Witness expression: some successor over all roles carrying all concepts."""
-
-    roles: FrozenSet[Role]
-    concepts: FrozenSet[str]
-
-    def __str__(self) -> str:
-        inner = " & ".join(sorted(self.concepts)) if self.concepts else TOP
-        return f"some {_role_str(self.roles)}.({inner})"
-
-
-@value(frozen=True)
-class BasicShapeExpr:
-    """Witness expression over a shape literal: some successor over all
-    roles satisfying the shape (or failing it, when neg is set)."""
-
-    roles: FrozenSet[Role]
-    shape: str
-    neg: bool = False
-
-    def __str__(self) -> str:
-        bang = "!" if self.neg else ""
-        return f"some {_role_str(self.roles)}.{bang}${self.shape}"
-
-
-@value(frozen=True)
-class IndRef:
-    name: str
-
-    def __str__(self) -> str:
-        return f"@{self.name}"
-
-
-Entry = Union[BasicConceptExpr, BasicShapeExpr, IndRef]
+Entry = Union[OneHalfType, ExistsRoles, IndividualRef]
 
 
 def _entry_key(e: Entry) -> Tuple[int, str]:
-    if isinstance(e, BasicConceptExpr):
-        return (0, str(e))
-    if isinstance(e, BasicShapeExpr):
-        return (1, str(e))
-    return (2, str(e))
+    """The entry's kind, then its printed form, a concept witness printed
+    with its concepts in one flat conjunction."""
+    if isinstance(e, OneHalfType):
+        roles = ",".join(str(r) for r in sorted(e.roles))
+        inner = " & ".join(sorted(e.concepts)) if e.concepts else TOP
+        return (0, f"some [{roles}].({inner})")
+    return (1 if isinstance(e, ExistsRoles) else 2, str(e))
 
 
-@value(frozen=True, order=True)
-class Lit:
-    """A shape literal: the name, possibly negated."""
-
-    name: str
-    neg: bool = False
-
-    def __str__(self) -> str:
-        return ("!" if self.neg else "") + self.name
+def _inner(e: ExistsRoles) -> Tuple[str, bool]:
+    """The shape literal under a shape existential: its name, and whether
+    it is negated."""
+    return e.body.name, isinstance(e.body, NegShapeRef)
 
 
 class _Codes:
     """One component's quadruple encoding: its type universe, the bit of
-    each entry and literal seen so far, and in ``concepts``, ``inds`` and
-    ``shapes`` the masks of the entries of each kind."""
+    each entry and of each ``(name, negated)`` shape literal seen so far,
+    and in ``concepts``, ``inds`` and ``shapes`` the masks of the entries
+    of each kind."""
 
     def __init__(self, types: Sequence[TwoType]):
         self.types = types
         self._entry_bit: Dict[Entry, int] = {}
         self.entries: Dict[int, Entry] = {}
-        self._lit_bit: Dict[Lit, int] = {}
-        self.lits: Dict[int, Lit] = {}
+        self._lit_bit: Dict[Tuple[str, bool], int] = {}
+        self.lits: Dict[int, Tuple[str, bool]] = {}
         self.concepts = self.inds = self.shapes = 0
 
     def entry(self, e: Entry) -> int:
@@ -159,9 +125,9 @@ class _Codes:
         if bit is None:
             bit = self._entry_bit[e] = 1 << len(self.entries)
             self.entries[bit] = e
-            if isinstance(e, BasicConceptExpr):
+            if isinstance(e, OneHalfType):
                 self.concepts |= bit
-            elif isinstance(e, IndRef):
+            elif isinstance(e, IndividualRef):
                 self.inds |= bit
             else:
                 self.shapes |= bit
@@ -171,18 +137,12 @@ class _Codes:
         """The bit of ``e``, or 0 when it was never seen."""
         return self._entry_bit.get(e, 0)
 
-    def mask(self, entries: Iterable[Entry]) -> int:
-        m = 0
-        for e in entries:
-            m |= self.entry(e)
-        return m
-
     def lit(self, name: str, neg: bool = False) -> int:
-        lit = Lit(name, neg)
-        bit = self._lit_bit.get(lit)
+        key = (name, neg)
+        bit = self._lit_bit.get(key)
         if bit is None:
-            bit = self._lit_bit[lit] = 1 << len(self.lits)
-            self.lits[bit] = lit
+            bit = self._lit_bit[key] = 1 << len(self.lits)
+            self.lits[bit] = key
         return bit
 
 
@@ -219,41 +179,6 @@ def _put(K: _K, key: _Key, lits: int) -> bool:
     return False
 
 
-def _expr(u: OneHalfType) -> BasicConceptExpr:
-    return BasicConceptExpr(u.roles, u.concepts)
-
-
-class _Ctx:
-    """Per-TBox caches used by the saturation rules."""
-
-    def __init__(self, st: SaturatedTBox):
-        self.st = st
-        self._cands: Dict[TwoType, Tuple[OneHalfType, ...]] = {}
-        self._ie: Dict[FrozenSet[str], FrozenSet[BasicConceptExpr]] = {}
-        self._pinned: Dict[TwoType, FrozenSet[BasicConceptExpr]] = {}
-
-    def candidates(self, t: TwoType) -> Tuple[OneHalfType, ...]:
-        if t not in self._cands:
-            self._cands[t] = succ_config(self.st, [t])
-        return self._cands[t]
-
-    def cand_exprs(self, t: TwoType) -> FrozenSet[BasicConceptExpr]:
-        return frozenset(_expr(u) for u in self.candidates(t))
-
-    def ie_exprs(self, concepts: FrozenSet[str]) -> FrozenSet[BasicConceptExpr]:
-        if concepts not in self._ie:
-            self._ie[concepts] = frozenset(
-                _expr(u) for u in self.st.implied_existentials(concepts)
-            )
-        return self._ie[concepts]
-
-    def pinned(self, t: TwoType) -> FrozenSet[BasicConceptExpr]:
-        # witness expressions already covered by the one listed neighbor
-        if t not in self._pinned:
-            self._pinned[t] = self.ie_exprs(t.concepts) - self.cand_exprs(t)
-        return self._pinned[t]
-
-
 def _closed_subsets(st: SaturatedTBox, names: Sequence[str]) -> Set[FrozenSet[str]]:
     out: Set[FrozenSet[str]] = set()
     for n in range(len(names) + 1):
@@ -287,18 +212,24 @@ def _type_universe(st: SaturatedTBox, sig: FrozenSet[str]) -> Tuple[TwoType, ...
     return tuple(sorted(types, key=type_key))
 
 
-def _seed_dict(ctx: _Ctx, codes: _Codes) -> _K:
-    """Fresh quadruples: every way of splitting a type's witness
-    expressions into present (P) and absent (Q)."""
+def _seed_dict(st: SaturatedTBox, codes: _Codes) -> Tuple[_K, List[int]]:
+    """Fresh quadruples: every way of splitting a type's implied concept
+    witnesses into present (P) and absent (Q), where only its successor
+    candidates may be absent. Also each type's pinned witnesses: those the
+    one listed neighbor of the type already covers."""
     K: _K = {}
+    pinned = []
     for i, t in enumerate(codes.types):
-        cand = [codes.entry(e) for e in sorted(ctx.cand_exprs(t), key=_entry_key)]
-        ie = codes.mask(ctx.ie_exprs(t.concepts))
+        cand = [codes.entry(u) for u in sorted(succ_config(st, [t]), key=_entry_key)]
+        ie = 0
+        for u in st.implied_existentials(t.concepts):
+            ie |= codes.entry(u)
+        pinned.append(ie & ~sum(cand))
         for n in range(len(cand) + 1):
             for combo in itertools.combinations(cand, n):
                 q = sum(combo)  # distinct bits
                 _slot(K, (i, ie & ~q, q))
-    return K
+    return K, pinned
 
 
 def _classify(cons: Sequence[Constraint]):
@@ -308,23 +239,23 @@ def _classify(cons: Sequence[Constraint]):
         if isinstance(b, ConceptRef):
             by_concept.append((c.head, b.name))
         elif isinstance(b, IndividualRef):
-            by_ind.append((c.head, IndRef(b.name)))
+            by_ind.append((c.head, b))
         elif isinstance(b, ShapeRef):
             by_ref.append((c.head, b.name))
         elif isinstance(b, And) and isinstance(b.left, ShapeRef) and isinstance(b.right, ShapeRef):
             by_and.append((c.head, b.left.name, b.right.name))
         elif isinstance(b, NegShapeRef):
             by_neg.append((c.head, b.name))
-        elif isinstance(b, ExistsRoles) and isinstance(b.body, ShapeRef):
-            by_exists.append((c.head, frozenset(b.roles), Lit(b.body.name)))
-        elif isinstance(b, ExistsRoles) and isinstance(b.body, NegShapeRef):
-            by_exists.append((c.head, frozenset(b.roles), Lit(b.body.name, neg=True)))
+        elif isinstance(b, ExistsRoles) and isinstance(b.body, (ShapeRef, NegShapeRef)):
+            by_exists.append((c.head, b))
         else:
             raise ValueError(f"constraint not in normal form: {c}")
     return by_concept, by_ind, by_ref, by_and, by_neg, by_exists
 
 
-def _close(ctx: _Ctx, codes: _Codes, cons: Sequence[Constraint], K: _K) -> None:
+def _close(
+    codes: _Codes, pinned: Sequence[int], cons: Sequence[Constraint], K: _K
+) -> None:
     by_concept, by_ind, by_ref, by_and, by_neg, by_exists = _classify(cons)
     types = codes.types
     lit = codes.lit
@@ -346,31 +277,30 @@ def _close(ctx: _Ctx, codes: _Codes, cons: Sequence[Constraint], K: _K) -> None:
     # the concept entries whose roles allow it). A rule is (head, roles,
     # inner literal, witness entry, at, via).
     exists = []
-    for head, roles, inner in by_exists:
+    for head, body in by_exists:
+        roles = body.roles
         via = 0
         for bit, e in codes.entries.items():
-            if isinstance(e, BasicConceptExpr) and roles <= e.roles:
+            if isinstance(e, OneHalfType) and roles <= e.roles:
                 via |= bit
         at = frozenset(
             i for i, t in enumerate(types)
             if roles <= t.roles or (not t.roles and not t.others)
         )
-        witness = codes.entry(BasicShapeExpr(roles, inner.name, inner.neg))
-        exists.append((lit(head), roles, lit(inner.name, inner.neg), witness, at, via))
-    # each type's pinned witnesses, the edge back to its parent, the bit of
-    # the parent's witness for it (0 when unseen), and the shape entries
-    # whose roles it carries
-    pinned = [codes.mask(ctx.pinned(t)) for t in types]
+        exists.append((lit(head), roles, lit(*_inner(body)), codes.entry(body), at, via))
+    # each type's edge back to its parent, the bit of the parent's witness
+    # for it (0 when unseen), and the shape entries whose roles it carries
     edges = [frozenset(r.invert() for r in t.roles) for t in types]
-    wits = [codes.known(BasicConceptExpr(edges[i], t.concepts)) for i, t in enumerate(types)]
+    wits = [codes.known(OneHalfType(edges[i], t.concepts)) for i, t in enumerate(types)]
     carried = [0] * len(types)
     holds: Dict[int, int] = {}  # shape entry -> the literal it claims
     fails: Dict[int, int] = {}  # shape entry -> the literal it refutes
     for bit, e in codes.entries.items():
-        if not isinstance(e, BasicShapeExpr):
+        if not isinstance(e, ExistsRoles):
             continue
-        holds[bit] = lit(e.shape, e.neg)
-        fails[bit] = lit(e.shape, not e.neg)
+        name, neg = _inner(e)
+        holds[bit] = lit(name, neg)
+        fails[bit] = lit(name, not neg)
         for i, t in enumerate(types):
             if e.roles <= t.roles:
                 carried[i] |= bit
@@ -467,7 +397,7 @@ def _completion_dict(
     K: _K,
     codes: _Codes,
     cons: Sequence[Constraint],
-    extra_settled: FrozenSet[str] = frozenset(),
+    extra_settled: FrozenSet[str],
 ) -> _K:
     """Between strata: settle unfired shapes as negative knowledge.
 
@@ -477,11 +407,7 @@ def _completion_dict(
     settled = sorted(shape_names(cons) | extra_settled)
     _, by_ind, _, _, _, by_exists = _classify(cons)
     # (head, body): the body goes into Q where the head did not fire
-    failed = [
-        (codes.lit(head), codes.entry(BasicShapeExpr(roles, inner.name, inner.neg)))
-        for head, roles, inner in by_exists
-    ]
-    failed += [(codes.lit(head), codes.entry(ref)) for head, ref in by_ind]
+    failed = [(codes.lit(head), codes.entry(body)) for head, body in by_exists + by_ind]
     negated = [(codes.lit(name), codes.lit(name, neg=True)) for name in settled]
     out: _K = {}
     for (i, p, q), h in K.items():
@@ -507,17 +433,9 @@ def _signature(st: SaturatedTBox, cons: Sequence[Constraint]) -> FrozenSet[str]:
 
 
 def _entry_body(e: Entry) -> ShapeBody:
-    if isinstance(e, BasicConceptExpr):
-        inner: ShapeBody
-        if not e.concepts:
-            inner = ConceptRef(TOP)
-        else:
-            inner = _and_chain([ConceptRef(c) for c in sorted(e.concepts)])
-        return ExistsRoles(e.roles, inner)
-    if isinstance(e, BasicShapeExpr):
-        inner2: ShapeBody = NegShapeRef(e.shape) if e.neg else ShapeRef(e.shape)
-        return ExistsRoles(e.roles, inner2)
-    return IndividualRef(e.name)
+    if isinstance(e, OneHalfType):
+        return ExistsRoles(e.roles, _and_chain([ConceptRef(c) for c in sorted(e.concepts)]))
+    return e
 
 
 def _and_chain(parts: Sequence[ShapeBody]) -> ShapeBody:
@@ -549,7 +467,7 @@ def _emit(
             continue
         row = (codes.types[i].concepts, p, q)
         for bit in _bits(h & wanted):
-            per_head.setdefault(codes.lits[bit].name, {}).setdefault(part[i], set()).add(row)
+            per_head.setdefault(codes.lits[bit][0], {}).setdefault(part[i], set()).add(row)
 
     # the conjuncts of each entry, present and absent, with their printed
     # forms, and of each type's concepts
@@ -614,15 +532,14 @@ def _split(strat: Stratification) -> List[Tuple[Tuple[Constraint, ...], ...]]:
 
 
 def _rewrite_component(
-    ctx: _Ctx, strata: Sequence[Sequence[Constraint]]
+    st: SaturatedTBox, strata: Sequence[Sequence[Constraint]]
 ) -> Tuple[List[Constraint], int]:
     """One saturation over constraints that read no shape outside them:
     the constraints and their emitted rewriting, and the quadruple count."""
-    st = ctx.st
     cons = [c for group in strata for c in group]
     sig = _signature(st, cons)
     codes = _Codes(_type_universe(st, sig))
-    K = _seed_dict(ctx, codes)
+    K, pinned = _seed_dict(st, codes)
 
     occurring = shape_names(cons)
     out = list(cons)
@@ -632,7 +549,7 @@ def _rewrite_component(
         later_heads = {c.head for g in strata[i:] for c in g}
         settled = frozenset(n for n in occurring if n not in later_heads)
         K = _completion_dict(K, codes, strata[i - 1] if i else (), settled)
-        _close(ctx, codes, group, K)
+        _close(codes, pinned, group, K)
         heads = frozenset(c.head for c in group)
         out.extend(_emit(K, codes, heads, sig))
     return out, len(K)
@@ -655,11 +572,10 @@ def rewrite(
     ``stats`` is the sum over the components; a component that needs more
     than ``MAX_QUADRUPLES`` raises RewriteTooLarge.
     """
-    ctx = _Ctx(st)
     out: List[Constraint] = []
     quadruples = 0
     for strata in _split(strat):
-        cons, size = _rewrite_component(ctx, strata)
+        cons, size = _rewrite_component(st, strata)
         out.extend(cons)
         quadruples += size
     if stats is not None:
@@ -672,11 +588,11 @@ def rewrite(
 
 
 def _concept_shape(a: str) -> str:
-    return f"_c_{a}"
+    return f"{RESERVED_PREFIX}c_{a}"
 
 
 def _role_shape(r: Role) -> str:
-    return f"_b_{r}"
+    return f"{RESERVED_PREFIX}b_{r}"
 
 
 def _concept_ref(a: str) -> ShapeBody:
@@ -834,7 +750,7 @@ def _shaclb_tbox(st: SaturatedTBox) -> List[Item]:
             if ax.lhs != TOP:
                 guard_parts.append(ShapeRef(_concept_shape(ax.lhs)))
             guard_parts += [ShapeRef(_concept_shape(a)) for a in sorted(e.premise)]
-            hat = f"_hat{hat_n}"
+            hat = f"{RESERVED_PREFIX}hat{hat_n}"
             hat_n += 1
             ts.append(Constraint(hat, _and_chain(guard_parts)))
             to_witness = PConcat(Test(hat), BinRef(_role_shape(ax.role)))

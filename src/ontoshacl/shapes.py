@@ -22,6 +22,8 @@ from .core import TOP, Role
 from .paths import NFA, Regex, regex_str, regex_to_nfa
 from .values import value
 
+# every shape name the package makes starts with this, and the parser
+# refuses it in every shape name it reads
 RESERVED_PREFIX = "_"
 
 

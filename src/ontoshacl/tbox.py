@@ -150,6 +150,7 @@ class SaturatedTBox:
         self.tbox = tbox
         self.hierarchy = role_hierarchy(tbox)
         self._cl_cache: Dict[FrozenSet[str], FrozenSet[str]] = {}
+        self._ie_cache: Dict[FrozenSet[str], Tuple[OneHalfType, ...]] = {}
         self.conj: Set[Tuple[FrozenSet[str], str]] = set()
         self.existentials: Set[Existential] = set()
         self._saturate()
@@ -306,8 +307,12 @@ class SaturatedTBox:
     # -- queries ---------------------------------------------------------------
 
     def implied_existentials(self, concepts: Iterable[str]) -> Tuple[OneHalfType, ...]:
-        """Maximal successor candidates forced by a 1-type."""
+        """Maximal successor candidates forced by a 1-type, computed once per
+        closed concept set after saturation."""
         closed = self.cl(concepts)
+        cached = self._ie_cache.get(closed)
+        if cached is not None:
+            return cached
         cands = {
             OneHalfType(e.roles, e.fillers)
             for e in self.existentials
@@ -318,7 +323,9 @@ class SaturatedTBox:
             for u in cands
             if not any(u is not v and u.subsumed_by(v) and u != v for v in cands)
         ]
-        return tuple(sorted(set(keep), key=half_type_key))
+        result = tuple(sorted(set(keep), key=half_type_key))
+        self._ie_cache[closed] = result
+        return result
 
     def is_locally_consistent(self, t: TwoType) -> bool:
         for side in (t.concepts, t.others):

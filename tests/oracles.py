@@ -30,6 +30,7 @@ from ontoshacl.core import (
     ABox,
     Interpretation,
     Node,
+    OneHalfType,
     Role,
     TBox,
     TwoType,
@@ -37,20 +38,15 @@ from ontoshacl.core import (
     type_key,
 )
 from ontoshacl.formats import parse_constraints
-from ontoshacl.model import InconsistentKB, build_can, complete_abox
+from ontoshacl.model import InconsistentKB, build_can, complete_abox, succ_config
 from ontoshacl.paths import NFA, RAlt, RSeq, RStar, RSym, Regex
 from ontoshacl.rewrite import (
-    BasicConceptExpr,
-    BasicShapeExpr,
     Entry,
-    IndRef,
-    Lit,
     _alchi_tbox,
     _and_chain,
     _classify as _classify_constraints,
     _concept_seeds,
     _concept_shape,
-    _Ctx,
     _entry_body,
     _entry_key,
     _exists_via_edge_shapes,
@@ -847,7 +843,40 @@ def is_consistent(tbox: TBox, abox: ABox) -> bool:
 # ``rewrite.rewrite`` encodes the same quadruples as integer masks and
 # must emit the same constraints in the same order from as many
 # quadruples. Like the last section it drives package internals
-# (``rewrite._Ctx``, ``_classify``, ``_split``, ``_type_universe``).
+# (``rewrite._classify``, ``_split``, ``_type_universe``). A shape witness
+# is the ``some [roles].$s`` body of the constraint that reads it.
+
+
+@dataclass(frozen=True)
+class Lit:
+    """A shape literal: the name, possibly negated."""
+
+    name: str
+    neg: bool = False
+
+
+def _inner_lit(body: ExistsRoles, flip: bool = False) -> Lit:
+    """The literal under a shape existential, or its complement."""
+    return Lit(body.body.name, isinstance(body.body, NegShapeRef) != flip)
+
+
+class _Ctx:
+    """Each type's concept witnesses: its successor candidates, the
+    existentials its concepts imply, and the implied ones that are not
+    candidates (pinned by the one listed neighbor)."""
+
+    def __init__(self, st: SaturatedTBox):
+        self.st = st
+
+    def cand_exprs(self, t: TwoType) -> FrozenSet[OneHalfType]:
+        return frozenset(succ_config(self.st, [t]))
+
+    def ie_exprs(self, concepts: FrozenSet[str]) -> FrozenSet[OneHalfType]:
+        return frozenset(self.st.implied_existentials(concepts))
+
+    def pinned(self, t: TwoType) -> FrozenSet[OneHalfType]:
+        return self.ie_exprs(t.concepts) - self.cand_exprs(t)
+
 
 _SetKey = Tuple[TwoType, FrozenSet[Entry], FrozenSet[Entry]]
 _SetK = Dict[_SetKey, Set[Lit]]
@@ -857,8 +886,8 @@ def _set_slot(K: _SetK, key: _SetKey) -> Set[Lit]:
     return K.setdefault(key, set())
 
 
-def _concept_part(entries: Iterable[Entry]) -> FrozenSet[BasicConceptExpr]:
-    return frozenset(e for e in entries if isinstance(e, BasicConceptExpr))
+def _concept_part(entries: Iterable[Entry]) -> FrozenSet[OneHalfType]:
+    return frozenset(e for e in entries if isinstance(e, OneHalfType))
 
 
 def _set_seed(ctx: _Ctx, universe: Sequence[TwoType]) -> _SetK:
@@ -896,16 +925,15 @@ def _set_close(cons: Sequence[Constraint], K: _SetK, ctx: _Ctx) -> None:
                 if need:
                     tgt.update(h | {lit})
                     changed = True
-            for head, roles, inner in by_exists:
-                e = BasicShapeExpr(roles, inner.name, inner.neg)
+            for head, e in by_exists:
                 if e in q:
                     continue
-                ok = roles <= t.roles or bare
+                ok = e.roles <= t.roles or bare
                 if not ok:
                     ok = any(
-                        roles <= b.roles
+                        e.roles <= b.roles
                         for b in p
-                        if isinstance(b, BasicConceptExpr)
+                        if isinstance(b, OneHalfType)
                     )
                 if not ok:
                     continue
@@ -932,30 +960,30 @@ def _set_close(cons: Sequence[Constraint], K: _SetK, ctx: _Ctx) -> None:
             items = list(K.items())
             children = []
             for (tc, pc, qc), hc in items:
-                if any(isinstance(e, IndRef) for e in pc):
+                if any(isinstance(e, IndividualRef) for e in pc):
                     continue
                 if _concept_part(pc) != ctx.pinned(tc):
                     continue
                 edge = frozenset(r.invert() for r in tc.roles)
                 discharge_a = frozenset(
-                    Lit(e.shape, e.neg) for e in pc if isinstance(e, BasicShapeExpr)
+                    _inner_lit(e) for e in pc if isinstance(e, ExistsRoles)
                 )
                 discharge_b = frozenset(
-                    Lit(e.shape, not e.neg)
+                    _inner_lit(e, flip=True)
                     for e in qc
-                    if isinstance(e, BasicShapeExpr) and e.roles <= tc.roles
+                    if isinstance(e, ExistsRoles) and e.roles <= tc.roles
                 )
                 children.append((tc, edge, hc, discharge_a | discharge_b))
             for (t, p, q), h in items:
-                for head, roles, inner in by_exists:
+                for head, e in by_exists:
                     if Lit(head) in h:
                         continue
                     for tc, edge, hc, discharge in children:
-                        if inner not in hc:
+                        if _inner_lit(e) not in hc:
                             continue
-                        if tc.others != t.concepts or not roles <= edge:
+                        if tc.others != t.concepts or not e.roles <= edge:
                             continue
-                        if BasicConceptExpr(edge, tc.concepts) not in q:
+                        if OneHalfType(edge, tc.concepts) not in q:
                             continue
                         if not discharge <= h:
                             continue
@@ -964,7 +992,7 @@ def _set_close(cons: Sequence[Constraint], K: _SetK, ctx: _Ctx) -> None:
                         break
 
         buckets: Dict[
-            Tuple[TwoType, FrozenSet[BasicConceptExpr]],
+            Tuple[TwoType, FrozenSet[OneHalfType]],
             Tuple[List[_SetKey], List[_SetKey]],
         ] = {}
         for key, h in K.items():
@@ -996,9 +1024,9 @@ def _set_completion(
     out: _SetK = {}
     for (t, p, q), h in K.items():
         q_new = set(q)
-        for head, roles, inner in by_exists:
+        for head, e in by_exists:
             if Lit(head) not in h:
-                q_new.add(BasicShapeExpr(roles, inner.name, inner.neg))
+                q_new.add(e)
         for head, ref in by_ind:
             if Lit(head) not in h:
                 q_new.add(ref)

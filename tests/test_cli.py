@@ -90,13 +90,30 @@ def test_paths_read_role_names_as_role_sets_do(tmp_path, shapes, col, message, c
 @pytest.mark.parametrize("kind, text, col, message", [
     ("tbox", "A & b <= C\n", 5, "concept names start uppercase, got 'b'"),
     ("tbox", "A <= some R.B\n", 11, "role names start lowercase, got 'R'"),
-    ("abox", "top(a)\n", 1, "role names start lowercase, got 'top'"),
+    ("abox", "top(a)\n", 1, "'top' cannot be asserted"),
+    ("abox", "bot(a)\n", 1, "'bot' cannot be asserted"),
     ("shapes", "$_s <- A\n", 2, "shape names starting with '_' are reserved"),
 ])
 def test_a_bad_name_is_reported_at_its_first_character(tmp_path, kind, text, col, message, capsys):
     assert validate(tmp_path, "direct", "$s(@a)\n", **{kind: text}) == cli.EXIT_INPUT
     ext = "shacl" if kind == "shapes" else kind
     assert f"in.{ext}:1:{col}: {message}" in capsys.readouterr().err
+
+
+# a reserved name read anywhere would meet the shapes the package makes:
+# `_c_A` is the pure rewritings' shape for concept A
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("shapes, targets, where", [
+    ("$s <- $_c_A\n", "$s(@a)\n", "in.shacl:1:8"),
+    ("$s <- !$_q0\n", "$s(@a)\n", "in.shacl:1:9"),
+    (SHAPES, "$_c_B(@a)\n", "in.targets:1:2"),
+], ids=["body", "negated", "target"])
+def test_reserved_shape_names_are_refused_wherever_they_are_read(
+    tmp_path, mode, shapes, targets, where, capsys
+):
+    rc = validate(tmp_path, mode, targets, tbox="A <= B\n", abox="A(a)\n", shapes=shapes)
+    assert rc == cli.EXIT_INPUT
+    assert f"{where}: shape names starting with '_' are reserved" in capsys.readouterr().err
 
 
 def test_missing_files_exit_3(tmp_path, capsys):

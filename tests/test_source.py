@@ -38,3 +38,26 @@ def test_only_core_builds_interpretations():
         and node.func.id == "Interpretation"
     }
     assert callers == {"core.py"}
+
+
+def test_every_private_definition_is_read_somewhere():
+    """A module-level ``_name`` function or class that no module of the
+    package reads (by name, attribute or import) is dead code."""
+    read = set()
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    dead = [
+        f"{module}: {node.name}"
+        for module, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and node.name not in read
+    ]
+    assert dead == []

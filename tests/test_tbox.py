@@ -173,6 +173,17 @@ def test_forall_fires_backwards_across_an_inverse_subrole():
     }
 
 
+def test_implied_existentials_are_computed_once_per_closure():
+    # A and {A, B} have one closure, so they share one answer
+    s = SaturatedTBox(
+        TBox.of([ConjInclusion(frozenset({"A"}), "B"), ExistsInclusion("B", Role("r"), "C")])
+    )
+    first = s.implied_existentials({"A"})
+    assert first == (half({Role("r")}, {"C"}),)
+    assert s.implied_existentials({"A", "B"}) is first
+    assert s.implied_existentials({"B"}) is not first
+
+
 def test_saturation_terminates_on_feedback_heavy_tbox():
     # regression: the fixpoint check must compare normalized content, not
     # raw derivation counts, or this input loops forever
