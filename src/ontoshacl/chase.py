@@ -60,7 +60,7 @@ def _node_sig(n: Node) -> str:
 def fire_axioms(sat: SaturatedTBox, atoms: Interpretation) -> Interpretation:
     """One parallel oblivious step followed by the at-most-one substitution."""
     tbox = sat.tbox
-    index = GraphIndex(atoms.concept_atoms, atoms.role_atoms)
+    index = GraphIndex.of(atoms)
     nodes: Set[Node] = set(atoms.nodes)
     domain = atoms.domain()
 

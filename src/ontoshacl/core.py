@@ -17,10 +17,12 @@ another name for that class. Its lookups (the concepts of a node, the
 nodes of a concept, the neighbours of a node along a role, the roles
 between two nodes) read a ``GraphIndex``, which also builds them:
 ``add_concept`` and ``add_role`` grow the atoms and the tables together,
-and ``seal`` returns the interpretation that reads the tables. The
-storage rule above lives in ``add_role`` (``Interpretation.of`` shares
-its ``_stored``). ``Interpretation.of`` and ``restrict`` leave the index
-to the first lookup. The index is not a field: equality and hashing read
+and ``seal`` returns the interpretation that reads the tables.
+``GraphIndex.of`` starts an index from an interpretation, copying the
+tables it already reads instead of re-adding its atoms. The storage rule
+above lives in ``add_role`` (``Interpretation.of`` shares its
+``_stored``). ``Interpretation.of`` and ``restrict`` leave the index to
+the first lookup. The index is not a field: equality and hashing read
 the atoms, the nodes and the ``complete`` flag only.
 """
 from __future__ import annotations
@@ -354,6 +356,23 @@ class GraphIndex:
             self.add_concept(c, n)
         for name, a, b in role_atoms:
             self.add_role(Role(name), a, b)
+
+    @staticmethod
+    def of(interp: "Interpretation") -> "GraphIndex":
+        """An index of ``interp``'s atoms, to add more to. When ``interp``
+        already reads an index, its tables are copied, not rebuilt."""
+        sealed = vars(interp).get("_index")
+        if sealed is None:
+            return GraphIndex(interp.concept_atoms, interp.role_atoms)
+        index = GraphIndex((), ())
+        index.concept_atoms = set(interp.concept_atoms)
+        index.role_atoms = set(interp.role_atoms)
+        index.extension = {c: set(ns) for c, ns in sealed.extension.items()}
+        index.ctype = {n: set(cs) for n, cs in sealed.ctype.items()}
+        for tables, copied in ((sealed.adjacency, index.adjacency), (sealed.links, index.links)):
+            for k, table in tables.items():
+                copied[k] = {x: set(ys) for x, ys in table.items()}
+        return index
 
     def __len__(self) -> int:
         return len(self.concept_atoms) + len(self.role_atoms)

@@ -25,6 +25,17 @@ forwards from the guard in the initial state. A role step reads the role's
 adjacency. A node's case is found by its type in one table. Semi-naive
 rounds are not used: each round of a recursive component re-evaluates
 every item of that component.
+
+A body object shared by many constraints, as in the rewriting C_T, is
+evaluated once where its value is final. The evaluator keeps, for one
+``_fixpoint`` call, the value of each composite body keyed by its id,
+once that value can no longer change: when the body read no shape name,
+or when it was evaluated in a component that does not read itself,
+since every name such a component reads belongs to a finished one.
+``_fixpoint`` says which components those are. The keyed bodies belong
+to the constraints the caller holds during the call, so their ids stay
+valid. Leaves bypass the memo, so unshared source shapes pay for it only
+at composite nodes.
 """
 from __future__ import annotations
 
@@ -127,7 +138,15 @@ class _Evaluator:
     """Shape bodies and path expressions over one interpretation, reading
     the shape atoms from ``unary`` and ``binary`` (shape name to nodes or
     node pairs). A result may be a set of those tables or of the
-    interpretation's index itself, so callers must not mutate it."""
+    interpretation's index itself, so callers must not mutate it.
+
+    ``memo`` maps the id of a composite body to its value once that value
+    is final: when the body read no shape name, or when ``final`` is set,
+    which the fixpoint does while it evaluates a group that reads only
+    finished groups. A composite's value is always a set of its own, never
+    a table that grows later. The bodies it keys belong to the constraints
+    the caller holds, so each id names one body while the evaluator lives.
+    """
 
     def __init__(
         self,
@@ -140,12 +159,25 @@ class _Evaluator:
         self.unary = unary
         self.binary = binary
         self.nfas = nfas
+        self.memo: Dict[int, AbstractSet[Node]] = {}
+        self.final = False
+        self.reads = 0  # shape and edge-shape names read so far
 
     def body(self, body: ShapeBody) -> AbstractSet[Node]:
-        case = self._BODIES.get(type(body))
+        case = self._LEAVES.get(type(body))
+        if case is not None:
+            return case(self, body)
+        done = self.memo.get(id(body))
+        if done is not None:
+            return done
+        case = self._COMPOSITES.get(type(body))
         if case is None:
             raise TypeError(f"unknown body {body!r}")
-        return case(self, body)
+        reads = self.reads
+        out = case(self, body)
+        if self.final or self.reads == reads:
+            self.memo[id(body)] = out
+        return out
 
     def path(self, p: PathExpr) -> AbstractSet[Pair]:
         case = self._PATHS.get(type(p))
@@ -196,13 +228,24 @@ class _Evaluator:
             by_mid.setdefault(y, set()).add(x)
         return {(x, z) for y, z in self.path(p.right) for x in by_mid.get(y, ())}
 
+    def _shape(self, name: str) -> AbstractSet[Node]:
+        self.reads += 1
+        return self.unary.get(name, _EMPTY)
+
+    def _edge_shape(self, name: str) -> AbstractSet[Pair]:
+        self.reads += 1
+        return self.binary.get(name, _EMPTY)
+
     # the case of each node type, called as case(evaluator, node): a body's
-    # nodes, or a path expression's node pairs
-    _BODIES = {
+    # nodes, or a path expression's node pairs. A leaf body is looked up
+    # directly, a composite one through the memo
+    _LEAVES = {
         IndividualRef: lambda ev, b: {b.name} if b.name in ev.interp.nodes else _EMPTY,
-        ShapeRef: lambda ev, b: ev.unary.get(b.name, _EMPTY),
-        NegShapeRef: lambda ev, b: ev.interp.nodes - ev.unary.get(b.name, _EMPTY),
+        ShapeRef: lambda ev, b: ev._shape(b.name),
+        NegShapeRef: lambda ev, b: ev.interp.nodes - ev._shape(b.name),
         ConceptRef: lambda ev, b: ev.interp.extension(b.name),
+    }
+    _COMPOSITES = {
         Or: lambda ev, b: ev.body(b.left) | ev.body(b.right),
         And: lambda ev, b: ev.body(b.left) & ev.body(b.right),
         Not: lambda ev, b: ev.interp.nodes - ev.body(b.body),
@@ -218,8 +261,8 @@ class _Evaluator:
         RoleStep: lambda ev, p: {
             (x, y) for x, ys in ev.interp.adjacency(p.role).items() for y in ys
         },
-        BinRef: lambda ev, p: ev.binary.get(p.name, _EMPTY),
-        Test: lambda ev, p: {(n, n) for n in ev.unary.get(p.shape, _EMPTY)},
+        BinRef: lambda ev, p: ev._edge_shape(p.name),
+        Test: lambda ev, p: {(n, n) for n in ev._shape(p.shape)},
         PInter: lambda ev, p: ev.path(p.left) & ev.path(p.right),
         PConcat: _concat,
         PInverse: lambda ev, p: {(y, x) for x, y in ev.path(p.inner)},
@@ -256,6 +299,7 @@ def _fixpoint(
     """
     ev = _Evaluator(interp, {}, {}, {})
     for group, recursive in components:
+        ev.final = not recursive
         while _round(ev, group) and recursive:
             pass
     return ev.unary, ev.binary

@@ -3,8 +3,8 @@
 ``complete_abox`` closes the data graph under the TBox (the named part
 of the core universal model) inside the ``core.GraphIndex`` that its
 result reads. ``build_can`` grows the anonymous part breadth-first, in
-a second index, up to a depth bound, tracking whether the result is the
-whole model or a truncation.
+a copy of that index (``GraphIndex.of``), up to a depth bound, tracking
+whether the result is the whole model or a truncation.
 
 Anonymous nodes are words over 2-type letters. A letter (X, R, Y) says:
 the parent satisfies exactly X, the edge into the child carries exactly
@@ -60,7 +60,7 @@ def complete_abox(sat: SaturatedTBox, abox: ABox) -> ABox:
     the reason, when the knowledge base is inconsistent."""
     tbox = sat.tbox
     individuals = abox.individuals()
-    index = GraphIndex(abox.concept_atoms, abox.role_atoms)
+    index = GraphIndex.of(abox)
     ctype, succ = index.ctype, index.adjacency
 
     changed = True
@@ -178,7 +178,7 @@ def build_can(sat: SaturatedTBox, completed: ABox, depth: int) -> Interpretation
     Depth counts anonymous letters: 0 is just the completed data graph.
     The returned ``complete`` flag is true iff nothing was cut off.
     """
-    index = GraphIndex(completed.concept_atoms, completed.role_atoms)
+    index = GraphIndex.of(completed)
     nodes: Set[Node] = set(completed.nodes)
 
     def attach(parent: Node, child: Anon, letter: TwoType) -> None:

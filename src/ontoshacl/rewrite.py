@@ -35,9 +35,14 @@ has the implied existentials, successor candidates and consistent
 children of S. Without a role step no rule reads a witness, so the
 constraints' own names are enough.
 
-The pure rewritings substitute inside C_T through a memo keyed by node
-identity, so they visit each distinct node once: ``_emit`` builds every
-body over one shared object per conjunct, which occurs in many bodies.
+C_T is a DAG. Each component's node table (``_Nodes``) builds each
+distinct conjunct, each row's body and each ``And`` of a body's chain
+once for all its strata, so bodies share their conjuncts and their
+common prefixes. The table holds every node whose id keys a chain for
+as long as the component is emitted, so those ids stay valid. Every
+later walker reads C_T by node identity: the pure rewritings substitute
+through an id-keyed memo, and ``compute_stratification`` and
+``evaluate`` memoize per node as well, so each visits a shared node once.
 """
 from __future__ import annotations
 
@@ -432,12 +437,6 @@ def _signature(st: SaturatedTBox, cons: Sequence[Constraint]) -> FrozenSet[str]:
     return frozenset(sig - {TOP, BOT})
 
 
-def _entry_body(e: Entry) -> ShapeBody:
-    if isinstance(e, OneHalfType):
-        return ExistsRoles(e.roles, _and_chain([ConceptRef(c) for c in sorted(e.concepts)]))
-    return e
-
-
 def _and_chain(parts: Sequence[ShapeBody]) -> ShapeBody:
     if not parts:
         return ConceptRef(TOP)
@@ -447,9 +446,95 @@ def _and_chain(parts: Sequence[ShapeBody]) -> ShapeBody:
     return body
 
 
-def _emit(
-    K: _K, codes: _Codes, heads: FrozenSet[str], sig: FrozenSet[str]
-) -> List[Constraint]:
+_Conj = Tuple[ShapeBody, str]  # a conjunct and its printed form
+_Row = Tuple[FrozenSet[str], int, int]  # a body's type concepts, P mask, Q mask
+
+
+class _Nodes:
+    """The nodes of one component's C_T, each distinct one built once, for
+    every stratum of the component.
+
+    It holds the present and absent conjunct of each entry and the
+    conjuncts of each type's part, each with its printed form, the body of
+    each row, and every ``And`` of a body's chain, keyed by the ids of its
+    prefix and its last conjunct, so bodies with a common prefix share it.
+    The table holds every node whose id it keys, so an id names one node
+    for as long as the table lives.
+    """
+
+    def __init__(self, codes: _Codes, sig: FrozenSet[str]):
+        self.codes = codes
+        self.sig = sig
+        # each type's part of sig: only types that agree on it can
+        # subsume one another's bodies
+        self.part = [t.concepts & sig for t in codes.types]
+        self._present: Dict[int, _Conj] = {}
+        self._absent: Dict[int, _Conj] = {}
+        self._order: Dict[int, Tuple[int, str]] = {}
+        self._concepts: Dict[str, Tuple[_Conj, _Conj]] = {}
+        self._types: Dict[FrozenSet[str], List[_Conj]] = {}
+        self._ands: Dict[Tuple[int, int], And] = {}
+        self._bodies: Dict[_Row, Tuple[Tuple[int, List[str]], ShapeBody]] = {}
+
+    def _chain(self, parts: Sequence[ShapeBody]) -> ShapeBody:
+        if not parts:
+            return self._concept(TOP)[0][0]
+        body = parts[0]
+        for nxt in parts[1:]:
+            key = (id(body), id(nxt))
+            node = self._ands.get(key)
+            if node is None:
+                node = self._ands[key] = And(body, nxt)
+            body = node
+        return body
+
+    def _concept(self, a: str) -> Tuple[_Conj, _Conj]:
+        """The conjuncts ``a`` and ``!(a)``."""
+        if a not in self._concepts:
+            ref = ConceptRef(a)
+            neg = Not(ref)
+            self._concepts[a] = ((ref, str(ref)), (neg, str(neg)))
+        return self._concepts[a]
+
+    def entries(self) -> None:
+        """Add the conjuncts of every entry given a bit since the last call."""
+        for bit, e in self.codes.entries.items():
+            if bit in self._present:
+                continue
+            body: ShapeBody = e
+            if isinstance(e, OneHalfType):
+                inner = self._chain([self._concept(c)[0][0] for c in sorted(e.concepts)])
+                body = ExistsRoles(e.roles, inner)
+            self._present[bit] = (body, str(body))
+            self._absent[bit] = (Not(body), str(Not(body)))
+            self._order[bit] = _entry_key(e)
+
+    def _type_part(self, concepts: FrozenSet[str]) -> List[_Conj]:
+        """A type's concepts, then the names of sig it lacks, negated."""
+        own = self._types.get(concepts)
+        if own is None:
+            own = [self._concept(a)[0] for a in sorted(concepts)]
+            own += [self._concept(a)[1] for a in sorted(self.sig - concepts)]
+            self._types[concepts] = own
+        return own
+
+    def body(self, row: _Row) -> Tuple[Tuple[int, List[str]], ShapeBody]:
+        """The body a row prints, after the key that orders a head's bodies:
+        the number of its printed conjuncts, then their sorted list."""
+        made = self._bodies.get(row)
+        if made is None:
+            concepts, p, q = row
+            order = self._order.__getitem__
+            conj = list(self._type_part(concepts))
+            conj += [self._present[b] for b in sorted(_bits(p), key=order)]
+            conj += [self._absent[b] for b in sorted(_bits(q), key=order)]
+            tokens = sorted(s for _, s in conj)
+            made = self._bodies[row] = ((len(tokens), tokens), self._chain([x for x, _ in conj]))
+        return made
+
+
+def _emit(K: _K, nodes: _Nodes, heads: FrozenSet[str]) -> List[Constraint]:
+    codes = nodes.codes
     wanted = 0
     for name in heads:
         wanted |= codes.lit(name)
@@ -460,8 +545,8 @@ def _emit(
     # agree on (type concepts, P, Q) print the same body. The vacuous rows,
     # with some witness both required and forbidden, and the rows that
     # derive no head are dropped.
-    part = [t.concepts & sig for t in codes.types]
-    per_head: Dict[str, Dict[FrozenSet[str], Set[Tuple[FrozenSet[str], int, int]]]] = {}
+    part = nodes.part
+    per_head: Dict[str, Dict[FrozenSet[str], Set[_Row]]] = {}
     for (i, p, q), h in K.items():
         if not h & wanted or p & q:
             continue
@@ -469,42 +554,22 @@ def _emit(
         for bit in _bits(h & wanted):
             per_head.setdefault(codes.lits[bit][0], {}).setdefault(part[i], set()).add(row)
 
-    # the conjuncts of each entry, present and absent, with their printed
-    # forms, and of each type's concepts
-    present: Dict[int, Tuple[ShapeBody, str]] = {}
-    absent: Dict[int, Tuple[ShapeBody, str]] = {}
-    for bit, e in codes.entries.items():
-        body = _entry_body(e)
-        present[bit] = (body, str(body))
-        absent[bit] = (Not(body), str(Not(body)))
-    order = {bit: _entry_key(e) for bit, e in codes.entries.items()}
-    type_parts: Dict[FrozenSet[str], List[Tuple[ShapeBody, str]]] = {}
-
+    nodes.entries()
     out: List[Constraint] = []
     for head in sorted(per_head):
         bodies = []
         for rows in per_head[head].values():
             # bodies come by size, so the kept ones are the minimal ones,
             # and comparing with them is enough
-            kept: List[Tuple[FrozenSet[str], int, int]] = []
+            kept: List[_Row] = []
             for c, p, q in sorted(rows, key=lambda r: len(r[0]) + (r[1] | r[2]).bit_count()):
                 if not any(
                     not kp & ~p and not kq & ~q and kc <= c for kc, kp, kq in kept
                 ):
                     kept.append((c, p, q))
-            for concepts, p, q in kept:
-                if concepts not in type_parts:
-                    own: List[ShapeBody] = [ConceptRef(a) for a in sorted(concepts)]
-                    own += [Not(ConceptRef(a)) for a in sorted(sig - concepts)]
-                    type_parts[concepts] = [(x, str(x)) for x in own]
-                conj = type_parts[concepts] + [
-                    present[b] for b in sorted(_bits(p), key=order.__getitem__)
-                ]
-                conj += [absent[b] for b in sorted(_bits(q), key=order.__getitem__)]
-                tokens = sorted(s for _, s in conj)
-                bodies.append(((len(tokens), tokens), [x for x, _ in conj]))
+            bodies += map(nodes.body, kept)
         bodies.sort(key=lambda b: b[0])
-        out.extend(Constraint(head, _and_chain(parts)) for _, parts in bodies)
+        out.extend(Constraint(head, body) for _, body in bodies)
     return out
 
 
@@ -513,10 +578,11 @@ def _split(strat: Stratification) -> List[Tuple[Tuple[Constraint, ...], ...]]:
     links a head to every shape name its body reads, in the order of each
     component's first item in ``strat``; empty strata are dropped."""
     adj: Dict[str, Set[str]] = {}
+    memo: Dict[Tuple[int, bool], FrozenSet[Tuple[str, bool]]] = {}
     for group in strat.strata:
         for c in group:
             adj.setdefault(c.head, set())
-            for name, _ in shape_occurrences(c.body):
+            for name, _ in shape_occurrences(c.body, False, memo):
                 adj[c.head].add(name)
                 adj.setdefault(name, set()).add(c.head)
     # in a symmetric graph the strongly connected components are the
@@ -540,6 +606,7 @@ def _rewrite_component(
     sig = _signature(st, cons)
     codes = _Codes(_type_universe(st, sig))
     K, pinned = _seed_dict(st, codes)
+    nodes = _Nodes(codes, sig)
 
     occurring = shape_names(cons)
     out = list(cons)
@@ -551,7 +618,7 @@ def _rewrite_component(
         K = _completion_dict(K, codes, strata[i - 1] if i else (), settled)
         _close(codes, pinned, group, K)
         heads = frozenset(c.head for c in group)
-        out.extend(_emit(K, codes, heads, sig))
+        out.extend(_emit(K, nodes, heads))
     return out, len(K)
 
 

@@ -271,9 +271,10 @@ class ShapesGraph:
 def shape_names(items: Iterable[Item]) -> FrozenSet[str]:
     """The heads and the shape names the bodies read."""
     out: Set[str] = set()
+    memo: _Memo = {}
     for it in items:
         out.add(it.head)
-        out |= {n for n, _ in shape_occurrences(it.body)}
+        out |= {n for n, _ in shape_occurrences(it.body, False, memo)}
     return frozenset(out)
 
 
@@ -299,36 +300,55 @@ def _concepts_in(body: ShapeBody) -> Set[str]:
 
 _PAIRS = frozenset({Or, And, PInter, PConcat})
 
+_Read = Tuple[str, bool]  # a shape or edge-shape name, read negatively or not
+_Memo = Dict[Tuple[int, bool], FrozenSet[_Read]]
+_NO_READS: FrozenSet[_Read] = frozenset()
+
 
 def shape_occurrences(
-    body: Union[ShapeBody, PathExpr], negative: bool = False
-) -> List[Tuple[str, bool]]:
-    """The (name, occurs-negatively) pairs, including duplicates, for the
-    shape and edge-shape names a shape body or path expression reads.
+    body: Union[ShapeBody, PathExpr],
+    negative: bool = False,
+    memo: Optional[_Memo] = None,
+) -> FrozenSet[_Read]:
+    """The distinct (name, occurs-negatively) pairs for the shape and
+    edge-shape names a shape body or path expression reads.
 
     A read is negative inside any complement or negated reference.
+    ``memo`` maps ``(id(node), negative)`` of each composite node read so
+    far to its pairs, so a node shared by many bodies is walked once per
+    polarity; a caller that passes one across bodies holds every node it
+    keys while it keeps it.
     """
-    out: List[Tuple[str, bool]] = []
-    work = [(body, negative)]
-    while work:
-        b, neg = work.pop()
-        kind = type(b)
-        if kind is ShapeRef or kind is BinRef:
-            out.append((b.name, neg))
-        elif kind is NegShapeRef:
-            out.append((b.name, True))
-        elif kind is Test:
-            out.append((b.shape, neg))
-        elif kind in _PAIRS:
-            work += ((b.right, neg), (b.left, neg))
-        elif kind is Not:
-            work.append((b.body, True))
-        elif kind is ExistsVia:
-            work += ((b.body, neg), (b.path, neg))
-        elif kind is ExistsRoles or kind is ExistsPath:
-            work.append((b.body, neg))
-        elif kind is PInverse:
-            work.append((b.inner, neg))
+    kind = type(body)
+    if kind is ShapeRef or kind is BinRef:
+        return frozenset(((body.name, negative),))
+    if kind is NegShapeRef:
+        return frozenset(((body.name, True),))
+    if kind is Test:
+        return frozenset(((body.shape, negative),))
+    if kind in _PAIRS:
+        children = ((body.left, negative), (body.right, negative))
+    elif kind is Not:
+        children = ((body.body, True),)
+    elif kind is ExistsVia:
+        children = ((body.path, negative), (body.body, negative))
+    elif kind is ExistsRoles or kind is ExistsPath:
+        children = ((body.body, negative),)
+    elif kind is PInverse:
+        children = ((body.inner, negative),)
+    else:
+        return _NO_READS
+    if memo is None:
+        memo = {}
+    key = (id(body), negative)
+    out = memo.get(key)
+    if out is None:
+        out = _NO_READS
+        for child, neg in children:
+            sub = shape_occurrences(child, neg, memo)
+            if sub:
+                out = out | sub if out else sub
+        memo[key] = out
     return out
 
 
@@ -527,12 +547,17 @@ def compute_stratification(items: Sequence[Item]) -> Stratification:
     group is recursive when its component has an edge inside it: more
     than one name, or a name that reads itself. Only a recursive group
     needs more than one round of evaluation.
+
+    The reads of each body come through a memo keyed by ``(id(node),
+    negative)`` that lives for the call, so a node shared by many bodies,
+    as in the rewriting C_T, is walked once per polarity it is read in.
     """
     succ: Dict[str, Set[str]] = {}
     marked: Set[Tuple[str, str]] = set()
+    memo: _Memo = {}
     for it in items:
         succ.setdefault(it.head, set())
-        for occ, neg in shape_occurrences(it.body):
+        for occ, neg in shape_occurrences(it.body, False, memo):
             succ.setdefault(occ, set()).add(it.head)
             if neg:
                 marked.add((occ, it.head))

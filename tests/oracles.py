@@ -47,7 +47,6 @@ from ontoshacl.rewrite import (
     _classify as _classify_constraints,
     _concept_seeds,
     _concept_shape,
-    _entry_body,
     _entry_key,
     _exists_via_edge_shapes,
     _role_bases,
@@ -1045,6 +1044,13 @@ def _set_key_sort(item: Tuple[_SetKey, Set[Lit]]) -> Tuple:
         tuple(sorted(str(e) for e in p)),
         tuple(sorted(str(e) for e in q)),
     )
+
+
+def _entry_body(e: Entry) -> ShapeBody:
+    """The conjunct an entry stands for, built fresh."""
+    if isinstance(e, OneHalfType):
+        return ExistsRoles(e.roles, _and_chain([ConceptRef(c) for c in sorted(e.concepts)]))
+    return e
 
 
 def _set_emit(K: _SetK, heads: FrozenSet[str], sig: FrozenSet[str]) -> List[Constraint]:

@@ -19,9 +19,10 @@ saturation is checked against the set-based one kept in
 ``oracles.set_rewrite``. Each component is rewritten over its own
 signature of concept names; three inputs pin the existential premises it
 must keep, and a seeded slice of denser cases checks its verdicts
-against those over every concept name. The pure rewritings substitute
-each shared node of C_T once; they must print what substituting at every
-occurrence (``oracles.occurrence_pure_*``) prints.
+against those over every concept name. C_T is a DAG: in one component,
+each distinct conjunction and complement is one object. The pure
+rewritings substitute each shared node of C_T once; they must print what
+substituting at every occurrence (``oracles.occurrence_pure_*``) prints.
 """
 from __future__ import annotations
 
@@ -47,6 +48,7 @@ from ontoshacl.shapes import (
     And,
     Constraint,
     ExistsRoles,
+    Not,
     ShapesGraph,
     compute_stratification,
     concept_names,
@@ -475,12 +477,23 @@ def distinct_nodes(c_t):
     return list(seen.values()), occurrences
 
 
+def test_each_distinct_conjunction_and_complement_of_a_component_is_one_object():
+    kb = hashed_kb()
+    nsg, _ = normalize(kb.sg)
+    assert len(rw._split(compute_stratification(nsg.constraints))) == 1
+    nodes, _ = distinct_nodes(kb.c_t)
+    for kind in (And, Not):
+        objects = [n for n in nodes if isinstance(n, kind)]
+        assert len(objects) >= 8
+        assert len(set(objects)) == len(objects), kind.__name__
+
+
 def test_pure_rewritings_substitute_each_shared_conjunct_once(monkeypatch):
     kb = hashed_kb()
     c_t = kb.c_t
     nodes, occurrences = distinct_nodes(c_t)
     exists = [n for n in nodes if isinstance(n, ExistsRoles)]
-    # _emit shares one object per conjunct across the bodies of a stratum
+    # _emit shares one object per conjunct across the bodies of a component
     assert occurrences > 10 * len(exists)
 
     calls = {"_simplify_roles": 0, "_exists_via_edge_shapes": 0}

@@ -56,6 +56,10 @@ def test_shape_occurrences_track_negation_depth():
     body = And(ShapeRef("a"), Not(Or(ShapeRef("b"), NegShapeRef("c"))))
     got = sorted(shape_occurrences(body))
     assert got == [("a", False), ("b", True), ("c", True)]  # c: odd total depth
+    # one node read in both polarities gives its names in both
+    shared = Or(ShapeRef("a"), ShapeRef("b"))
+    got = sorted(shape_occurrences(And(shared, Not(shared))))
+    assert got == [("a", False), ("a", True), ("b", False), ("b", True)]
 
 
 def test_marking_is_sticky_under_double_negation():
@@ -327,6 +331,77 @@ def test_components_order_the_items_for_evaluation(seed):
     for k, (_, recursive) in enumerate(components):
         inner = any(comp_of.get(s) == k and comp_of[t] == k for s, t, _ in edges)
         assert recursive == inner
+
+
+# the stratifier reads each shared node once per polarity
+
+
+def unshared(body):
+    """An equal body in which no node is shared: every node a fresh copy."""
+    fields = getattr(body, "__value_fields__", None)
+    if fields is None or isinstance(body, (str, frozenset)):
+        return body
+    return type(body)(*(unshared(getattr(body, f)) for f in fields))
+
+
+def assert_stratified_as_copies(items):
+    """Shared and unshared items stratify alike, and as the oracle says."""
+    copies = [type(it)(it.head, unshared(it.body)) for it in items]
+    level = naive_levels(items)
+    if level is not None:
+        assert compute_stratification(items).strata == packed(items, level)
+        assert compute_stratification(copies).strata == packed(items, level)
+        return
+    cycles = []
+    for version in (items, copies):
+        with pytest.raises(NotStratified) as exc:
+            compute_stratification(version)
+        cycles.append(exc.value.cycle)
+    assert cycles[0] == cycles[1]
+
+
+@pytest.mark.parametrize("negative_first", [False, True])
+def test_a_shared_node_is_read_in_each_polarity(negative_first):
+    shared = Or(ShapeRef("a"), exists("r", ShapeRef("b")))
+    readers = [Constraint("p", shared), Constraint("n", Not(shared))]
+    if negative_first:
+        readers.reverse()
+    items = [Constraint("a", ConceptRef("A")), Constraint("b", ConceptRef("B")), *readers]
+    items.append(Constraint("m", And(shared, NegShapeRef("n"))))
+    strat = compute_stratification(items)
+    assert naive_levels(items) == {"a": 0, "b": 0, "p": 0, "n": 1, "m": 2}
+    assert stratum_index(strat, "p") == 0 and stratum_index(strat, "n") == 1
+    assert_stratified_as_copies(items)
+
+
+def test_a_negative_cycle_through_a_shared_node_is_reported_as_for_copies():
+    # t reads itself through u, and s reads u under a complement
+    u = exists("r", ShapeRef("t"))
+    items = [Constraint("t", And(u, ShapeRef("s"))), Constraint("s", Not(u))]
+    with pytest.raises(NotStratified) as exc:
+        compute_stratification(items)
+    assert exc.value.cycle == ("s", "t")
+    assert_stratified_as_copies(items)
+
+
+def shared_items(rng: random.Random):
+    """Random items whose bodies reuse a few node objects, read in both
+    polarities."""
+    pool = [random_body(rng, 1) for _ in range(3)]
+    items = []
+    for _ in range(rng.randint(2, 7)):
+        node = rng.choice(pool)
+        body = rng.choice(
+            [node, Not(node), And(node, random_body(rng, 1)), exists("r", Not(node))]
+        )
+        items.append(Constraint(rng.choice(NAMES), body))
+    return items
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_shared_nodes_stratify_as_unshared_copies(seed):
+    assert_stratified_as_copies(shared_items(random.Random(seed)))
 
 
 def test_binary_reads_count_as_occurrences():
