@@ -24,6 +24,19 @@ Emission drops subsumed bodies on the masks, decodes only the kept ones
 back to entries and literals, and sorts them by their printed conjuncts,
 so the output does not depend on the order in which bits were given out.
 
+No quadruple of K is vacuous: none has a witness in both P ("holds") and
+Q ("fails"), as such a quadruple describes no node. The seeds split a
+type's witnesses into disjoint P and Q. A rule adds an entry to P only
+when Q lacks it. The completion adds a body to Q only where its head did
+not fire, and the stratum just closed fires that head wherever the body
+is in P: the existential rule's condition (roles at the type, or under a
+concept witness of P) is monotone in P, so it held when the body entered
+P and holds still. So only a union can be vacuous, and the merge step
+stores none. Nothing is lost: every quadruple derived from a vacuous one
+(by a rule, the completion or a further union) is vacuous too, and a
+vacuous quadruple could reach a satisfiable one only as a child in the
+child step: a child that no node has.
+
 A component's type universe and its bodies range over its signature R
 (``_signature``), not over every concept name: the names its normal-form
 constraints read and, when one of them takes a role step, the premises
@@ -35,11 +48,12 @@ has the implied existentials, successor candidates and consistent
 children of S. Without a role step no rule reads a witness, so the
 constraints' own names are enough.
 
-C_T is a DAG. Each component's node table (``_Nodes``) builds each
-distinct conjunct, each row's body and each ``And`` of a body's chain
-once for all its strata, so bodies share their conjuncts and their
-common prefixes. The table holds every node whose id keys a chain for
-as long as the component is emitted, so those ids stay valid. Every
+C_T is a DAG. One node table (``_Nodes``) per ``rewrite`` call builds
+each distinct concept conjunct, entry conjunct and ``And`` of a body's
+chain once for every component, and each component's ``_Bodies`` builds
+each row's body once for all its strata, so bodies share their
+conjuncts and their common prefixes. The table holds every node whose id
+keys a chain for as long as C_T is emitted, so those ids stay valid. Every
 later walker reads C_T by node identity: the pure rewritings substitute
 through an id-keyed memo, and ``compute_stratification`` and
 ``evaluate`` memoize per node as well, so each visits a shared node once.
@@ -48,6 +62,7 @@ from __future__ import annotations
 
 import itertools
 from functools import reduce
+from operator import itemgetter
 from typing import (
     Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union,
 )
@@ -84,7 +99,7 @@ from .shapes import (
 from .tbox import SaturatedTBox, UnsupportedPattern, _key_exist
 
 # the saturation of one component stops with RewriteTooLarge beyond this
-# many quadruples
+# many quadruples; K stores satisfiable quadruples only, so only those count
 MAX_QUADRUPLES = 100_000
 
 
@@ -378,9 +393,10 @@ def _close(
                     K[key] = h
                     changed = True
 
-        # combine quadruples that agree on which witnesses are absent; a pair
-        # whose H masks are both as the last merge step read them is skipped,
-        # since that step combined it or found it combined
+        # combine quadruples that agree on which concept witnesses are absent;
+        # a pair whose H masks are both as the last merge step read them is
+        # skipped, since that step combined it or found it combined, and so
+        # is a pair whose union puts a witness in both P and Q
         buckets: Dict[Tuple[int, int], Tuple[List[_Key], List[_Key]]] = {}
         for key, h in K.items():
             fresh, old = buckets.setdefault((key[0], key[2] & codes.concepts), ([], []))
@@ -391,6 +407,8 @@ def _close(
                 itertools.combinations(fresh, 2), itertools.product(fresh, old)
             )
             for (i, p1, q1), (_, p2, q2) in pairs:
+                if p1 & q2 or p2 & q1:
+                    continue
                 if _put(K, (i, p1 | p2, q1 | q2), K[i, p1, q1] | K[i, p2, q2]):
                     changed = True
 
@@ -448,37 +466,30 @@ def _and_chain(parts: Sequence[ShapeBody]) -> ShapeBody:
 
 _Conj = Tuple[ShapeBody, str]  # a conjunct and its printed form
 _Row = Tuple[FrozenSet[str], int, int]  # a body's type concepts, P mask, Q mask
+# an entry's order among a body's entries, its present and absent conjunct
+_EntryConj = Tuple[Tuple[int, str], _Conj, _Conj]
 
 
 class _Nodes:
-    """The nodes of one component's C_T, each distinct one built once, for
-    every stratum of the component.
+    """The nodes of one C_T that no component owns, each distinct one built
+    once for every component.
 
-    It holds the present and absent conjunct of each entry and the
-    conjuncts of each type's part, each with its printed form, the body of
-    each row, and every ``And`` of a body's chain, keyed by the ids of its
-    prefix and its last conjunct, so bodies with a common prefix share it.
-    The table holds every node whose id it keys, so an id names one node
-    for as long as the table lives.
+    It holds the conjuncts ``a`` and ``!(a)`` of each concept name, the
+    present and absent conjunct of each entry, keyed by the entry, each
+    with its printed form, and every ``And`` of a body's chain, keyed by
+    the ids of its prefix and its last conjunct, so bodies with a common
+    prefix share it. The table holds every node whose id it keys, so an id
+    names one node for as long as the table lives.
     """
 
-    def __init__(self, codes: _Codes, sig: FrozenSet[str]):
-        self.codes = codes
-        self.sig = sig
-        # each type's part of sig: only types that agree on it can
-        # subsume one another's bodies
-        self.part = [t.concepts & sig for t in codes.types]
-        self._present: Dict[int, _Conj] = {}
-        self._absent: Dict[int, _Conj] = {}
-        self._order: Dict[int, Tuple[int, str]] = {}
+    def __init__(self):
         self._concepts: Dict[str, Tuple[_Conj, _Conj]] = {}
-        self._types: Dict[FrozenSet[str], List[_Conj]] = {}
+        self._entries: Dict[Entry, _EntryConj] = {}
         self._ands: Dict[Tuple[int, int], And] = {}
-        self._bodies: Dict[_Row, Tuple[Tuple[int, List[str]], ShapeBody]] = {}
 
-    def _chain(self, parts: Sequence[ShapeBody]) -> ShapeBody:
+    def chain(self, parts: Sequence[ShapeBody]) -> ShapeBody:
         if not parts:
-            return self._concept(TOP)[0][0]
+            return self.concept(TOP)[0][0]
         body = parts[0]
         for nxt in parts[1:]:
             key = (id(body), id(nxt))
@@ -488,7 +499,7 @@ class _Nodes:
             body = node
         return body
 
-    def _concept(self, a: str) -> Tuple[_Conj, _Conj]:
+    def concept(self, a: str) -> Tuple[_Conj, _Conj]:
         """The conjuncts ``a`` and ``!(a)``."""
         if a not in self._concepts:
             ref = ConceptRef(a)
@@ -496,25 +507,47 @@ class _Nodes:
             self._concepts[a] = ((ref, str(ref)), (neg, str(neg)))
         return self._concepts[a]
 
-    def entries(self) -> None:
-        """Add the conjuncts of every entry given a bit since the last call."""
-        for bit, e in self.codes.entries.items():
-            if bit in self._present:
-                continue
+    def entry(self, e: Entry) -> _EntryConj:
+        """The key that orders ``e`` among the entries of a body, then the
+        conjuncts that say it is present and absent."""
+        made = self._entries.get(e)
+        if made is None:
             body: ShapeBody = e
             if isinstance(e, OneHalfType):
-                inner = self._chain([self._concept(c)[0][0] for c in sorted(e.concepts)])
+                inner = self.chain([self.concept(c)[0][0] for c in sorted(e.concepts)])
                 body = ExistsRoles(e.roles, inner)
-            self._present[bit] = (body, str(body))
-            self._absent[bit] = (Not(body), str(Not(body)))
-            self._order[bit] = _entry_key(e)
+            absent = Not(body)
+            made = self._entries[e] = (_entry_key(e), (body, str(body)), (absent, str(absent)))
+        return made
+
+
+class _Bodies:
+    """The body of each row of one component, built once for all its
+    strata from the nodes of the shared table, and the conjuncts of each
+    type's part."""
+
+    def __init__(self, nodes: _Nodes, codes: _Codes, sig: FrozenSet[str]):
+        self.nodes = nodes
+        self.codes = codes
+        self.sig = sig
+        # each type's part of sig: only types that agree on it can
+        # subsume one another's bodies
+        self.part = [t.concepts & sig for t in codes.types]
+        self._types: Dict[FrozenSet[str], List[_Conj]] = {}
+        self._bodies: Dict[_Row, Tuple[Tuple[int, List[str]], ShapeBody]] = {}
+
+    def _entries(self, mask: int) -> List[_EntryConj]:
+        """The entries of ``mask`` with their conjuncts, in body order."""
+        made = [self.nodes.entry(self.codes.entries[bit]) for bit in _bits(mask)]
+        return sorted(made, key=itemgetter(0))
 
     def _type_part(self, concepts: FrozenSet[str]) -> List[_Conj]:
         """A type's concepts, then the names of sig it lacks, negated."""
         own = self._types.get(concepts)
         if own is None:
-            own = [self._concept(a)[0] for a in sorted(concepts)]
-            own += [self._concept(a)[1] for a in sorted(self.sig - concepts)]
+            concept = self.nodes.concept
+            own = [concept(a)[0] for a in sorted(concepts)]
+            own += [concept(a)[1] for a in sorted(self.sig - concepts)]
             self._types[concepts] = own
         return own
 
@@ -524,17 +557,17 @@ class _Nodes:
         made = self._bodies.get(row)
         if made is None:
             concepts, p, q = row
-            order = self._order.__getitem__
             conj = list(self._type_part(concepts))
-            conj += [self._present[b] for b in sorted(_bits(p), key=order)]
-            conj += [self._absent[b] for b in sorted(_bits(q), key=order)]
+            conj += [e[1] for e in self._entries(p)]
+            conj += [e[2] for e in self._entries(q)]
             tokens = sorted(s for _, s in conj)
-            made = self._bodies[row] = ((len(tokens), tokens), self._chain([x for x, _ in conj]))
+            chain = self.nodes.chain([x for x, _ in conj])
+            made = self._bodies[row] = ((len(tokens), tokens), chain)
         return made
 
 
-def _emit(K: _K, nodes: _Nodes, heads: FrozenSet[str]) -> List[Constraint]:
-    codes = nodes.codes
+def _emit(K: _K, bodies: _Bodies, heads: FrozenSet[str]) -> List[Constraint]:
+    codes = bodies.codes
     wanted = 0
     for name in heads:
         wanted |= codes.lit(name)
@@ -542,22 +575,21 @@ def _emit(K: _K, nodes: _Nodes, heads: FrozenSet[str]) -> List[Constraint]:
     # negated, and P and Q: so only a body whose type agrees with another's
     # on sig can subsume it, one whose concepts, P and Q are all subsets.
     # Each head's rows are grouped by their type's part of sig; rows that
-    # agree on (type concepts, P, Q) print the same body. The vacuous rows,
-    # with some witness both required and forbidden, and the rows that
-    # derive no head are dropped.
-    part = nodes.part
+    # agree on (type concepts, P, Q) print the same body. K holds no vacuous
+    # row (see the module docstring); the rows that derive no head are
+    # dropped.
+    part = bodies.part
     per_head: Dict[str, Dict[FrozenSet[str], Set[_Row]]] = {}
     for (i, p, q), h in K.items():
-        if not h & wanted or p & q:
+        if not h & wanted:
             continue
         row = (codes.types[i].concepts, p, q)
         for bit in _bits(h & wanted):
             per_head.setdefault(codes.lits[bit][0], {}).setdefault(part[i], set()).add(row)
 
-    nodes.entries()
     out: List[Constraint] = []
     for head in sorted(per_head):
-        bodies = []
+        made = []
         for rows in per_head[head].values():
             # bodies come by size, so the kept ones are the minimal ones,
             # and comparing with them is enough
@@ -567,9 +599,9 @@ def _emit(K: _K, nodes: _Nodes, heads: FrozenSet[str]) -> List[Constraint]:
                     not kp & ~p and not kq & ~q and kc <= c for kc, kp, kq in kept
                 ):
                     kept.append((c, p, q))
-            bodies += map(nodes.body, kept)
-        bodies.sort(key=lambda b: b[0])
-        out.extend(Constraint(head, body) for _, body in bodies)
+            made += map(bodies.body, kept)
+        made.sort(key=lambda b: b[0])
+        out.extend(Constraint(head, body) for _, body in made)
     return out
 
 
@@ -598,15 +630,16 @@ def _split(strat: Stratification) -> List[Tuple[Tuple[Constraint, ...], ...]]:
 
 
 def _rewrite_component(
-    st: SaturatedTBox, strata: Sequence[Sequence[Constraint]]
+    st: SaturatedTBox, strata: Sequence[Sequence[Constraint]], nodes: _Nodes
 ) -> Tuple[List[Constraint], int]:
     """One saturation over constraints that read no shape outside them:
-    the constraints and their emitted rewriting, and the quadruple count."""
+    the constraints and their emitted rewriting, built over the shared
+    ``nodes``, and the quadruple count."""
     cons = [c for group in strata for c in group]
     sig = _signature(st, cons)
     codes = _Codes(_type_universe(st, sig))
     K, pinned = _seed_dict(st, codes)
-    nodes = _Nodes(codes, sig)
+    bodies = _Bodies(nodes, codes, sig)
 
     occurring = shape_names(cons)
     out = list(cons)
@@ -618,7 +651,7 @@ def _rewrite_component(
         K = _completion_dict(K, codes, strata[i - 1] if i else (), settled)
         _close(codes, pinned, group, K)
         heads = frozenset(c.head for c in group)
-        out.extend(_emit(K, nodes, heads))
+        out.extend(_emit(K, bodies, heads))
     return out, len(K)
 
 
@@ -635,14 +668,16 @@ def rewrite(
     other's quadruples, so each weakly connected component of the shape
     references is saturated on its own, and the outputs are concatenated
     in the order of the components' first items in ``strat``. Emission
-    happens per stratum so the result stays stratified. ``quadruples`` in
+    happens per stratum so the result stays stratified, and the bodies of
+    every component are built over one node table. ``quadruples`` in
     ``stats`` is the sum over the components; a component that needs more
     than ``MAX_QUADRUPLES`` raises RewriteTooLarge.
     """
     out: List[Constraint] = []
     quadruples = 0
+    nodes = _Nodes()
     for strata in _split(strat):
-        cons, size = _rewrite_component(st, strata)
+        cons, size = _rewrite_component(st, strata, nodes)
         out.extend(cons)
         quadruples += size
     if stats is not None:

@@ -1081,12 +1081,14 @@ def _set_emit(K: _SetK, heads: FrozenSet[str], sig: FrozenSet[str]) -> List[Cons
 
 def set_rewrite(
     st: SaturatedTBox, strat: Stratification
-) -> Tuple[Tuple[Constraint, ...], int]:
-    """``rewrite.rewrite`` over sets of objects: the rewriting and the
-    summed quadruple count, with no budget."""
+) -> Tuple[Tuple[Constraint, ...], int, int]:
+    """``rewrite.rewrite`` over sets of objects, combining every pair of a
+    merge bucket, vacuous unions too: the rewriting, the summed quadruple
+    count and the summed count of satisfiable quadruples, those whose P
+    and Q share no witness, with no budget."""
     ctx = _Ctx(st)
     out: List[Constraint] = []
-    quadruples = 0
+    quadruples = satisfiable = 0
     for strata in _split(strat):
         cons = [c for group in strata for c in group]
         sig = _signature(st, cons)
@@ -1101,7 +1103,8 @@ def set_rewrite(
             _set_close(group, K, ctx)
             out.extend(_set_emit(K, frozenset(c.head for c in group), sig))
         quadruples += len(K)
-    return tuple(dict.fromkeys(out)), quadruples
+        satisfiable += sum(not p & q for _, p, q in K)
+    return tuple(dict.fromkeys(out)), quadruples, satisfiable
 
 
 def full_signature(st: SaturatedTBox, cons: Sequence[Constraint]) -> FrozenSet[str]:

@@ -16,13 +16,15 @@ multiplying. A shrunk selftest case pins the check that settles a
 child's witness claims against its parent, and shuffled rewritings pin
 that verdicts do not depend on the order of C_T. The bit-encoded
 saturation is checked against the set-based one kept in
-``oracles.set_rewrite``. Each component is rewritten over its own
-signature of concept names; three inputs pin the existential premises it
-must keep, and a seeded slice of denser cases checks its verdicts
-against those over every concept name. C_T is a DAG: in one component,
-each distinct conjunction and complement is one object. The pure
-rewritings substitute each shared node of C_T once; they must print what
-substituting at every occurrence (``oracles.occurrence_pure_*``) prints.
+``oracles.set_rewrite``, which also stores the vacuous unions, those with
+a witness in both P and Q; the bit-encoded one stores none. Each
+component is rewritten over its own signature of concept names; three
+inputs pin the existential premises it must keep, and a seeded slice of
+denser cases checks its verdicts against those over every concept name.
+C_T is a DAG: across all its components, each distinct conjunction and
+complement is one object. The pure rewritings substitute each shared
+node of C_T once; they must print what substituting at every occurrence
+(``oracles.occurrence_pure_*``) prints.
 """
 from __future__ import annotations
 
@@ -265,9 +267,10 @@ def test_bit_saturation_matches_set_oracle(seed):
         st, strat = normal_form(tbox, shapes)
         stats = {}
         got = rewrite(st, strat, stats=stats)
-        want, quadruples = set_rewrite(st, strat)
+        want, _, satisfiable = set_rewrite(st, strat)
         assert [str(c) for c in got] == [str(c) for c in want]
-        assert stats["quadruples"] == quadruples
+        # the oracle keeps the vacuous unions the merge step never stores
+        assert stats["quadruples"] == satisfiable
 
 
 def test_every_new_key_is_within_the_budget(monkeypatch):
@@ -306,6 +309,33 @@ def test_emitted_bodies_are_minimal(seed):
         for head, found in bodies.items():
             for small in found:
                 assert not any(small < other for other in found), (head, sorted(small))
+
+
+def test_no_stored_quadruple_has_a_witness_in_both_p_and_q(monkeypatch):
+    # only a union can put a witness in both P and Q; the merge step stores
+    # no such union, so neither closing nor settling a stratum leaves one
+    close, completion = rw._close, rw._completion_dict
+    checked = []
+
+    def satisfiable(K, stage):
+        assert not [key for key in K if key[1] & key[2]], stage
+        checked.append(len(K))
+
+    def checked_close(codes, pinned, cons, K):
+        close(codes, pinned, cons, K)
+        satisfiable(K, "_close")
+
+    def checked_completion(*args):
+        K = completion(*args)
+        satisfiable(K, "_completion_dict")
+        return K
+
+    monkeypatch.setattr(rw, "_close", checked_close)
+    monkeypatch.setattr(rw, "_completion_dict", checked_completion)
+    hashed_kb()
+    for tbox, shapes in selftest_slice(0, 20):
+        rewrite(*normal_form(tbox, shapes))
+    assert len(checked) > 40 and sum(checked) > 1000
 
 
 # =============================================================================
@@ -477,10 +507,14 @@ def distinct_nodes(c_t):
     return list(seen.values()), occurrences
 
 
-def test_each_distinct_conjunction_and_complement_of_a_component_is_one_object():
-    kb = hashed_kb()
+def test_each_distinct_conjunction_and_complement_of_c_t_is_one_object():
+    # the hash-seed shapes and a renamed copy: two components over the
+    # same concept names and concept witnesses
+    shapes = parse_constraints(HASHED_SHAPES + HASHED_SHAPES.replace("$", "$v"))
+    sg = ShapesGraph.of(shapes)
+    kb = prepare(parse_tbox(HASHED_TBOX), parse_abox(HASHED_ABOX), sg, SAFE_DEPTH)
     nsg, _ = normalize(kb.sg)
-    assert len(rw._split(compute_stratification(nsg.constraints))) == 1
+    assert len(rw._split(compute_stratification(nsg.constraints))) == 2
     nodes, _ = distinct_nodes(kb.c_t)
     for kind in (And, Not):
         objects = [n for n in nodes if isinstance(n, kind)]
@@ -493,7 +527,7 @@ def test_pure_rewritings_substitute_each_shared_conjunct_once(monkeypatch):
     c_t = kb.c_t
     nodes, occurrences = distinct_nodes(c_t)
     exists = [n for n in nodes if isinstance(n, ExistsRoles)]
-    # _emit shares one object per conjunct across the bodies of a component
+    # _emit shares one object per conjunct across the bodies of C_T
     assert occurrences > 10 * len(exists)
 
     calls = {"_simplify_roles": 0, "_exists_via_edge_shapes": 0}
