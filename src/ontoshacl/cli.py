@@ -364,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--show-rewrite",
         action="store_true",
-        help="print the rewritten constraints before the report",
+        help="print the rewritten constraints before the report: the source "
+        "constraints plus the rows the TBox adds to them",
     )
 
     b = sub.add_parser("build-model", help="materialize a canonical-model prefix")

@@ -37,6 +37,24 @@ stores none. Nothing is lost: every quadruple derived from a vacuous one
 vacuous quadruple could reach a satisfiable one only as a child in the
 child step: a child that no node has.
 
+C_T lists the normal-form constraints of each component (``out =
+list(cons)`` in ``_rewrite_component``), then, per stratum and head, the
+minimal bodies of the rows of K that the TBox adds to them. A row is
+dropped for each head that its own conjuncts derive through the
+component's constraints alone (``_Rules.derived``): concept-name bodies
+on the type's concepts (and ``top``), ``@a`` bodies for an individual
+witness in P, ``some [R].$s`` and ``some [R].!$s`` bodies for that shape
+witness in P, and ``ShapeRef`` and ``And`` implications, closed to a
+fixpoint. Dropping is sound:
+- C_T still begins with every constraint, so a dropped row's head already
+  holds at every node where its body holds, and the least model of each
+  stratum is unchanged;
+- derivability is monotone in the type's concepts and in P, so a row that
+  would subsume a kept one is never derivable itself, and filtering
+  before the subsumption pass keeps the same rows as filtering after it;
+- negated shape references are left out of the check, as no conjunct says
+  that a shape fails. That only undercounts what is derivable.
+
 A component's type universe and its bodies range over its signature R
 (``_signature``), not over every concept name: the names its normal-form
 constraints read and, when one of them takes a role step, the premises
@@ -273,31 +291,80 @@ def _classify(cons: Sequence[Constraint]):
     return by_concept, by_ind, by_ref, by_and, by_neg, by_exists
 
 
+class _Rules:
+    """The normal-form constraints of one component as masks over its
+    codes, built once and read by every stratum's ``_close``, completion
+    and emission.
+
+    ``fire`` holds, per type index, the heads of the concept-name bodies
+    that hold on the type's concepts (``top`` on every type). ``heads``
+    maps the bit of each individual entry ``@a`` and each shape entry
+    ``some [R].$s`` or ``some [R].!$s`` to the heads of the constraints
+    whose body it is. ``implied`` lists the ``(needed literals, head)``
+    pair of each ``ShapeRef``, ``And`` and negated-reference body.
+    """
+
+    def __init__(self, codes: _Codes, cons: Sequence[Constraint]):
+        by_concept, by_ind, by_ref, by_and, by_neg, by_exists = _classify(cons)
+        lit = codes.lit
+        self.fire = [0] * len(codes.types)
+        for i, t in enumerate(codes.types):
+            for head, a in by_concept:
+                if a == TOP or a in t.concepts:
+                    self.fire[i] |= lit(head)
+        self.heads: Dict[int, int] = {}
+        for head, body in by_ind + by_exists:
+            bit = codes.entry(body)
+            self.heads[bit] = self.heads.get(bit, 0) | lit(head)
+        self.implied = [(lit(inner), lit(head)) for head, inner in by_ref]
+        self.implied += [(lit(left) | lit(right), lit(head)) for head, left, right in by_and]
+        self.implied += [(lit(inner, neg=True), lit(head)) for head, inner in by_neg]
+        self._bodies = sum(self.heads)  # distinct bits
+        self._derived: Dict[Tuple[int, int], int] = {}
+
+    def derived(self, i: int, p: int) -> int:
+        """The heads that the constraints alone derive on type ``i`` with
+        the entries of ``p`` present: its concept-name heads and those of
+        its present bodies, closed under the implications. No conjunct of
+        a body says a shape fails, so no negated reference fires."""
+        key = (self.fire[i], p & self._bodies)
+        h = self._derived.get(key)
+        if h is None:
+            h = key[0]
+            for bit in _bits(key[1]):
+                h |= self.heads[bit]
+            grown = True
+            while grown:
+                h0 = h
+                for need, head in self.implied:
+                    if h & need == need:
+                        h |= head
+                grown = h != h0
+            self._derived[key] = h
+        return h
+
+
 def _close(
-    codes: _Codes, pinned: Sequence[int], cons: Sequence[Constraint], K: _K
+    codes: _Codes, pinned: Sequence[int], rules: _Rules, heads: int, K: _K
 ) -> None:
-    by_concept, by_ind, by_ref, by_and, by_neg, by_exists = _classify(cons)
+    """Saturate K under the rules whose head is among the literals
+    ``heads``: those of the stratum being closed."""
     types = codes.types
     lit = codes.lit
-    # the rules as masks, built once per call. Concept-name bodies fire on
-    # a type's own concepts: ``fire`` holds each type's heads. A constant
-    # body is a (head, constant entry) pair, a plain implication a (needed
-    # literals, head) pair.
-    fire = [0] * len(types)
-    for i, t in enumerate(types):
-        for head, a in by_concept:
-            if a == TOP or a in t.concepts:
-                fire[i] |= lit(head)
-    inds = [(lit(head), codes.entry(ref)) for head, ref in by_ind]
-    implied = [(lit(inner), lit(head)) for head, inner in by_ref]
-    implied += [(lit(left) | lit(right), lit(head)) for head, left, right in by_and]
-    implied += [(lit(inner, neg=True), lit(head)) for head, inner in by_neg]
+    # the stratum's rules as masks. ``fire`` holds each type's heads, a
+    # constant body is a (heads, constant entry) pair.
+    fire = [f & heads for f in rules.fire]
+    inds = [(h & heads, bit) for bit, h in rules.heads.items() if bit & codes.inds and h & heads]
+    implied = [(need, h) for need, h in rules.implied if h & heads]
     # an existential body needs its roles at the type (``at``, the type
     # indices that allow it) or under a present concept witness (``via``,
-    # the concept entries whose roles allow it). A rule is (head, roles,
+    # the concept entries whose roles allow it). A rule is (heads, roles,
     # inner literal, witness entry, at, via).
     exists = []
-    for head, body in by_exists:
+    for witness, head in rules.heads.items():
+        if not witness & codes.shapes or not head & heads:
+            continue
+        body = codes.entries[witness]
         roles = body.roles
         via = 0
         for bit, e in codes.entries.items():
@@ -307,7 +374,7 @@ def _close(
             i for i, t in enumerate(types)
             if roles <= t.roles or (not t.roles and not t.others)
         )
-        exists.append((lit(head), roles, lit(*_inner(body)), codes.entry(body), at, via))
+        exists.append((head & heads, roles, lit(*_inner(body)), witness, at, via))
     # each type's edge back to its parent, the bit of the parent's witness
     # for it (0 when unseen), and the shape entries whose roles it carries
     edges = [frozenset(r.invert() for r in t.roles) for t in types]
@@ -383,7 +450,7 @@ def _close(
                 q = key[2]
                 h0 = h
                 for rule, (head, _, _, _, _, _) in zip(per_rule, exists):
-                    if h & head:
+                    if not head & ~h:
                         continue
                     for wit, discharge in rule:
                         if q & wit and not discharge & ~h:
@@ -419,23 +486,23 @@ def _close(
 def _completion_dict(
     K: _K,
     codes: _Codes,
-    cons: Sequence[Constraint],
-    extra_settled: FrozenSet[str],
+    rules: _Rules,
+    heads: int,
+    settled: FrozenSet[str],
 ) -> _K:
     """Between strata: settle unfired shapes as negative knowledge.
 
-    Adds the failed existential and constant bodies to Q and the negations
-    of settled-but-unfired shape names to H.
+    Adds to Q each existential and constant body of a constraint whose
+    head is among the literals ``heads`` (the stratum just closed) and did
+    not fire, and to H the negations of the unfired ``settled`` names.
     """
-    settled = sorted(shape_names(cons) | extra_settled)
-    _, by_ind, _, _, _, by_exists = _classify(cons)
-    # (head, body): the body goes into Q where the head did not fire
-    failed = [(codes.lit(head), codes.entry(body)) for head, body in by_exists + by_ind]
-    negated = [(codes.lit(name), codes.lit(name, neg=True)) for name in settled]
+    # (heads, body): the body goes into Q where one of the heads did not fire
+    failed = [(h & heads, bit) for bit, h in rules.heads.items() if h & heads]
+    negated = [(codes.lit(name), codes.lit(name, neg=True)) for name in sorted(settled)]
     out: _K = {}
     for (i, p, q), h in K.items():
         for head, body in failed:
-            if not h & head:
+            if head & ~h:
                 q |= body
         for pos, neg in negated:
             if not h & pos:
@@ -566,25 +633,29 @@ class _Bodies:
         return made
 
 
-def _emit(K: _K, bodies: _Bodies, heads: FrozenSet[str]) -> List[Constraint]:
+def _emit(K: _K, bodies: _Bodies, rules: _Rules, heads: int) -> List[Constraint]:
+    """The rows of K for the head literals ``heads`` that the TBox adds to
+    the constraints, each head's minimal bodies sorted."""
     codes = bodies.codes
-    wanted = 0
-    for name in heads:
-        wanted |= codes.lit(name)
     # a body lists its type's concepts, the names of sig the type lacks
     # negated, and P and Q: so only a body whose type agrees with another's
     # on sig can subsume it, one whose concepts, P and Q are all subsets.
     # Each head's rows are grouped by their type's part of sig; rows that
     # agree on (type concepts, P, Q) print the same body. K holds no vacuous
-    # row (see the module docstring); the rows that derive no head are
-    # dropped.
+    # row (see the module docstring). A row is dropped for each head that
+    # it does not derive, or that the constraints derive from its own
+    # conjuncts; derivation grows with the conjuncts, so no dropped row
+    # would have subsumed a kept one.
     part = bodies.part
     per_head: Dict[str, Dict[FrozenSet[str], Set[_Row]]] = {}
     for (i, p, q), h in K.items():
-        if not h & wanted:
+        h &= heads
+        if h:
+            h &= ~rules.derived(i, p)
+        if not h:
             continue
         row = (codes.types[i].concepts, p, q)
-        for bit in _bits(h & wanted):
+        for bit in _bits(h):
             per_head.setdefault(codes.lits[bit][0], {}).setdefault(part[i], set()).add(row)
 
     out: List[Constraint] = []
@@ -639,19 +710,23 @@ def _rewrite_component(
     sig = _signature(st, cons)
     codes = _Codes(_type_universe(st, sig))
     K, pinned = _seed_dict(st, codes)
+    rules = _Rules(codes, cons)
     bodies = _Bodies(nodes, codes, sig)
 
     occurring = shape_names(cons)
     out = list(cons)
+    heads = 0  # the head literals of the stratum closed last
     for i, group in enumerate(strata):
         # settling is idempotent, and a quadruple that closing adds extends
         # the P, Q and H of settled ones, so each stratum is settled once
         later_heads = {c.head for g in strata[i:] for c in g}
         settled = frozenset(n for n in occurring if n not in later_heads)
-        K = _completion_dict(K, codes, strata[i - 1] if i else (), settled)
-        _close(codes, pinned, group, K)
-        heads = frozenset(c.head for c in group)
-        out.extend(_emit(K, bodies, heads))
+        K = _completion_dict(K, codes, rules, heads, settled)
+        heads = 0
+        for c in group:
+            heads |= codes.lit(c.head)
+        _close(codes, pinned, rules, heads, K)
+        out.extend(_emit(K, bodies, rules, heads))
     return out, len(K)
 
 

@@ -843,7 +843,10 @@ def is_consistent(tbox: TBox, abox: ABox) -> bool:
 # must emit the same constraints in the same order from as many
 # quadruples. Like the last section it drives package internals
 # (``rewrite._classify``, ``_split``, ``_type_universe``). A shape witness
-# is the ``some [roles].$s`` body of the constraint that reads it.
+# is the ``some [roles].$s`` body of the constraint that reads it. Both
+# emit a row only for the heads that the component's constraints do not
+# already derive from its own conjuncts; here that check runs on the
+# entry sets and literals of each row.
 
 
 @dataclass(frozen=True)
@@ -1053,12 +1056,35 @@ def _entry_body(e: Entry) -> ShapeBody:
     return e
 
 
-def _set_emit(K: _SetK, heads: FrozenSet[str], sig: FrozenSet[str]) -> List[Constraint]:
+def derived_lits(
+    cons: Sequence[Constraint], concepts: Iterable[str], present: Iterable[ShapeBody]
+) -> Set[Lit]:
+    """The literals the normal-form constraints ``cons`` alone derive at a
+    node with the concept names ``concepts`` where the bodies ``present``
+    hold, reading no negated reference."""
+    by_concept, by_ind, by_ref, by_and, _, by_exists = _classify_constraints(cons)
+    concepts, present = set(concepts), set(present)
+    h = {Lit(head) for head, a in by_concept if a == TOP or a in concepts}
+    h |= {Lit(head) for head, body in by_ind + by_exists if body in present}
+    while True:
+        more = {Lit(head) for head, inner in by_ref if Lit(inner) in h}
+        more |= {Lit(head) for head, left, right in by_and if {Lit(left), Lit(right)} <= h}
+        if more <= h:
+            return h
+        h |= more
+
+
+def _set_emit(
+    K: _SetK, heads: FrozenSet[str], sig: FrozenSet[str], cons: Sequence[Constraint]
+) -> List[Constraint]:
+    """The rows for ``heads`` that the component's constraints ``cons`` do
+    not already derive from their own conjuncts, minimal per head."""
     per_head: Dict[str, Dict[FrozenSet[str], List[ShapeBody]]] = {}
     for (t, p, q), h in sorted(K.items(), key=_set_key_sort):
         if p & q:
             continue
-        names = sorted({lit.name for lit in h if not lit.neg and lit.name in heads})
+        fired = {lit for lit in h if not lit.neg and lit.name in heads}
+        names = sorted(lit.name for lit in fired - derived_lits(cons, t.concepts, p))
         if not names:
             continue
         parts: List[ShapeBody] = [ConceptRef(a) for a in sorted(t.concepts)]
@@ -1080,12 +1106,13 @@ def _set_emit(K: _SetK, heads: FrozenSet[str], sig: FrozenSet[str]) -> List[Cons
 
 
 def set_rewrite(
-    st: SaturatedTBox, strat: Stratification
+    st: SaturatedTBox, strat: Stratification, drop_derived: bool = True
 ) -> Tuple[Tuple[Constraint, ...], int, int]:
     """``rewrite.rewrite`` over sets of objects, combining every pair of a
     merge bucket, vacuous unions too: the rewriting, the summed quadruple
     count and the summed count of satisfiable quadruples, those whose P
-    and Q share no witness, with no budget."""
+    and Q share no witness, with no budget. With ``drop_derived`` false it
+    also emits the rows the constraints already derive."""
     ctx = _Ctx(st)
     out: List[Constraint] = []
     quadruples = satisfiable = 0
@@ -1101,7 +1128,8 @@ def set_rewrite(
             settled = frozenset(n for n in occurring if n not in later_heads)
             K = _set_completion(K, scope, settled)
             _set_close(group, K, ctx)
-            out.extend(_set_emit(K, frozenset(c.head for c in group), sig))
+            heads = frozenset(c.head for c in group)
+            out.extend(_set_emit(K, heads, sig, cons if drop_derived else ()))
         quadruples += len(K)
         satisfiable += sum(not p & q for _, p, q in K)
     return tuple(dict.fromkeys(out)), quadruples, satisfiable

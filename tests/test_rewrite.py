@@ -17,7 +17,10 @@ child's witness claims against its parent, and shuffled rewritings pin
 that verdicts do not depend on the order of C_T. The bit-encoded
 saturation is checked against the set-based one kept in
 ``oracles.set_rewrite``, which also stores the vacuous unions, those with
-a witness in both P and Q; the bit-encoded one stores none. Each
+a witness in both P and Q; the bit-encoded one stores none. C_T emits
+only the rows the TBox adds: a row whose head the source constraints
+derive from its own conjuncts is dropped, by the oracle too, and the
+verdicts match those of the oracle's C_T that keeps such rows. Each
 component is rewritten over its own signature of concept names; three
 inputs pin the existential premises it must keep, and a seeded slice of
 denser cases checks its verdicts against those over every concept name.
@@ -48,18 +51,25 @@ from ontoshacl.model import InconsistentKB, complete_abox
 from ontoshacl.rewrite import pure_rewrite_alchi, pure_rewrite_shaclb, rewrite
 from ontoshacl.shapes import (
     And,
+    ConceptRef,
     Constraint,
     ExistsRoles,
     Not,
     ShapesGraph,
     compute_stratification,
-    concept_names,
     normalize,
     shape_names,
 )
 from ontoshacl.tbox import SaturatedTBox, UnsupportedPattern
 from ontoshacl.values import replace
-from oracles import full_signature, occurrence_pure_alchi, occurrence_pure_shaclb, set_rewrite
+from oracles import (
+    Lit,
+    derived_lits,
+    full_signature,
+    occurrence_pure_alchi,
+    occurrence_pure_shaclb,
+    set_rewrite,
+)
 from test_cli import HASHED_ABOX, HASHED_SHAPES, HASHED_TBOX
 
 # =============================================================================
@@ -112,11 +122,16 @@ DISCHARGE_TBOX = parse_tbox("C4 <= some p.top\np <= r\n^p <= r\n")
 DISCHARGE_SHAPES = parse_constraints("$s0 <- some [^r].$s0\n")
 
 
+def flatten(body):
+    """The conjuncts of a conjunction tree, as objects."""
+    if isinstance(body, And):
+        return flatten(body.left) + flatten(body.right)
+    return [body]
+
+
 def conjuncts(body):
     """Flatten a conjunction tree into its printed conjuncts."""
-    if isinstance(body, And):
-        return conjuncts(body.left) + conjuncts(body.right)
-    return [str(body)]
+    return [str(x) for x in flatten(body)]
 
 
 def emitted(tbox, shapes, **kw):
@@ -321,9 +336,9 @@ def test_no_stored_quadruple_has_a_witness_in_both_p_and_q(monkeypatch):
         assert not [key for key in K if key[1] & key[2]], stage
         checked.append(len(K))
 
-    def checked_close(codes, pinned, cons, K):
-        close(codes, pinned, cons, K)
-        satisfiable(K, "_close")
+    def checked_close(*args):
+        close(*args)
+        satisfiable(args[-1], "_close")
 
     def checked_completion(*args):
         K = completion(*args)
@@ -336,6 +351,92 @@ def test_no_stored_quadruple_has_a_witness_in_both_p_and_q(monkeypatch):
     for tbox, shapes in selftest_slice(0, 20):
         rewrite(*normal_form(tbox, shapes))
     assert len(checked) > 40 and sum(checked) > 1000
+
+
+# =============================================================================
+# WHAT THE TBOX ADDS
+# =============================================================================
+
+
+def kb_cases(seed):
+    """The prepared KBs of the first 20 selftest cases of a seed, of
+    defect 4 (``None``), or of the first 10 merged cases of seed 4
+    (``"merged4"``), and their stratified normal forms."""
+    if seed is None:
+        cases = [(DEFECT_4_TBOX, DEFECT_4_DATA, ShapesGraph.of(DEFECT_4_SHAPES))]
+    elif seed == "merged4":
+        cases = [merged_case(4, i) for i in range(10)]
+    else:
+        cases = [gen_case(case_rng(seed, i)) for i in range(20)]
+    for tbox, abox, sg in cases:
+        try:
+            kb = prepare(tbox, abox, sg, SAFE_DEPTH)
+        except InconsistentKB:
+            continue
+        yield kb, normal_form(tbox, sg.constraints)[1]
+
+
+@pytest.mark.parametrize(
+    "seed, needed",
+    [(0, 0), (1, 0), (None, 1), ("merged4", 2)],
+    ids=["seed0", "seed1", "defect4", "merged4"],
+)
+def test_dropping_derived_rows_keeps_every_verdict(seed, needed):
+    # every shape at every individual, over the completed data, against
+    # the oracle's C_T with the rows the constraints already derive.
+    # ``needed`` counts the cases whose verdicts the source constraints
+    # alone get wrong: only there can dropping a row the TBox adds show
+    compared = wrong = 0
+    for kb, strat in kb_cases(seed):
+        full, _, _ = set_rewrite(kb.sat, strat, drop_derived=False)
+        shapes = sorted({c.head for c in full})
+        targets = [(s, x) for s in shapes for x in kb.completed.individuals()]
+        want = validate(kb.completed, full, targets)
+        assert validate(kb.completed, kb.c_t, targets) == want
+        given = [c for group in strat.strata for c in group]
+        wrong += validate(kb.completed, given, targets) != want
+        compared += len(full) > len(kb.c_t)
+    assert compared > 0
+    assert wrong == needed
+
+
+@pytest.mark.parametrize("seed", [0, 1, None, "merged4"], ids=["seed0", "seed1", "defect4", "merged4"])
+def test_no_emitted_row_is_derived_by_the_constraints(seed):
+    # a row's conjuncts name its type's concepts and its present bodies;
+    # the constraints alone must not derive its head from them
+    kept = 0
+    for kb, strat in kb_cases(seed):
+        given = [c for group in strat.strata for c in group]
+        source = set(given)
+        for c in kb.c_t:
+            if c in source:
+                continue
+            parts = flatten(c.body)
+            concepts = [x.name for x in parts if isinstance(x, ConceptRef)]
+            assert Lit(c.head) not in derived_lits(given, concepts, parts), str(c)
+            kept += 1
+    assert kept > 0
+
+
+@pytest.mark.parametrize("n, rows, quadruples", [(4, 20, 164), (6, 164, 1388)])
+def test_the_existential_chain_emits_only_what_the_tbox_adds(n, rows, quadruples):
+    # K{i+1} <= some r.K{i} for i below n. With the derived rows C_T had 83
+    # and 731 constraints, from as many quadruples
+    chain = parse_tbox("".join(f"K{i + 1} <= some r.K{i}\n" for i in range(1, n)))
+    st, strat = normal_form(chain, parse_constraints("$s <- some [r].K1\n"))
+    stats = {}
+    assert len(rewrite(st, strat, stats=stats)) == rows
+    assert stats["quadruples"] == quadruples
+
+
+def test_a_row_the_tbox_needs_is_kept():
+    # $s(@a) rests on the anonymous r-child that A implies, which no
+    # constraint reads: only a row over A can say so
+    sg = ShapesGraph.of(parse_constraints("$t <- B\n$s <- some [r].$t\n"), [("s", "a"), ("s", "b")])
+    kb = prepare(parse_tbox("A <= some r.B\n"), parse_abox("A(a)\nB(b)\nr(b,c)\n"), sg, SAFE_DEPTH)
+    for mode in ("direct", "rewrite", "pure-alchi", "pure-shaclb"):
+        assert ROUTES[mode].run(kb).verdicts == {("s", "a"): True, ("s", "b"): False}, mode
+    assert any(c.head == "s" and "A" in conjuncts(c.body) for c in kb.c_t)
 
 
 # =============================================================================
@@ -373,13 +474,17 @@ def test_the_signature_keeps_every_existential_premise(case):
 
 def test_a_component_without_a_role_step_names_only_its_own_concepts(monkeypatch):
     # the TBox's names, the existential's premise D among them, cannot
-    # change what $s and $t read; over every concept name each body lists
-    # them all
+    # change what $s and $t read. The constraints derive every row, so C_T
+    # is the same over either signature; the work is not: $s saturates one
+    # type and $t the two parts of {A}, where every concept name gives 120
+    # quadruples
     tbox = parse_tbox("B & C <= D\nD <= some r.E\n")
     shapes = parse_constraints("$s <- @a\n$t <- A\n")
-    assert concept_names(emitted(tbox, shapes)) == {"A"}
+    own, full = {}, {}
+    assert emitted(tbox, shapes, stats=own) == tuple(shapes)
     monkeypatch.setattr(rw, "_signature", full_signature)
-    assert concept_names(emitted(tbox, shapes)) == {"A", "B", "C", "D", "E"}
+    assert emitted(tbox, shapes, stats=full) == tuple(shapes)
+    assert (own["quadruples"], full["quadruples"]) == (4, 120)
 
 
 def merged_case(seed, index):
@@ -464,7 +569,7 @@ def test_pure_binary_route_recovers_completion_merges():
 
 
 def hashed_kb():
-    """The hash-seed fixture of the CLI tests: its C_T has 226 constraints
+    """The hash-seed fixture of the CLI tests: its C_T has 96 constraints
     over a few shared role existentials."""
     sg = ShapesGraph.of(parse_constraints(HASHED_SHAPES))
     return prepare(parse_tbox(HASHED_TBOX), parse_abox(HASHED_ABOX), sg, SAFE_DEPTH)
@@ -522,8 +627,16 @@ def test_each_distinct_conjunction_and_complement_of_c_t_is_one_object():
         assert len(set(objects)) == len(objects), kind.__name__
 
 
+# an existential chain under a role inclusion: C_T has 138 constraints,
+# whose bodies reach 5 role existentials over 3 role sets 69 times
+REPEATED_TBOX = "K2 <= some r.K1\nK3 <= some r.K2\nK4 <= some r.K3\nr <= s\n"
+
+REPEATED_SHAPES = "$s <- some [s].K1\n$t <- !(some [r].$s) & K2\n"
+
+
 def test_pure_rewritings_substitute_each_shared_conjunct_once(monkeypatch):
-    kb = hashed_kb()
+    sg = ShapesGraph.of(parse_constraints(REPEATED_SHAPES))
+    kb = prepare(parse_tbox(REPEATED_TBOX), parse_abox("K2(a)\nr(a,b)\n"), sg, SAFE_DEPTH)
     c_t = kb.c_t
     nodes, occurrences = distinct_nodes(c_t)
     exists = [n for n in nodes if isinstance(n, ExistsRoles)]
