@@ -66,6 +66,11 @@ has the implied existentials, successor candidates and consistent
 children of S. Without a role step no rule reads a witness, so the
 constraints' own names are enough.
 
+A component's rules are compiled once, after its seeds, into ``_Rules``,
+with one table of the witnesses a rule may guess, ``@a`` and existential
+alike. Closing, settling and emitting a stratum select its rules from
+those tables by masking their heads with the stratum's head literals.
+
 C_T is a DAG. One node table (``_Nodes``) per ``rewrite`` call builds
 each distinct concept conjunct, entry conjunct and ``And`` of a body's
 chain once for every component, and each component's ``_Bodies`` builds
@@ -146,22 +151,22 @@ def _inner(e: ExistsRoles) -> Tuple[str, bool]:
 
 class _Codes:
     """One component's quadruple encoding: its type universe, the bit of
-    each entry and of each ``(name, negated)`` shape literal seen so far,
-    and in ``concepts``, ``inds`` and ``shapes`` the masks of the entries
-    of each kind."""
+    each entry (``bit_of``) and of each ``(name, negated)`` shape literal
+    seen so far, and in ``concepts``, ``inds`` and ``shapes`` the masks of
+    the entries of each kind."""
 
     def __init__(self, types: Sequence[TwoType]):
         self.types = types
-        self._entry_bit: Dict[Entry, int] = {}
+        self.bit_of: Dict[Entry, int] = {}
         self.entries: Dict[int, Entry] = {}
         self._lit_bit: Dict[Tuple[str, bool], int] = {}
         self.lits: Dict[int, Tuple[str, bool]] = {}
         self.concepts = self.inds = self.shapes = 0
 
     def entry(self, e: Entry) -> int:
-        bit = self._entry_bit.get(e)
+        bit = self.bit_of.get(e)
         if bit is None:
-            bit = self._entry_bit[e] = 1 << len(self.entries)
+            bit = self.bit_of[e] = 1 << len(self.entries)
             self.entries[bit] = e
             if isinstance(e, OneHalfType):
                 self.concepts |= bit
@@ -170,10 +175,6 @@ class _Codes:
             else:
                 self.shapes |= bit
         return bit
-
-    def known(self, e: Entry) -> int:
-        """The bit of ``e``, or 0 when it was never seen."""
-        return self._entry_bit.get(e, 0)
 
     def lit(self, name: str, neg: bool = False) -> int:
         key = (name, neg)
@@ -292,34 +293,69 @@ def _classify(cons: Sequence[Constraint]):
 
 
 class _Rules:
-    """The normal-form constraints of one component as masks over its
-    codes, built once and read by every stratum's ``_close``, completion
-    and emission.
+    """One component compiled once over its codes: every table that
+    ``_close``, the completion and the emission read. A stratum masks the
+    rules' heads by its own head literals.
 
-    ``fire`` holds, per type index, the heads of the concept-name bodies
-    that hold on the type's concepts (``top`` on every type). ``heads``
-    maps the bit of each individual entry ``@a`` and each shape entry
-    ``some [R].$s`` or ``some [R].!$s`` to the heads of the constraints
-    whose body it is. ``implied`` lists the ``(needed literals, head)``
-    pair of each ``ShapeRef``, ``And`` and negated-reference body.
+    ``pinned`` holds each type's pinned witnesses (``_seed_dict``), and
+    ``fire`` the heads of the concept-name bodies that hold on its
+    concepts (``top`` on every type). ``witnesses`` has one ``(heads,
+    witness, at, via)`` rule per individual entry ``@a`` and shape entry
+    ``some [R].$s`` or ``some [R].!$s`` that is a body: the heads of its
+    constraints, its bit, the type indices where it may be guessed and the
+    concept entries under which it may be. An ``@a`` may be guessed at
+    every type, an existential where the type has its roles or no listed
+    neighbor. ``implied`` lists the ``(needed literals, head)`` pair of
+    each ``ShapeRef``, ``And`` and negated-reference body. For the child
+    step, each type has its edge back to its parent (``edges``), the bit
+    of the parent's concept witness for it (``wits``, 0 when no seed lists
+    it) and the shape entries whose roles it carries (``carried``); each
+    shape entry has the literal it claims (``holds``) and the one it
+    refutes (``fails``).
     """
 
-    def __init__(self, codes: _Codes, cons: Sequence[Constraint]):
+    def __init__(self, codes: _Codes, pinned: Sequence[int], cons: Sequence[Constraint]):
         by_concept, by_ind, by_ref, by_and, by_neg, by_exists = _classify(cons)
+        self.codes = codes
+        self.pinned = pinned
+        types = codes.types
         lit = codes.lit
-        self.fire = [0] * len(codes.types)
-        for i, t in enumerate(codes.types):
+        self.fire = [0] * len(types)
+        for i, t in enumerate(types):
             for head, a in by_concept:
                 if a == TOP or a in t.concepts:
                     self.fire[i] |= lit(head)
-        self.heads: Dict[int, int] = {}
-        for head, body in by_ind + by_exists:
-            bit = codes.entry(body)
-            self.heads[bit] = self.heads.get(bit, 0) | lit(head)
         self.implied = [(lit(inner), lit(head)) for head, inner in by_ref]
         self.implied += [(lit(left) | lit(right), lit(head)) for head, left, right in by_and]
         self.implied += [(lit(inner, neg=True), lit(head)) for head, inner in by_neg]
-        self._bodies = sum(self.heads)  # distinct bits
+        self.edges = [frozenset(r.invert() for r in t.roles) for t in types]
+        self.wits = [
+            codes.bit_of.get(OneHalfType(e, t.concepts), 0) for e, t in zip(self.edges, types)
+        ]
+        self.carried = [0] * len(types)
+        self.holds: Dict[int, int] = {}
+        self.fails: Dict[int, int] = {}
+        heads: Dict[int, int] = {}  # witness entry -> the heads of its constraints
+        for head, body in by_ind + by_exists:
+            bit = codes.entry(body)
+            heads[bit] = heads.get(bit, 0) | lit(head)
+        everywhere = frozenset(range(len(types)))
+        roots = frozenset(i for i, t in enumerate(types) if not t.roles and not t.others)
+        self.witnesses: List[Tuple[int, int, FrozenSet[int], int]] = []
+        for witness, head in heads.items():
+            body = codes.entries[witness]
+            if isinstance(body, IndividualRef):
+                self.witnesses.append((head, witness, everywhere, 0))
+                continue
+            name, neg = _inner(body)
+            self.holds[witness] = lit(name, neg)
+            self.fails[witness] = lit(name, not neg)
+            carriers = [i for i, t in enumerate(types) if body.roles <= t.roles]
+            for i in carriers:
+                self.carried[i] |= witness
+            via = sum(b for b in _bits(codes.concepts) if body.roles <= codes.entries[b].roles)
+            self.witnesses.append((head, witness, roots.union(carriers), via))
+        self._bodies = sum(heads)  # distinct bits
         self._derived: Dict[Tuple[int, int], int] = {}
 
     def derived(self, i: int, p: int) -> int:
@@ -331,8 +367,9 @@ class _Rules:
         h = self._derived.get(key)
         if h is None:
             h = key[0]
-            for bit in _bits(key[1]):
-                h |= self.heads[bit]
+            for head, witness, _, _ in self.witnesses:
+                if key[1] & witness:
+                    h |= head
             grown = True
             while grown:
                 h0 = h
@@ -344,53 +381,20 @@ class _Rules:
         return h
 
 
-def _close(
-    codes: _Codes, pinned: Sequence[int], rules: _Rules, heads: int, K: _K
-) -> None:
+def _close(rules: _Rules, heads: int, K: _K) -> None:
     """Saturate K under the rules whose head is among the literals
-    ``heads``: those of the stratum being closed."""
+    ``heads``: those of the stratum being closed. Every table comes from
+    ``rules``; the stratum only masks its rules by ``heads``."""
+    codes = rules.codes
     types = codes.types
-    lit = codes.lit
-    # the stratum's rules as masks. ``fire`` holds each type's heads, a
-    # constant body is a (heads, constant entry) pair.
-    fire = [f & heads for f in rules.fire]
-    inds = [(h & heads, bit) for bit, h in rules.heads.items() if bit & codes.inds and h & heads]
+    pinned, edges, wits, carried = rules.pinned, rules.edges, rules.wits, rules.carried
+    holds, fails, fire = rules.holds, rules.fails, rules.fire
+    guesses = [(h & heads, w, at, via) for h, w, at, via in rules.witnesses if h & heads]
     implied = [(need, h) for need, h in rules.implied if h & heads]
-    # an existential body needs its roles at the type (``at``, the type
-    # indices that allow it) or under a present concept witness (``via``,
-    # the concept entries whose roles allow it). A rule is (heads, roles,
-    # inner literal, witness entry, at, via).
-    exists = []
-    for witness, head in rules.heads.items():
-        if not witness & codes.shapes or not head & heads:
-            continue
-        body = codes.entries[witness]
-        roles = body.roles
-        via = 0
-        for bit, e in codes.entries.items():
-            if isinstance(e, OneHalfType) and roles <= e.roles:
-                via |= bit
-        at = frozenset(
-            i for i, t in enumerate(types)
-            if roles <= t.roles or (not t.roles and not t.others)
-        )
-        exists.append((head & heads, roles, lit(*_inner(body)), witness, at, via))
-    # each type's edge back to its parent, the bit of the parent's witness
-    # for it (0 when unseen), and the shape entries whose roles it carries
-    edges = [frozenset(r.invert() for r in t.roles) for t in types]
-    wits = [codes.known(OneHalfType(edges[i], t.concepts)) for i, t in enumerate(types)]
-    carried = [0] * len(types)
-    holds: Dict[int, int] = {}  # shape entry -> the literal it claims
-    fails: Dict[int, int] = {}  # shape entry -> the literal it refutes
-    for bit, e in codes.entries.items():
-        if not isinstance(e, ExistsRoles):
-            continue
-        name, neg = _inner(e)
-        holds[bit] = lit(name, neg)
-        fails[bit] = lit(name, not neg)
-        for i, t in enumerate(types):
-            if e.roles <= t.roles:
-                carried[i] |= bit
+    # the existentials of the stratum, as (heads, roles, inner literal)
+    exists = [
+        (h, codes.entries[w].roles, holds[w]) for h, w, _, _ in guesses if w & codes.shapes
+    ]
 
     # the rules only add, so the saturated K does not depend on the order
     # they visit it in; _emit sorts once for output
@@ -401,16 +405,9 @@ def _close(
         for key in list(K):
             i, p, q = key
             h0 = K[key]
-            h = h0 | fire[i]
-            # individual-constant bodies, unless the constant is known absent
-            for head, ref in inds:
-                if q & ref:
-                    continue
-                if p & ref:
-                    h |= head
-                elif _put(K, (i, p | ref, q), h | head):
-                    changed = True
-            for head, _, _, witness, at, via in exists:
+            h = h0 | (fire[i] & heads)
+            # guess each witness where it may hold, unless it is known absent
+            for head, witness, at, via in guesses:
                 if q & witness or (i not in at and not p & via):
                     continue
                 if p & witness:
@@ -440,7 +437,7 @@ def _close(
                 for bit in _bits(qc & carried[ic]):
                     discharge |= fails[bit]
                 per_rule = kids.setdefault(types[ic].others, [[] for _ in exists])
-                for rule, (_, roles, inner, _, _, _) in zip(per_rule, exists):
+                for rule, (_, roles, inner) in zip(per_rule, exists):
                     if hc & inner and roles <= edges[ic]:
                         rule.append((wits[ic], discharge))
             for key, h in list(K.items()):
@@ -449,7 +446,7 @@ def _close(
                     continue
                 q = key[2]
                 h0 = h
-                for rule, (head, _, _, _, _, _) in zip(per_rule, exists):
+                for rule, (head, _, _) in zip(per_rule, exists):
                     if not head & ~h:
                         continue
                     for wit, discharge in rule:
@@ -483,27 +480,22 @@ def _close(
             return
 
 
-def _completion_dict(
-    K: _K,
-    codes: _Codes,
-    rules: _Rules,
-    heads: int,
-    settled: FrozenSet[str],
-) -> _K:
+def _completion_dict(K: _K, rules: _Rules, heads: int, settled: FrozenSet[str]) -> _K:
     """Between strata: settle unfired shapes as negative knowledge.
 
-    Adds to Q each existential and constant body of a constraint whose
-    head is among the literals ``heads`` (the stratum just closed) and did
-    not fire, and to H the negations of the unfired ``settled`` names.
+    Adds to Q each witness of a constraint whose head is among the
+    literals ``heads`` (the stratum just closed) and did not fire, and to H
+    the negations of the unfired ``settled`` names.
     """
-    # (heads, body): the body goes into Q where one of the heads did not fire
-    failed = [(h & heads, bit) for bit, h in rules.heads.items() if h & heads]
-    negated = [(codes.lit(name), codes.lit(name, neg=True)) for name in sorted(settled)]
+    # (heads, witness): the witness goes into Q where one of the heads did not fire
+    failed = [(h & heads, w) for h, w, _, _ in rules.witnesses if h & heads]
+    lit = rules.codes.lit
+    negated = [(lit(name), lit(name, neg=True)) for name in sorted(settled)]
     out: _K = {}
     for (i, p, q), h in K.items():
-        for head, body in failed:
+        for head, witness in failed:
             if head & ~h:
-                q |= body
+                q |= witness
         for pos, neg in negated:
             if not h & pos:
                 h |= neg
@@ -710,7 +702,7 @@ def _rewrite_component(
     sig = _signature(st, cons)
     codes = _Codes(_type_universe(st, sig))
     K, pinned = _seed_dict(st, codes)
-    rules = _Rules(codes, cons)
+    rules = _Rules(codes, pinned, cons)
     bodies = _Bodies(nodes, codes, sig)
 
     occurring = shape_names(cons)
@@ -721,11 +713,11 @@ def _rewrite_component(
         # the P, Q and H of settled ones, so each stratum is settled once
         later_heads = {c.head for g in strata[i:] for c in g}
         settled = frozenset(n for n in occurring if n not in later_heads)
-        K = _completion_dict(K, codes, rules, heads, settled)
+        K = _completion_dict(K, rules, heads, settled)
         heads = 0
         for c in group:
             heads |= codes.lit(c.head)
-        _close(codes, pinned, rules, heads, K)
+        _close(rules, heads, K)
         out.extend(_emit(K, bodies, rules, heads))
     return out, len(K)
 
@@ -747,6 +739,11 @@ def rewrite(
     every component are built over one node table. ``quadruples`` in
     ``stats`` is the sum over the components; a component that needs more
     than ``MAX_QUADRUPLES`` raises RewriteTooLarge.
+
+    No constraint appears twice: the components partition the heads, each
+    head is emitted in one stratum only, distinct rows print distinct
+    bodies, and a row that would print a source body is derived by the
+    source constraints, so it is dropped.
     """
     out: List[Constraint] = []
     quadruples = 0
@@ -757,7 +754,7 @@ def rewrite(
         quadruples += size
     if stats is not None:
         stats["quadruples"] = quadruples
-    return tuple(dict.fromkeys(out))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -108,17 +108,6 @@ def role_reach(tbox: TBox) -> Dict[Role, FrozenSet[Role]]:
     return {r: frozenset(v) for r, v in reach.items()}
 
 
-def role_equiv_classes(tbox: TBox) -> List[FrozenSet[Role]]:
-    """Mutual-reachability classes, the collapse targets."""
-    reach = role_reach(tbox)
-    classes: List[FrozenSet[Role]] = []
-    for r in reach:
-        cls = frozenset(s for s in reach if s in reach[r] and r in reach[s])
-        if cls not in classes:
-            classes.append(cls)
-    return classes
-
-
 # ---------------------------------------------------------------------------
 # concept closure by plain iteration
 
@@ -218,34 +207,6 @@ def brute_existentials(
 def brute_entailed(tbox: TBox, concepts: Iterable[str]) -> FrozenSet[str]:
     """Entailed concept memberships, valid only without counting axioms."""
     return _TypeTable(tbox).entailed(concepts)
-
-
-# ---------------------------------------------------------------------------
-# local consistency, each bullet checked verbatim
-
-
-def locally_consistent_direct(sat: SaturatedTBox, t: TwoType, nc: Iterable[str]) -> bool:
-    nc = set(nc) | {BOT}
-    for side in (t.concepts, t.others):
-        for b in nc:
-            if entails_conj(sat, side, b) and b not in side:
-                return False
-    if BOT in t.concepts or BOT in t.others:
-        return False
-    for r in t.roles:
-        for sup in sat.superroles(r):
-            if sup not in t.roles:
-                return False
-    for ax in sat.tbox.value:
-        if ax.filler == TOP:
-            continue
-        if (ax.lhs == TOP or ax.lhs in t.concepts) and ax.role in t.roles:
-            if ax.filler not in t.others:
-                return False
-        if (ax.lhs == TOP or ax.lhs in t.others) and ax.role.invert() in t.roles:
-            if ax.filler not in t.concepts:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -725,11 +686,10 @@ def naive_levels(items) -> Optional[Dict[str, int]]:
 
 # ---------------------------------------------------------------------------
 # entry points only the tests call: endomorphism classification, the
-# oblivious chase, consistency, entailment, automaton membership and
-# reading a path expression. Unlike the oracles above they drive package
-# internals (``chase.homomorphisms``, ``chase.fire_axioms``,
-# ``model.complete_abox``, ``SaturatedTBox.cl``, ``paths.NFA``,
-# ``formats.parse_constraints``).
+# oblivious chase, consistency, automaton membership and reading a path
+# expression. Unlike the oracles above they drive package internals
+# (``chase.homomorphisms``, ``chase.fire_axioms``, ``model.complete_abox``,
+# ``paths.NFA``, ``formats.parse_constraints``).
 
 
 def parse_regex(text: str) -> Regex:
@@ -737,11 +697,6 @@ def parse_regex(text: str) -> Regex:
     between ``<`` and ``>``."""
     (c,) = parse_constraints(f"$s <- some <{text}>.top")
     return c.body.path
-
-
-def entails_conj(sat: SaturatedTBox, premise: Iterable[str], concept: str) -> bool:
-    closed = sat.cl(premise)
-    return concept == TOP or concept in closed or BOT in closed
 
 
 def nfa_accepts(nfa: NFA, word: Sequence[Role]) -> bool:

@@ -17,14 +17,16 @@ child's witness claims against its parent, and shuffled rewritings pin
 that verdicts do not depend on the order of C_T. The bit-encoded
 saturation is checked against the set-based one kept in
 ``oracles.set_rewrite``, which also stores the vacuous unions, those with
-a witness in both P and Q; the bit-encoded one stores none. C_T emits
-only the rows the TBox adds: a row whose head the source constraints
-derive from its own conjuncts is dropped, by the oracle too, and the
-verdicts match those of the oracle's C_T that keeps such rows. Each
-component is rewritten over its own signature of concept names; three
-inputs pin the existential premises it must keep, and a seeded slice of
-denser cases checks its verdicts against those over every concept name.
-C_T is a DAG: across all its components, each distinct conjunction and
+a witness in both P and Q; the bit-encoded one stores none. Guessing the
+witnesses in the reverse order leaves K and C_T as they are, and on a
+three-strata fixture each stratum masks a strict subset of the witness
+rules. C_T emits only the rows the TBox adds, none twice: a row whose
+head the source constraints derive from its own conjuncts is dropped, by
+the oracle too, and the verdicts match those of the oracle's C_T that
+keeps such rows. Each component is rewritten over its own signature of
+concept names; three inputs pin the existential premises it must keep,
+and a seeded slice of denser cases checks its verdicts against those over
+every concept name. C_T is a DAG: across all its components, each distinct conjunction and
 complement is one object. The pure rewritings substitute each shared
 node of C_T once; they must print what substituting at every occurrence
 (``oracles.occurrence_pure_*``) prints.
@@ -114,6 +116,10 @@ DEFECT_4_SHAPES = parse_constraints("$s <- some <s/s*>.C\n$u <- (@a & eq(<q>,<q>
 DEFECT_4_DATA = parse_abox("A(a)\nq(a,b)\nq(b,c)\nD(c)\nr(c,a)\n")
 
 DEFECT_4_TARGETS = [("s", "a"), ("s", "b"), ("s", "c"), ("u", "a")]
+
+# one component in three strata: the @a body heads the first, each
+# existential one of the others
+STRATA_3_SHAPES = parse_constraints("$h <- @a\n$e <- some [p].!$h\n$x <- some [^p].!$e\n")
 
 # selftest case (6, 39), shrunk: the anonymous p-child of d is an r-edge
 # in both directions, so an s0 claim of the child could only rest on d
@@ -272,10 +278,14 @@ def test_verdicts_do_not_depend_on_the_constraint_order(seed):
 # =============================================================================
 
 
-@pytest.mark.parametrize("seed", [0, 1, None], ids=["seed0", "seed1", "defect4"])
+@pytest.mark.parametrize(
+    "seed", [0, 1, None, "strata3"], ids=["seed0", "seed1", "defect4", "strata3"]
+)
 def test_bit_saturation_matches_set_oracle(seed):
     if seed is None:
         cases = [(DEFECT_4_TBOX, DEFECT_4_SHAPES)]
+    elif seed == "strata3":
+        cases = [(TWO_STRATUM_TBOX, STRATA_3_SHAPES)]
     else:
         cases = selftest_slice(seed, 20)
     for tbox, shapes in cases:
@@ -286,6 +296,50 @@ def test_bit_saturation_matches_set_oracle(seed):
         assert [str(c) for c in got] == [str(c) for c in want]
         # the oracle keeps the vacuous unions the merge step never stores
         assert stats["quadruples"] == satisfiable
+
+
+def test_each_stratum_masks_a_strict_subset_of_the_witness_rules(monkeypatch):
+    # on the three-strata fixture each stratum guesses only the witness of
+    # its own constraint: the @a first, then each existential
+    close = rw._close
+    masks = []
+
+    def spy(rules, heads, K):
+        masks.append([bool(h & heads) for h, _, _, _ in rules.witnesses])
+        close(rules, heads, K)
+
+    monkeypatch.setattr(rw, "_close", spy)
+    rewrite(*normal_form(TWO_STRATUM_TBOX, STRATA_3_SHAPES))
+    assert masks == [[True, False, False], [False, True, False], [False, False, True]]
+
+
+def test_the_order_of_the_witness_rules_does_not_change_k(monkeypatch):
+    # the rules only add, so guessing the witnesses in the reverse order
+    # saturates to the same K and emits the same C_T
+    inputs = [(parse_tbox(HASHED_TBOX), parse_constraints(HASHED_SHAPES))]
+    inputs += selftest_slice(0, 20)
+
+    def run():
+        out = []
+        for tbox, shapes in inputs:
+            stats = {}
+            c_t = rewrite(*normal_form(tbox, shapes), stats=stats)
+            out.append(([str(c) for c in c_t], stats["quadruples"]))
+        return out
+
+    want = run()
+    init = rw._Rules.__init__
+    reordered = []
+
+    def reversed_init(self, *args):
+        init(self, *args)
+        self.witnesses.reverse()
+        kinds = {bool(w & self.codes.inds) for _, w, _, _ in self.witnesses}
+        reordered.append(kinds == {True, False})
+
+    monkeypatch.setattr(rw._Rules, "__init__", reversed_init)
+    assert run() == want
+    assert sum(reordered) == 10  # components that guess both @a and existential witnesses
 
 
 def test_every_new_key_is_within_the_budget(monkeypatch):
@@ -393,6 +447,7 @@ def test_dropping_derived_rows_keeps_every_verdict(seed, needed):
         targets = [(s, x) for s in shapes for x in kb.completed.individuals()]
         want = validate(kb.completed, full, targets)
         assert validate(kb.completed, kb.c_t, targets) == want
+        assert len(set(kb.c_t)) == len(kb.c_t)  # no constraint twice
         given = [c for group in strat.strata for c in group]
         wrong += validate(kb.completed, given, targets) != want
         compared += len(full) > len(kb.c_t)

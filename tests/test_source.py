@@ -11,6 +11,20 @@ TREES = {
 }
 
 
+def names_read(trees) -> set:
+    """Every name the syntax trees read: by name, attribute or import."""
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return read
+
+
 def test_every_imported_name_is_used():
     unused = []
     for module, tree in TREES.items():
@@ -43,15 +57,7 @@ def test_only_core_builds_interpretations():
 def test_every_private_definition_is_read_somewhere():
     """A module-level ``_name`` function or class that no module of the
     package reads (by name, attribute or import) is dead code."""
-    read = set()
-    for tree in TREES.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(alias.name for alias in node.names)
+    read = names_read(TREES.values())
     dead = [
         f"{module}: {node.name}"
         for module, tree in TREES.items()
@@ -59,5 +65,34 @@ def test_every_private_definition_is_read_somewhere():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and node.name.startswith("_") and not node.name.startswith("__")
         and node.name not in read
+    ]
+    assert dead == []
+
+
+def _is_fixture(node: ast.FunctionDef) -> bool:
+    """Whether a definition is decorated with ``pytest.fixture``, called or not."""
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Attribute) and target.attr == "fixture":
+            return True
+    return False
+
+
+def test_every_oracle_helper_is_read_somewhere():
+    """A module-level function or class of ``tests/oracles.py`` that no test
+    module and not ``oracles.py`` itself reads is dead code. Fixtures are
+    exempt: pytest reads them by name."""
+    tests = Path(__file__).resolve().parent
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for path in sorted(tests.glob("*.py"))
+        if path.name.startswith("test_") or path.name == "oracles.py"
+    }
+    read = names_read(trees.values())
+    dead = [
+        node.name
+        for node in trees["oracles.py"].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not _is_fixture(node) and node.name not in read
     ]
     assert dead == []
