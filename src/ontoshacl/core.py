@@ -14,10 +14,10 @@ model nodes are ``Anon`` words and chase nulls are ``Null``. Data is an
 interpretation of names: the raw ABox, its completion, model prefixes
 and chase states are all one ``Interpretation``, and ``ABox`` is only
 another name for that class. Its lookups (the concepts of a node, the
-nodes of a concept, the neighbours of a node along a role, the roles
-between two nodes) read a ``GraphIndex``, which also builds them:
-``add_concept`` and ``add_role`` grow the atoms and the tables together,
-and ``seal`` returns the interpretation that reads the tables.
+nodes of a concept, the neighbours of a node along a role, and from those
+the roles to each neighbour) read a ``GraphIndex``, which also builds
+them: ``add_concept`` and ``add_role`` grow the atoms and the tables
+together, and ``seal`` returns the interpretation that reads the tables.
 ``GraphIndex.of`` starts an index from an interpretation, copying the
 tables it already reads instead of re-adding its atoms. The storage rule
 above lives in ``add_role`` (``Interpretation.of`` shares its
@@ -328,18 +328,18 @@ def _stored(role: Role, x: Node, y: Node) -> Tuple[str, Node, Node]:
 
 
 class GraphIndex:
-    """Concept, adjacency and link tables over one set of atoms.
+    """Concept and role tables over one set of atoms.
 
     ``extension[c]`` is the nodes with concept c, ``ctype[n]`` the
-    concepts of n, ``adjacency[r][x]`` the r-neighbours of x for both
-    polarities of every role, and ``links[x][y]`` the roles from x to y.
-    Nodes without atoms of a kind have no entry of that kind.
+    concepts of n, and ``adjacency[r][x]`` the r-neighbours of x for both
+    polarities of every role. Nodes without atoms of a kind have no
+    entry of that kind.
 
     ``len`` counts the atoms added so far. ``seal`` freezes the tables;
     a sealed index keeps no atoms, and adding to it raises ``TypeError``.
     """
 
-    __slots__ = ("extension", "ctype", "adjacency", "links", "concept_atoms", "role_atoms")
+    __slots__ = ("extension", "ctype", "adjacency", "concept_atoms", "role_atoms")
 
     def __init__(
         self,
@@ -349,7 +349,6 @@ class GraphIndex:
         self.extension: Dict[str, AbstractSet[Node]] = {}
         self.ctype: Dict[Node, AbstractSet[str]] = {}
         self.adjacency: Dict[Role, Dict[Node, AbstractSet[Node]]] = {}
-        self.links: Dict[Node, Dict[Node, AbstractSet[Role]]] = {}
         self.concept_atoms = set()
         self.role_atoms = set()
         for c, n in concept_atoms:
@@ -360,7 +359,7 @@ class GraphIndex:
     @staticmethod
     def of(interp: "Interpretation") -> "GraphIndex":
         """An index of ``interp``'s atoms, to add more to. When ``interp``
-        already reads an index, its tables are copied, not rebuilt."""
+        already reads an index, its three tables are copied, not rebuilt."""
         sealed = vars(interp).get("_index")
         if sealed is None:
             return GraphIndex(interp.concept_atoms, interp.role_atoms)
@@ -369,9 +368,8 @@ class GraphIndex:
         index.role_atoms = set(interp.role_atoms)
         index.extension = {c: set(ns) for c, ns in sealed.extension.items()}
         index.ctype = {n: set(cs) for n, cs in sealed.ctype.items()}
-        for tables, copied in ((sealed.adjacency, index.adjacency), (sealed.links, index.links)):
-            for k, table in tables.items():
-                copied[k] = {x: set(ys) for x, ys in table.items()}
+        for role, table in sealed.adjacency.items():
+            index.adjacency[role] = {x: set(ys) for x, ys in table.items()}
         return index
 
     def __len__(self) -> int:
@@ -394,8 +392,6 @@ class GraphIndex:
         fwd, bwd = Role(name), Role(name, True)
         self.adjacency.setdefault(fwd, {}).setdefault(a, set()).add(b)
         self.adjacency.setdefault(bwd, {}).setdefault(b, set()).add(a)
-        self.links.setdefault(a, {}).setdefault(b, set()).add(fwd)
-        self.links.setdefault(b, {}).setdefault(a, set()).add(bwd)
 
     def seal(self, nodes: Iterable[Node], complete: bool = True) -> "Interpretation":
         """The atoms added over the given nodes, which must include every
@@ -408,7 +404,7 @@ class GraphIndex:
 
     def _freeze(self) -> "GraphIndex":
         self.concept_atoms = self.role_atoms = None
-        for table in (self.extension, self.ctype, *self.adjacency.values(), *self.links.values()):
+        for table in (self.extension, self.ctype, *self.adjacency.values()):
             for k, v in table.items():
                 table[k] = frozenset(v)
         return self
@@ -481,9 +477,14 @@ class Interpretation:
         """Each node with a role successor, mapped to its role successors."""
         return self._index.adjacency.get(role, {})
 
-    def links(self, x: Node) -> Mapping[Node, FrozenSet[Role]]:
-        """Each node a role atom connects to x, with the roles from x to it."""
-        return self._index.links.get(x, {})
+    def links(self, x: Node) -> Dict[Node, FrozenSet[Role]]:
+        """Each node a role atom connects to x, with the roles from x to it,
+        read from ``adjacency`` on each call."""
+        out: Dict[Node, set] = {}
+        for role, table in self._index.adjacency.items():
+            for y in table.get(x, _EMPTY):
+                out.setdefault(y, set()).add(role)
+        return {y: frozenset(roles) for y, roles in out.items()}
 
     def has_concept(self, c: str, n: Node) -> bool:
         if c == TOP:
@@ -495,10 +496,6 @@ class Interpretation:
 
     def successors(self, x: Node, role: Role) -> List[Node]:
         return sorted(self.adjacency(role).get(x, ()), key=node_key)
-
-    def roles_between(self, x: Node, y: Node) -> FrozenSet[Role]:
-        """All roles (either polarity) from x to y."""
-        return self.links(x).get(y, _EMPTY)
 
     def restrict(self, keep: Iterable[Node]) -> "Interpretation":
         keep = frozenset(keep)

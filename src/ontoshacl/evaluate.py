@@ -202,10 +202,7 @@ class _Evaluator:
 
     def _comparison(self, body: Union[GuardedEq, GuardedDisj]) -> AbstractSet[Node]:
         if body.guard is None:
-            raise UnguardedComparison(
-                "eq/disj must be guarded by an individual: without the guard, "
-                "nodes reached over the two paths cannot be told apart"
-            )
+            raise UnguardedComparison()
         node = body.guard
         if node not in self.interp.nodes:
             return _EMPTY

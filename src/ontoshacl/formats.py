@@ -463,8 +463,9 @@ def serialize_interpretation(interp: Interpretation) -> str:
         atoms.append(f"{c}({node_label(n, numbering)})")
     for r, x, y in interp.role_atoms:
         atoms.append(f"{r}({node_label(x, numbering)},{node_label(y, numbering)})")
+    linked = {n for _, x, y in interp.role_atoms for n in (x, y)}
     for n in interp.nodes:
-        if not interp.concepts_of(n) and not interp.links(n):
+        if n not in linked and not interp.concepts_of(n):
             atoms.append(f"top({node_label(n, numbering)})")
     return "".join(s + "\n" for s in sorted(atoms))
 

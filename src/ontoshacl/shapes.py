@@ -30,6 +30,10 @@ RESERVED_PREFIX = "_"
 class UnguardedComparison(ValueError):
     """eq/disj without an individual guard cannot be compiled faithfully."""
 
+    def __str__(self) -> str:
+        return ("eq/disj must be guarded by an individual: without the guard, "
+                "nodes reached over the two paths cannot be told apart")
+
 
 # ---------------------------------------------------------------------------
 # unary shape expressions
@@ -286,16 +290,13 @@ def concept_names(items: Iterable[Constraint]) -> FrozenSet[str]:
     return frozenset(out - {TOP})
 
 
-def _concepts_in(body: ShapeBody) -> Set[str]:
+def _concepts_in(body: Union[ShapeBody, PathExpr]) -> Set[str]:
     if isinstance(body, ConceptRef):
         return {body.name}
-    if isinstance(body, (Or, And)):
-        return _concepts_in(body.left) | _concepts_in(body.right)
-    if isinstance(body, Not):
-        return _concepts_in(body.body)
-    if isinstance(body, (ExistsRoles, ExistsPath)):
-        return _concepts_in(body.body)
-    return set()
+    out: Set[str] = set()
+    for child, _ in _children(body, False):
+        out |= _concepts_in(child)
+    return out
 
 
 _PAIRS = frozenset({Or, And, PInter, PConcat})
@@ -303,6 +304,23 @@ _PAIRS = frozenset({Or, And, PInter, PConcat})
 _Read = Tuple[str, bool]  # a shape or edge-shape name, read negatively or not
 _Memo = Dict[Tuple[int, bool], FrozenSet[_Read]]
 _NO_READS: FrozenSet[_Read] = frozenset()
+
+
+def _children(body: Union[ShapeBody, PathExpr], negative: bool) -> tuple:
+    """The bodies and path expressions ``body`` holds, each paired with
+    ``negative``, which only a complement flips. Leaves have none."""
+    kind = type(body)
+    if kind in _PAIRS:
+        return ((body.left, negative), (body.right, negative))
+    if kind is Not:
+        return ((body.body, True),)
+    if kind is ExistsVia:
+        return ((body.path, negative), (body.body, negative))
+    if kind is ExistsRoles or kind is ExistsPath:
+        return ((body.body, negative),)
+    if kind is PInverse:
+        return ((body.inner, negative),)
+    return ()
 
 
 def shape_occurrences(
@@ -326,17 +344,8 @@ def shape_occurrences(
         return frozenset(((body.name, True),))
     if kind is Test:
         return frozenset(((body.shape, negative),))
-    if kind in _PAIRS:
-        children = ((body.left, negative), (body.right, negative))
-    elif kind is Not:
-        children = ((body.body, True),)
-    elif kind is ExistsVia:
-        children = ((body.path, negative), (body.body, negative))
-    elif kind is ExistsRoles or kind is ExistsPath:
-        children = ((body.body, negative),)
-    elif kind is PInverse:
-        children = ((body.inner, negative),)
-    else:
+    children = _children(body, negative)
+    if not children:
         return _NO_READS
     if memo is None:
         memo = {}
@@ -352,15 +361,11 @@ def shape_occurrences(
     return out
 
 
-def has_negation(body: ShapeBody) -> bool:
+def has_negation(body: Union[ShapeBody, PathExpr]) -> bool:
     """Anything non-monotone: shape complement or path comparison."""
     if isinstance(body, (NegShapeRef, Not, GuardedEq, GuardedDisj)):
         return True
-    if isinstance(body, (Or, And)):
-        return has_negation(body.left) or has_negation(body.right)
-    if isinstance(body, (ExistsRoles, ExistsPath)):
-        return has_negation(body.body)
-    return False
+    return any(has_negation(child) for child, _ in _children(body, False))
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +463,7 @@ def normalize(sg: ShapesGraph) -> Tuple[ShapesGraph, Dict[str, str]]:
 
     def _compile_comparison(head: str, body, owner: str) -> None:
         if body.guard is None:
-            raise UnguardedComparison(
-                "eq/disj must be guarded by an individual: without the guard, "
-                "nodes reached over the two paths cannot be told apart"
-            )
+            raise UnguardedComparison()
         left_nfa = regex_to_nfa(body.left)
         right_nfa = regex_to_nfa(body.right)
         sides = []

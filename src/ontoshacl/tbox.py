@@ -196,10 +196,9 @@ class SaturatedTBox:
             prem = frozenset() if ax.lhs == TOP else frozenset({ax.lhs})
             exist.add(Existential(prem, frozenset({ax.role}), _strip_top({ax.filler})))
         self.existentials = exist
-
+        # each round ends normalized, and cl and close_roles are idempotent
+        self._normalize()
         while True:
-            self._cl_cache.clear()
-            self._normalize()
             snap = (frozenset(self.conj), frozenset(self.existentials))
             self._step_forall()
             self._step_atmost_siblings()

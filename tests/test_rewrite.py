@@ -20,10 +20,11 @@ saturation is checked against the set-based one kept in
 a witness in both P and Q; the bit-encoded one stores none. Guessing the
 witnesses in the reverse order leaves K and C_T as they are, and on a
 three-strata fixture each stratum masks a strict subset of the witness
-rules. C_T emits only the rows the TBox adds, none twice: a row whose
-head the source constraints derive from its own conjuncts is dropped, by
-the oracle too, and the verdicts match those of the oracle's C_T that
-keeps such rows. Each component is rewritten over its own signature of
+rules; after each stratum, K holds no head and no witness that only a
+later stratum may derive. C_T emits only the rows the TBox adds, none
+twice: a row whose head the source constraints derive from its own
+conjuncts is dropped, by the oracle too, and the verdicts match those of
+the oracle's C_T that keeps such rows. Each component is rewritten over its own signature of
 concept names; three inputs pin the existential premises it must keep,
 and a seeded slice of denser cases checks its verdicts against those over
 every concept name. C_T is a DAG: across all its components, each distinct conjunction and
@@ -120,6 +121,9 @@ DEFECT_4_TARGETS = [("s", "a"), ("s", "b"), ("s", "c"), ("u", "a")]
 # one component in three strata: the @a body heads the first, each
 # existential one of the others
 STRATA_3_SHAPES = parse_constraints("$h <- @a\n$e <- some [p].!$h\n$x <- some [^p].!$e\n")
+
+# one component in two strata whose @a body heads a constraint in each
+SHARED_WITNESS_SHAPES = parse_constraints("$h <- @a\n$k <- @a\n$k <- some [p].!$h\n")
 
 # selftest case (6, 39), shrunk: the anonymous p-child of d is an r-edge
 # in both directions, so an s0 claim of the child could only rest on d
@@ -311,6 +315,33 @@ def test_each_stratum_masks_a_strict_subset_of_the_witness_rules(monkeypatch):
     monkeypatch.setattr(rw, "_close", spy)
     rewrite(*normal_form(TWO_STRATUM_TBOX, STRATA_3_SHAPES))
     assert masks == [[True, False, False], [False, True, False], [False, False, True]]
+
+
+@pytest.mark.parametrize(
+    "shapes", [STRATA_3_SHAPES, SHARED_WITNESS_SHAPES], ids=["strata3", "shared_witness"]
+)
+def test_no_stratum_closes_what_a_later_stratum_heads(monkeypatch, shapes):
+    # after each stratum is closed, K holds no positive literal of a later
+    # stratum's head in H, and no witness in P whose constraints all head
+    # later strata
+    close = rw._close
+    closed = []
+
+    def spy(rules, heads, K):
+        close(rules, heads, K)
+        closed.append((rules, heads, dict(K)))
+
+    monkeypatch.setattr(rw, "_close", spy)
+    rewrite(*normal_form(TWO_STRATUM_TBOX, shapes))
+    assert len(closed) > 1
+    for n, (rules, _, K) in enumerate(closed):
+        later = 0
+        for other, other_heads, _ in closed[n + 1:]:
+            if other is rules:
+                later |= other_heads
+        unguessed = sum(w for h, w, _, _ in rules.witnesses if not h & ~later)
+        assert K and not [key for key, h in K.items() if h & later], n
+        assert not [key for key in K if key[1] & unguessed], n
 
 
 def test_the_order_of_the_witness_rules_does_not_change_k(monkeypatch):

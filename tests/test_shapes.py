@@ -3,12 +3,14 @@ from __future__ import annotations
 
 import random
 import re
+from typing import get_args
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import dependency_edges, naive_levels, parse_regex
+from ontoshacl import shapes
 from ontoshacl.core import Role
 from ontoshacl.shapes import (
     And,
@@ -411,6 +413,21 @@ def test_binary_reads_count_as_occurrences():
     via = ExistsVia(PInverse(BinRef("f")), NegShapeRef("t"))
     assert sorted(shape_occurrences(via)) == [("f", False), ("t", True)]
     assert sorted(shape_occurrences(Not(via))) == [("f", True), ("t", True)]
+
+
+def test_every_field_holding_a_body_or_a_path_is_a_child():
+    # the stratifier, has_negation and concept_names descend through
+    # _children only, so a field it skipped would hide what it reads
+    kinds = [*get_args(shapes.ShapeBody), *get_args(shapes.PathExpr)]
+    assert len(kinds) == 18
+    for kind in kinds:
+        args = [
+            object() if hint.strip("'") in ("ShapeBody", "PathExpr") else None
+            for hint in kind.__annotations__.values()
+        ]
+        got = [child for child, _ in shapes._children(kind(*args), False)]
+        held = [arg for arg in args if arg is not None]
+        assert sorted(map(id, got)) == sorted(map(id, held)), kind.__name__
 
 
 def test_shapes_graph_of_sorts_and_deduplicates():
