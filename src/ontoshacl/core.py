@@ -335,11 +335,17 @@ class GraphIndex:
     polarities of every role. Nodes without atoms of a kind have no
     entry of that kind.
 
-    ``len`` counts the atoms added so far. ``seal`` freezes the tables;
-    a sealed index keeps no atoms, and adding to it raises ``TypeError``.
+    The two polarities of a role name, ``Role(name)`` and
+    ``Role(name, True)``, and their two tables are built once per name,
+    on its first atom, and every later atom of that name reuses them.
+
+    ``len`` counts the atoms added so far, and ``add_concept`` and
+    ``add_role`` return whether their atom is new. ``seal`` freezes the
+    tables; a sealed index keeps no atoms, and adding to it raises
+    ``TypeError``.
     """
 
-    __slots__ = ("extension", "ctype", "adjacency", "concept_atoms", "role_atoms")
+    __slots__ = ("extension", "ctype", "adjacency", "concept_atoms", "role_atoms", "_tables")
 
     def __init__(
         self,
@@ -351,10 +357,12 @@ class GraphIndex:
         self.adjacency: Dict[Role, Dict[Node, AbstractSet[Node]]] = {}
         self.concept_atoms = set()
         self.role_atoms = set()
+        # role name -> its forward and backward tables in ``adjacency``
+        self._tables: Dict[str, Tuple[Dict, Dict]] = {}
         for c, n in concept_atoms:
             self.add_concept(c, n)
-        for name, a, b in role_atoms:
-            self.add_role(Role(name), a, b)
+        for atom in role_atoms:
+            self._link(atom)
 
     @staticmethod
     def of(interp: "Interpretation") -> "GraphIndex":
@@ -375,23 +383,33 @@ class GraphIndex:
     def __len__(self) -> int:
         return len(self.concept_atoms) + len(self.role_atoms)
 
-    def add_concept(self, c: str, n: Node) -> None:
-        if (c, n) not in self.concept_atoms:
-            self.concept_atoms.add((c, n))
-            self.extension.setdefault(c, set()).add(n)
-            self.ctype.setdefault(n, set()).add(c)
+    def add_concept(self, c: str, n: Node) -> bool:
+        if (c, n) in self.concept_atoms:
+            return False
+        self.concept_atoms.add((c, n))
+        self.extension.setdefault(c, set()).add(n)
+        self.ctype.setdefault(n, set()).add(c)
+        return True
 
-    def add_role(self, role: Role, x: Node, y: Node) -> None:
+    def add_role(self, role: Role, x: Node, y: Node) -> bool:
         """Add role(x, y), stored under the non-inverted name and indexed
         under both polarities."""
-        atom = _stored(role, x, y)
+        return self._link(_stored(role, x, y))
+
+    def _link(self, atom: Tuple[str, Node, Node]) -> bool:
         if atom in self.role_atoms:
-            return
+            return False
         self.role_atoms.add(atom)
         name, a, b = atom
-        fwd, bwd = Role(name), Role(name, True)
-        self.adjacency.setdefault(fwd, {}).setdefault(a, set()).add(b)
-        self.adjacency.setdefault(bwd, {}).setdefault(b, set()).add(a)
+        tables = self._tables.get(name)
+        if tables is None:
+            tables = self._tables[name] = (
+                self.adjacency.setdefault(Role(name), {}),
+                self.adjacency.setdefault(Role(name, True), {}),
+            )
+        tables[0].setdefault(a, set()).add(b)
+        tables[1].setdefault(b, set()).add(a)
+        return True
 
     def seal(self, nodes: Iterable[Node], complete: bool = True) -> "Interpretation":
         """The atoms added over the given nodes, which must include every

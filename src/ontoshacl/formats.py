@@ -21,7 +21,8 @@ is a `.abox` file that ``parse_abox`` reads back to the same value.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+import re
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .core import (
     BOT,
@@ -68,11 +69,13 @@ class ParseError(ValueError):
         self.source = source
 
 
+# an identifier's characters: in a ``str`` pattern, ``\w`` is exactly a
+# character that ``isalnum()`` or is ``_``
+_IDENT = re.compile(r"\w*")
+
+
 def _ident_end(text: str, i: int) -> int:
-    j = i
-    while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-        j += 1
-    return j
+    return _IDENT.match(text, i).end()
 
 
 class _Cursor:
@@ -146,7 +149,11 @@ def _lines(text: str) -> List[Tuple[int, str]]:
 
 
 def _concept(cur: _Cursor) -> str:
-    word = cur.ident("a concept name")
+    return _concept_word(cur, cur.ident("a concept name"))
+
+
+def _concept_word(cur: _Cursor, word: str) -> str:
+    """``word``, just read, as a concept name."""
     if word in (TOP, BOT):
         return word
     if not word[0].isupper():
@@ -156,11 +163,29 @@ def _concept(cur: _Cursor) -> str:
 
 def _role(cur: _Cursor) -> Role:
     inverted = cur.try_eat("^")
-    word = cur.ident("a role name")
+    return _role_word(cur, cur.ident("a role name"), inverted)
+
+
+def _role_word(cur: _Cursor, word: str, inverted: bool) -> Role:
+    """``word``, just read, as a role name, inverted when it followed ``^``."""
     if not word[0].islower() or word in (TOP, BOT):
         raise cur.error(f"role names start lowercase, got {word!r}", len(word))
-    role = cur.renaming.get(word, Role(word))
+    role = cur.renaming.get(word)
+    if role is None:
+        role = Role(word)
     return role.invert() if inverted else role
+
+
+def _lead(cur: _Cursor) -> Union[Role, str]:
+    """The first term of a ``.tbox`` or ``.abox`` line, its word read once:
+    a role after ``^`` or for a lowercase word other than ``top`` and
+    ``bot``, which are concepts, and a concept name otherwise."""
+    if cur.peek() == "^":
+        return _role(cur)
+    word = cur.ident("a concept name")
+    if word[0].islower() and word not in (TOP, BOT):
+        return _role_word(cur, word, False)
+    return _concept_word(cur, word)
 
 
 # ---------------------------------------------------------------------------
@@ -172,25 +197,18 @@ def _peek_word(cur: _Cursor) -> str:
     return cur.text[cur.i : _ident_end(cur.text, cur.i)]
 
 
-def _starts_with_role(cur: _Cursor) -> bool:
-    """Whether a role comes next: ``^`` or a lowercase word other than
-    ``top`` and ``bot``, which are concepts."""
-    first = _peek_word(cur)
-    return cur.peek() == "^" or (first[:1].islower() and first not in (TOP, BOT))
-
-
 def parse_tbox(text: str, source: str = "<tbox>") -> TBox:
     axioms: List[Axiom] = []
     for line_no, body in _lines(text):
         cur = _Cursor(body, line_no, source)
-        if _starts_with_role(cur):
-            sub = _role(cur)
+        first = _lead(cur)
+        if isinstance(first, Role):
             cur.eat("<=")
             sup = _role(cur)
             cur.expect_done()
-            axioms.append(RoleInclusion(sub, sup))
+            axioms.append(RoleInclusion(first, sup))
             continue
-        lhs = [_concept(cur)]
+        lhs = [first]
         while cur.try_eat("&"):
             lhs.append(_concept(cur))
         cur.eat("<=")
@@ -229,17 +247,17 @@ def parse_abox(
     roles: List[Tuple[Role, str, str]] = []
     for line_no, body in _lines(text):
         cur = _Cursor(body, line_no, source, renaming)
-        if _starts_with_role(cur):
-            role = _role(cur)
+        first = _lead(cur)
+        if isinstance(first, Role):
             cur.eat("(")
             a = cur.ident("an individual")
             cur.eat(",")
             b = cur.ident("an individual")
             cur.eat(")")
             cur.expect_done()
-            roles.append((role, a, b))
+            roles.append((first, a, b))
         else:
-            c = _concept(cur)
+            c = first
             if c in (TOP, BOT):
                 raise cur.error(f"{c!r} cannot be asserted", len(c))
             cur.eat("(")

@@ -2,9 +2,13 @@
 
 ``complete_abox`` closes the data graph under the TBox (the named part
 of the core universal model) inside the ``core.GraphIndex`` that its
-result reads. ``build_can`` grows the anonymous part breadth-first, in
-a copy of that index (``GraphIndex.of``), up to a depth bound, tracking
-whether the result is the whole model or a truncation.
+result reads. It is semi-naive: a rule fires again only on an atom that
+the last round added and that is one of its premises, so each round's
+work follows what is new, not the size of the data. ``build_can`` grows
+the anonymous part breadth-first, in a copy of that index
+(``GraphIndex.of``), up to a depth bound, tracking whether the result
+is the whole model or a truncation; individuals with equal frontiers
+share one ``succ_config``.
 
 Anonymous nodes are words over 2-type letters. A letter (X, R, Y) says:
 the parent satisfies exactly X, the edge into the child carries exactly
@@ -13,13 +17,14 @@ the roles R, and the child satisfies exactly Y.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Set, Tuple
+from typing import Deque, Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from .core import (
     BOT,
     TOP,
     ABox,
     Anon,
+    AtMostOne,
     GraphIndex,
     Interpretation,
     Node,
@@ -27,6 +32,8 @@ from .core import (
     Role,
     TBox,
     TwoType,
+    ValueRestriction,
+    _stored,
     bare_type,
     half_type_key,
     type_key,
@@ -57,47 +64,134 @@ class ModelTooLarge(RuntimeError):
 def complete_abox(sat: SaturatedTBox, abox: ABox) -> ABox:
     """The data closed under the TBox, closed inside the ``GraphIndex``
     that the returned interpretation reads; raises InconsistentKB, with
-    the reason, when the knowledge base is inconsistent."""
+    the reason, when the knowledge base is inconsistent.
+
+    Semi-naive: each round reads only the atoms the last round added (at
+    first, every atom, and every individual as grown), against all atoms
+    so far:
+
+    - a new role atom fires the role hierarchy and, read in either
+      direction, the value restrictions and at-most-one merges on its
+      role;
+    - an individual whose concepts grew gets its ``cl``;
+    - a new concept atom fires the value restrictions whose left-hand
+      side it is, onto the node's successors, and the merges that read it
+      as their filler, from the node's predecessors;
+    - a node whose concepts grew fires the merges onto its successors,
+      since a merge reads all of the node's concepts.
+
+    A rule applied at a node or an edge reads only the concepts of its
+    nodes and that edge, so it is applied again in the round after any
+    of them grows, and the result is closed under every rule. Every rule
+    is monotone (a merge's implied existentials at more concepts cover
+    those at fewer), so nothing it adds from fewer atoms is missing from
+    the least closed set. The result is that least set: what applying
+    every rule to every atom until nothing changes reaches too.
+    """
     tbox = sat.tbox
     individuals = abox.individuals()
     index = GraphIndex.of(abox)
     ctype, succ = index.ctype, index.adjacency
 
-    changed = True
-    while changed:
-        before = len(index)
-        # role hierarchy closure
-        for name, a, b in list(index.role_atoms):
-            for sup in sat.superroles(Role(name)):
-                index.add_role(sup, a, b)
-        # entailed concept closure
-        for a in individuals:
-            for c in sat.cl(ctype.get(a, ())):
-                index.add_concept(c, a)
-        # value restrictions
-        for ax in tbox.value:
-            for a, bs in succ.get(ax.role, {}).items():
+    # the rules that a new concept atom fires, by its concept
+    value_at: Dict[str, List[ValueRestriction]] = {}
+    for ax in tbox.value:
+        value_at.setdefault(ax.lhs, []).append(ax)
+    atmost_at: Dict[str, List[Tuple[AtMostOne, Role]]] = {}
+    for ax in tbox.atmost:
+        atmost_at.setdefault(ax.filler, []).append((ax, ax.role.invert()))
+    # the rules that a new role atom fires, by its name, built once per
+    # name: its strict super-roles, then the value restrictions and the
+    # at-most-one axioms on the name read forwards, then backwards
+    on_name: Dict[str, Tuple[List, ...]] = {}
+
+    def rules_on(name: str) -> Tuple[List, ...]:
+        rules = on_name.get(name)
+        if rules is None:
+            fwd = Role(name)
+            bwd = fwd.invert()
+            rules = on_name[name] = (
+                [s for s in sat.superroles(fwd) if s != fwd],
+                [ax for ax in tbox.value if ax.role == fwd],
+                [ax for ax in tbox.atmost if ax.role == fwd],
+                [ax for ax in tbox.value if ax.role == bwd],
+                [ax for ax in tbox.atmost if ax.role == bwd],
+            )
+        return rules
+
+    new_concepts: List[Tuple[str, Node]] = []
+    new_roles: List[Tuple[str, Node, Node]] = []
+
+    def add_concept(c: str, n: Node) -> None:
+        if index.add_concept(c, n):
+            new_concepts.append((c, n))
+
+    def add_role(role: Role, x: Node, y: Node) -> None:
+        if index.add_role(role, x, y):
+            new_roles.append(_stored(role, x, y))
+
+    def merge(ax: AtMostOne, a: Node, b: Node) -> None:
+        """The at-most-one rule at the ``ax.role`` edge from a to b: an
+        implied existential of a that b would witness merges onto b."""
+        here = ctype.get(a, ())
+        if ax.lhs != TOP and ax.lhs not in here:
+            return
+        if ax.filler != TOP and ax.filler not in ctype.get(b, ()):
+            return
+        for cand in sat.implied_existentials(here):
+            if ax.role not in cand.roles:
+                continue
+            if ax.filler != TOP and ax.filler not in cand.concepts:
+                continue
+            for c in cand.concepts:
+                add_concept(c, b)
+            for r in cand.roles:
+                add_role(r, a, b)
+
+    concepts = list(index.concept_atoms)
+    roles = list(index.role_atoms)
+    grown = set(individuals)
+    while grown or roles:
+        # role hierarchy; what it adds joins this round and needs no pass
+        # of its own: a super-role's super-roles are the name's already
+        for name, a, b in list(roles):
+            for sup in rules_on(name)[0]:
+                if index.add_role(sup, a, b):
+                    roles.append(_stored(sup, a, b))
+        # entailed concept closure; what it adds joins this round, and
+        # cl of a closed set adds nothing
+        for a in grown:
+            if isinstance(a, str):
+                have = ctype.get(a, frozenset())
+                for c in sat.cl(have) - have:
+                    index.add_concept(c, a)
+                    concepts.append((c, a))
+        # value restrictions and merges, on each new atom
+        for name, a, b in roles:
+            _, fwd_value, fwd_atmost, bwd_value, bwd_atmost = rules_on(name)
+            for ax in fwd_value:
                 if ax.lhs == TOP or ax.lhs in ctype.get(a, ()):
-                    for b in bs:
-                        index.add_concept(ax.filler, b)
-        # at-most-one: an implied existential merges onto an existing witness
-        for ax in tbox.atmost:
-            for a in list(succ.get(ax.role, {})):
-                if ax.lhs != TOP and ax.lhs not in ctype.get(a, ()):
-                    continue
-                for cand in sat.implied_existentials(ctype.get(a, ())):
-                    if ax.role not in cand.roles:
-                        continue
-                    if ax.filler != TOP and ax.filler not in cand.concepts:
-                        continue
-                    for b in list(succ[ax.role][a]):
-                        if ax.filler != TOP and ax.filler not in ctype.get(b, ()):
-                            continue
-                        for c in cand.concepts:
-                            index.add_concept(c, b)
-                        for r in cand.roles:
-                            index.add_role(r, a, b)
-        changed = len(index) != before
+                    add_concept(ax.filler, b)
+            for ax in bwd_value:
+                if ax.lhs == TOP or ax.lhs in ctype.get(b, ()):
+                    add_concept(ax.filler, a)
+            for ax in fwd_atmost:
+                merge(ax, a, b)
+            for ax in bwd_atmost:
+                merge(ax, b, a)
+        for c, a in concepts:
+            for ax in value_at.get(c, ()):
+                for b in succ.get(ax.role, {}).get(a, ()):
+                    add_concept(ax.filler, b)
+            for ax, back in atmost_at.get(c, ()):
+                for x in list(succ.get(back, {}).get(a, ())):
+                    merge(ax, x, a)
+        for a in grown:
+            for ax in tbox.atmost:
+                for b in list(succ.get(ax.role, {}).get(a, ())):
+                    merge(ax, a, b)
+        concepts, roles, new_concepts, new_roles = new_concepts, new_roles, [], []
+        grown = {a for _, a in concepts}
 
     done = index.seal(abox.nodes)
     # consistency: bottom membership
@@ -109,10 +203,13 @@ def complete_abox(sat: SaturatedTBox, abox: ABox) -> ABox:
         for a in individuals:
             if not done.has_concept(ax.lhs, a):
                 continue
-            wits = [b for b in done.successors(a, ax.role) if done.has_concept(ax.filler, b)]
-            if len(wits) > 1:
+            wits = sum(
+                done.has_concept(ax.filler, b)
+                for b in done.adjacency(ax.role).get(a, ())
+            )
+            if wits > 1:
                 raise InconsistentKB(
-                    f"{a} has {len(wits)} named {ax.role}.{ax.filler} successors "
+                    f"{a} has {wits} named {ax.role}.{ax.filler} successors "
                     f"but at most one is allowed"
                 )
     return done
@@ -131,13 +228,12 @@ def succ_config(
     node). A candidate is dropped when some given 2-type already
     witnesses it.
     """
-    ts = sorted(set(types), key=type_key)
+    ts = frozenset(types)
     if not ts:
         raise ValueError("need at least one 2-type")
-    first = ts[0].concepts
-    for t in ts[1:]:
-        if t.concepts != first:
-            raise ValueError("2-types describe different nodes")
+    first = next(iter(ts)).concepts
+    if any(t.concepts != first for t in ts):
+        raise ValueError("2-types describe different nodes")
     cands = sat.implied_existentials(first)
     if INJECT_SUCC_FILTER_BUG:
         return cands
@@ -158,13 +254,14 @@ def children(sat: SaturatedTBox, t: TwoType) -> Tuple[TwoType, ...]:
     return tuple(sorted(out, key=type_key))
 
 
-def root_frontier(sat: SaturatedTBox, completed: ABox, a: str) -> Tuple[TwoType, ...]:
-    """The 2-types a named individual presents to the successor computation."""
+def root_frontier(sat: SaturatedTBox, completed: ABox, a: str) -> FrozenSet[TwoType]:
+    """The 2-types a named individual presents to the successor
+    computation, as a set: ``succ_config`` reads them in no order."""
     mine = completed.concepts_of(a)
-    out = [bare_type(mine)]
+    out = {bare_type(mine)}
     for b, roles in completed.links(a).items():
-        out.append(TwoType(mine, roles, completed.concepts_of(b)))
-    return tuple(sorted(set(out), key=type_key))
+        out.add(TwoType(mine, roles, completed.concepts_of(b)))
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +292,16 @@ def build_can(sat: SaturatedTBox, completed: ABox, depth: int) -> Interpretation
             kids[t] = children(sat, t)
         return kids[t]
 
+    # individuals with equal frontiers owe the same successors
+    owed: Dict[FrozenSet[TwoType], Tuple[OneHalfType, ...]] = {}
     roots: List[Tuple[str, TwoType]] = []
     for a in completed.individuals():
+        frontier = root_frontier(sat, completed, a)
+        us = owed.get(frontier)
+        if us is None:
+            us = owed[frontier] = succ_config(sat, frontier)
         mine = completed.concepts_of(a)
-        for u in succ_config(sat, root_frontier(sat, completed, a)):
+        for u in us:
             roots.append((a, TwoType(mine, u.roles, u.concepts)))
     if depth == 0:
         return index.seal(nodes, not roots)

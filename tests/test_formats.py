@@ -7,10 +7,13 @@ negated groups, alternatives and guarded comparisons. Data is printed by
 """
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from ontoshacl.core import ABox, Role
 from ontoshacl.formats import (
+    _ident_end,
     parse_abox,
     parse_constraints,
     parse_targets,
@@ -72,3 +75,16 @@ def test_data_round_trips_through_the_interpretation_printer():
 def test_targets_round_trip():
     targets = [("s", "a"), ("t_1", "b2"), ("s", "a")]
     assert parse_targets(serialize_targets(targets)) == targets
+
+
+def test_identifiers_are_the_characters_isalnum_or_underscore_accepts():
+    # the one-match scan accepts exactly what a per-character loop over
+    # ``isalnum()`` or ``_`` accepted, over every code point
+    wrong = []
+    for k in range(sys.maxunicode + 1):
+        ch = chr(k)
+        if (_ident_end(ch, 0) == 1) != (ch.isalnum() or ch == "_"):
+            wrong.append(hex(k))
+    assert wrong == []
+    assert _ident_end("  ab_9é(x)", 2) == 7
+    assert _ident_end("ab", 2) == 2

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import build_model, check_ground_model, find_ground_model, oracle_complete
-from ontoshacl import model
+from ontoshacl import cli, model
 from ontoshacl.core import (
     TOP,
     ABox,
@@ -22,6 +22,7 @@ from ontoshacl.core import (
     AtMostOne,
     ConjInclusion,
     ExistsInclusion,
+    GraphIndex,
     OneHalfType,
     Role,
     RoleInclusion,
@@ -165,6 +166,91 @@ def test_completion_raises_on_clash():
     complete_abox(SaturatedTBox(GOLDEN_SEVEN), ABox.of(concepts=[("B0", "a")]))
 
 
+# a chain that the naive loop closes one link a round: B <= A holds only
+# after the value restriction has put B on the next link; the last link
+# has a named u-successor w, onto which A's existential v-successor merges,
+# and the new v edge fires K <= only ^v.H back at the last link
+CHAIN_TBOX = TBox.of(
+    [
+        RoleInclusion(Role("r"), Role("s", True)),
+        ValueRestriction("A", Role("s", True), "B"),
+        ConjInclusion(frozenset({"B"}), "A"),
+        ExistsInclusion("A", Role("v"), "E"),
+        RoleInclusion(Role("v"), Role("u")),
+        AtMostOne("A", Role("u"), TOP),
+        ValueRestriction("K", Role("v", True), "H"),
+    ]
+)
+
+
+def chain_abox(n):
+    links = [(Role("r"), f"x{k}", f"x{k + 1}") for k in reversed(range(n))]
+    return ABox.of(
+        concepts=[("A", "x0"), ("K", "w")],
+        roles=links + [(Role("u"), f"x{n}", "w")],
+    )
+
+
+def test_completion_does_work_in_proportion_to_the_atoms_it_adds(monkeypatch):
+    n = 30
+    ab = chain_abox(n)
+    calls = []
+    for name in ("add_concept", "add_role"):
+        add = getattr(GraphIndex, name)
+
+        def spy(self, *atom, add=add):
+            calls.append(atom)
+            return add(self, *atom)
+
+        monkeypatch.setattr(GraphIndex, name, spy)
+    done = complete_abox(SaturatedTBox(CHAIN_TBOX), ab)
+    monkeypatch.undo()
+    assert (done.concept_atoms, done.role_atoms) == oracle_complete(CHAIN_TBOX, ab)
+    assert {("A", f"x{n}"), ("E", "w"), ("H", f"x{n}")} <= done.concept_atoms
+    assert ("v", f"x{n}", "w") in done.role_atoms
+    atoms = len(done.concept_atoms) + len(done.role_atoms)
+    assert len(calls) <= 2 * atoms, (len(calls), atoms)
+
+
+# A and G travel down r one link a round; merges onto u-successors
+LATE_TBOX = TBox.of(
+    [
+        ValueRestriction("A", Role("r"), "A"),
+        ValueRestriction("G", Role("r"), "G"),
+        ExistsInclusion("A", Role("v"), "E"),
+        ConjInclusion(frozenset({"E"}), "G"),
+        RoleInclusion(Role("v"), Role("u")),
+        AtMostOne("A", Role("u"), "G"),
+        ExistsInclusion("K", Role("v", True), "P"),
+        AtMostOne("K", Role("v", True), TOP),
+        ValueRestriction("K", Role("v", True), "H"),
+    ]
+)
+
+
+def test_completion_fires_a_rule_on_whichever_premise_comes_last():
+    # a1 -u-> w1 waits for G to reach w1, the merge's filler; a2 -u-> w2
+    # waits for A to reach a2, and the merge adds only the edge v(a2, w2),
+    # which w2's max1 ^v and only ^v then read backwards
+    ab = ABox.of(
+        concepts=[("A", "a1"), ("G", "y0"), ("A", "z0"), ("E", "w2"), ("K", "w2")],
+        roles=[
+            (Role("u"), "a1", "w1"),
+            (Role("r"), "y0", "y1"),
+            (Role("r"), "y1", "y2"),
+            (Role("r"), "y2", "w1"),
+            (Role("u"), "a2", "w2"),
+            (Role("r"), "z0", "z1"),
+            (Role("r"), "z1", "z2"),
+            (Role("r"), "z2", "a2"),
+        ],
+    )
+    done = complete_abox(SaturatedTBox(LATE_TBOX), ab)
+    assert (done.concept_atoms, done.role_atoms) == oracle_complete(LATE_TBOX, ab)
+    assert {("E", "w1"), ("P", "a2"), ("H", "a2")} <= done.concept_atoms
+    assert {("v", "a1", "w1"), ("v", "a2", "w2")} <= done.role_atoms
+
+
 def test_completion_merges_are_impossible_between_names():
     # two distinct named witnesses under a counted role cannot merge
     tb = TBox.of([AtMostOne("A", Role("r"), TOP)])
@@ -211,6 +297,37 @@ def test_infinite_chain_truncates_to_the_requested_depth():
         assert len(got.role_atoms) == n  # a simple chain, one edge per letter
         for w in anon:
             assert got.has_concept("A", w)
+
+
+def test_succ_config_runs_once_per_distinct_root_frontier(tmp_path, monkeypatch, capsys):
+    # twenty owners without a pet share one frontier, ten owners of rex
+    # share another, and rex has a third; one more call is for the letter
+    # of the owners' anonymous pets
+    tbox = tmp_path / "k.tbox"
+    tbox.write_text("PetOwner <= some hasPet.Animal\n")
+    ps = [f"p{k}" for k in range(20)]
+    qs = [f"q{k}" for k in range(10)]
+    abox = tmp_path / "k.abox"
+    abox.write_text(
+        "".join(f"PetOwner({a})\n" for a in ps + qs)
+        + "".join(f"hasPet({q},rex)\n" for q in qs)
+        + "Animal(rex)\n"
+    )
+    succ = model.succ_config
+    asked = []
+
+    def spy(sat, types):
+        asked.append(frozenset(types))
+        return succ(sat, types)
+
+    monkeypatch.setattr(model, "succ_config", spy)
+    argv = ["build-model", "--tbox", str(tbox), "--abox", str(abox), "--depth", "1", "--emit"]
+    assert cli.main(argv) == cli.EXIT_VALID
+    assert len(asked) == len(set(asked)) == 4
+    lines = [f"PetOwner({a})" for a in ps + qs] + ["Animal(rex)"]
+    lines += [f"hasPet({q},rex)" for q in qs]
+    lines += [f"Animal(_:{p}.1)" for p in ps] + [f"hasPet({p},_:{p}.1)" for p in ps]
+    assert capsys.readouterr().out == "".join(line + "\n" for line in sorted(lines))
 
 
 def test_root_frontier_lists_the_bare_type_and_every_neighbour():
