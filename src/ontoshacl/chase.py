@@ -148,14 +148,14 @@ def homomorphisms(
     order, candidates in ``dst.domain()`` order."""
     nodes = src.domain()
     targets = dst.domain()
-    links = {x: src.links(x) for x in nodes}
+    links = src.links()
 
     def ok(x: Node, y: Node, partial: Dict[Node, Node]) -> bool:
         if y in avoid or (injective and y in partial.values()):
             return False
         if not src.concepts_of(x) <= dst.concepts_of(y):
             return False
-        for z, roles in links[x].items():
+        for z, roles in links.get(x, {}).items():
             image = y if z == x else partial.get(z)
             if image is not None and not all(dst.has_edge(r, y, image) for r in roles):
                 return False

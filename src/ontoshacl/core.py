@@ -495,14 +495,31 @@ class Interpretation:
         """Each node with a role successor, mapped to its role successors."""
         return self._index.adjacency.get(role, {})
 
-    def links(self, x: Node) -> Dict[Node, FrozenSet[Role]]:
-        """Each node a role atom connects to x, with the roles from x to it,
-        read from ``adjacency`` on each call."""
-        out: Dict[Node, set] = {}
-        for role, table in self._index.adjacency.items():
-            for y in table.get(x, _EMPTY):
-                out.setdefault(y, set()).add(role)
-        return {y: frozenset(roles) for y, roles in out.items()}
+    def links(self) -> Dict[Node, Dict[Node, FrozenSet[Role]]]:
+        """Each node x that a role atom mentions, mapped to each node y a
+        role atom connects to x, with the roles from x to y: built in one
+        pass over ``adjacency`` on each call, and not kept. A pair's roles
+        are gathered as a bit per role table, and equal role sets are one
+        frozenset."""
+        adjacency = self._index.adjacency
+        out: Dict[Node, Dict] = {}
+        for k, table in enumerate(adjacency.values()):
+            bit = 1 << k
+            for x, ys in table.items():
+                mine = out.get(x)
+                if mine is None:
+                    mine = out[x] = {}
+                for y in ys:
+                    mine[y] = mine.get(y, 0) | bit
+        roles = list(adjacency)
+        sets: Dict[int, FrozenSet[Role]] = {}
+        for mine in out.values():
+            for y, bits in mine.items():
+                s = sets.get(bits)
+                if s is None:
+                    s = sets[bits] = frozenset(r for k, r in enumerate(roles) if bits >> k & 1)
+                mine[y] = s
+        return out
 
     def has_concept(self, c: str, n: Node) -> bool:
         if c == TOP:

@@ -7,10 +7,15 @@ concepts, lowercase-initial are roles, `$x` is a shape, `@x` is an
 individual, `^r` is the inverse of r. Serializers round-trip: parsing
 their output reproduces the value.
 
-``_role`` reads every role name: in axioms, data, role sets ``[...]`` and
-path expressions ``<...>``. ``parse_abox`` and ``parse_constraints`` take
-the renaming of ``tbox.collapse_role_cycles``, and ``_role`` reads a
-collapsed name as the role it now stands for.
+The flat lines, ``.abox`` atoms and ``.targets`` lines, are read by one
+compiled pattern each (``_ABOX_LINE``, ``_TARGET_LINE``) and name checks
+on its groups. ``_Cursor`` reads the recursive grammars of ``.tbox`` and
+``.shacl`` lines, and every line that a pattern or its checks refuse, so
+it words every error, at its column. ``_role`` reads every role name the
+cursor reads: in axioms, data, role sets ``[...]`` and path expressions
+``<...>``. ``parse_abox`` and ``parse_constraints`` take the renaming of
+``tbox.collapse_role_cycles``, and read a collapsed name as the role it
+now stands for.
 
 Data and every other interpretation share one printer,
 ``serialize_interpretation``: one atom a line, in sorted order, with
@@ -20,8 +25,8 @@ is a `.abox` file that ``parse_abox`` reads back to the same value.
 """
 from __future__ import annotations
 
-import json
 import re
+from json.encoder import encode_basestring_ascii
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .core import (
@@ -240,32 +245,59 @@ def serialize_tbox(tbox: TBox) -> str:
 # .abox
 
 
+# one atom: an optional ``^``, a name, and one or two individuals
+_ABOX_LINE = re.compile(r"(\^?)[ \t]*(\w+)[ \t]*\([ \t]*(\w+)[ \t]*(?:,[ \t]*(\w+)[ \t]*)?\)")
+
+
 def parse_abox(
     text: str, source: str = "<abox>", renaming: Optional[Mapping[str, Role]] = None
 ) -> ABox:
     concepts: List[Tuple[str, str]] = []
     roles: List[Tuple[Role, str, str]] = []
+    renaming = renaming or {}
+    read: Dict[str, Role] = {}  # "r" or "^r" -> the role it reads as
     for line_no, body in _lines(text):
-        cur = _Cursor(body, line_no, source, renaming)
-        first = _lead(cur)
-        if isinstance(first, Role):
-            cur.eat("(")
-            a = cur.ident("an individual")
-            cur.eat(",")
-            b = cur.ident("an individual")
-            cur.eat(")")
-            cur.expect_done()
-            roles.append((first, a, b))
-        else:
-            c = first
-            if c in (TOP, BOT):
-                raise cur.error(f"{c!r} cannot be asserted", len(c))
-            cur.eat("(")
-            a = cur.ident("an individual")
-            cur.eat(")")
-            cur.expect_done()
-            concepts.append((c, a))
+        m = _ABOX_LINE.fullmatch(body)
+        if m is not None:
+            hat, word, a, b = m.groups()
+            if b is None:
+                if not hat and word[0].isupper():
+                    concepts.append((word, a))
+                    continue
+            elif word[0].islower() and word not in (TOP, BOT):
+                role = read.get(hat + word)
+                if role is None:
+                    role = renaming.get(word) or Role(word)
+                    role = read[hat + word] = role.invert() if hat else role
+                roles.append((role, a, b))
+                continue
+        _abox_atom(_Cursor(body, line_no, source, renaming), concepts, roles)
     return ABox.of(concepts=concepts, roles=roles)
+
+
+def _abox_atom(
+    cur: _Cursor, concepts: List[Tuple[str, str]], roles: List[Tuple[Role, str, str]]
+) -> None:
+    """Read a line that ``_ABOX_LINE`` or its name checks refuse, into
+    ``concepts`` or ``roles``, or raise the error at its place."""
+    first = _lead(cur)
+    if isinstance(first, Role):
+        cur.eat("(")
+        a = cur.ident("an individual")
+        cur.eat(",")
+        b = cur.ident("an individual")
+        cur.eat(")")
+        cur.expect_done()
+        roles.append((first, a, b))
+    else:
+        c = first
+        if c in (TOP, BOT):
+            raise cur.error(f"{c!r} cannot be asserted", len(c))
+        cur.eat("(")
+        a = cur.ident("an individual")
+        cur.eat(")")
+        cur.expect_done()
+        concepts.append((c, a))
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +447,16 @@ def serialize_constraints(constraints: Iterable[Constraint]) -> str:
 # .targets
 
 
+_TARGET_LINE = re.compile(r"\$[ \t]*(\w+)[ \t]*\([ \t]*@[ \t]*(\w+)[ \t]*\)")
+
+
 def parse_targets(text: str, source: str = "<targets>") -> List[Tuple[str, str]]:
     out: List[Tuple[str, str]] = []
     for line_no, body in _lines(text):
+        m = _TARGET_LINE.fullmatch(body)
+        if m is not None and not m[1].startswith(RESERVED_PREFIX):
+            out.append(m.groups())
+            continue
         cur = _Cursor(body, line_no, source)
         shape = _shape_name(cur)
         cur.eat("(")
@@ -491,6 +530,8 @@ def serialize_interpretation(interp: Interpretation) -> str:
 # ---------------------------------------------------------------------------
 # JSON report
 
+_JSON_WORDS = {True: "true", False: "false", None: "null"}
+
 
 def report_to_json(
     consistent: bool,
@@ -498,12 +539,21 @@ def report_to_json(
     targets: Sequence[Tuple[str, str, Optional[bool]]],  # None: unknown
     stats: Dict[str, int],
 ) -> str:
-    doc = {
-        "consistent": consistent,
-        "mode": mode,
-        "targets": [
-            {"shape": s, "node": n, "valid": v} for s, n, v in targets
-        ],
-        "stats": {k: stats[k] for k in sorted(stats)},
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The report as JSON text, written directly: it equals, byte for byte,
+    ``json.dumps(doc, indent=2) + "\n"`` of the document with keys
+    ``consistent``, ``mode``, ``targets`` (one ``shape``/``node``/``valid``
+    object each) and ``stats`` (sorted by key), strings quoted by the same
+    ASCII escaper ``json.dumps`` uses."""
+    q = encode_basestring_ascii
+    rows = [
+        '    {\n      "shape": %s,\n      "node": %s,\n      "valid": %s\n    }'
+        % (q(s), q(n), _JSON_WORDS[v])
+        for s, n, v in targets
+    ]
+    pairs = ["    %s: %d" % (q(k), stats[k]) for k in sorted(stats)]
+    return '{\n  "consistent": %s,\n  "mode": %s,\n  "targets": %s,\n  "stats": %s\n}\n' % (
+        _JSON_WORDS[consistent],
+        q(mode),
+        "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]",
+        "{\n" + ",\n".join(pairs) + "\n  }" if pairs else "{}",
+    )

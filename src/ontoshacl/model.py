@@ -254,13 +254,15 @@ def children(sat: SaturatedTBox, t: TwoType) -> Tuple[TwoType, ...]:
     return tuple(sorted(out, key=type_key))
 
 
-def root_frontier(sat: SaturatedTBox, completed: ABox, a: str) -> FrozenSet[TwoType]:
-    """The 2-types a named individual presents to the successor
-    computation, as a set: ``succ_config`` reads them in no order."""
-    mine = completed.concepts_of(a)
+def root_frontier(
+    mine: FrozenSet[str], neighbours: Iterable[Tuple[FrozenSet[Role], FrozenSet[str]]]
+) -> FrozenSet[TwoType]:
+    """The 2-types a named individual with concepts ``mine`` presents to
+    the successor computation, given the roles to and the concepts of each
+    of its neighbours, as a set: ``succ_config`` reads them in no order."""
     out = {bare_type(mine)}
-    for b, roles in completed.links(a).items():
-        out.add(TwoType(mine, roles, completed.concepts_of(b)))
+    for roles, theirs in neighbours:
+        out.add(TwoType(mine, roles, theirs))
     return frozenset(out)
 
 
@@ -274,6 +276,13 @@ def build_can(sat: SaturatedTBox, completed: ABox, depth: int) -> Interpretation
 
     Depth counts anonymous letters: 0 is just the completed data graph.
     The returned ``complete`` flag is true iff nothing was cut off.
+
+    The root frontiers are keyed in one pass over the role tables
+    (``Interpretation.links``): an individual's key is its concepts and
+    the set of (roles to, concepts of) pairs of its neighbours, which
+    fixes its frontier. Its first letters, from ``succ_config`` of that
+    frontier, are built once per distinct key, and the frontier's 2-types
+    only then.
     """
     index = GraphIndex.of(completed)
     nodes: Set[Node] = set(completed.nodes)
@@ -292,17 +301,23 @@ def build_can(sat: SaturatedTBox, completed: ABox, depth: int) -> Interpretation
             kids[t] = children(sat, t)
         return kids[t]
 
-    # individuals with equal frontiers owe the same successors
-    owed: Dict[FrozenSet[TwoType], Tuple[OneHalfType, ...]] = {}
+    # individuals with equal keys have equal frontiers and first letters
+    concepts_of = completed.concepts_of
+    links = completed.links()
+    owed: Dict[Tuple, Tuple[TwoType, ...]] = {}
     roots: List[Tuple[str, TwoType]] = []
     for a in completed.individuals():
-        frontier = root_frontier(sat, completed, a)
-        us = owed.get(frontier)
-        if us is None:
-            us = owed[frontier] = succ_config(sat, frontier)
-        mine = completed.concepts_of(a)
-        for u in us:
-            roots.append((a, TwoType(mine, u.roles, u.concepts)))
+        mine = concepts_of(a)
+        theirs = [(roles, concepts_of(b)) for b, roles in links.get(a, {}).items()]
+        key = (mine, frozenset(theirs))
+        letters = owed.get(key)
+        if letters is None:
+            letters = owed[key] = tuple(
+                TwoType(mine, u.roles, u.concepts)
+                for u in succ_config(sat, root_frontier(*key))
+            )
+        for letter in letters:
+            roots.append((a, letter))
     if depth == 0:
         return index.seal(nodes, not roots)
 

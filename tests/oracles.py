@@ -4,16 +4,19 @@ Everything here is deliberately naive: explicit fixpoints over atom
 sets, exhaustive enumeration where instances are small enough, and a
 from-scratch ground chase. None of it shares code with the package
 beyond the plain AST types, so agreement is evidence rather than
-tautology. The exceptions are the last three sections: entry points that
+tautology. The exceptions are the last four sections: entry points that
 only the tests call, kept here rather than in the package; the
 set-based quadruple saturation that the bit-encoded one in
 ``ontoshacl.rewrite`` replaced, with the full signature of every concept
-name that the per-component one is checked against; and the pure
-rewritings as they were before they substituted each shared node once.
+name that the per-component one is checked against; the pure
+rewritings as they were before they substituted each shared node once;
+and the readers of data and target lines and the JSON report as they
+were before patterns read the lines and the report was written directly.
 """
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
@@ -37,7 +40,7 @@ from ontoshacl.core import (
     node_key,
     type_key,
 )
-from ontoshacl.formats import parse_constraints
+from ontoshacl.formats import _Cursor, _lead, _lines, _shape_name, parse_constraints
 from ontoshacl.model import InconsistentKB, build_can, complete_abox, succ_config
 from ontoshacl.paths import NFA, RAlt, RSeq, RStar, RSym, Regex
 from ontoshacl.rewrite import (
@@ -1162,3 +1165,67 @@ def occurrence_pure_shaclb(st: SaturatedTBox, c_t: Sequence[Constraint]) -> Tupl
         Constraint(c.head, occurrence_subst(c.body, _exists_via_edge_shapes)) for c in c_t
     ]
     return tuple(dict.fromkeys(replaced + ts))
+
+
+# ---------------------------------------------------------------------------
+# data and target lines read by the cursor alone, and the report through
+# ``json.dumps``: ``formats.parse_abox``, ``parse_targets`` and
+# ``report_to_json`` must return the same values, raise the same errors
+# and write the same bytes.
+
+
+def cursor_parse_abox(
+    text: str, source: str = "<abox>", renaming: Optional[Dict[str, Role]] = None
+) -> ABox:
+    concepts: List[Tuple[str, str]] = []
+    roles: List[Tuple[Role, str, str]] = []
+    for line_no, body in _lines(text):
+        cur = _Cursor(body, line_no, source, renaming)
+        first = _lead(cur)
+        if isinstance(first, Role):
+            cur.eat("(")
+            a = cur.ident("an individual")
+            cur.eat(",")
+            b = cur.ident("an individual")
+            cur.eat(")")
+            cur.expect_done()
+            roles.append((first, a, b))
+        else:
+            c = first
+            if c in (TOP, BOT):
+                raise cur.error(f"{c!r} cannot be asserted", len(c))
+            cur.eat("(")
+            a = cur.ident("an individual")
+            cur.eat(")")
+            cur.expect_done()
+            concepts.append((c, a))
+    return ABox.of(concepts=concepts, roles=roles)
+
+
+def cursor_parse_targets(text: str, source: str = "<targets>") -> List[Tuple[str, str]]:
+    out: List[Tuple[str, str]] = []
+    for line_no, body in _lines(text):
+        cur = _Cursor(body, line_no, source)
+        shape = _shape_name(cur)
+        cur.eat("(")
+        cur.eat("@")
+        ind = cur.ident("an individual")
+        cur.eat(")")
+        cur.expect_done()
+        out.append((shape, ind))
+    return out
+
+
+def json_report(
+    consistent: bool,
+    mode: str,
+    targets: Sequence[Tuple[str, str, Optional[bool]]],
+    stats: Dict[str, int],
+) -> str:
+    doc = {
+        "consistent": consistent,
+        "mode": mode,
+        "targets": [{"shape": s, "node": n, "valid": v} for s, n, v in targets],
+        "stats": {k: stats[k] for k in sorted(stats)},
+    }
+    return json.dumps(doc, indent=2) + "\n"

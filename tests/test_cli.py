@@ -93,11 +93,28 @@ def test_paths_read_role_names_as_role_sets_do(tmp_path, shapes, col, message, c
     ("abox", "top(a)\n", 1, "'top' cannot be asserted"),
     ("abox", "bot(a)\n", 1, "'bot' cannot be asserted"),
     ("shapes", "$_s <- A\n", 2, "shape names starting with '_' are reserved"),
+    # malformed data and target lines: the pattern that reads such lines
+    # refuses them, and the cursor words the error
+    ("abox", "r(a)\n", 4, "expected ','"),
+    ("abox", "A(a,b)\n", 4, "expected ')'"),
+    ("abox", "^A(x,y)\n", 2, "role names start lowercase, got 'A'"),
+    ("abox", "R(x,y)\n", 4, "expected ')'"),
+    ("abox", "A a)\n", 3, "expected '('"),
+    ("abox", "r(a,b\n", 6, "expected ')'"),
+    ("abox", "A(a) x\n", 6, "unexpected trailing input 'x'"),
+    ("abox", "r(a,\t)\n", 6, "expected an individual"),
+    ("abox", "r\t(a b)\n", 6, "expected ','"),
+    ("targets", "$s(a)\n", 4, "expected '@'"),
+    ("targets", "$s(@a\n", 6, "expected ')'"),
+    ("targets", "$s(@a) b\n", 8, "unexpected trailing input 'b'"),
+    ("targets", "$s\t(@a)\tb\n", 9, "unexpected trailing input 'b'"),
+    ("targets", "$ (@a)\n", 3, "expected a shape name"),
 ])
 def test_a_bad_name_is_reported_at_its_first_character(tmp_path, kind, text, col, message, capsys):
-    assert validate(tmp_path, "direct", "$s(@a)\n", **{kind: text}) == cli.EXIT_INPUT
+    files = {"targets": "$s(@a)\n", kind: text}
+    assert validate(tmp_path, "direct", files.pop("targets"), **files) == cli.EXIT_INPUT
     ext = "shacl" if kind == "shapes" else kind
-    assert f"in.{ext}:1:{col}: {message}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {tmp_path / f'in.{ext}'}:1:{col}: {message}\n"
 
 
 # a reserved name read anywhere would meet the shapes the package makes:

@@ -147,8 +147,10 @@ def test_abox_role_queries_resolve_polarity():
     assert ab.has_edge(Role("r"), "a", "b")
     assert ab.has_edge(Role("r", True), "b", "a")
     assert not ab.has_edge(Role("r"), "b", "a")
-    assert ab.links("a").get("b", frozenset()) == frozenset({Role("r")})
-    assert ab.links("b").get("a", frozenset()) == frozenset({Role("r", True)})
+    assert ab.links() == {
+        "a": {"b": frozenset({Role("r")})},
+        "b": {"a": frozenset({Role("r", True)})},
+    }
 
 
 def test_abox_individuals_cover_role_endpoints():
@@ -252,13 +254,15 @@ abox_strategy = st.builds(
 def test_abox_lookups_equal_scans_of_the_atoms(ab):
     inds = {a for _, a in ab.concept_atoms} | {x for _, a, b in ab.role_atoms for x in (a, b)}
     assert ab.individuals() == tuple(sorted(inds))
+    links = ab.links()
+    assert set(links) <= inds
     for a in ["a", "b", "c", "d", "zz"]:
         assert ab.concepts_of(a) == {c for c, x in ab.concept_atoms if x == a}
         for b in ["a", "b", "c", "d"]:
             scan = {Role(r) for r, x, y in ab.role_atoms if (x, y) == (a, b)}
             scan |= {Role(r, True) for r, x, y in ab.role_atoms if (x, y) == (b, a)}
-            assert ab.links(a).get(b, frozenset()) == scan
-        assert set(ab.links(a)) <= inds
+            assert links.get(a, {}).get(b, frozenset()) == scan
+        assert set(links.get(a, {})) <= inds
 
 
 @given(abox_strategy)
@@ -269,6 +273,7 @@ def test_interpretation_lookups_equal_scans_of_the_atoms(ab):
         return (role.name, *((y, x) if role.inverted else (x, y))) in i.role_atoms
 
     every = sorted(i.nodes, key=node_key) + ["zz"]
+    links = i.links()
     for c in ["A", "B", "C", "Z"]:
         assert i.extension(c) == {n for d, n in i.concept_atoms if d == c}
     assert i.extension(TOP) == i.nodes
@@ -287,7 +292,7 @@ def test_interpretation_lookups_equal_scans_of_the_atoms(ab):
                 for inv in (False, True)
                 if has_edge(Role(name, inv), x, y)
             }
-            assert i.links(x).get(y, frozenset()) == scan
+            assert links.get(x, {}).get(y, frozenset()) == scan
 
 
 def test_the_index_is_not_part_of_equality():

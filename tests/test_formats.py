@@ -4,15 +4,22 @@ The values come from the selftest generator (``harness.gen_case``) and
 from hand-written lines of the source grammar with paths, inverse roles,
 negated groups, alternatives and guarded comparisons. Data is printed by
 ``serialize_interpretation``, the one printer for every interpretation.
+
+The patterns that read data and target lines are checked against the
+cursor readers in ``oracles``, on drawn lines, and the JSON report
+against ``json.dumps``.
 """
 from __future__ import annotations
 
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ontoshacl.core import ABox, Role
 from ontoshacl.formats import (
+    ParseError,
     _ident_end,
     parse_abox,
     parse_constraints,
@@ -22,8 +29,10 @@ from ontoshacl.formats import (
     serialize_interpretation,
     serialize_targets,
     serialize_tbox,
+    report_to_json,
 )
 from ontoshacl.harness import case_rng, gen_case
+from oracles import cursor_parse_abox, cursor_parse_targets, json_report
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -88,3 +97,131 @@ def test_identifiers_are_the_characters_isalnum_or_underscore_accepts():
     assert wrong == []
     assert _ident_end("  ab_9é(x)", 2) == 7
     assert _ident_end("ab", 2) == 2
+
+
+# ---------------------------------------------------------------------------
+# the line patterns against the cursor
+
+# the characters the data and target grammars read, space, tab, a space
+# that the cursor does not skip, digits, ``_`` and one non-ASCII letter
+LINE_CHARS = "ABrq^(),$@ \t\xa01_é#"
+# good and bad names: cases, ``top``/``bot``, a reserved shape name, a
+# collapsed role name (``q``) and the non-ASCII letter
+NAMES = ["A", "Bé", "r", "q", "a", "b_2", "é", "top", "bot", "_x", "1a", "R"]
+ABOX_SKELETONS = ["N(N)", "N(N,N)", "^N(N,N)", "^N(N)", "N(N,N,N)", "$N(@N)"]
+TARGET_SKELETONS = ["$N(@N)", "$N(N)", "N(@N)", "$N(@N,N)", "N(N)"]
+RENAMING = {"q": Role("r", True)}
+
+
+def _outcomes(text: str):
+    """What the package and the cursor make of ``text`` as data, with and
+    without a renaming, and as targets: values, or error messages."""
+
+    def outcome(parse, *args):
+        try:
+            return parse(*args)
+        except ParseError as exc:
+            return str(exc)
+
+    return [
+        (outcome(parse, text, source, *rest), outcome(reference, text, source, *rest))
+        for parse, reference, source, rest in [
+            (parse_abox, cursor_parse_abox, "in.abox", ()),
+            (parse_abox, cursor_parse_abox, "in.abox", (RENAMING,)),
+            (parse_targets, cursor_parse_targets, "in.targets", ()),
+        ]
+    ]
+
+
+@st.composite
+def near_lines(draw, skeletons) -> str:
+    """A line of one of the given shapes, with names drawn from ``NAMES``,
+    spaces or tabs between tokens (in about one line of three, one gap is
+    the space the cursor does not skip), and maybe one character
+    inserted, removed or replaced."""
+    tokens = [draw(st.sampled_from(NAMES)) if ch == "N" else ch
+              for ch in draw(st.sampled_from(skeletons))]
+    gaps = [draw(st.sampled_from(["", "", " ", "\t", " \t"])) for _ in tokens]
+    odd = draw(st.integers(0, 3 * len(gaps)))
+    if odd < len(gaps):
+        gaps[odd] = "\xa0"
+    line = "".join(t + g for t, g in zip(tokens, gaps))
+    i = draw(st.integers(0, len(line)))
+    ch = draw(st.sampled_from(LINE_CHARS))
+    edit = draw(st.sampled_from(["none", "none", "none", "insert", "remove", "replace"]))
+    if edit == "insert":
+        line = line[:i] + ch + line[i:]
+    elif edit == "remove":
+        line = line[:i] + line[i + 1:]
+    elif edit == "replace":
+        line = line[:i] + ch + line[i + 1:]
+    return line
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.one_of(
+        near_lines(ABOX_SKELETONS), near_lines(TARGET_SKELETONS), st.text(LINE_CHARS, max_size=12)
+    ),
+    min_size=1,
+    max_size=2,
+))
+def test_the_line_patterns_read_what_the_cursor_reads(lines):
+    # the same atoms and targets, or the same error at the same place
+    for got, want in _outcomes("\n".join(lines) + "\n"):
+        assert got == want
+
+
+@pytest.mark.parametrize("line", ["A(a)", "r(a,b)", "^ q(a, b)", "$s(@a)", "$ s ( @ a )"])
+def test_the_line_patterns_agree_with_the_cursor_one_edit_away(line):
+    # every line one character inserted, removed or replaced away
+    near = set()
+    for i in range(len(line) + 1):
+        near.add(line[:i] + line[i + 1:])
+        for ch in LINE_CHARS:
+            near.update((line[:i] + ch + line[i:], line[:i] + ch + line[i + 1:]))
+    for text in sorted(near):
+        for got, want in _outcomes(text + "\n"):
+            assert got == want, repr(text)
+
+
+def test_the_line_patterns_read_valid_lines_with_space_and_tabs():
+    # ``q`` reads as ``^r``, so ``^q`` as ``r``
+    text = "A ( a )\n^\tq(a ,b)\n  q(a,\tc)  # note\n"
+    want = ABox.of([("A", "a")], [(Role("r"), "a", "b"), (Role("r"), "c", "a")])
+    assert parse_abox(text, renaming=RENAMING) == want
+    assert parse_targets("$ s\t( @ a )\n$é(@b_2)\n") == [("s", "a"), ("é", "b_2")]
+
+
+# ---------------------------------------------------------------------------
+# the JSON report against json.dumps
+
+ODD_NAMES = [
+    "é", "Ωmega", "名", 'say "hi"', "back\\slash", "nul\x00 bell\x07 del\x7f", "tab\tline\n",
+    "\u2028😀",
+]
+
+
+@pytest.mark.parametrize("targets, stats", [
+    ([], {"quadruples": 3, "model_nodes": 0, "rounds": 0}),
+    ([("s", "a", True), ("t", "b", False)], {}),
+    ([], {}),
+    ([("s", "a", None), ("t", "a", True), ("s", "b", None)], {"model_nodes": 12}),
+    ([(n, m, v) for n, m, v in zip(ODD_NAMES, reversed(ODD_NAMES), [True, False, None] * 3)],
+     {n: k - 4 for k, n in enumerate(ODD_NAMES)}),
+], ids=["no-targets", "no-stats", "empty", "unknown", "odd-names"])
+def test_the_json_report_is_json_dumps_byte_for_byte(targets, stats):
+    for consistent in (True, False):
+        for mode in ("direct", "pure-shaclb", "é\""):
+            got = report_to_json(consistent, mode, targets, stats)
+            assert got == json_report(consistent, mode, targets, stats)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.text(), st.text(), st.sampled_from([True, False, None])), max_size=4),
+    st.dictionaries(st.text(), st.integers(), max_size=4),
+)
+def test_the_json_report_matches_json_dumps_on_any_names(targets, stats):
+    want = json_report(True, "direct", targets, stats)
+    assert report_to_json(True, "direct", targets, stats) == want

@@ -332,7 +332,8 @@ def test_succ_config_runs_once_per_distinct_root_frontier(tmp_path, monkeypatch,
 
 def test_root_frontier_lists_the_bare_type_and_every_neighbour():
     done = complete_abox(SaturatedTBox(PET_TBOX), PET_ABOX)
-    got = root_frontier(SaturatedTBox(PET_TBOX), done, "linda")
+    neighbours = [(roles, done.concepts_of(b)) for b, roles in done.links()["linda"].items()]
+    got = root_frontier(done.concepts_of("linda"), neighbours)
     assert len(got) == 2
     bare = [t for t in got if not t.roles]
     edged = [t for t in got if t.roles]
