@@ -14,7 +14,8 @@ required option, a non-integer number; an unreadable file, a parse
 error, an unsupported TBox pattern, an unguarded comparison, a negative
 ``--depth``); 4 constraints not stratified; 5 a budget hit where a
 verdict would need the missing part: negation over a truncated model, a
-model prefix over ``model.MAX_MODEL_NODES`` nodes, a rewriting over
+model prefix over ``model.MAX_MODEL_NODES`` nodes (data that alone is over
+it is told to use ``--mode rewrite``, as no depth fits), a rewriting over
 ``rewrite.MAX_QUADRUPLES`` quadruples, the chase's round budget, or the
 chase's size guard. ``validate`` also exits 5 when a target fails on a
 model truncated at ``--depth`` (reported UNKNOWN, ``"valid": null`` in
@@ -47,7 +48,7 @@ from .formats import (
     report_to_json,
     serialize_interpretation,
 )
-from .model import InconsistentKB, ModelTooLarge, build_can, complete_abox
+from .model import DataTooLarge, InconsistentKB, ModelTooLarge, build_can, complete_abox
 from .rewrite import RewriteTooLarge, pure_rewrite_alchi, pure_rewrite_shaclb, rewrite
 from .shapes import (
     Constraint,
@@ -58,7 +59,7 @@ from .shapes import (
     compute_stratification,
     normalize,
 )
-from .tbox import SaturatedTBox, UnsupportedPattern, collapse_role_cycles
+from .tbox import Hierarchy, SaturatedTBox, UnsupportedPattern, collapse_role_cycles, role_hierarchy
 from .values import value
 
 EXIT_VALID = 0
@@ -85,6 +86,7 @@ FAILURES: Dict[type, Tuple[int, str, str]] = {
     TruncationRefused: (EXIT_DEPTH, "error", " (raise --depth)"),
     NotTerminated: (EXIT_DEPTH, "error", " (raise --depth)"),
     ModelTooLarge: (EXIT_DEPTH, "error", " (lower --depth)"),
+    DataTooLarge: (EXIT_DEPTH, "error", " (--mode rewrite builds no model)"),
     RewriteTooLarge: (EXIT_DEPTH, "error", " (--mode direct needs no rewriting)"),
     SizeGuardExceeded: (EXIT_DEPTH, "error", " (the chase is a cross-check for small inputs)"),
 }
@@ -102,14 +104,20 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc.strerror}")
 
 
-def load_kb(args: argparse.Namespace) -> Tuple[TBox, ABox, Dict[str, Role]]:
+def load_kb(
+    args: argparse.Namespace,
+) -> Tuple[TBox, ABox, Dict[str, Role], Optional[Hierarchy]]:
     """Parse the TBox and collapse its role-inclusion cycles, then parse the
     ABox with the parser reading role names through the renaming, which is
     returned for ``load_shapes``. A TBox error, or a cycle that cannot be
-    collapsed, is reported before the ABox is read."""
-    tbox, renaming = collapse_role_cycles(parse_tbox(_read(args.tbox), source=args.tbox))
+    collapsed, is reported before the ABox is read. The role hierarchy
+    that finds the cycles is returned for the saturation when there was
+    none, and ``None`` when the collapsed TBox has a hierarchy of its own."""
+    parsed = parse_tbox(_read(args.tbox), source=args.tbox)
+    hierarchy = role_hierarchy(parsed)
+    tbox, renaming = collapse_role_cycles(parsed, hierarchy)
     abox = parse_abox(_read(args.abox), source=args.abox, renaming=renaming)
-    return tbox, abox, renaming
+    return tbox, abox, renaming, hierarchy if tbox is parsed else None
 
 
 def load_shapes(args: argparse.Namespace, renaming: Dict[str, Role]) -> ShapesGraph:
@@ -149,9 +157,12 @@ class PreparedKB:
         return self._c_t
 
 
-def prepare(tbox: TBox, abox: ABox, sg: ShapesGraph, depth: int) -> PreparedKB:
-    """Saturate the TBox and complete the ABox; raises InconsistentKB."""
-    sat = SaturatedTBox(tbox)
+def prepare(
+    tbox: TBox, abox: ABox, sg: ShapesGraph, depth: int, hierarchy: Optional[Hierarchy] = None
+) -> PreparedKB:
+    """Saturate the TBox, over its role ``hierarchy`` when the caller has
+    it, and complete the ABox; raises InconsistentKB."""
+    sat = SaturatedTBox(tbox, hierarchy)
     return PreparedKB(
         sat, abox, complete_abox(sat, abox), sg, depth, dict.fromkeys(STATS, 0)
     )
@@ -233,12 +244,12 @@ def _emit_report(
 def run(args: argparse.Namespace) -> int:
     """The validate pipeline; returns the process exit code."""
     route = ROUTES[args.mode]
-    tbox, abox, renaming = load_kb(args)
+    tbox, abox, renaming, hierarchy = load_kb(args)
     sg = load_shapes(args, renaming)
     if tbox.atmost and not route.counting:
         raise InputError(f"mode {args.mode} cannot handle max1 axioms; use pure-shaclb")
     try:
-        kb = prepare(tbox, abox, sg, args.depth)
+        kb = prepare(tbox, abox, sg, args.depth, hierarchy)
     except InconsistentKB:
         _emit_report(args, False, [], dict.fromkeys(STATS, 0))
         raise
@@ -266,8 +277,8 @@ def run(args: argparse.Namespace) -> int:
 
 
 def cmd_build_model(args: argparse.Namespace) -> int:
-    tbox, abox, _ = load_kb(args)
-    sat = SaturatedTBox(tbox)
+    tbox, abox, _, hierarchy = load_kb(args)
+    sat = SaturatedTBox(tbox, hierarchy)
     interp = build_can(sat, complete_abox(sat, abox), args.depth)
     if args.emit:
         sys.stdout.write(serialize_interpretation(interp))
@@ -281,8 +292,8 @@ def cmd_build_model(args: argparse.Namespace) -> int:
 
 
 def cmd_chase(args: argparse.Namespace) -> int:
-    tbox, abox, _ = load_kb(args)
-    sat = SaturatedTBox(tbox)
+    tbox, abox, _, hierarchy = load_kb(args)
+    sat = SaturatedTBox(tbox, hierarchy)
     complete_abox(sat, abox)  # raises InconsistentKB
 
     trace: List[Tuple[Interpretation, Interpretation]] = []

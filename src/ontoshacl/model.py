@@ -57,6 +57,11 @@ class ModelTooLarge(RuntimeError):
     """The model prefix asked for has more nodes than ``MAX_MODEL_NODES``."""
 
 
+class DataTooLarge(ModelTooLarge):
+    """The completed data alone has more nodes than ``MAX_MODEL_NODES``, so
+    no prefix of depth 1 or more fits."""
+
+
 # ---------------------------------------------------------------------------
 # ABox completion
 
@@ -320,6 +325,11 @@ def build_can(sat: SaturatedTBox, completed: ABox, depth: int) -> Interpretation
             roots.append((a, letter))
     if depth == 0:
         return index.seal(nodes, not roots)
+    if len(nodes) > MAX_MODEL_NODES:
+        raise DataTooLarge(
+            f"the data alone has {len(nodes)} nodes, more than the "
+            f"{MAX_MODEL_NODES} a model prefix may have"
+        )
 
     # count the nodes before making them. size[t] is the size, capped just
     # above the budget, of a subtree whose root ends in letter t, one more
@@ -344,7 +354,8 @@ def build_can(sat: SaturatedTBox, completed: ABox, depth: int) -> Interpretation
     if len(nodes) + sum(size[t] for _, t in roots) > MAX_MODEL_NODES:
         raise ModelTooLarge(
             f"the model prefix of depth {depth} has more than "
-            f"{MAX_MODEL_NODES} nodes"
+            f"{MAX_MODEL_NODES} nodes: {len(nodes)} of the data and more "
+            f"than {MAX_MODEL_NODES - len(nodes)} anonymous ones"
         )
 
     complete = True

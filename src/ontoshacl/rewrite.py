@@ -20,9 +20,12 @@ Quadruples are bit-encoded per component of the shapes (``_Codes``). The
 pair, gets a bit the first time it is seen, so P and Q are integer masks
 over entries and H an integer mask over literals: K maps ``(type index,
 P, Q)`` to H. A union is ``|`` and a subset test ``a & ~b == 0``.
-Emission drops subsumed bodies on the masks, decodes only the kept ones
-back to entries and literals, and sorts them by their printed conjuncts,
-so the output does not depend on the order in which bits were given out.
+Emission merges each head's rows on masks, drops the subsumed ones,
+decodes only the kept ones back to entries and literals, and sorts them
+by their printed conjuncts. Bits are given out in an order fixed by the sorted
+type universe and the order of the constraints, never by set order, so
+the masks, the merge that visits them in mask order and the output are
+the same on every run.
 
 No quadruple of K is vacuous: none has a witness in both P ("holds") and
 Q ("fails"), as such a quadruple describes no node. The seeds split a
@@ -39,7 +42,9 @@ child step: a child that no node has.
 
 C_T lists the normal-form constraints of each component (``out =
 list(cons)`` in ``_rewrite_component``), then, per stratum and head, the
-minimal bodies of the rows of K that the TBox adds to them. A row is
+merged rows of K that the TBox adds to them. A row of K reads as a
+conjunction of literals: the type's concepts, the names of the signature
+it lacks negated, the entries of P and the negated entries of Q. A row is
 dropped for each head that its own conjuncts derive through the
 component's constraints alone (``_Rules.derived``): concept-name bodies
 on the type's concepts (and ``top``), ``@a`` bodies for an individual
@@ -49,11 +54,34 @@ fixpoint. Dropping is sound:
 - C_T still begins with every constraint, so a dropped row's head already
   holds at every node where its body holds, and the least model of each
   stratum is unchanged;
-- derivability is monotone in the type's concepts and in P, so a row that
-  would subsume a kept one is never derivable itself, and filtering
-  before the subsumption pass keeps the same rows as filtering after it;
+- derivability is monotone in the type's concepts and in P, and a merged
+  row reads a subset of the conjuncts of a kept row, so no merged row is
+  derivable either;
 - negated shape references are left out of the check, as no conjunct says
   that a shape fails. That only undercounts what is derivable.
+
+Each head's rows are then merged into implicants (Quine, *The
+Problem of Simplifying Truth Functions*, 1952) by ``_Bodies.merge``: two
+rows that differ only in one literal, ``x`` in one and ``!x`` in the
+other, become one row without it, and a row drops a concept literal of
+the signature whose partner, the row with that literal negated, asks for
+a part of the signature that no type of the universe has. Passes repeat
+until nothing merges; then the rows whose literals include all of
+another's go. Merging is sound:
+- ``t & x | t & !x = t``, so a merged pair leaves the head's disjunction
+  as it was on every node, and a row with all the literals of another
+  holds only where that one does;
+- a node of consistent completed data has a concept set S closed under
+  ``cl``, so its part S & R of the signature R is R-closed (``cl(S & R) &
+  R = S & R``) and consistent, and ``cl(S & R)`` is a type of the universe
+  with that part. A part that no type has is a part that no node has, so
+  the partner holds nowhere and dropping the literal adds no node;
+- a merged row reads a subset of the literals of the rows it replaces, so
+  it reads no shape, and no shape in a polarity, that they did not: C_T
+  stays stratified.
+A pass visits the rows in the order of their masks, and each row's
+literals in bit order, never in set order, so the merged rows are the
+same on every run.
 
 A component's type universe and its bodies range over its signature R
 (``_signature``), not over every concept name: the names its normal-form
@@ -74,7 +102,7 @@ those tables by masking their heads with the stratum's head literals.
 C_T is a DAG. One node table (``_Nodes``) per ``rewrite`` call builds
 each distinct concept conjunct, entry conjunct and ``And`` of a body's
 chain once for every component, and each component's ``_Bodies`` builds
-each row's body once for all its strata, so bodies share their
+each merged row's body once for all its strata, so bodies share their
 conjuncts and their common prefixes. The table holds every node whose id
 keys a chain for as long as C_T is emitted, so those ids stay valid. Every
 later walker reads C_T by node identity: the pure rewritings substitute
@@ -524,7 +552,9 @@ def _and_chain(parts: Sequence[ShapeBody]) -> ShapeBody:
 
 
 _Conj = Tuple[ShapeBody, str]  # a conjunct and its printed form
-_Row = Tuple[FrozenSet[str], int, int]  # a body's type concepts, P mask, Q mask
+_Row = Tuple[int, int, int]  # a row's type concepts, P and Q, as masks
+# a merged row: its present and absent concepts, P and Q, as masks
+_Term = Tuple[int, int, int, int]
 # an entry's order among a body's entries, its present and absent conjunct
 _EntryConj = Tuple[Tuple[int, str], _Conj, _Conj]
 
@@ -581,89 +611,138 @@ class _Nodes:
 
 
 class _Bodies:
-    """The body of each row of one component, built once for all its
-    strata from the nodes of the shared table, and the conjuncts of each
-    type's part."""
+    """The merged rows of one component's heads and their bodies, each
+    built once for all its strata from the nodes of the shared table.
+
+    Each concept name of the component's types gets a bit, the names of
+    the signature first, so a type's concepts are a mask (``concepts``)
+    and its part of the signature that mask under ``sig``. ``parts`` holds
+    every part a type of the universe has: the only parts a node of the
+    completed data can have.
+    """
 
     def __init__(self, nodes: _Nodes, codes: _Codes, sig: FrozenSet[str]):
         self.nodes = nodes
         self.codes = codes
-        self.sig = sig
-        # each type's part of sig: only types that agree on it can
-        # subsume one another's bodies
-        self.part = [t.concepts & sig for t in codes.types]
-        self._types: Dict[FrozenSet[str], List[_Conj]] = {}
-        self._bodies: Dict[_Row, Tuple[Tuple[int, List[str]], ShapeBody]] = {}
+        named = sorted(sig)
+        named += sorted({a for t in codes.types for a in t.concepts} - sig)
+        bit_of = {a: 1 << k for k, a in enumerate(named)}
+        self.names = {bit: a for a, bit in bit_of.items()}
+        self.sig = (1 << len(sig)) - 1
+        self.concepts = [sum(bit_of[a] for a in t.concepts) for t in codes.types]
+        self.parts = sorted({m & self.sig for m in self.concepts})
+        self._occurs: Dict[Tuple[int, int], bool] = {}
+        self._bodies: Dict[_Term, Tuple[Tuple[int, List[str]], ShapeBody]] = {}
+
+    def occurs(self, pos: int, neg: int) -> bool:
+        """Whether some type's part of the signature has the names ``pos``
+        and none of ``neg``."""
+        key = (pos & self.sig, neg & self.sig)
+        found = self._occurs.get(key)
+        if found is None:
+            pos, neg = key
+            found = self._occurs[key] = any(
+                not pos & ~part and not neg & part for part in self.parts
+            )
+        return found
+
+    def _merge_one(self, term: _Term, terms: Set[_Term], used: Set[_Term]) -> Optional[_Term]:
+        """``term`` without the first literal, concepts then entries in bit
+        order, whose partner, the term with that literal negated, is an
+        unused term of ``terms`` (then marked used); failing that, without
+        the first concept whose partner asks for a part of the signature
+        that no type has."""
+        pos, neg, p, q = term
+        concept = [((pos ^ b, neg ^ b, p, q), (pos & ~b, neg & ~b, p, q)) for b in _bits(pos | neg)]
+        entry = [((pos, neg, p ^ b, q ^ b), (pos, neg, p & ~b, q & ~b)) for b in _bits(p | q)]
+        for partner, merged in concept + entry:
+            if partner in terms and partner not in used:
+                used.add(partner)
+                return merged
+        for (ppos, pneg, _, _), merged in concept:
+            if not self.occurs(ppos, pneg):
+                return merged
+        return None
+
+    def merge(self, rows: Iterable[_Row]) -> List[_Term]:
+        """One head's rows as merged terms: each pass visits the terms in
+        mask order and replaces each unused one, and the partner it drops
+        a literal against, by the term without it, until a pass merges
+        nothing; then the terms that another's literals subsume go."""
+        terms: Set[_Term] = {(c, self.sig & ~c, p, q) for c, p, q in rows}
+        while True:
+            used: Set[_Term] = set()
+            merged: Set[_Term] = set()
+            for term in sorted(terms):
+                if term not in used:
+                    made = self._merge_one(term, terms, used)
+                    if made is not None:
+                        used.add(term)
+                        merged.add(made)
+            if not merged:
+                break
+            terms = merged | (terms - used)
+        # terms come by their number of literals, so comparing with the
+        # kept ones is enough
+        kept: List[_Term] = []
+        for pos, neg, p, q in sorted(terms, key=lambda t: (sum(x.bit_count() for x in t), t)):
+            if not any(
+                not kpos & ~pos and not kneg & ~neg and not kp & ~p and not kq & ~q
+                for kpos, kneg, kp, kq in kept
+            ):
+                kept.append((pos, neg, p, q))
+        return kept
 
     def _entries(self, mask: int) -> List[_EntryConj]:
         """The entries of ``mask`` with their conjuncts, in body order."""
         made = [self.nodes.entry(self.codes.entries[bit]) for bit in _bits(mask)]
         return sorted(made, key=itemgetter(0))
 
-    def _type_part(self, concepts: FrozenSet[str]) -> List[_Conj]:
-        """A type's concepts, then the names of sig it lacks, negated."""
-        own = self._types.get(concepts)
-        if own is None:
-            concept = self.nodes.concept
-            own = [concept(a)[0] for a in sorted(concepts)]
-            own += [concept(a)[1] for a in sorted(self.sig - concepts)]
-            self._types[concepts] = own
-        return own
-
-    def body(self, row: _Row) -> Tuple[Tuple[int, List[str]], ShapeBody]:
-        """The body a row prints, after the key that orders a head's bodies:
-        the number of its printed conjuncts, then their sorted list."""
-        made = self._bodies.get(row)
+    def body(self, term: _Term) -> Tuple[Tuple[int, List[str]], ShapeBody]:
+        """The body a term prints, after the key that orders a head's
+        bodies: the number of its printed conjuncts, then their sorted
+        list. It lists the present concepts, the absent ones negated, then
+        P and Q."""
+        made = self._bodies.get(term)
         if made is None:
-            concepts, p, q = row
-            conj = list(self._type_part(concepts))
+            pos, neg, p, q = term
+            concept = self.nodes.concept
+            conj = [concept(a)[0] for a in sorted(self.names[b] for b in _bits(pos))]
+            conj += [concept(a)[1] for a in sorted(self.names[b] for b in _bits(neg))]
             conj += [e[1] for e in self._entries(p)]
             conj += [e[2] for e in self._entries(q)]
             tokens = sorted(s for _, s in conj)
             chain = self.nodes.chain([x for x, _ in conj])
-            made = self._bodies[row] = ((len(tokens), tokens), chain)
+            made = self._bodies[term] = ((len(tokens), tokens), chain)
         return made
 
 
 def _emit(K: _K, bodies: _Bodies, rules: _Rules, heads: int) -> List[Constraint]:
     """The rows of K for the head literals ``heads`` that the TBox adds to
-    the constraints, each head's minimal bodies sorted."""
+    the constraints: each head's rows merged (``_Bodies.merge``), their
+    bodies sorted by their printed conjuncts."""
     codes = bodies.codes
-    # a body lists its type's concepts, the names of sig the type lacks
-    # negated, and P and Q: so only a body whose type agrees with another's
-    # on sig can subsume it, one whose concepts, P and Q are all subsets.
-    # Each head's rows are grouped by their type's part of sig; rows that
-    # agree on (type concepts, P, Q) print the same body. K holds no vacuous
-    # row (see the module docstring). A row is dropped for each head that
-    # it does not derive, or that the constraints derive from its own
-    # conjuncts; derivation grows with the conjuncts, so no dropped row
-    # would have subsumed a kept one.
-    part = bodies.part
-    per_head: Dict[str, Dict[FrozenSet[str], Set[_Row]]] = {}
+    # a row is its type's concepts (the names of sig the type lacks are
+    # its negated ones), P and Q; rows that agree on all three are one
+    # row. K holds no vacuous row (see the module docstring). A row is
+    # dropped for each head that it does not derive, or that the
+    # constraints derive from its own conjuncts; derivation grows with the
+    # conjuncts, so no merged row would be derived either
+    concepts = bodies.concepts
+    per_head: Dict[str, Set[_Row]] = {}
     for (i, p, q), h in K.items():
         h &= heads
         if h:
             h &= ~rules.derived(i, p)
         if not h:
             continue
-        row = (codes.types[i].concepts, p, q)
+        row = (concepts[i], p, q)
         for bit in _bits(h):
-            per_head.setdefault(codes.lits[bit][0], {}).setdefault(part[i], set()).add(row)
+            per_head.setdefault(codes.lits[bit][0], set()).add(row)
 
     out: List[Constraint] = []
     for head in sorted(per_head):
-        made = []
-        for rows in per_head[head].values():
-            # bodies come by size, so the kept ones are the minimal ones,
-            # and comparing with them is enough
-            kept: List[_Row] = []
-            for c, p, q in sorted(rows, key=lambda r: len(r[0]) + (r[1] | r[2]).bit_count()):
-                if not any(
-                    not kp & ~p and not kq & ~q and kc <= c for kc, kp, kq in kept
-                ):
-                    kept.append((c, p, q))
-            made += map(bodies.body, kept)
-        made.sort(key=lambda b: b[0])
+        made = sorted(map(bodies.body, bodies.merge(per_head[head])), key=itemgetter(0))
         out.extend(Constraint(head, body) for _, body in made)
     return out
 
@@ -741,9 +820,10 @@ def rewrite(
     than ``MAX_QUADRUPLES`` raises RewriteTooLarge.
 
     No constraint appears twice: the components partition the heads, each
-    head is emitted in one stratum only, distinct rows print distinct
-    bodies, and a row that would print a source body is derived by the
-    source constraints, so it is dropped.
+    head is emitted in one stratum only, distinct merged rows print
+    distinct bodies, and a row that would print a source body is derived
+    by the source constraints, as is every row it could be merged from,
+    so it is dropped before merging.
     """
     out: List[Constraint] = []
     quadruples = 0

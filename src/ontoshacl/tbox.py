@@ -17,7 +17,7 @@ collapses onto that parent.
 """
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .core import (
     BOT,
@@ -41,7 +41,10 @@ class UnsupportedPattern(ValueError):
 # role hierarchy
 
 
-def role_hierarchy(tbox: TBox) -> Dict[Role, FrozenSet[Role]]:
+Hierarchy = Dict[Role, FrozenSet[Role]]
+
+
+def role_hierarchy(tbox: TBox) -> Hierarchy:
     """Reflexive-transitive super-role map over both polarities."""
     names = sorted(tbox.role_names())
     roles = [Role(n, inv) for n in names for inv in (False, True)]
@@ -63,13 +66,18 @@ def role_hierarchy(tbox: TBox) -> Dict[Role, FrozenSet[Role]]:
     return {r: frozenset(v) for r, v in sup.items()}
 
 
-def collapse_role_cycles(tbox: TBox) -> Tuple[TBox, Dict[str, Role]]:
+def collapse_role_cycles(
+    tbox: TBox, hier: Optional[Hierarchy] = None
+) -> Tuple[TBox, Dict[str, Role]]:
     """Replace each cycle of role inclusions by a single representative.
 
     Returns the rewritten TBox and a renaming from replaced role names to
-    the role (possibly inverted) they now stand for.
+    the role (possibly inverted) they now stand for. ``hier`` is the
+    TBox's ``role_hierarchy`` when the caller has it; a TBox without a
+    cycle comes back as the same object, and that hierarchy is still its.
     """
-    hier = role_hierarchy(tbox)
+    if hier is None:
+        hier = role_hierarchy(tbox)
     # r and s are in a cycle iff each is a super-role of the other
     groups: Dict[Role, List[Role]] = {}
     for r in hier:
@@ -146,9 +154,11 @@ def _strip_top(cs: Iterable[str]) -> FrozenSet[str]:
 class SaturatedTBox:
     """Derived conjunction inclusions and existentials of a TBox."""
 
-    def __init__(self, tbox: TBox):
+    def __init__(self, tbox: TBox, hierarchy: Optional[Hierarchy] = None):
+        """``hierarchy`` is the TBox's ``role_hierarchy`` when the caller
+        has it, and is computed otherwise."""
         self.tbox = tbox
-        self.hierarchy = role_hierarchy(tbox)
+        self.hierarchy = role_hierarchy(tbox) if hierarchy is None else hierarchy
         self._cl_cache: Dict[FrozenSet[str], FrozenSet[str]] = {}
         self._ie_cache: Dict[FrozenSet[str], Tuple[OneHalfType, ...]] = {}
         self.conj: Set[Tuple[FrozenSet[str], str]] = set()

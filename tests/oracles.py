@@ -7,8 +7,10 @@ beyond the plain AST types, so agreement is evidence rather than
 tautology. The exceptions are the last four sections: entry points that
 only the tests call, kept here rather than in the package; the
 set-based quadruple saturation that the bit-encoded one in
-``ontoshacl.rewrite`` replaced, with the full signature of every concept
-name that the per-component one is checked against; the pure
+``ontoshacl.rewrite`` replaced, which emits one row per type and witness
+split, with the truth tables that check the package's merged rows
+against those and the full signature of every concept name that the
+per-component one is checked against; the pure
 rewritings as they were before they substituted each shared node once;
 and the readers of data and target lines and the JSON report as they
 were before patterns read the lines and the report was written directly.
@@ -1091,6 +1093,71 @@ def set_rewrite(
         quadruples += len(K)
         satisfiable += sum(not p & q for _, p, q in K)
     return tuple(dict.fromkeys(out)), quadruples, satisfiable
+
+
+# ---------------------------------------------------------------------------
+# C_T's rows as Boolean functions. ``rewrite._emit`` merges each head's
+# rows, and ``_set_emit`` above keeps one row per type and witness split.
+# The two must agree as disjunctions on every valuation of their conjuncts
+# that a node of consistent completed data can have: one whose concept
+# names agree on the signature with a type of the component's universe.
+# Each printed atom is a variable, and each function a truth table with
+# one bit per valuation of the head's atoms.
+
+
+def _row_literals(body: ShapeBody) -> List[Tuple[str, bool]]:
+    """A row's conjuncts, each its printed atom and whether it is negated;
+    the empty row ``top`` has none."""
+    if isinstance(body, And):
+        return _row_literals(body.left) + _row_literals(body.right)
+    if body == ConceptRef(TOP):
+        return []
+    if isinstance(body, Not):
+        return [(str(body.body), True)]
+    return [(str(body), False)]
+
+
+def disagreeing_heads(
+    st: SaturatedTBox, strat: Stratification, got: Sequence[Constraint], want: Sequence[Constraint]
+) -> List[str]:
+    """The heads whose rows, the items of ``got`` and ``want`` that are not
+    normal-form constraints of ``strat``, differ as disjunctions on some
+    valuation whose concept names agree with a type of the component's
+    universe on its signature."""
+    source = {c for group in strat.strata for c in group}
+    bad = []
+    for strata in _split(strat):
+        cons = [c for group in strata for c in group]
+        sig = _signature(st, cons)
+        parts = {t.concepts & sig for t in _type_universe(st, sig)}
+        heads = {c.head for c in cons}
+        rows: Dict[str, Tuple[list, list]] = {}
+        for k, out in enumerate((got, want)):
+            for c in out:
+                if c.head in heads and c not in source:
+                    rows.setdefault(c.head, ([], []))[k].append(_row_literals(c.body))
+        for head, pair in sorted(rows.items()):
+            atoms = sorted({a for lits in pair[0] + pair[1] for a, _ in lits})
+            full = (1 << (1 << len(atoms))) - 1
+            table = {}
+            for k, a in enumerate(atoms):
+                half = 1 << k
+                table[a] = full // ((1 << (2 * half)) - 1) * (((1 << half) - 1) << half)
+
+            def conj(lits) -> int:
+                m = full
+                for a, neg in lits:
+                    m &= full ^ table[a] if neg else table[a]
+                return m
+
+            named = [a for a in atoms if a in sig]
+            domain = 0
+            for part in parts:
+                domain |= conj((a, a not in part) for a in named)
+            merged, reference = (reduce(int.__or__, map(conj, side), 0) for side in pair)
+            if (merged ^ reference) & domain:
+                bad.append(head)
+    return bad
 
 
 def full_signature(st: SaturatedTBox, cons: Sequence[Constraint]) -> FrozenSet[str]:

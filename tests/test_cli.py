@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from ontoshacl import cli, model, rewrite
+from ontoshacl import cli, model, rewrite, tbox
 from ontoshacl.formats import parse_constraints
 from ontoshacl.shapes import Constraint, ShapesGraph, normalize
 
@@ -290,6 +290,39 @@ def test_model_over_the_node_budget_exits_5(tmp_path, capsys):
     # a depth whose prefix fits the budget is still built
     assert cli.main(["build-model", "--tbox", f["tbox"], "--abox", f["abox"], "--depth", "3"]) == 0
     assert "nodes=15 " in capsys.readouterr().out
+
+
+def test_data_over_the_node_budget_advises_the_route_without_a_model(tmp_path, monkeypatch, capsys):
+    # five individuals over a budget of three nodes: no depth above 0
+    # fits, so the advice names the route that builds no model, and it runs
+    monkeypatch.setattr(model, "MAX_MODEL_NODES", 3)
+    data = dict(tbox="A <= some r.B\n", abox="A(a)\nA(b)\nA(c)\nr(d,e)\n", shapes="$s <- A\n")
+    rc = validate(tmp_path, "direct", "$s(@a)\n", extra=["--depth", "1"], **data)
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_DEPTH
+    assert "the data alone has 5 nodes" in err and "--mode rewrite" in err
+    assert "lower --depth" not in err
+    assert validate(tmp_path, "rewrite", "$s(@a)\n", **data) == cli.EXIT_VALID
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_validate_computes_the_role_hierarchy_once(tmp_path, mode, monkeypatch):
+    # finding the role cycles and saturating read one hierarchy; a TBox
+    # with a cycle is collapsed and so needs a second, its own
+    calls = []
+    compute = tbox.role_hierarchy
+
+    def spy(tb):
+        calls.append(tb)
+        return compute(tb)
+
+    monkeypatch.setattr(tbox, "role_hierarchy", spy)
+    monkeypatch.setattr(cli, "role_hierarchy", spy)
+    for axioms, want in (("r <= s\n", 1), ("r <= s\ns <= r\n", 2)):
+        calls.clear()
+        rc = validate(tmp_path, mode, "$s(@a)\n", tbox=TBOX + axioms)
+        assert rc in (cli.EXIT_VALID, cli.EXIT_VIOLATIONS)
+        assert len(calls) == want, axioms
 
 
 @pytest.mark.parametrize("mode", ["rewrite", "pure-alchi", "pure-shaclb"])
