@@ -3,8 +3,8 @@
 Concept names are plain strings starting with an uppercase letter; the
 reserved tokens ``top`` and ``bot`` stand for the universal and empty
 concept. Roles carry an inversion flag, so ``Role("p", True)`` is p
-read backwards. Interpretations store role atoms under the non-inverted
-name only; their index resolves both polarities.
+read backwards. Interpretations list role atoms under the non-inverted
+name only; their index holds both polarities.
 
 Everything here is immutable and orderable so that the rest of the
 package can iterate deterministically.
@@ -13,17 +13,15 @@ A named individual is a node that is its name (a ``str``); anonymous
 model nodes are ``Anon`` words and chase nulls are ``Null``. Data is an
 interpretation of names: the raw ABox, its completion, model prefixes
 and chase states are all one ``Interpretation``, and ``ABox`` is only
-another name for that class. Its lookups (the concepts of a node, the
-nodes of a concept, the neighbours of a node along a role, and from those
-the roles to each neighbour) read a ``GraphIndex``, which also builds
-them: ``add_concept`` and ``add_role`` grow the atoms and the tables
-together, and ``seal`` returns the interpretation that reads the tables.
-``GraphIndex.of`` starts an index from an interpretation, copying the
-tables it already reads instead of re-adding its atoms. The storage rule
-above lives in ``add_role`` (``Interpretation.of`` shares its
-``_stored``). ``Interpretation.of`` and ``restrict`` leave the index to
-the first lookup. The index is not a field: equality and hashing read
-the atoms, the nodes and the ``complete`` flag only.
+another name for that class. Its atoms are kept once, in the tables of
+a sealed ``GraphIndex``, which every lookup reads and which builds it:
+``add_concept`` and ``add_role`` grow the tables (the storage rule above
+lives in ``add_role``), and ``seal`` freezes them into an
+interpretation. ``Interpretation.of`` and ``restrict`` build through an
+index too, and ``GraphIndex.of`` copies an interpretation's tables to
+add more. ``concept_atoms`` and ``role_atoms`` are sets read off the
+tables on each call. Equality and hashing read the tables, the nodes
+and the ``complete`` flag only.
 """
 from __future__ import annotations
 
@@ -36,6 +34,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    Optional,
     Tuple,
     Union,
 )
@@ -316,7 +315,7 @@ def node_key(n: Node) -> Tuple:
 
 
 # ---------------------------------------------------------------------------
-# the lookup index, which builds every interpretation
+# the lookup index, which builds and stores every interpretation
 
 _EMPTY: FrozenSet = frozenset()
 
@@ -328,37 +327,35 @@ def _stored(role: Role, x: Node, y: Node) -> Tuple[str, Node, Node]:
 
 
 class GraphIndex:
-    """Concept and role tables over one set of atoms.
+    """Concept and role tables, the one store of a set of atoms.
 
     ``extension[c]`` is the nodes with concept c, ``ctype[n]`` the
     concepts of n, and ``adjacency[r][x]`` the r-neighbours of x for both
     polarities of every role. Nodes without atoms of a kind have no
-    entry of that kind.
+    entry of that kind, so equal atoms give equal tables; equality
+    compares them, and hashing reads the concept table and the roles.
 
     The two polarities of a role name, ``Role(name)`` and
     ``Role(name, True)``, and their two tables are built once per name,
     on its first atom, and every later atom of that name reuses them.
 
-    ``len`` counts the atoms added so far, and ``add_concept`` and
-    ``add_role`` return whether their atom is new. ``seal`` freezes the
-    tables; a sealed index keeps no atoms, and adding to it raises
-    ``TypeError``.
+    ``add_concept`` and ``add_role`` return whether their atom is new,
+    which they read off the tables. ``seal`` freezes the tables, and
+    adding to a sealed index raises ``TypeError``.
     """
 
-    __slots__ = ("extension", "ctype", "adjacency", "concept_atoms", "role_atoms", "_tables")
+    __slots__ = ("extension", "ctype", "adjacency", "_tables")
 
     def __init__(
         self,
-        concept_atoms: Iterable[Tuple[str, Node]],
-        role_atoms: Iterable[Tuple[str, Node, Node]],
+        concept_atoms: Iterable[Tuple[str, Node]] = (),
+        role_atoms: Iterable[Tuple[str, Node, Node]] = (),
     ) -> None:
         self.extension: Dict[str, AbstractSet[Node]] = {}
         self.ctype: Dict[Node, AbstractSet[str]] = {}
         self.adjacency: Dict[Role, Dict[Node, AbstractSet[Node]]] = {}
-        self.concept_atoms = set()
-        self.role_atoms = set()
-        # role name -> its forward and backward tables in ``adjacency``
-        self._tables: Dict[str, Tuple[Dict, Dict]] = {}
+        # role name -> its forward and backward tables in ``adjacency``; None once sealed
+        self._tables: Optional[Dict[str, Tuple[Dict, Dict]]] = {}
         for c, n in concept_atoms:
             self.add_concept(c, n)
         for atom in role_atoms:
@@ -366,28 +363,31 @@ class GraphIndex:
 
     @staticmethod
     def of(interp: "Interpretation") -> "GraphIndex":
-        """An index of ``interp``'s atoms, to add more to. When ``interp``
-        already reads an index, its three tables are copied, not rebuilt."""
-        sealed = vars(interp).get("_index")
-        if sealed is None:
-            return GraphIndex(interp.concept_atoms, interp.role_atoms)
-        index = GraphIndex((), ())
-        index.concept_atoms = set(interp.concept_atoms)
-        index.role_atoms = set(interp.role_atoms)
+        """A copy of ``interp``'s three tables, to add more atoms to."""
+        sealed = interp._index
+        index = GraphIndex()
         index.extension = {c: set(ns) for c, ns in sealed.extension.items()}
         index.ctype = {n: set(cs) for n, cs in sealed.ctype.items()}
-        for role, table in sealed.adjacency.items():
-            index.adjacency[role] = {x: set(ys) for x, ys in table.items()}
+        index.adjacency = {r: {x: set(ys) for x, ys in t.items()} for r, t in sealed.adjacency.items()}
         return index
 
-    def __len__(self) -> int:
-        return len(self.concept_atoms) + len(self.role_atoms)
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not GraphIndex:
+            return NotImplemented
+        return self.extension == other.extension and self.adjacency == other.adjacency
+
+    def __hash__(self) -> int:
+        return hash((frozenset(self.extension.items()), frozenset(self.adjacency)))
 
     def add_concept(self, c: str, n: Node) -> bool:
-        if (c, n) in self.concept_atoms:
+        if self._tables is None:
+            raise TypeError("a sealed index takes no atoms")
+        ns = self.extension.get(c)
+        if ns is None:
+            ns = self.extension[c] = set()
+        elif n in ns:
             return False
-        self.concept_atoms.add((c, n))
-        self.extension.setdefault(c, set()).add(n)
+        ns.add(n)
         self.ctype.setdefault(n, set()).add(c)
         return True
 
@@ -397,9 +397,8 @@ class GraphIndex:
         return self._link(_stored(role, x, y))
 
     def _link(self, atom: Tuple[str, Node, Node]) -> bool:
-        if atom in self.role_atoms:
-            return False
-        self.role_atoms.add(atom)
+        if self._tables is None:
+            raise TypeError("a sealed index takes no atoms")
         name, a, b = atom
         tables = self._tables.get(name)
         if tables is None:
@@ -407,25 +406,25 @@ class GraphIndex:
                 self.adjacency.setdefault(Role(name), {}),
                 self.adjacency.setdefault(Role(name, True), {}),
             )
-        tables[0].setdefault(a, set()).add(b)
-        tables[1].setdefault(b, set()).add(a)
+        forward, backward = tables
+        bs = forward.get(a)
+        if bs is None:
+            bs = forward[a] = set()
+        elif b in bs:
+            return False
+        bs.add(b)
+        backward.setdefault(b, set()).add(a)
         return True
 
     def seal(self, nodes: Iterable[Node], complete: bool = True) -> "Interpretation":
-        """The atoms added over the given nodes, which must include every
-        node an atom mentions, as an interpretation that reads this index."""
-        interp = Interpretation(
-            frozenset(self.concept_atoms), frozenset(self.role_atoms), frozenset(nodes), complete
-        )
-        vars(interp)["_index"] = self._freeze()
-        return interp
-
-    def _freeze(self) -> "GraphIndex":
-        self.concept_atoms = self.role_atoms = None
+        """The atoms added, over the given nodes, which must include every
+        node an atom mentions, as the interpretation that holds this
+        index, its tables frozen."""
+        self._tables = None
         for table in (self.extension, self.ctype, *self.adjacency.values()):
             for k, v in table.items():
                 table[k] = frozenset(v)
-        return self
+        return Interpretation(self, frozenset(nodes), complete)
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +436,12 @@ class Interpretation:
     """A finite (fragment of an) interpretation: atoms over nodes.
 
     Data, its completion, model prefixes and chase states are all of this
-    class. The nodes of data are exactly the individuals its atoms
-    mention. ``complete`` records whether this is the whole intended
-    structure or a truncation of something deeper.
+    class. Its atoms are kept only in ``_index``. The nodes of data are
+    exactly the individuals its atoms mention. ``complete`` records whether
+    this is the whole intended structure or a truncation of something deeper.
     """
 
-    concept_atoms: FrozenSet[Tuple[str, Node]]
-    role_atoms: FrozenSet[Tuple[str, Node, Node]]
+    _index: GraphIndex
     nodes: FrozenSet[Node]
     complete: bool = True
 
@@ -456,20 +454,28 @@ class Interpretation:
         """The given atoms over the given nodes and every node an atom
         mentions; ``top`` atoms only mention their node."""
         domain = set(nodes)
-        catoms = set()
+        index = GraphIndex()
         for c, n in concepts:
             domain.add(n)
             if c != TOP:
-                catoms.add((c, n))
-        ratoms = set()
+                index.add_concept(c, n)
         for role, x, y in roles:
             domain.update((x, y))
-            ratoms.add(_stored(role, x, y))
-        return Interpretation(frozenset(catoms), frozenset(ratoms), frozenset(domain))
+            index.add_role(role, x, y)
+        return index.seal(domain)
 
-    @cached_property
-    def _index(self) -> GraphIndex:
-        return GraphIndex(self.concept_atoms, self.role_atoms)._freeze()
+    @property
+    def concept_atoms(self) -> FrozenSet[Tuple[str, Node]]:
+        """Every (c, n) with concept c at n, as a new set on each read."""
+        return frozenset((c, n) for c, ns in self._index.extension.items() for n in ns)
+
+    @property
+    def role_atoms(self) -> FrozenSet[Tuple[str, Node, Node]]:
+        """Every role atom as stored, (name, x, y) for name(x, y): a new set."""
+        tables = self._index.adjacency.items()
+        return frozenset(
+            (r.name, x, y) for r, t in tables if not r.inverted for x, ys in t.items() for y in ys
+        )
 
     @cached_property
     def _individuals(self) -> Tuple[str, ...]:
@@ -524,7 +530,7 @@ class Interpretation:
     def has_concept(self, c: str, n: Node) -> bool:
         if c == TOP:
             return n in self.nodes
-        return (c, n) in self.concept_atoms
+        return n in self._index.extension.get(c, _EMPTY)
 
     def has_edge(self, role: Role, x: Node, y: Node) -> bool:
         return y in self.adjacency(role).get(x, _EMPTY)
@@ -534,12 +540,10 @@ class Interpretation:
 
     def restrict(self, keep: Iterable[Node]) -> "Interpretation":
         keep = frozenset(keep)
-        return Interpretation(
-            frozenset((c, n) for c, n in self.concept_atoms if n in keep),
-            frozenset((r, a, b) for r, a, b in self.role_atoms if a in keep and b in keep),
-            keep,
-            self.complete,
-        )
+        return GraphIndex(
+            ((c, n) for c, n in self.concept_atoms if n in keep),
+            ((r, a, b) for r, a, b in self.role_atoms if a in keep and b in keep),
+        ).seal(keep, self.complete)
 
 
 # data: an interpretation of names (a name for signatures, not a second class)

@@ -5,7 +5,7 @@ of the core universal model) inside the ``core.GraphIndex`` that its
 result reads. It is semi-naive: a rule fires again only on an atom that
 the last round added and that is one of its premises, so each round's
 work follows what is new, not the size of the data. ``build_can`` grows
-the anonymous part breadth-first, in a copy of that index
+the anonymous part breadth-first, in a copy of that index's tables
 (``GraphIndex.of``), up to a depth bound, tracking whether the result
 is the whole model or a truncation; individuals with equal frontiers
 share one ``succ_config``.
@@ -153,8 +153,8 @@ def complete_abox(sat: SaturatedTBox, abox: ABox) -> ABox:
             for r in cand.roles:
                 add_role(r, a, b)
 
-    concepts = list(index.concept_atoms)
-    roles = list(index.role_atoms)
+    concepts = list(abox.concept_atoms)
+    roles = list(abox.role_atoms)
     grown = set(individuals)
     while grown or roles:
         # role hierarchy; what it adds joins this round and needs no pass
@@ -424,11 +424,7 @@ def is_model(tbox: TBox, abox: ABox, interp: Interpretation) -> bool:
             if len(set(wits)) > 1:
                 return False
     for ax in tbox.roles:
-        for name, x, y in interp.role_atoms:
-            if Role(name) == ax.sub:
-                if not interp.has_edge(ax.sup, x, y):
-                    return False
-            if Role(name, True) == ax.sub:
-                if not interp.has_edge(ax.sup, y, x):
-                    return False
+        for x, ys in interp.adjacency(ax.sub).items():
+            if not ys <= interp.adjacency(ax.sup).get(x, frozenset()):
+                return False
     return True

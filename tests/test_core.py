@@ -38,6 +38,7 @@ from ontoshacl.core import (
     node_key,
     type_key,
 )
+from ontoshacl.formats import parse_abox, serialize_interpretation
 from ontoshacl.harness import CHASE_ROUNDS, SAFE_DEPTH, gen_case
 from ontoshacl.model import InconsistentKB, build_can, complete_abox
 from ontoshacl.tbox import SaturatedTBox
@@ -298,11 +299,9 @@ def test_interpretation_lookups_equal_scans_of_the_atoms(ab):
 def test_the_index_is_not_part_of_equality():
     ab = ABox.of(concepts=[("A", "a")], roles=[(Role("r"), "a", "b")])
     fresh = ABox.of(concepts=[("A", "a")], roles=[(Role("r"), "a", "b")])
-    ab.concepts_of("a")  # builds ab's index, not fresh's
+    assert ab._index is not fresh._index  # equality reads the tables, not the object
     assert ab == fresh and hash(ab) == hash(fresh)
-    i, j = ab, fresh
-    i.successors("a", Role("r"))
-    assert i == j and hash(i) == hash(j)
+    assert ab != ABox.of(concepts=[("A", "a")], roles=[(Role("r"), "b", "a")])
 
 
 # =============================================================================
@@ -347,18 +346,56 @@ def test_every_built_interpretation_reads_the_index_of_its_atoms():
     assert checked > 5000
 
 
-def test_the_completed_data_is_indexed_when_prepared():
-    tbox, abox, sg = gen_case(random.Random(3))
-    kb = prepare(tbox, abox, sg, 0)
-    assert "_index" in vars(kb.completed)
-    assert "_index" not in vars(kb.abox)
+def _table_sets(interp):
+    """The ids of the interpretation's tables and of every set in them."""
+    index = interp._index
+    tables = [index.extension, index.ctype, index.adjacency, *index.adjacency.values()]
+    return {id(x) for t in tables for x in (t, *t.values())}
+
+
+def test_completion_leaves_the_raw_data_as_parsed():
+    grew = 0
+    for k in range(40):
+        tbox, abox, sg = gen_case(random.Random(k))
+        text = serialize_interpretation(abox)
+        try:
+            kb = prepare(tbox, abox, sg, 0)
+        except InconsistentKB:
+            continue
+        grew += kb.completed != kb.abox
+        assert kb.abox is abox
+        assert _tables(kb.abox._index) == _tables(parse_abox(text)._index)
+        assert not _table_sets(kb.completed) & _table_sets(kb.abox)
+    assert grew > 10
+
+
+@given(
+    st.frozensets(st.tuples(st.sampled_from(["A", "B", "C"]), small_names), max_size=6),
+    st.frozensets(st.tuples(roles, small_names, small_names), max_size=8),
+    st.frozensets(small_names, max_size=2),
+)
+def test_every_construction_holds_its_atoms_only_in_the_index(concepts, links, extra):
+    stored = frozenset((r.name, *((y, x) if r.inverted else (x, y))) for r, x, y in links)
+    mentioned = {n for _, n in concepts} | {n for _, x, y in stored for n in (x, y)}
+    nodes = extra | mentioned
+    first = Interpretation.of(concepts, links, extra)
+    wider = Interpretation.of(concepts | {("C", "e")}, [*links, *((Role("p"), "e", n) for n in nodes)])
+    built = [first, GraphIndex(concepts, stored).seal(nodes), wider.restrict(nodes)]
+    if nodes == mentioned:  # .abox text cannot assert a node with no atom
+        built.append(parse_abox(serialize_interpretation(first)))
+    for interp in built:
+        assert interp == first and hash(interp) == hash(first)
+        assert interp.nodes == nodes and interp.complete
+        assert interp.concept_atoms == concepts
+        assert interp.role_atoms == stored
+        assert set(vars(interp)) <= {"_index", "nodes", "complete", "_individuals"}
 
 
 def test_a_sealed_index_takes_no_atoms():
     index = GraphIndex([("A", "a")], [])
     index.add_role(Role("r", True), "b", "a")
-    assert len(index) == 2
     interp = index.seal(["a", "b"])
+    assert interp.concept_atoms == frozenset({("A", "a")})
     assert interp.role_atoms == frozenset({("r", "a", "b")})
     assert interp.successors("b", Role("r", True)) == ["a"]
     with pytest.raises(TypeError):

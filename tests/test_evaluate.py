@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_assignment, parse_regex, thompson_nfa
-from ontoshacl.core import Interpretation, Role
+from ontoshacl.core import GraphIndex, Interpretation, Role
 from ontoshacl.evaluate import (
     BinConstraint,
     BinRef,
@@ -393,7 +393,7 @@ def test_validate_flags_undefined_target_shapes():
 
 
 def test_truncated_models_refuse_negation():
-    cut = Interpretation(TRIANGLE.concept_atoms, TRIANGLE.role_atoms, TRIANGLE.nodes, False)
+    cut = GraphIndex(TRIANGLE.concept_atoms, TRIANGLE.role_atoms).seal(TRIANGLE.nodes, False)
     with pytest.raises(TruncationRefused):
         validate(cut, [Constraint("s", Not(ConceptRef("A")))], [("s", "a")])
     # positive constraints still give a sound lower bound: a target that

@@ -167,9 +167,9 @@ def test_ordering_is_the_order_of_field_tuples():
 def test_cached_property_still_caches_on_a_frozen_class():
     atoms = ([("A", "a")], [(Role("r"), "a", "b")])
     interp = Interpretation.of(*atoms)
-    assert interp.extension("A") == {"a"}
-    assert "_index" in vars(interp)
-    assert interp._index is interp._index
+    assert interp.individuals() == ("a", "b")
+    assert "_individuals" in vars(interp)
+    assert interp._individuals is interp._individuals
     assert interp == Interpretation.of(*atoms)
 
 
