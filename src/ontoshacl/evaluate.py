@@ -26,16 +26,15 @@ adjacency. A node's case is found by its type in one table. Semi-naive
 rounds are not used: each round of a recursive component re-evaluates
 every item of that component.
 
-A body object shared by many constraints, as in the rewriting C_T, is
-evaluated once where its value is final. The evaluator keeps, for one
-``_fixpoint`` call, the value of each composite body keyed by its id,
-once that value can no longer change: when the body read no shape name,
-or when it was evaluated in a component that does not read itself,
-since every name such a component reads belongs to a finished one.
-``_fixpoint`` says which components those are. The keyed bodies belong
-to the constraints the caller holds during the call, so their ids stay
-valid. Leaves bypass the memo, so unshared source shapes pay for it only
-at composite nodes.
+A body that many constraints read, as in the rewriting C_T, is evaluated
+once where its value is final. The evaluator keeps, for one ``_fixpoint``
+call, the value of each composite body once that value can no longer
+change: when the body read no shape name, or when it was evaluated in a
+component that does not read itself, since every name such a component
+reads belongs to a finished one. ``_fixpoint`` says which components
+those are. The memo is keyed by the body's value, so equal bodies share
+one entry. Leaves bypass the memo, so unshared source shapes pay for it
+only at composite nodes.
 """
 from __future__ import annotations
 
@@ -140,12 +139,11 @@ class _Evaluator:
     node pairs). A result may be a set of those tables or of the
     interpretation's index itself, so callers must not mutate it.
 
-    ``memo`` maps the id of a composite body to its value once that value
-    is final: when the body read no shape name, or when ``final`` is set,
-    which the fixpoint does while it evaluates a group that reads only
-    finished groups. A composite's value is always a set of its own, never
-    a table that grows later. The bodies it keys belong to the constraints
-    the caller holds, so each id names one body while the evaluator lives.
+    ``memo`` maps a composite body to its value once that value is final:
+    when the body read no shape name, or when ``final`` is set, which the
+    fixpoint does while it evaluates a group that reads only finished
+    groups. A composite's value is always a set of its own, never a table
+    that grows later.
     """
 
     def __init__(
@@ -159,7 +157,7 @@ class _Evaluator:
         self.unary = unary
         self.binary = binary
         self.nfas = nfas
-        self.memo: Dict[int, AbstractSet[Node]] = {}
+        self.memo: Dict[ShapeBody, AbstractSet[Node]] = {}
         self.final = False
         self.reads = 0  # shape and edge-shape names read so far
 
@@ -167,7 +165,7 @@ class _Evaluator:
         case = self._LEAVES.get(type(body))
         if case is not None:
             return case(self, body)
-        done = self.memo.get(id(body))
+        done = self.memo.get(body)
         if done is not None:
             return done
         case = self._COMPOSITES.get(type(body))
@@ -176,7 +174,7 @@ class _Evaluator:
         reads = self.reads
         out = case(self, body)
         if self.final or self.reads == reads:
-            self.memo[id(body)] = out
+            self.memo[body] = out
         return out
 
     def path(self, p: PathExpr) -> AbstractSet[Pair]:

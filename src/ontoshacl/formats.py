@@ -4,8 +4,9 @@ Ontology files (`.tbox`), data files (`.abox`), shape files (`.shacl`)
 and target files (`.targets`) share one lexical style: `#` starts a
 comment, blank lines are skipped, uppercase-initial identifiers are
 concepts, lowercase-initial are roles, `$x` is a shape, `@x` is an
-individual, `^r` is the inverse of r. Serializers round-trip: parsing
-their output reproduces the value.
+individual, `^r` is the inverse of r. Parsing what a serializer
+writes reproduces the value; for interpretations that holds of data, as
+the last paragraph says.
 
 The flat lines, ``.abox`` atoms and ``.targets`` lines, are read by one
 compiled pattern each (``_ABOX_LINE``, ``_TARGET_LINE``) and name checks
@@ -19,9 +20,11 @@ now stands for.
 
 Data and every other interpretation share one printer,
 ``serialize_interpretation``: one atom a line, in sorted order, with
-anonymous nodes and nulls labelled `_:...` and a `top(x)` line for a
-node that no atom mentions. Data mentions each of its nodes, so its text
-is a `.abox` file that ``parse_abox`` reads back to the same value.
+anonymous nodes and nulls labelled `_:...`. Data mentions each of its
+nodes, so its text is a `.abox` file that ``parse_abox`` reads back to
+the same value. A chase state or a restricted core may hold a node that
+no atom mentions; it gets a `top(x)` line, which shows the node but does
+not read back, as ``parse_abox`` refuses to assert `top`.
 """
 from __future__ import annotations
 
@@ -518,9 +521,10 @@ def serialize_interpretation(interp: Interpretation) -> str:
     atoms: List[str] = []
     for c, n in interp.concept_atoms:
         atoms.append(f"{c}({node_label(n, numbering)})")
-    for r, x, y in interp.role_atoms:
+    role_atoms = interp.role_atoms
+    for r, x, y in role_atoms:
         atoms.append(f"{r}({node_label(x, numbering)},{node_label(y, numbering)})")
-    linked = {n for _, x, y in interp.role_atoms for n in (x, y)}
+    linked = {n for _, x, y in role_atoms for n in (x, y)}
     for n in interp.nodes:
         if n not in linked and not interp.concepts_of(n):
             atoms.append(f"top({node_label(n, numbering)})")

@@ -98,16 +98,6 @@ A component's rules are compiled once, after its seeds, into ``_Rules``,
 with one table of the witnesses a rule may guess, ``@a`` and existential
 alike. Closing, settling and emitting a stratum select its rules from
 those tables by masking their heads with the stratum's head literals.
-
-C_T is a DAG. One node table (``_Nodes``) per ``rewrite`` call builds
-each distinct concept conjunct, entry conjunct and ``And`` of a body's
-chain once for every component, and each component's ``_Bodies`` builds
-each merged row's body once for all its strata, so bodies share their
-conjuncts and their common prefixes. The table holds every node whose id
-keys a chain for as long as C_T is emitted, so those ids stay valid. Every
-later walker reads C_T by node identity: the pure rewritings substitute
-through an id-keyed memo, and ``compute_stratification`` and
-``evaluate`` memoize per node as well, so each visits a shared node once.
 """
 from __future__ import annotations
 
@@ -559,60 +549,12 @@ _Term = Tuple[int, int, int, int]
 _EntryConj = Tuple[Tuple[int, str], _Conj, _Conj]
 
 
-class _Nodes:
-    """The nodes of one C_T that no component owns, each distinct one built
-    once for every component.
-
-    It holds the conjuncts ``a`` and ``!(a)`` of each concept name, the
-    present and absent conjunct of each entry, keyed by the entry, each
-    with its printed form, and every ``And`` of a body's chain, keyed by
-    the ids of its prefix and its last conjunct, so bodies with a common
-    prefix share it. The table holds every node whose id it keys, so an id
-    names one node for as long as the table lives.
-    """
-
-    def __init__(self):
-        self._concepts: Dict[str, Tuple[_Conj, _Conj]] = {}
-        self._entries: Dict[Entry, _EntryConj] = {}
-        self._ands: Dict[Tuple[int, int], And] = {}
-
-    def chain(self, parts: Sequence[ShapeBody]) -> ShapeBody:
-        if not parts:
-            return self.concept(TOP)[0][0]
-        body = parts[0]
-        for nxt in parts[1:]:
-            key = (id(body), id(nxt))
-            node = self._ands.get(key)
-            if node is None:
-                node = self._ands[key] = And(body, nxt)
-            body = node
-        return body
-
-    def concept(self, a: str) -> Tuple[_Conj, _Conj]:
-        """The conjuncts ``a`` and ``!(a)``."""
-        if a not in self._concepts:
-            ref = ConceptRef(a)
-            neg = Not(ref)
-            self._concepts[a] = ((ref, str(ref)), (neg, str(neg)))
-        return self._concepts[a]
-
-    def entry(self, e: Entry) -> _EntryConj:
-        """The key that orders ``e`` among the entries of a body, then the
-        conjuncts that say it is present and absent."""
-        made = self._entries.get(e)
-        if made is None:
-            body: ShapeBody = e
-            if isinstance(e, OneHalfType):
-                inner = self.chain([self.concept(c)[0][0] for c in sorted(e.concepts)])
-                body = ExistsRoles(e.roles, inner)
-            absent = Not(body)
-            made = self._entries[e] = (_entry_key(e), (body, str(body)), (absent, str(absent)))
-        return made
+def _conj(body: ShapeBody) -> _Conj:
+    return body, str(body)
 
 
 class _Bodies:
-    """The merged rows of one component's heads and their bodies, each
-    built once for all its strata from the nodes of the shared table.
+    """The merged rows of one component's heads and their bodies.
 
     Each concept name of the component's types gets a bit, the names of
     the signature first, so a type's concepts are a mask (``concepts``)
@@ -621,8 +563,7 @@ class _Bodies:
     completed data can have.
     """
 
-    def __init__(self, nodes: _Nodes, codes: _Codes, sig: FrozenSet[str]):
-        self.nodes = nodes
+    def __init__(self, codes: _Codes, sig: FrozenSet[str]):
         self.codes = codes
         named = sorted(sig)
         named += sorted({a for t in codes.types for a in t.concepts} - sig)
@@ -632,7 +573,6 @@ class _Bodies:
         self.concepts = [sum(bit_of[a] for a in t.concepts) for t in codes.types]
         self.parts = sorted({m & self.sig for m in self.concepts})
         self._occurs: Dict[Tuple[int, int], bool] = {}
-        self._bodies: Dict[_Term, Tuple[Tuple[int, List[str]], ShapeBody]] = {}
 
     def occurs(self, pos: int, neg: int) -> bool:
         """Whether some type's part of the signature has the names ``pos``
@@ -694,8 +634,15 @@ class _Bodies:
         return kept
 
     def _entries(self, mask: int) -> List[_EntryConj]:
-        """The entries of ``mask`` with their conjuncts, in body order."""
-        made = [self.nodes.entry(self.codes.entries[bit]) for bit in _bits(mask)]
+        """The entries of ``mask`` in body order, each after the key that
+        orders it and with the conjuncts that say it is present and absent."""
+        made = []
+        for bit in _bits(mask):
+            e = self.codes.entries[bit]
+            body: ShapeBody = e
+            if isinstance(e, OneHalfType):
+                body = ExistsRoles(e.roles, _and_chain([ConceptRef(c) for c in sorted(e.concepts)]))
+            made.append((_entry_key(e), _conj(body), _conj(Not(body))))
         return sorted(made, key=itemgetter(0))
 
     def body(self, term: _Term) -> Tuple[Tuple[int, List[str]], ShapeBody]:
@@ -703,18 +650,13 @@ class _Bodies:
         bodies: the number of its printed conjuncts, then their sorted
         list. It lists the present concepts, the absent ones negated, then
         P and Q."""
-        made = self._bodies.get(term)
-        if made is None:
-            pos, neg, p, q = term
-            concept = self.nodes.concept
-            conj = [concept(a)[0] for a in sorted(self.names[b] for b in _bits(pos))]
-            conj += [concept(a)[1] for a in sorted(self.names[b] for b in _bits(neg))]
-            conj += [e[1] for e in self._entries(p)]
-            conj += [e[2] for e in self._entries(q)]
-            tokens = sorted(s for _, s in conj)
-            chain = self.nodes.chain([x for x, _ in conj])
-            made = self._bodies[term] = ((len(tokens), tokens), chain)
-        return made
+        pos, neg, p, q = term
+        conj = [_conj(ConceptRef(a)) for a in sorted(self.names[b] for b in _bits(pos))]
+        conj += [_conj(Not(ConceptRef(a))) for a in sorted(self.names[b] for b in _bits(neg))]
+        conj += [e[1] for e in self._entries(p)]
+        conj += [e[2] for e in self._entries(q)]
+        tokens = sorted(s for _, s in conj)
+        return (len(tokens), tokens), _and_chain([x for x, _ in conj])
 
 
 def _emit(K: _K, bodies: _Bodies, rules: _Rules, heads: int) -> List[Constraint]:
@@ -752,11 +694,10 @@ def _split(strat: Stratification) -> List[Tuple[Tuple[Constraint, ...], ...]]:
     links a head to every shape name its body reads, in the order of each
     component's first item in ``strat``; empty strata are dropped."""
     adj: Dict[str, Set[str]] = {}
-    memo: Dict[Tuple[int, bool], FrozenSet[Tuple[str, bool]]] = {}
     for group in strat.strata:
         for c in group:
             adj.setdefault(c.head, set())
-            for name, _ in shape_occurrences(c.body, False, memo):
+            for name, _ in shape_occurrences(c.body):
                 adj[c.head].add(name)
                 adj.setdefault(name, set()).add(c.head)
     # in a symmetric graph the strongly connected components are the
@@ -772,17 +713,16 @@ def _split(strat: Stratification) -> List[Tuple[Tuple[Constraint, ...], ...]]:
 
 
 def _rewrite_component(
-    st: SaturatedTBox, strata: Sequence[Sequence[Constraint]], nodes: _Nodes
+    st: SaturatedTBox, strata: Sequence[Sequence[Constraint]]
 ) -> Tuple[List[Constraint], int]:
     """One saturation over constraints that read no shape outside them:
-    the constraints and their emitted rewriting, built over the shared
-    ``nodes``, and the quadruple count."""
+    the constraints and their emitted rewriting, and the quadruple count."""
     cons = [c for group in strata for c in group]
     sig = _signature(st, cons)
     codes = _Codes(_type_universe(st, sig))
     K, pinned = _seed_dict(st, codes)
     rules = _Rules(codes, pinned, cons)
-    bodies = _Bodies(nodes, codes, sig)
+    bodies = _Bodies(codes, sig)
 
     occurring = shape_names(cons)
     out = list(cons)
@@ -814,8 +754,7 @@ def rewrite(
     other's quadruples, so each weakly connected component of the shape
     references is saturated on its own, and the outputs are concatenated
     in the order of the components' first items in ``strat``. Emission
-    happens per stratum so the result stays stratified, and the bodies of
-    every component are built over one node table. ``quadruples`` in
+    happens per stratum so the result stays stratified. ``quadruples`` in
     ``stats`` is the sum over the components; a component that needs more
     than ``MAX_QUADRUPLES`` raises RewriteTooLarge.
 
@@ -827,9 +766,8 @@ def rewrite(
     """
     out: List[Constraint] = []
     quadruples = 0
-    nodes = _Nodes()
     for strata in _split(strat):
-        cons, size = _rewrite_component(st, strata, nodes)
+        cons, size = _rewrite_component(st, strata)
         out.extend(cons)
         quadruples += size
     if stats is not None:
@@ -889,42 +827,25 @@ def _simplify_roles(st: SaturatedTBox, roles: FrozenSet[Role]) -> FrozenSet[Role
 def _subst(
     body: ShapeBody,
     exists: Callable[[FrozenSet[Role], ShapeBody], ShapeBody],
-    memo: Dict[int, ShapeBody],
     names: Set[str],
 ) -> ShapeBody:
     """Concept names become the shapes that mimic the completed graph, and
     ``exists`` rebuilds each role existential over its substituted body.
-
-    Each replaced concept name goes into ``names``. ``memo`` maps the id of
-    each node substituted so far to its result, so a shared node is
-    substituted once. An id names one node only while that node lives:
-    every node keyed here is reachable from the C_T the caller holds for
-    as long as it keeps ``memo``.
-    """
-    done = memo.get(id(body))
-    if done is not None:
-        return done
-    out: ShapeBody
+    Each replaced concept name goes into ``names``."""
     if isinstance(body, ConceptRef):
         if body.name in (TOP, BOT):
-            out = body
-        else:
-            names.add(body.name)
-            out = ShapeRef(_concept_shape(body.name))
-    elif isinstance(body, (IndividualRef, ShapeRef, NegShapeRef)):
-        out = body
-    elif isinstance(body, (And, Or)):
-        out = type(body)(
-            _subst(body.left, exists, memo, names), _subst(body.right, exists, memo, names)
-        )
-    elif isinstance(body, Not):
-        out = Not(_subst(body.body, exists, memo, names))
-    elif isinstance(body, ExistsRoles):
-        out = exists(body.roles, _subst(body.body, exists, memo, names))
-    else:
-        raise ValueError(f"cannot substitute inside {body!r}")
-    memo[id(body)] = out
-    return out
+            return body
+        names.add(body.name)
+        return ShapeRef(_concept_shape(body.name))
+    if isinstance(body, (IndividualRef, ShapeRef, NegShapeRef)):
+        return body
+    if isinstance(body, (And, Or)):
+        return type(body)(_subst(body.left, exists, names), _subst(body.right, exists, names))
+    if isinstance(body, Not):
+        return Not(_subst(body.body, exists, names))
+    if isinstance(body, ExistsRoles):
+        return exists(body.roles, _subst(body.body, exists, names))
+    raise ValueError(f"cannot substitute inside {body!r}")
 
 
 def _alchi_tbox(st: SaturatedTBox) -> List[Constraint]:
@@ -970,8 +891,7 @@ def pure_rewrite_alchi(
         return reduce(Or, [ExistsRoles(pick, inner) for pick in picks[roles]])
 
     names: Set[str] = set()
-    memo: Dict[int, ShapeBody] = {}
-    replaced = [Constraint(c.head, _subst(c.body, exists, memo, names)) for c in c_t]
+    replaced = [Constraint(c.head, _subst(c.body, exists, names)) for c in c_t]
     ts += _concept_seeds(st, names)
     return tuple(dict.fromkeys(replaced + ts))
 
@@ -1048,10 +968,7 @@ def pure_rewrite_shaclb(
         return _exists_via_edge_shapes(roles, inner)
 
     names: Set[str] = set()
-    memo: Dict[int, ShapeBody] = {}
-    replaced: List[Item] = [
-        Constraint(c.head, _subst(c.body, exists, memo, names)) for c in c_t
-    ]
+    replaced: List[Item] = [Constraint(c.head, _subst(c.body, exists, names)) for c in c_t]
     ts += _role_bases(base_roles)
     ts += _concept_seeds(st, names)
     return tuple(dict.fromkeys(replaced + ts))

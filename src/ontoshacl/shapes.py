@@ -275,10 +275,9 @@ class ShapesGraph:
 def shape_names(items: Iterable[Item]) -> FrozenSet[str]:
     """The heads and the shape names the bodies read."""
     out: Set[str] = set()
-    memo: _Memo = {}
     for it in items:
         out.add(it.head)
-        out |= {n for n, _ in shape_occurrences(it.body, False, memo)}
+        out |= {n for n, _ in shape_occurrences(it.body)}
     return frozenset(out)
 
 
@@ -302,7 +301,6 @@ def _concepts_in(body: Union[ShapeBody, PathExpr]) -> Set[str]:
 _PAIRS = frozenset({Or, And, PInter, PConcat})
 
 _Read = Tuple[str, bool]  # a shape or edge-shape name, read negatively or not
-_Memo = Dict[Tuple[int, bool], FrozenSet[_Read]]
 _NO_READS: FrozenSet[_Read] = frozenset()
 
 
@@ -324,18 +322,12 @@ def _children(body: Union[ShapeBody, PathExpr], negative: bool) -> tuple:
 
 
 def shape_occurrences(
-    body: Union[ShapeBody, PathExpr],
-    negative: bool = False,
-    memo: Optional[_Memo] = None,
+    body: Union[ShapeBody, PathExpr], negative: bool = False
 ) -> FrozenSet[_Read]:
     """The distinct (name, occurs-negatively) pairs for the shape and
     edge-shape names a shape body or path expression reads.
 
     A read is negative inside any complement or negated reference.
-    ``memo`` maps ``(id(node), negative)`` of each composite node read so
-    far to its pairs, so a node shared by many bodies is walked once per
-    polarity; a caller that passes one across bodies holds every node it
-    keys while it keeps it.
     """
     kind = type(body)
     if kind is ShapeRef or kind is BinRef:
@@ -344,20 +336,11 @@ def shape_occurrences(
         return frozenset(((body.name, True),))
     if kind is Test:
         return frozenset(((body.shape, negative),))
-    children = _children(body, negative)
-    if not children:
-        return _NO_READS
-    if memo is None:
-        memo = {}
-    key = (id(body), negative)
-    out = memo.get(key)
-    if out is None:
-        out = _NO_READS
-        for child, neg in children:
-            sub = shape_occurrences(child, neg, memo)
-            if sub:
-                out = out | sub if out else sub
-        memo[key] = out
+    out = _NO_READS
+    for child, neg in _children(body, negative):
+        sub = shape_occurrences(child, neg)
+        if sub:
+            out = out | sub if out else sub
     return out
 
 
@@ -549,17 +532,12 @@ def compute_stratification(items: Sequence[Item]) -> Stratification:
     group is recursive when its component has an edge inside it: more
     than one name, or a name that reads itself. Only a recursive group
     needs more than one round of evaluation.
-
-    The reads of each body come through a memo keyed by ``(id(node),
-    negative)`` that lives for the call, so a node shared by many bodies,
-    as in the rewriting C_T, is walked once per polarity it is read in.
     """
     succ: Dict[str, Set[str]] = {}
     marked: Set[Tuple[str, str]] = set()
-    memo: _Memo = {}
     for it in items:
         succ.setdefault(it.head, set())
-        for occ, neg in shape_occurrences(it.body, False, memo):
+        for occ, neg in shape_occurrences(it.body):
             succ.setdefault(occ, set()).add(it.head)
             if neg:
                 marked.add((occ, it.head))

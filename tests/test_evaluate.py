@@ -3,9 +3,10 @@
 The stratified fixpoint is compared against a naive oracle on positive
 constraint sets, where both must compute the same least model. The
 choice-of-stratification invariance is pinned with a three-layer case
-evaluated under two different hand-built layerings. A body shared by
-several constraints is evaluated once where its value is final, and
-read afresh in each round of a recursive group while it reads a shape.
+evaluated under two different hand-built layerings. A body that several
+constraints read, as one object or as equal copies, is evaluated once
+where its value is final, and read afresh in each round of a recursive
+group while it reads a shape.
 """
 from __future__ import annotations
 
@@ -48,6 +49,7 @@ from ontoshacl.shapes import (
     UnguardedComparison,
     compute_stratification,
 )
+from test_shapes import unshared
 
 # =============================================================================
 # A SMALL SHARED STRUCTURE
@@ -230,11 +232,14 @@ def test_a_node_shared_with_a_recursive_group_is_read_at_its_final_value():
 def test_a_shared_composite_with_a_final_value_is_evaluated_once(monkeypatch):
     free = exists("r", ConceptRef("B"))  # reads no shape name
     shared = And(ShapeRef("b"), Or(ConceptRef("A"), free))
+    copy = unshared(shared)  # equal to shared, built apart node by node
+    assert copy == shared and copy.right is not shared.right
     cs = [
         Constraint("b", ConceptRef("B")),
         Constraint("h1", shared),
         Constraint("h2", Or(shared, IndividualRef("d"))),
         Constraint("h3", exists("r", shared)),
+        Constraint("h4", Or(IndividualRef("d"), copy)),
         # a recursive group: free is read in each of its rounds
         Constraint("reach", Or(free, exists("r", ShapeRef("reach")))),
     ]
@@ -247,9 +252,10 @@ def test_a_shared_composite_with_a_final_value_is_evaluated_once(monkeypatch):
 
     monkeypatch.setattr(_Evaluator, "body", counting)
     got = assignment(TWO_EDGES, cs)
-    # each evaluation of a composite reads its parts once
-    assert calls[id(shared.right)] == 1
-    assert calls[id(free.body)] == 1
+    # each evaluation of a composite reads its parts once, and an equal
+    # copy is read from the memo
+    assert calls[id(shared.right)] + calls[id(copy.right)] == 1
+    assert calls[id(free.body)] + calls[id(copy.right.right.body)] == 1
     monkeypatch.undo()
     assert got == naive_assignment(TWO_EDGES, cs)
 

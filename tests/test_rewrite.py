@@ -30,10 +30,10 @@ conjuncts is dropped, by the oracle too, and the verdicts match those of
 the oracle's C_T that keeps such rows. Each component is rewritten over its own signature of
 concept names; three inputs pin the existential premises it must keep,
 and a seeded slice of denser cases checks its verdicts against those over
-every concept name. C_T is a DAG: across all its components, each distinct conjunction and
-complement is one object. The pure rewritings substitute each shared
-node of C_T once; they must print what substituting at every occurrence
-(``oracles.occurrence_pure_*``) prints.
+every concept name. The pure rewritings must print what substituting
+at every occurrence (``oracles.occurrence_pure_*``) prints, and
+``pure_rewrite_alchi`` works out the sub-role choices of each distinct
+role set of C_T once.
 """
 from __future__ import annotations
 
@@ -61,7 +61,6 @@ from ontoshacl.shapes import (
     ConceptRef,
     Constraint,
     ExistsRoles,
-    Not,
     ShapesGraph,
     compute_stratification,
     normalize,
@@ -730,67 +729,36 @@ def test_pure_rewritings_print_what_substitution_per_occurrence_prints():
     assert (len(kbs), alchi) == (41, 23)  # the first is the hash-seed fixture
 
 
-def distinct_nodes(c_t):
-    """Each node reachable from the bodies of ``c_t`` once, by identity,
-    and the number of times the bodies reach a role existential."""
-    seen = {}
-    occurrences = 0
-    work = [c.body for c in c_t]
-    while work:
-        node = work.pop()
-        occurrences += isinstance(node, ExistsRoles)
-        if id(node) in seen:
-            continue
-        seen[id(node)] = node
-        work += [getattr(node, f) for f in ("left", "right", "body") if hasattr(node, f)]
-    return list(seen.values()), occurrences
-
-
-def test_each_distinct_conjunction_and_complement_of_c_t_is_one_object():
-    # the hash-seed shapes and a renamed copy: two components over the
-    # same concept names and concept witnesses
-    shapes = parse_constraints(HASHED_SHAPES + HASHED_SHAPES.replace("$", "$v"))
-    sg = ShapesGraph.of(shapes)
-    kb = prepare(parse_tbox(HASHED_TBOX), parse_abox(HASHED_ABOX), sg, SAFE_DEPTH)
-    nsg, _ = normalize(kb.sg)
-    assert len(rw._split(compute_stratification(nsg.constraints))) == 2
-    nodes, _ = distinct_nodes(kb.c_t)
-    for kind in (And, Not):
-        objects = [n for n in nodes if isinstance(n, kind)]
-        assert len(objects) >= 8
-        assert len(set(objects)) == len(objects), kind.__name__
-
-
-# an existential chain under a role inclusion: C_T has 123 constraints,
-# whose bodies reach 7 role existentials over 3 role sets 92 times
+# an existential chain under a role inclusion: C_T has 91 constraints,
+# whose bodies hold 307 role existentials over 3 role sets
 REPEATED_TBOX = "K2 <= some r.K1\nK3 <= some r.K2\nK4 <= some r.K3\nK5 <= some r.K4\nr <= s\n"
 
 REPEATED_SHAPES = "$s <- some [s].K1 | some [r].K3\n$t <- !(some [r].$s) & (K2 | K4)\n"
 
 
-def test_pure_rewritings_substitute_each_shared_conjunct_once(monkeypatch):
+def test_pure_alchi_simplifies_each_distinct_role_set_once(monkeypatch):
     sg = ShapesGraph.of(parse_constraints(REPEATED_SHAPES))
     kb = prepare(parse_tbox(REPEATED_TBOX), parse_abox("K2(a)\nr(a,b)\n"), sg, SAFE_DEPTH)
-    c_t = kb.c_t
-    nodes, occurrences = distinct_nodes(c_t)
-    exists = [n for n in nodes if isinstance(n, ExistsRoles)]
-    # _emit shares one object per conjunct across the bodies of C_T
-    assert occurrences > 10 * len(exists)
+    role_sets = []
+    work = [c.body for c in kb.c_t]
+    while work:
+        node = work.pop()
+        if isinstance(node, ExistsRoles):
+            role_sets.append(node.roles)
+        work += [getattr(node, f) for f in ("left", "right", "body") if hasattr(node, f)]
+    assert len(role_sets) > 10 * len(set(role_sets))
 
-    calls = {"_simplify_roles": 0, "_exists_via_edge_shapes": 0}
-    for name in calls:
-        def counted(*args, _name=name, _fn=getattr(rw, name)):
-            calls[_name] += 1
-            return _fn(*args)
+    calls = 0
 
-        monkeypatch.setattr(rw, name, counted)
-    pure_rewrite_alchi(kb.sat, c_t)
-    pure_rewrite_shaclb(kb.sat, c_t)
+    def counted(*args, _fn=rw._simplify_roles):
+        nonlocal calls
+        calls += 1
+        return _fn(*args)
+
+    monkeypatch.setattr(rw, "_simplify_roles", counted)
+    pure_rewrite_alchi(kb.sat, kb.c_t)
     # the sub-role choices are worked out once per role set
-    assert calls == {
-        "_simplify_roles": len({n.roles for n in exists}),
-        "_exists_via_edge_shapes": len(exists),
-    }
+    assert calls == len(set(role_sets))
 
 
 @pytest.mark.parametrize(

@@ -54,6 +54,19 @@ def test_only_core_builds_interpretations():
     assert callers == {"core.py"}
 
 
+def test_no_module_keys_by_object_identity():
+    """Walkers key shared bodies by value, so no module calls ``id()``."""
+    callers = sorted(
+        module
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "id"
+    )
+    assert callers == []
+
+
 def test_every_private_definition_is_read_somewhere():
     """A module-level ``_name`` function or class that no module of the
     package reads (by name, attribute or import) is dead code."""
