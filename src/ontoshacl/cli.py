@@ -59,7 +59,7 @@ from .shapes import (
     compute_stratification,
     normalize,
 )
-from .tbox import Hierarchy, SaturatedTBox, UnsupportedPattern, collapse_role_cycles, role_hierarchy
+from .tbox import SaturatedTBox, UnsupportedPattern, collapse_role_cycles
 from .values import value
 
 EXIT_VALID = 0
@@ -104,20 +104,14 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc.strerror}")
 
 
-def load_kb(
-    args: argparse.Namespace,
-) -> Tuple[TBox, ABox, Dict[str, Role], Optional[Hierarchy]]:
+def load_kb(args: argparse.Namespace) -> Tuple[TBox, ABox, Dict[str, Role]]:
     """Parse the TBox and collapse its role-inclusion cycles, then parse the
     ABox with the parser reading role names through the renaming, which is
     returned for ``load_shapes``. A TBox error, or a cycle that cannot be
-    collapsed, is reported before the ABox is read. The role hierarchy
-    that finds the cycles is returned for the saturation when there was
-    none, and ``None`` when the collapsed TBox has a hierarchy of its own."""
-    parsed = parse_tbox(_read(args.tbox), source=args.tbox)
-    hierarchy = role_hierarchy(parsed)
-    tbox, renaming = collapse_role_cycles(parsed, hierarchy)
+    collapsed, is reported before the ABox is read."""
+    tbox, renaming = collapse_role_cycles(parse_tbox(_read(args.tbox), source=args.tbox))
     abox = parse_abox(_read(args.abox), source=args.abox, renaming=renaming)
-    return tbox, abox, renaming, hierarchy if tbox is parsed else None
+    return tbox, abox, renaming
 
 
 def load_shapes(args: argparse.Namespace, renaming: Dict[str, Role]) -> ShapesGraph:
@@ -157,12 +151,9 @@ class PreparedKB:
         return self._c_t
 
 
-def prepare(
-    tbox: TBox, abox: ABox, sg: ShapesGraph, depth: int, hierarchy: Optional[Hierarchy] = None
-) -> PreparedKB:
-    """Saturate the TBox, over its role ``hierarchy`` when the caller has
-    it, and complete the ABox; raises InconsistentKB."""
-    sat = SaturatedTBox(tbox, hierarchy)
+def prepare(tbox: TBox, abox: ABox, sg: ShapesGraph, depth: int) -> PreparedKB:
+    """Saturate the TBox and complete the ABox; raises InconsistentKB."""
+    sat = SaturatedTBox(tbox)
     return PreparedKB(
         sat, abox, complete_abox(sat, abox), sg, depth, dict.fromkeys(STATS, 0)
     )
@@ -244,12 +235,12 @@ def _emit_report(
 def run(args: argparse.Namespace) -> int:
     """The validate pipeline; returns the process exit code."""
     route = ROUTES[args.mode]
-    tbox, abox, renaming, hierarchy = load_kb(args)
+    tbox, abox, renaming = load_kb(args)
     sg = load_shapes(args, renaming)
     if tbox.atmost and not route.counting:
         raise InputError(f"mode {args.mode} cannot handle max1 axioms; use pure-shaclb")
     try:
-        kb = prepare(tbox, abox, sg, args.depth, hierarchy)
+        kb = prepare(tbox, abox, sg, args.depth)
     except InconsistentKB:
         _emit_report(args, False, [], dict.fromkeys(STATS, 0))
         raise
@@ -277,8 +268,8 @@ def run(args: argparse.Namespace) -> int:
 
 
 def cmd_build_model(args: argparse.Namespace) -> int:
-    tbox, abox, _, hierarchy = load_kb(args)
-    sat = SaturatedTBox(tbox, hierarchy)
+    tbox, abox, _ = load_kb(args)
+    sat = SaturatedTBox(tbox)
     interp = build_can(sat, complete_abox(sat, abox), args.depth)
     if args.emit:
         sys.stdout.write(serialize_interpretation(interp))
@@ -292,8 +283,8 @@ def cmd_build_model(args: argparse.Namespace) -> int:
 
 
 def cmd_chase(args: argparse.Namespace) -> int:
-    tbox, abox, _, hierarchy = load_kb(args)
-    sat = SaturatedTBox(tbox, hierarchy)
+    tbox, abox, _ = load_kb(args)
+    sat = SaturatedTBox(tbox)
     complete_abox(sat, abox)  # raises InconsistentKB
 
     trace: List[Tuple[Interpretation, Interpretation]] = []

@@ -35,6 +35,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Set,
     Tuple,
     Union,
 )
@@ -213,7 +214,33 @@ class TBox:
         names = sorted(self.role_names())
         return tuple(Role(n, inv) for n in names for inv in (False, True))
 
+    @cached_property
+    def hierarchy(self) -> Hierarchy:
+        """The role hierarchy, computed by ``role_hierarchy`` on first read."""
+        return role_hierarchy(self)
 
+
+Hierarchy = Dict[Role, FrozenSet[Role]]
+
+
+def role_hierarchy(tbox: TBox) -> Hierarchy:
+    """Reflexive-transitive super-role map over both polarities."""
+    sup: Dict[Role, Set[Role]] = {r: {r} for r in tbox.all_roles()}
+    for ax in tbox.roles:
+        for sub, sper in ((ax.sub, ax.sup), (ax.sub.invert(), ax.sup.invert())):
+            sup.setdefault(sub, {sub}).add(sper)
+            sup.setdefault(sper, {sper})
+    changed = True
+    while changed:
+        changed = False
+        for r in sup:
+            extra = set()
+            for s in sup[r]:
+                extra |= sup.get(s, {s})
+            if not extra <= sup[r]:
+                sup[r] |= extra
+                changed = True
+    return {r: frozenset(v) for r, v in sup.items()}
 
 
 # ---------------------------------------------------------------------------

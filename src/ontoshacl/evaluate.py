@@ -26,15 +26,9 @@ adjacency. A node's case is found by its type in one table. Semi-naive
 rounds are not used: each round of a recursive component re-evaluates
 every item of that component.
 
-A body that many constraints read, as in the rewriting C_T, is evaluated
-once where its value is final. The evaluator keeps, for one ``_fixpoint``
-call, the value of each composite body once that value can no longer
-change: when the body read no shape name, or when it was evaluated in a
-component that does not read itself, since every name such a component
-reads belongs to a finished one. ``_fixpoint`` says which components
-those are. The memo is keyed by the body's value, so equal bodies share
-one entry. Leaves bypass the memo, so unshared source shapes pay for it
-only at composite nodes.
+A body is evaluated wherever it occurs, even one that many constraints
+read, as in the rewriting C_T: a table of values probed by body hashes
+the whole body, which cost more than evaluating it again.
 """
 from __future__ import annotations
 
@@ -43,7 +37,7 @@ from typing import (
 )
 
 from .core import Interpretation, Node, Role
-from .paths import NFA, Regex, regex_to_nfa
+from .paths import NFA, regex_to_nfa
 from .shapes import (
     And,
     BinConstraint,
@@ -78,20 +72,12 @@ Pair = Tuple[Node, Node]
 Tables = Tuple[Dict[str, Set[Node]], Dict[str, Set[Pair]]]
 # (shape, individual) -> verdict; None where a truncated model cannot tell
 Verdicts = Dict[Tuple[str, str], Optional[bool]]
-# path automata compiled during one evaluation, dropped when it returns
-NFAs = Dict[Regex, NFA]
 
 _EMPTY: FrozenSet = frozenset()
 
 
 class TruncationRefused(RuntimeError):
     """Negation over a cut-off model approximation is unreliable."""
-
-
-def _nfa(nfas: NFAs, path: Regex) -> NFA:
-    if path not in nfas:
-        nfas[path] = regex_to_nfa(path)
-    return nfas[path]
 
 
 def _walk(
@@ -138,12 +124,6 @@ class _Evaluator:
     the shape atoms from ``unary`` and ``binary`` (shape name to nodes or
     node pairs). A result may be a set of those tables or of the
     interpretation's index itself, so callers must not mutate it.
-
-    ``memo`` maps a composite body to its value once that value is final:
-    when the body read no shape name, or when ``final`` is set, which the
-    fixpoint does while it evaluates a group that reads only finished
-    groups. A composite's value is always a set of its own, never a table
-    that grows later.
     """
 
     def __init__(
@@ -151,31 +131,16 @@ class _Evaluator:
         interp: Interpretation,
         unary: Dict[str, Set[Node]],
         binary: Dict[str, Set[Pair]],
-        nfas: NFAs,
     ) -> None:
         self.interp = interp
         self.unary = unary
         self.binary = binary
-        self.nfas = nfas
-        self.memo: Dict[ShapeBody, AbstractSet[Node]] = {}
-        self.final = False
-        self.reads = 0  # shape and edge-shape names read so far
 
     def body(self, body: ShapeBody) -> AbstractSet[Node]:
-        case = self._LEAVES.get(type(body))
-        if case is not None:
-            return case(self, body)
-        done = self.memo.get(body)
-        if done is not None:
-            return done
-        case = self._COMPOSITES.get(type(body))
+        case = self._BODIES.get(type(body))
         if case is None:
             raise TypeError(f"unknown body {body!r}")
-        reads = self.reads
-        out = case(self, body)
-        if self.final or self.reads == reads:
-            self.memo[body] = out
-        return out
+        return case(self, body)
 
     def path(self, p: PathExpr) -> AbstractSet[Pair]:
         case = self._PATHS.get(type(p))
@@ -204,8 +169,8 @@ class _Evaluator:
         node = body.guard
         if node not in self.interp.nodes:
             return _EMPTY
-        left = _path_reach(self.interp, node, _nfa(self.nfas, body.left))
-        right = _path_reach(self.interp, node, _nfa(self.nfas, body.right))
+        left = _path_reach(self.interp, node, regex_to_nfa(body.left))
+        right = _path_reach(self.interp, node, regex_to_nfa(body.right))
         if isinstance(body, GuardedEq):
             ok = left == right
         else:
@@ -223,31 +188,18 @@ class _Evaluator:
             by_mid.setdefault(y, set()).add(x)
         return {(x, z) for y, z in self.path(p.right) for x in by_mid.get(y, ())}
 
-    def _shape(self, name: str) -> AbstractSet[Node]:
-        self.reads += 1
-        return self.unary.get(name, _EMPTY)
-
-    def _edge_shape(self, name: str) -> AbstractSet[Pair]:
-        self.reads += 1
-        return self.binary.get(name, _EMPTY)
-
     # the case of each node type, called as case(evaluator, node): a body's
-    # nodes, or a path expression's node pairs. A leaf body is looked up
-    # directly, a composite one through the memo
-    _LEAVES = {
+    # nodes, or a path expression's node pairs
+    _BODIES = {
         IndividualRef: lambda ev, b: {b.name} if b.name in ev.interp.nodes else _EMPTY,
-        ShapeRef: lambda ev, b: ev._shape(b.name),
-        NegShapeRef: lambda ev, b: ev.interp.nodes - ev._shape(b.name),
+        ShapeRef: lambda ev, b: ev.unary.get(b.name, _EMPTY),
+        NegShapeRef: lambda ev, b: ev.interp.nodes - ev.unary.get(b.name, _EMPTY),
         ConceptRef: lambda ev, b: ev.interp.extension(b.name),
-    }
-    _COMPOSITES = {
         Or: lambda ev, b: ev.body(b.left) | ev.body(b.right),
         And: lambda ev, b: ev.body(b.left) & ev.body(b.right),
         Not: lambda ev, b: ev.interp.nodes - ev.body(b.body),
         ExistsRoles: _exists_roles,
-        ExistsPath: lambda ev, b: _path_sources(
-            ev.interp, _nfa(ev.nfas, b.path), ev.body(b.body)
-        ),
+        ExistsPath: lambda ev, b: _path_sources(ev.interp, regex_to_nfa(b.path), ev.body(b.body)),
         GuardedEq: _comparison,
         GuardedDisj: _comparison,
         ExistsVia: _exists_via,
@@ -256,8 +208,8 @@ class _Evaluator:
         RoleStep: lambda ev, p: {
             (x, y) for x, ys in ev.interp.adjacency(p.role).items() for y in ys
         },
-        BinRef: lambda ev, p: ev._edge_shape(p.name),
-        Test: lambda ev, p: {(n, n) for n in ev._shape(p.shape)},
+        BinRef: lambda ev, p: ev.binary.get(p.name, _EMPTY),
+        Test: lambda ev, p: {(n, n) for n in ev.unary.get(p.shape, _EMPTY)},
         PInter: lambda ev, p: ev.path(p.left) & ev.path(p.right),
         PConcat: _concat,
         PInverse: lambda ev, p: {(y, x) for x, y in ev.path(p.inner)},
@@ -292,9 +244,8 @@ def _fixpoint(
     itself, and itself only positively. A recursive group repeats rounds
     until one adds nothing; any other group is final after one round.
     """
-    ev = _Evaluator(interp, {}, {}, {})
+    ev = _Evaluator(interp, {}, {})
     for group, recursive in components:
-        ev.final = not recursive
         while _round(ev, group) and recursive:
             pass
     return ev.unary, ev.binary

@@ -1,4 +1,4 @@
-"""TBox reasoning: role hierarchy, saturation, implied existentials.
+"""TBox reasoning: role cycles, saturation, implied existentials.
 
 The saturation derives two stores from a normalized TBox:
 
@@ -17,7 +17,7 @@ collapses onto that parent.
 """
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from .core import (
     BOT,
@@ -38,46 +38,17 @@ class UnsupportedPattern(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# role hierarchy
+# role cycles
 
 
-Hierarchy = Dict[Role, FrozenSet[Role]]
-
-
-def role_hierarchy(tbox: TBox) -> Hierarchy:
-    """Reflexive-transitive super-role map over both polarities."""
-    names = sorted(tbox.role_names())
-    roles = [Role(n, inv) for n in names for inv in (False, True)]
-    sup: Dict[Role, Set[Role]] = {r: {r} for r in roles}
-    for ax in tbox.roles:
-        for sub, sper in ((ax.sub, ax.sup), (ax.sub.invert(), ax.sup.invert())):
-            sup.setdefault(sub, {sub}).add(sper)
-            sup.setdefault(sper, {sper})
-    changed = True
-    while changed:
-        changed = False
-        for r in sup:
-            extra = set()
-            for s in sup[r]:
-                extra |= sup.get(s, {s})
-            if not extra <= sup[r]:
-                sup[r] |= extra
-                changed = True
-    return {r: frozenset(v) for r, v in sup.items()}
-
-
-def collapse_role_cycles(
-    tbox: TBox, hier: Optional[Hierarchy] = None
-) -> Tuple[TBox, Dict[str, Role]]:
+def collapse_role_cycles(tbox: TBox) -> Tuple[TBox, Dict[str, Role]]:
     """Replace each cycle of role inclusions by a single representative.
 
     Returns the rewritten TBox and a renaming from replaced role names to
-    the role (possibly inverted) they now stand for. ``hier`` is the
-    TBox's ``role_hierarchy`` when the caller has it; a TBox without a
-    cycle comes back as the same object, and that hierarchy is still its.
+    the role (possibly inverted) they now stand for. A TBox without a
+    cycle comes back as the same object, its ``hierarchy`` already read.
     """
-    if hier is None:
-        hier = role_hierarchy(tbox)
+    hier = tbox.hierarchy
     # r and s are in a cycle iff each is a super-role of the other
     groups: Dict[Role, List[Role]] = {}
     for r in hier:
@@ -154,11 +125,8 @@ def _strip_top(cs: Iterable[str]) -> FrozenSet[str]:
 class SaturatedTBox:
     """Derived conjunction inclusions and existentials of a TBox."""
 
-    def __init__(self, tbox: TBox, hierarchy: Optional[Hierarchy] = None):
-        """``hierarchy`` is the TBox's ``role_hierarchy`` when the caller
-        has it, and is computed otherwise."""
+    def __init__(self, tbox: TBox):
         self.tbox = tbox
-        self.hierarchy = role_hierarchy(tbox) if hierarchy is None else hierarchy
         self._cl_cache: Dict[FrozenSet[str], FrozenSet[str]] = {}
         self._ie_cache: Dict[FrozenSet[str], Tuple[OneHalfType, ...]] = {}
         self.conj: Set[Tuple[FrozenSet[str], str]] = set()
@@ -168,7 +136,7 @@ class SaturatedTBox:
     # -- closures ----------------------------------------------------------
 
     def superroles(self, role: Role) -> FrozenSet[Role]:
-        return self.hierarchy.get(role, frozenset({role}))
+        return self.tbox.hierarchy.get(role, frozenset({role}))
 
     def close_roles(self, roles: Iterable[Role]) -> FrozenSet[Role]:
         out: Set[Role] = set()
@@ -234,7 +202,7 @@ class SaturatedTBox:
     def _step_forall(self) -> None:
         new_exist: Set[Existential] = set()
         new_conj: Set[Tuple[FrozenSet[str], str]] = set()
-        for e in sorted(self.existentials, key=_key_exist):
+        for e in self.existentials:
             for ax in self.tbox.value:
                 if ax.role in e.roles and ax.filler != TOP:
                     # forward: the axiom's premise holds at the parent
@@ -254,11 +222,10 @@ class SaturatedTBox:
 
     def _step_atmost_siblings(self) -> None:
         new: Set[Existential] = set()
-        es = sorted(self.existentials, key=_key_exist)
         for ax in self.tbox.atmost:
             hits = [
                 e
-                for e in es
+                for e in self.existentials
                 if ax.role in e.roles and self._holds(ax.filler, self.cl(e.fillers))
             ]
             for e1 in hits:
@@ -278,15 +245,14 @@ class SaturatedTBox:
     def _step_atmost_parent(self) -> None:
         new_exist: Set[Existential] = set()
         new_conj: Set[Tuple[FrozenSet[str], str]] = set()
-        es = sorted(self.existentials, key=_key_exist)
-        for e1 in es:
+        for e1 in self.existentials:
             child = self.cl(e1.fillers)
             for ax in self.tbox.atmost:
                 if not self._holds(ax.lhs, child):
                     continue
                 if ax.role.invert() not in e1.roles:
                     continue  # the parent is not reachable over the counted role
-                for e2 in es:
+                for e2 in self.existentials:
                     if not e2.premise <= child:
                         continue
                     if ax.role not in e2.roles:
@@ -309,7 +275,7 @@ class SaturatedTBox:
         self.conj |= new_conj
 
     def _step_bottom(self) -> None:
-        for e in sorted(self.existentials, key=_key_exist):
+        for e in self.existentials:
             if BOT in self.cl(e.fillers):
                 self.conj.add((e.premise, BOT))
 

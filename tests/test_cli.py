@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from ontoshacl import cli, model, rewrite, tbox
+from ontoshacl import cli, core, model, rewrite
 from ontoshacl.formats import parse_constraints
 from ontoshacl.shapes import Constraint, ShapesGraph, normalize
 
@@ -310,14 +310,13 @@ def test_validate_computes_the_role_hierarchy_once(tmp_path, mode, monkeypatch):
     # finding the role cycles and saturating read one hierarchy; a TBox
     # with a cycle is collapsed and so needs a second, its own
     calls = []
-    compute = tbox.role_hierarchy
+    compute = core.role_hierarchy
 
     def spy(tb):
         calls.append(tb)
         return compute(tb)
 
-    monkeypatch.setattr(tbox, "role_hierarchy", spy)
-    monkeypatch.setattr(cli, "role_hierarchy", spy)
+    monkeypatch.setattr(core, "role_hierarchy", spy)
     for axioms, want in (("r <= s\n", 1), ("r <= s\ns <= r\n", 2)):
         calls.clear()
         rc = validate(tmp_path, mode, "$s(@a)\n", tbox=TBOX + axioms)

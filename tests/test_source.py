@@ -55,7 +55,8 @@ def test_only_core_builds_interpretations():
 
 
 def test_no_module_keys_by_object_identity():
-    """Walkers key shared bodies by value, so no module calls ``id()``."""
+    """No walker keys a body by the object it is, so no module calls
+    ``id()``: an equal body built apart must get the same answer."""
     callers = sorted(
         module
         for module, tree in TREES.items()

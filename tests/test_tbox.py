@@ -33,7 +33,6 @@ from ontoshacl.tbox import (
     SaturatedTBox,
     UnsupportedPattern,
     collapse_role_cycles,
-    role_hierarchy,
 )
 
 # =============================================================================
@@ -71,7 +70,7 @@ def test_role_hierarchy_is_reflexive_transitive_and_inverse_closed():
     tb = TBox.of(
         [RoleInclusion(Role("p"), Role("q")), RoleInclusion(Role("q"), Role("r"))]
     )
-    h = role_hierarchy(tb)
+    h = tb.hierarchy
     assert h[Role("p")] == frozenset({Role("p"), Role("q"), Role("r")})
     # the mirrored statement about inverses comes for free
     assert h[Role("p", True)] == frozenset(
