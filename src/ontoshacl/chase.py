@@ -45,14 +45,6 @@ class NotTerminated(RuntimeError):
         self.last = last
 
 
-def _node_sig(n: Node) -> str:
-    if isinstance(n, str):
-        return n
-    if isinstance(n, Null):
-        return f"_n:{n.key}"
-    return n.base + "".join("." + str(t) for t in n.path)
-
-
 # ---------------------------------------------------------------------------
 # oblivious firing
 
@@ -77,7 +69,7 @@ def fire_axioms(sat: SaturatedTBox, atoms: Interpretation) -> Interpretation:
         for x in domain:
             if not atoms.has_concept(ax.lhs, x):
                 continue
-            y = Null(f"{_node_sig(x)}!{ax.lhs}.{ax.role}.{ax.filler}")
+            y = Null(f"{x}!{ax.lhs}.{ax.role}.{ax.filler}")
             nodes.add(y)
             index.add_role(ax.role, x, y)
             if ax.filler != TOP:

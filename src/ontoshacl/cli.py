@@ -14,12 +14,12 @@ required option, a non-integer number; an unreadable file, a parse
 error, an unsupported TBox pattern, an unguarded comparison, a negative
 ``--depth``); 4 constraints not stratified; 5 a budget hit where a
 verdict would need the missing part: negation over a truncated model, a
-model prefix over ``model.MAX_MODEL_NODES`` nodes (data that alone is over
-it is told to use ``--mode rewrite``, as no depth fits), a rewriting over
-``rewrite.MAX_QUADRUPLES`` quadruples, the chase's round budget, or the
-chase's size guard. ``validate`` also exits 5 when a target fails on a
-model truncated at ``--depth`` (reported UNKNOWN, ``"valid": null`` in
-JSON), and ``chase`` when it runs out of rounds, after printing them.
+model prefix that adds over ``model.MAX_MODEL_NODES`` anonymous nodes, a
+rewriting over ``rewrite.MAX_QUADRUPLES`` quadruples, the chase's round
+budget, or the chase's size guard. ``validate`` also exits 5 when a
+target fails on a model truncated at ``--depth`` (reported UNKNOWN,
+``"valid": null`` in JSON), and ``chase`` when it runs out of rounds,
+after printing them.
 
 A target whose shape no constraint defines, or whose individual is not
 in the data, is a VIOLATION like any other failed target; ``validate``
@@ -48,7 +48,7 @@ from .formats import (
     report_to_json,
     serialize_interpretation,
 )
-from .model import DataTooLarge, InconsistentKB, ModelTooLarge, build_can, complete_abox
+from .model import InconsistentKB, ModelTooLarge, build_can, complete_abox
 from .rewrite import RewriteTooLarge, pure_rewrite_alchi, pure_rewrite_shaclb, rewrite
 from .shapes import (
     Constraint,
@@ -86,7 +86,6 @@ FAILURES: Dict[type, Tuple[int, str, str]] = {
     TruncationRefused: (EXIT_DEPTH, "error", " (raise --depth)"),
     NotTerminated: (EXIT_DEPTH, "error", " (raise --depth)"),
     ModelTooLarge: (EXIT_DEPTH, "error", " (lower --depth)"),
-    DataTooLarge: (EXIT_DEPTH, "error", " (--mode rewrite builds no model)"),
     RewriteTooLarge: (EXIT_DEPTH, "error", " (--mode direct needs no rewriting)"),
     SizeGuardExceeded: (EXIT_DEPTH, "error", " (the chase is a cross-check for small inputs)"),
 }

@@ -255,18 +255,11 @@ class TwoType:
     roles: FrozenSet[Role]
     others: FrozenSet[str]
 
-    def invert(self) -> "TwoType":
-        return TwoType(self.others, invert_roles(self.roles), self.concepts)
-
     def __str__(self) -> str:
         c = ",".join(sorted(self.concepts))
         r = ",".join(str(x) for x in sorted(self.roles))
         o = ",".join(sorted(self.others))
         return "({%s},{%s},{%s})" % (c, r, o)
-
-
-def bare_type(concepts: Iterable[str]) -> TwoType:
-    return TwoType(frozenset(concepts), frozenset(), frozenset())
 
 
 @value(frozen=True)

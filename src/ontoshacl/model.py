@@ -7,8 +7,9 @@ the last round added and that is one of its premises, so each round's
 work follows what is new, not the size of the data. ``build_can`` grows
 the anonymous part breadth-first, in a copy of that index's tables
 (``GraphIndex.of``), up to a depth bound, tracking whether the result
-is the whole model or a truncation; individuals with equal frontiers
-share one ``succ_config``.
+is the whole model or a truncation. A root frontier is keyed by the
+individual's concepts and its neighbours, and individuals with equal
+keys share one ``succ_config``.
 
 Anonymous nodes are words over 2-type letters. A letter (X, R, Y) says:
 the parent satisfies exactly X, the edge into the child carries exactly
@@ -17,7 +18,7 @@ the roles R, and the child satisfies exactly Y.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Collection, Deque, Dict, FrozenSet, List, Set, Tuple
 
 from .core import (
     BOT,
@@ -34,9 +35,7 @@ from .core import (
     TwoType,
     ValueRestriction,
     _stored,
-    bare_type,
-    half_type_key,
-    type_key,
+    invert_roles,
 )
 from .tbox import SaturatedTBox
 
@@ -45,7 +44,7 @@ from .tbox import SaturatedTBox
 INJECT_SUCC_FILTER_BUG = False
 
 
-# build_can refuses to make a model prefix with more nodes than this
+# build_can refuses to add more anonymous nodes than this to the data
 MAX_MODEL_NODES = 100_000
 
 
@@ -54,12 +53,8 @@ class InconsistentKB(ValueError):
 
 
 class ModelTooLarge(RuntimeError):
-    """The model prefix asked for has more nodes than ``MAX_MODEL_NODES``."""
-
-
-class DataTooLarge(ModelTooLarge):
-    """The completed data alone has more nodes than ``MAX_MODEL_NODES``, so
-    no prefix of depth 1 or more fits."""
+    """The model prefix asked for has more anonymous nodes than
+    ``MAX_MODEL_NODES``."""
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +161,10 @@ def complete_abox(sat: SaturatedTBox, abox: ABox) -> ABox:
         # entailed concept closure; what it adds joins this round, and
         # cl of a closed set adds nothing
         for a in grown:
-            if isinstance(a, str):
-                have = ctype.get(a, frozenset())
-                for c in sat.cl(have) - have:
-                    index.add_concept(c, a)
-                    concepts.append((c, a))
+            have = ctype.get(a, frozenset())
+            for c in sat.cl(have) - have:
+                index.add_concept(c, a)
+                concepts.append((c, a))
         # value restrictions and merges, on each new atom
         for name, a, b in roles:
             _, fwd_value, fwd_atmost, bwd_value, bwd_atmost = rules_on(name)
@@ -225,50 +219,30 @@ def complete_abox(sat: SaturatedTBox, abox: ABox) -> ABox:
 
 
 def succ_config(
-    sat: SaturatedTBox, types: Iterable[TwoType]
+    sat: SaturatedTBox,
+    concepts: FrozenSet[str],
+    neighbours: Collection[Tuple[FrozenSet[Role], FrozenSet[str]]],
 ) -> Tuple[OneHalfType, ...]:
-    """Successor candidates still owed by a node with the given 2-types.
-
-    All types must agree on their first component (they describe one
-    node). A candidate is dropped when some given 2-type already
-    witnesses it.
-    """
-    ts = frozenset(types)
-    if not ts:
-        raise ValueError("need at least one 2-type")
-    first = next(iter(ts)).concepts
-    if any(t.concepts != first for t in ts):
-        raise ValueError("2-types describe different nodes")
-    cands = sat.implied_existentials(first)
+    """Successor candidates still owed by a node with the given concepts:
+    its implied existentials, in their order, but for those that a
+    (roles to, concepts of) pair of its neighbours already witnesses."""
+    cands = sat.implied_existentials(concepts)
     if INJECT_SUCC_FILTER_BUG:
         return cands
-    out = [
+    return tuple(
         u
         for u in cands
-        if not any(u.roles <= t.roles and u.concepts <= t.others for t in ts)
-    ]
-    return tuple(sorted(out, key=half_type_key))
+        if not any(u.roles <= roles and u.concepts <= theirs for roles, theirs in neighbours)
+    )
 
 
 def children(sat: SaturatedTBox, t: TwoType) -> Tuple[TwoType, ...]:
-    """Letters that may follow letter t in an anonymous word."""
-    out = [
+    """Letters that may follow letter t in an anonymous word, in
+    ``type_key`` order."""
+    return tuple(
         TwoType(t.others, u.roles, u.concepts)
-        for u in succ_config(sat, [t.invert()])
-    ]
-    return tuple(sorted(out, key=type_key))
-
-
-def root_frontier(
-    mine: FrozenSet[str], neighbours: Iterable[Tuple[FrozenSet[Role], FrozenSet[str]]]
-) -> FrozenSet[TwoType]:
-    """The 2-types a named individual with concepts ``mine`` presents to
-    the successor computation, given the roles to and the concepts of each
-    of its neighbours, as a set: ``succ_config`` reads them in no order."""
-    out = {bare_type(mine)}
-    for roles, theirs in neighbours:
-        out.add(TwoType(mine, roles, theirs))
-    return frozenset(out)
+        for u in succ_config(sat, t.others, ((invert_roles(t.roles), t.concepts),))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +255,14 @@ def build_can(sat: SaturatedTBox, completed: ABox, depth: int) -> Interpretation
 
     Depth counts anonymous letters: 0 is just the completed data graph.
     The returned ``complete`` flag is true iff nothing was cut off.
+    Raises ModelTooLarge, before making any node, when the prefix would
+    add more than ``MAX_MODEL_NODES`` anonymous nodes.
 
     The root frontiers are keyed in one pass over the role tables
     (``Interpretation.links``): an individual's key is its concepts and
-    the set of (roles to, concepts of) pairs of its neighbours, which
-    fixes its frontier. Its first letters, from ``succ_config`` of that
-    frontier, are built once per distinct key, and the frontier's 2-types
-    only then.
+    the set of (roles to, concepts of) pairs of its neighbours. Its first
+    letters, from ``succ_config`` of that key, are built once per
+    distinct key.
     """
     index = GraphIndex.of(completed)
     nodes: Set[Node] = set(completed.nodes)
@@ -306,7 +281,7 @@ def build_can(sat: SaturatedTBox, completed: ABox, depth: int) -> Interpretation
             kids[t] = children(sat, t)
         return kids[t]
 
-    # individuals with equal keys have equal frontiers and first letters
+    # individuals with equal keys have equal first letters
     concepts_of = completed.concepts_of
     links = completed.links()
     owed: Dict[Tuple, Tuple[TwoType, ...]] = {}
@@ -318,18 +293,12 @@ def build_can(sat: SaturatedTBox, completed: ABox, depth: int) -> Interpretation
         letters = owed.get(key)
         if letters is None:
             letters = owed[key] = tuple(
-                TwoType(mine, u.roles, u.concepts)
-                for u in succ_config(sat, root_frontier(*key))
+                TwoType(mine, u.roles, u.concepts) for u in succ_config(sat, *key)
             )
         for letter in letters:
             roots.append((a, letter))
     if depth == 0:
         return index.seal(nodes, not roots)
-    if len(nodes) > MAX_MODEL_NODES:
-        raise DataTooLarge(
-            f"the data alone has {len(nodes)} nodes, more than the "
-            f"{MAX_MODEL_NODES} a model prefix may have"
-        )
 
     # count the nodes before making them. size[t] is the size, capped just
     # above the budget, of a subtree whose root ends in letter t, one more
@@ -351,11 +320,10 @@ def build_can(sat: SaturatedTBox, completed: ABox, depth: int) -> Interpretation
         if deeper == size:
             break
         size = deeper
-    if len(nodes) + sum(size[t] for _, t in roots) > MAX_MODEL_NODES:
+    if sum(size[t] for _, t in roots) > MAX_MODEL_NODES:
         raise ModelTooLarge(
             f"the model prefix of depth {depth} has more than "
-            f"{MAX_MODEL_NODES} nodes: {len(nodes)} of the data and more "
-            f"than {MAX_MODEL_NODES - len(nodes)} anonymous ones"
+            f"{MAX_MODEL_NODES} anonymous nodes"
         )
 
     complete = True

@@ -277,7 +277,8 @@ def _seed_dict(st: SaturatedTBox, codes: _Codes) -> Tuple[_K, List[int]]:
     K: _K = {}
     pinned = []
     for i, t in enumerate(codes.types):
-        cand = [codes.entry(u) for u in sorted(succ_config(st, [t]), key=_entry_key)]
+        owed = succ_config(st, t.concepts, [(t.roles, t.others)])
+        cand = [codes.entry(u) for u in sorted(owed, key=_entry_key)]
         ie = 0
         for u in st.implied_existentials(t.concepts):
             ie |= codes.entry(u)

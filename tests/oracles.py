@@ -831,7 +831,7 @@ class _Ctx:
         self.st = st
 
     def cand_exprs(self, t: TwoType) -> FrozenSet[OneHalfType]:
-        return frozenset(succ_config(self.st, [t]))
+        return frozenset(succ_config(self.st, t.concepts, [(t.roles, t.others)]))
 
     def ie_exprs(self, concepts: FrozenSet[str]) -> FrozenSet[OneHalfType]:
         return frozenset(self.st.implied_existentials(concepts))

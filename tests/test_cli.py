@@ -283,7 +283,12 @@ def test_model_over_the_node_budget_exits_5(tmp_path, capsys):
     rc = validate(tmp_path, "direct", "$s(@a)\n", tbox=BRANCHING, abox="A(a)\n", shapes="$s <- A\n")
     captured = capsys.readouterr()
     assert rc == cli.EXIT_DEPTH
-    assert f"more than {model.MAX_MODEL_NODES} nodes" in captured.err
+    assert f"more than {model.MAX_MODEL_NODES} anonymous nodes (lower --depth)" in captured.err
+    # the advice holds: depth 0 adds no node, and the same input answers
+    rc = validate(tmp_path, "direct", "$s(@a)\n", tbox=BRANCHING, abox="A(a)\n",
+                  shapes="$s <- A\n", extra=["--depth", "0"])
+    assert rc == cli.EXIT_VALID
+    assert "$s(@a): VALID" in capsys.readouterr().out
     f = write(tmp_path, tbox=BRANCHING, abox="A(a)\n")
     assert cli.main(["build-model", "--tbox", f["tbox"], "--abox", f["abox"]]) == cli.EXIT_DEPTH
     assert "Traceback" not in capsys.readouterr().err
@@ -292,17 +297,25 @@ def test_model_over_the_node_budget_exits_5(tmp_path, capsys):
     assert "nodes=15 " in capsys.readouterr().out
 
 
-def test_data_over_the_node_budget_advises_the_route_without_a_model(tmp_path, monkeypatch, capsys):
-    # five individuals over a budget of three nodes: no depth above 0
-    # fits, so the advice names the route that builds no model, and it runs
+def test_data_over_the_node_budget_still_gets_a_model(tmp_path, monkeypatch, capsys):
+    # five individuals over a budget of three nodes: the bound counts only
+    # the three anonymous nodes that depth 1 adds, so the prefix is built
     monkeypatch.setattr(model, "MAX_MODEL_NODES", 3)
-    data = dict(tbox="A <= some r.B\n", abox="A(a)\nA(b)\nA(c)\nr(d,e)\n", shapes="$s <- A\n")
-    rc = validate(tmp_path, "direct", "$s(@a)\n", extra=["--depth", "1"], **data)
-    err = capsys.readouterr().err
-    assert rc == cli.EXIT_DEPTH
-    assert "the data alone has 5 nodes" in err and "--mode rewrite" in err
-    assert "lower --depth" not in err
-    assert validate(tmp_path, "rewrite", "$s(@a)\n", **data) == cli.EXIT_VALID
+    data = dict(tbox="A <= some r.B\n", abox="A(a)\nA(b)\nA(c)\nr(d,e)\n",
+                shapes="$s <- A\n$t <- some [r].B\n")
+    targets = "$s(@a)\n$s(@d)\n$t(@a)\n$t(@d)\n"
+    verdicts = {}
+    for mode, extra in (("direct", ["--depth", "1"]), ("rewrite", [])):
+        assert validate(tmp_path, mode, targets, extra=extra, **data) == cli.EXIT_VIOLATIONS
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        verdicts[mode] = [line for line in captured.out.splitlines() if line.startswith("$")]
+    assert verdicts["direct"] == verdicts["rewrite"]
+    assert "$t(@a): VALID" in verdicts["direct"] and "$t(@d): VIOLATION" in verdicts["direct"]
+    f = write(tmp_path, tbox=data["tbox"], abox=data["abox"])
+    argv = ["build-model", "--tbox", f["tbox"], "--abox", f["abox"], "--depth", "1"]
+    assert cli.main(argv) == cli.EXIT_VALID
+    assert "nodes=8 " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("mode", MODES)

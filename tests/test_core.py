@@ -34,7 +34,6 @@ from ontoshacl.core import (
     TBox,
     TwoType,
     ValueRestriction,
-    bare_type,
     node_key,
     type_key,
 )
@@ -164,18 +163,6 @@ def test_abox_individuals_cover_role_endpoints():
 # =============================================================================
 
 
-def test_two_type_invert_involution():
-    t = TwoType(frozenset({"A"}), frozenset({Role("r")}), frozenset({"B"}))
-    assert t.invert().invert() == t
-    assert t.invert().roles == frozenset({Role("r", True)})
-    assert t.invert().concepts == frozenset({"B"})
-
-
-def test_bare_type_has_no_edge():
-    t = bare_type({"A", "B"})
-    assert t.roles == frozenset() and t.others == frozenset()
-
-
 def test_half_type_subsumption_is_componentwise():
     small = OneHalfType(frozenset({Role("r")}), frozenset({"A"}))
     big = OneHalfType(frozenset({Role("r"), Role("s")}), frozenset({"A", "B"}))
@@ -191,13 +178,13 @@ def test_half_type_subsumption_is_componentwise():
 
 def test_node_key_orders_named_before_anonymous():
     a = "a"
-    w = Anon("a", (bare_type({"A"}),))
+    w = Anon("a", (TwoType(frozenset({"A"}), frozenset(), frozenset()),))
     n = Null("k")
     assert sorted([n, w, a], key=node_key) == [a, w, n]
 
 
 def test_anon_child_extends_the_word():
-    t = bare_type({"A"})
+    t = TwoType(frozenset({"A"}), frozenset(), frozenset())
     w = Anon("a", (t,))
     assert w.child(t).path == (t, t)
     assert w.child(t).depth == 2
@@ -234,8 +221,8 @@ def test_restrict_keeps_only_induced_atoms():
 
 @given(st.sets(concept_names, max_size=3))
 def test_type_key_is_injective_on_bare_types(cs):
-    t = bare_type(cs)
-    s = bare_type(cs | {"Z"})
+    t = TwoType(frozenset(cs), frozenset(), frozenset())
+    s = TwoType(frozenset(cs | {"Z"}), frozenset(), frozenset())
     assert type_key(t) != type_key(s)
 
 

@@ -7,6 +7,7 @@ Randomized completion is cross-checked against the ground chase oracle.
 """
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -29,6 +30,7 @@ from ontoshacl.core import (
     TBox,
     TwoType,
     ValueRestriction,
+    type_key,
 )
 from ontoshacl.harness import gen_abox, gen_tbox
 from ontoshacl.model import (
@@ -36,7 +38,6 @@ from ontoshacl.model import (
     children,
     complete_abox,
     is_model,
-    root_frontier,
     succ_config,
 )
 from ontoshacl.tbox import SaturatedTBox
@@ -81,6 +82,11 @@ def half(roles, concepts):
     return OneHalfType(frozenset(Role(r) for r in roles), frozenset(concepts))
 
 
+def link(roles, others):
+    """A (roles to, concepts of) neighbour pair."""
+    return frozenset(Role(r) for r in roles), frozenset(others)
+
+
 # =============================================================================
 # SUCCESSOR CONFIGURATION GOLDENS
 # =============================================================================
@@ -89,11 +95,11 @@ def half(roles, concepts):
 def test_succ_config_merges_under_counting():
     """A frontier that does not yet witness either requirement owes both."""
     s = SaturatedTBox(GOLDEN_SEVEN)
-    frontier = [
-        two_type({"B0", "B1"}, {"r1"}, {"A2"}),
-        two_type({"B0", "B1"}, {"r1"}, {"A2"}),  # duplicate on purpose
+    neighbours = [
+        link({"r1"}, {"A2"}),
+        link({"r1"}, {"A2"}),  # duplicate on purpose
     ]
-    assert set(succ_config(s, frontier)) == {
+    assert set(succ_config(s, frozenset({"B0", "B1"}), neighbours)) == {
         half({"r0", "r1"}, {"A0", "A1"}),
         half({"r2"}, {"A2"}),
     }
@@ -101,28 +107,18 @@ def test_succ_config_merges_under_counting():
 
 def test_succ_config_drops_requirements_already_witnessed():
     s = SaturatedTBox(GOLDEN_SEVEN)
-    frontier = [two_type({"B0", "B1"}, {"r1", "r2"}, {"A2"})]
-    assert set(succ_config(s, frontier)) == {half({"r0", "r1"}, {"A0", "A1"})}
-
-
-def test_succ_config_rejects_bad_frontiers():
-    s = SaturatedTBox(GOLDEN_SEVEN)
-    with pytest.raises(ValueError):
-        succ_config(s, [])
-    with pytest.raises(ValueError):
-        succ_config(
-            s,
-            [two_type({"B0"}, {"r1"}, set()), two_type({"B1"}, {"r1"}, set())],
-        )
+    neighbours = [link({"r1", "r2"}, {"A2"})]
+    got = succ_config(s, frozenset({"B0", "B1"}), neighbours)
+    assert set(got) == {half({"r0", "r1"}, {"A0", "A1"})}
 
 
 def test_succ_filter_mutation_hook_changes_the_golden():
     # the selftest harness relies on this switch producing a real bug
     s = SaturatedTBox(GOLDEN_SEVEN)
-    frontier = [two_type({"B0", "B1"}, {"r1", "r2"}, {"A2"})]
+    neighbours = [link({"r1", "r2"}, {"A2"})]
     model.INJECT_SUCC_FILTER_BUG = True
     try:
-        buggy = set(succ_config(s, frontier))
+        buggy = set(succ_config(s, frozenset({"B0", "B1"}), neighbours))
     finally:
         model.INJECT_SUCC_FILTER_BUG = False
     assert half({"r2"}, {"A2"}) in buggy  # the filter would have removed it
@@ -132,6 +128,20 @@ def test_children_follow_the_inverted_letter():
     s = SaturatedTBox(GOLDEN_SEVEN)
     letter = two_type({"B0"}, {"r2"}, {"A2"})  # parent is B0, child is A2
     assert children(s, letter) == ()  # A2 owes nothing
+
+
+def test_children_come_out_in_type_key_order():
+    # every letter over one role into a child with two of the
+    # golden concepts; a child with B0 and B1 owes two letters
+    s = SaturatedTBox(GOLDEN_SEVEN)
+    names = sorted({"A0", "A1", "A2", "B0", "B1"})
+    kids = [
+        children(s, two_type(set(), {r}, set(pair)))
+        for r in ("r0", "r1", "r2")
+        for pair in itertools.combinations(names, 2)
+    ]
+    assert max(len(k) for k in kids) == 2
+    assert all(k == tuple(sorted(k, key=type_key)) for k in kids)
 
 
 # =============================================================================
@@ -302,7 +312,8 @@ def test_infinite_chain_truncates_to_the_requested_depth():
 def test_succ_config_runs_once_per_distinct_root_frontier(tmp_path, monkeypatch, capsys):
     # twenty owners without a pet share one frontier, ten owners of rex
     # share another, and rex has a third; one more call is for the letter
-    # of the owners' anonymous pets
+    # of the owners' anonymous pets, which asks what rex's frontier asks:
+    # an Animal whose one neighbour is a PetOwner over ^hasPet
     tbox = tmp_path / "k.tbox"
     tbox.write_text("PetOwner <= some hasPet.Animal\n")
     ps = [f"p{k}" for k in range(20)]
@@ -316,30 +327,18 @@ def test_succ_config_runs_once_per_distinct_root_frontier(tmp_path, monkeypatch,
     succ = model.succ_config
     asked = []
 
-    def spy(sat, types):
-        asked.append(frozenset(types))
-        return succ(sat, types)
+    def spy(sat, concepts, neighbours):
+        asked.append((concepts, frozenset(neighbours)))
+        return succ(sat, concepts, neighbours)
 
     monkeypatch.setattr(model, "succ_config", spy)
     argv = ["build-model", "--tbox", str(tbox), "--abox", str(abox), "--depth", "1", "--emit"]
     assert cli.main(argv) == cli.EXIT_VALID
-    assert len(asked) == len(set(asked)) == 4
+    assert len(asked) == 4 and len(set(asked)) == 3
     lines = [f"PetOwner({a})" for a in ps + qs] + ["Animal(rex)"]
     lines += [f"hasPet({q},rex)" for q in qs]
     lines += [f"Animal(_:{p}.1)" for p in ps] + [f"hasPet({p},_:{p}.1)" for p in ps]
     assert capsys.readouterr().out == "".join(line + "\n" for line in sorted(lines))
-
-
-def test_root_frontier_lists_the_bare_type_and_every_neighbour():
-    done = complete_abox(SaturatedTBox(PET_TBOX), PET_ABOX)
-    neighbours = [(roles, done.concepts_of(b)) for b, roles in done.links()["linda"].items()]
-    got = root_frontier(done.concepts_of("linda"), neighbours)
-    assert len(got) == 2
-    bare = [t for t in got if not t.roles]
-    edged = [t for t in got if t.roles]
-    assert bare[0].concepts == frozenset({"PetOwner"})
-    assert edged[0].roles == frozenset({Role("hasPet"), Role("hasWingedPet")})
-    assert edged[0].others == frozenset({"Bird"})
 
 
 def test_is_model_accepts_the_golden_and_rejects_a_truncation():
