@@ -7,9 +7,9 @@ the last round added and that is one of its premises, so each round's
 work follows what is new, not the size of the data. ``build_can`` grows
 the anonymous part breadth-first, in a copy of that index's tables
 (``GraphIndex.of``), up to a depth bound, tracking whether the result
-is the whole model or a truncation. A root frontier is keyed by the
-individual's concepts and its neighbours, and individuals with equal
-keys share one ``succ_config``.
+is the whole model or a truncation. A node's letters are keyed by its
+concepts and its neighbours, and nodes with equal keys, named or
+anonymous, share one ``succ_config``.
 
 Anonymous nodes are words over 2-type letters. A letter (X, R, Y) says:
 the parent satisfies exactly X, the edge into the child carries exactly
@@ -218,10 +218,12 @@ def complete_abox(sat: SaturatedTBox, abox: ABox) -> ABox:
 # successor configurations
 
 
+# a neighbour of a node: the roles to it and its concepts
+_Link = Tuple[FrozenSet[Role], FrozenSet[str]]
+
+
 def succ_config(
-    sat: SaturatedTBox,
-    concepts: FrozenSet[str],
-    neighbours: Collection[Tuple[FrozenSet[Role], FrozenSet[str]]],
+    sat: SaturatedTBox, concepts: FrozenSet[str], neighbours: Collection[_Link]
 ) -> Tuple[OneHalfType, ...]:
     """Successor candidates still owed by a node with the given concepts:
     its implied existentials, in their order, but for those that a
@@ -236,13 +238,21 @@ def succ_config(
     )
 
 
-def children(sat: SaturatedTBox, t: TwoType) -> Tuple[TwoType, ...]:
-    """Letters that may follow letter t in an anonymous word, in
+def letters(
+    sat: SaturatedTBox, concepts: FrozenSet[str], neighbours: Collection[_Link]
+) -> Tuple[TwoType, ...]:
+    """The first letters of the anonymous words under a node with the
+    given concepts and neighbours, one per ``succ_config`` candidate, in
     ``type_key`` order."""
-    return tuple(
-        TwoType(t.others, u.roles, u.concepts)
-        for u in succ_config(sat, t.others, ((invert_roles(t.roles), t.concepts),))
-    )
+    owed = succ_config(sat, concepts, neighbours)
+    return tuple(TwoType(concepts, u.roles, u.concepts) for u in owed)
+
+
+def key_after(t: TwoType) -> Tuple[FrozenSet[str], FrozenSet[_Link]]:
+    """The concepts and neighbours of the node after letter t: it has the
+    concepts ``t.others`` and one neighbour, its parent, over the inverted
+    roles of t."""
+    return t.others, frozenset({(invert_roles(t.roles), t.concepts)})
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +268,11 @@ def build_can(sat: SaturatedTBox, completed: ABox, depth: int) -> Interpretation
     Raises ModelTooLarge, before making any node, when the prefix would
     add more than ``MAX_MODEL_NODES`` anonymous nodes.
 
-    The root frontiers are keyed in one pass over the role tables
-    (``Interpretation.links``): an individual's key is its concepts and
-    the set of (roles to, concepts of) pairs of its neighbours. Its first
-    letters, from ``succ_config`` of that key, are built once per
-    distinct key.
+    A node's ``letters`` are keyed by its concepts and the set of (roles
+    to, concepts of) pairs of its neighbours, and built once per distinct
+    key. An individual's key comes from one pass over the role tables
+    (``Interpretation.links``), an anonymous node's from its last letter
+    (``key_after``).
     """
     index = GraphIndex.of(completed)
     nodes: Set[Node] = set(completed.nodes)
@@ -274,48 +284,43 @@ def build_can(sat: SaturatedTBox, completed: ABox, depth: int) -> Interpretation
         for r in letter.roles:
             index.add_role(r, parent, child)
 
-    kids: Dict[TwoType, Tuple[TwoType, ...]] = {}
+    owed: Dict[Tuple[FrozenSet[str], FrozenSet[_Link]], Tuple[TwoType, ...]] = {}
 
-    def kids_of(t: TwoType) -> Tuple[TwoType, ...]:
-        if t not in kids:
-            kids[t] = children(sat, t)
-        return kids[t]
+    def letters_of(concepts: FrozenSet[str], neighbours: FrozenSet[_Link]) -> Tuple[TwoType, ...]:
+        key = (concepts, neighbours)
+        found = owed.get(key)
+        if found is None:
+            found = owed[key] = letters(sat, concepts, neighbours)
+        return found
 
-    # individuals with equal keys have equal first letters
     concepts_of = completed.concepts_of
     links = completed.links()
-    owed: Dict[Tuple, Tuple[TwoType, ...]] = {}
     roots: List[Tuple[str, TwoType]] = []
     for a in completed.individuals():
-        mine = concepts_of(a)
         theirs = [(roles, concepts_of(b)) for b, roles in links.get(a, {}).items()]
-        key = (mine, frozenset(theirs))
-        letters = owed.get(key)
-        if letters is None:
-            letters = owed[key] = tuple(
-                TwoType(mine, u.roles, u.concepts) for u in succ_config(sat, *key)
-            )
-        for letter in letters:
+        for letter in letters_of(concepts_of(a), frozenset(theirs)):
             roots.append((a, letter))
     if depth == 0:
         return index.seal(nodes, not roots)
+
+    # the letters that follow each letter reachable from the roots
+    kids: Dict[TwoType, Tuple[TwoType, ...]] = {}
+    work = [t for _, t in roots]
+    while work:
+        t = work.pop()
+        if t not in kids:
+            kids[t] = letters_of(*key_after(t))
+            work.extend(kids[t])
 
     # count the nodes before making them. size[t] is the size, capped just
     # above the budget, of a subtree whose root ends in letter t, one more
     # level deep after each round; it settles once every count is exact or
     # capped.
-    letters = {t for _, t in roots}
-    work = list(letters)
-    while work:
-        for c in kids_of(work.pop()):
-            if c not in letters:
-                letters.add(c)
-                work.append(c)
-    size = dict.fromkeys(letters, 1)
+    size = dict.fromkeys(kids, 1)
     for _ in range(depth - 1):
         deeper = {
-            t: min(1 + sum(size[c] for c in kids_of(t)), MAX_MODEL_NODES + 1)
-            for t in letters
+            t: min(1 + sum(size[c] for c in after), MAX_MODEL_NODES + 1)
+            for t, after in kids.items()
         }
         if deeper == size:
             break
@@ -336,10 +341,10 @@ def build_can(sat: SaturatedTBox, completed: ABox, depth: int) -> Interpretation
         w = frontier.popleft()
         tail = w.path[-1]
         if w.depth == depth:
-            if kids_of(tail):
+            if kids[tail]:
                 complete = False
             continue
-        for letter in kids_of(tail):
+        for letter in kids[tail]:
             child = w.child(letter)
             attach(w, child, letter)
             frontier.append(child)

@@ -83,16 +83,29 @@ A pass visits the rows in the order of their masks, and each row's
 literals in bit order, never in set order, so the merged rows are the
 same on every run.
 
-A component's type universe and its bodies range over its signature R
+A component's rewriting reads only the existentials its role steps can
+cross. Its steps are the role sets R of its bodies ``some [R].X``
+(``_steps``), and an existential or a concept witness ``u`` is crossed
+when ``R <= u.roles`` for some step (``_crossed``). An anonymous child is
+entered only over the edge from its parent, which carries ``u.roles``,
+closed under super-roles; an inverse step ``^r`` is one of those roles
+too. A child reads its parent only once entered, so no constraint of the
+component reads the subtree under an uncrossed existential. The type
+universe follows crossed children only, and the seeds split and pin
+crossed witnesses only.
+
+The universe and the bodies range over the component's signature
 (``_signature``), not over every concept name: the names its normal-form
-constraints read and, when one of them takes a role step, the premises
-and fillers of every existential of the saturated TBox. The rewriting is
+constraints read and the premises and fillers of every crossed
+existential of the saturated TBox, closed under ``cl``. The rewriting is
 evaluated over completed data, where a node's concept set S is closed
-under ``cl``, and ``cl(S & R)`` is the one type of the universe that agrees
-with S on R. As every existential premise and filler is in R, that type
-has the implied existentials, successor candidates and consistent
-children of S. Without a role step no rule reads a witness, so the
-constraints' own names are enough.
+under ``cl``, and ``cl(S & R)`` is the one type of the universe that
+agrees with S on the signature R. As every crossed premise and filler is
+in R, that type has the crossed implied existentials, successor
+candidates and consistent children of S. As R is closed under ``cl``,
+``cl(S & R)`` names nothing outside R, so every concept of a bare type is
+a literal the merge can drop. Without a role step nothing is crossed and
+no rule reads a witness, so the constraints' own names are enough.
 
 A component's rules are compiled once, after its seeds, into ``_Rules``,
 with one table of the witnesses a rule may guess, ``@a`` and existential
@@ -137,7 +150,7 @@ from .shapes import (
     shape_names,
     shape_occurrences,
 )
-from .tbox import SaturatedTBox, UnsupportedPattern, _key_exist
+from .tbox import Existential, SaturatedTBox, UnsupportedPattern, _key_exist
 
 # the saturation of one component stops with RewriteTooLarge beyond this
 # many quadruples; K stores satisfiable quadruples only, so only those count
@@ -212,6 +225,7 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 _Key = Tuple[int, int, int]  # type index, P mask, Q mask
+_Steps = FrozenSet[FrozenSet[Role]]  # the role sets of a component's steps
 _K = Dict[_Key, int]  # key -> H mask
 
 
@@ -246,11 +260,27 @@ def _closed_subsets(st: SaturatedTBox, names: Sequence[str]) -> Set[FrozenSet[st
     return out
 
 
-def _type_universe(st: SaturatedTBox, sig: FrozenSet[str]) -> Tuple[TwoType, ...]:
+def _steps(cons: Sequence[Constraint]) -> _Steps:
+    """The role sets R of a component's bodies ``some [R].X``: the steps
+    its normal-form constraints take."""
+    return frozenset(c.body.roles for c in cons if isinstance(c.body, ExistsRoles))
+
+
+def _crossed(steps: _Steps, u: Union[Existential, OneHalfType]) -> bool:
+    """Whether a step of ``steps`` can cross the edge into the child of
+    ``u``: the edge carries the roles ``u.roles``, so a step over R enters
+    the child iff R is a subset of them."""
+    return any(step <= u.roles for step in steps)
+
+
+def _type_universe(
+    st: SaturatedTBox, sig: FrozenSet[str], steps: _Steps
+) -> Tuple[TwoType, ...]:
     """All 2-types a quadruple can mention: the bare type ``cl`` of each
     subset of the signature ``sig`` that is consistent, one per part of
     sig a data node can have, plus the types of anonymous tree nodes
-    reachable from them."""
+    reachable from them over existentials that a step of ``steps``
+    crosses."""
     names = sorted(sig)
     bare_sets = _closed_subsets(st, names)
     types: Set[TwoType] = {TwoType(s, frozenset(), frozenset()) for s in bare_sets}
@@ -262,6 +292,8 @@ def _type_universe(st: SaturatedTBox, sig: FrozenSet[str]) -> Tuple[TwoType, ...
             continue
         seen.add(p1)
         for u in st.implied_existentials(p1):
+            if not _crossed(steps, u):
+                continue
             child = TwoType(u.concepts, frozenset(r.invert() for r in u.roles), p1)
             if st.is_locally_consistent(child):
                 types.add(child)
@@ -269,19 +301,21 @@ def _type_universe(st: SaturatedTBox, sig: FrozenSet[str]) -> Tuple[TwoType, ...
     return tuple(sorted(types, key=type_key))
 
 
-def _seed_dict(st: SaturatedTBox, codes: _Codes) -> Tuple[_K, List[int]]:
+def _seed_dict(st: SaturatedTBox, codes: _Codes, steps: _Steps) -> Tuple[_K, List[int]]:
     """Fresh quadruples: every way of splitting a type's implied concept
-    witnesses into present (P) and absent (Q), where only its successor
-    candidates may be absent. Also each type's pinned witnesses: those the
-    one listed neighbor of the type already covers."""
+    witnesses that a step of ``steps`` crosses into present (P) and absent
+    (Q), where only its successor candidates may be absent. Also each
+    type's pinned witnesses: those the one listed neighbor of the type
+    already covers."""
     K: _K = {}
     pinned = []
     for i, t in enumerate(codes.types):
         owed = succ_config(st, t.concepts, [(t.roles, t.others)])
-        cand = [codes.entry(u) for u in sorted(owed, key=_entry_key)]
+        cand = [codes.entry(u) for u in sorted(owed, key=_entry_key) if _crossed(steps, u)]
         ie = 0
         for u in st.implied_existentials(t.concepts):
-            ie |= codes.entry(u)
+            if _crossed(steps, u):
+                ie |= codes.entry(u)
         pinned.append(ie & ~sum(cand))
         for n in range(len(cand) + 1):
             for combo in itertools.combinations(cand, n):
@@ -522,15 +556,24 @@ def _completion_dict(K: _K, rules: _Rules, heads: int, settled: FrozenSet[str]) 
     return out
 
 
-def _signature(st: SaturatedTBox, cons: Sequence[Constraint]) -> FrozenSet[str]:
+def _signature(st: SaturatedTBox, cons: Sequence[Constraint], steps: _Steps) -> FrozenSet[str]:
     """The concept names a component's rewriting is built over: those its
-    normal-form constraints read, and, when one of them takes a role step,
-    the premises and fillers of every existential of the saturated TBox."""
+    normal-form constraints read and the premises and fillers of every
+    existential of the saturated TBox that a step of ``steps`` crosses,
+    closed under ``cl``.
+
+    An anonymous child is entered only over the edge from its parent, and
+    that edge carries the existential's roles, closed under super-roles
+    (an inverse step ``^r`` is one of them too). So no constraint of the
+    component reads the subtree under an existential that none of its
+    steps crosses, and that existential's names are not needed. Without
+    the closure the ``cl`` of a part of the signature, a bare type, could
+    carry a name outside it, which the merge cannot drop."""
     sig = set(concept_names(cons))
-    if any(isinstance(c.body, ExistsRoles) for c in cons):
-        for e in st.existentials:
+    for e in st.existentials:
+        if _crossed(steps, e):
             sig |= e.premise | e.fillers
-    return frozenset(sig - {TOP, BOT})
+    return st.cl(sig) - {TOP, BOT}
 
 
 def _and_chain(parts: Sequence[ShapeBody]) -> ShapeBody:
@@ -719,9 +762,10 @@ def _rewrite_component(
     """One saturation over constraints that read no shape outside them:
     the constraints and their emitted rewriting, and the quadruple count."""
     cons = [c for group in strata for c in group]
-    sig = _signature(st, cons)
-    codes = _Codes(_type_universe(st, sig))
-    K, pinned = _seed_dict(st, codes)
+    steps = _steps(cons)
+    sig = _signature(st, cons, steps)
+    codes = _Codes(_type_universe(st, sig, steps))
+    K, pinned = _seed_dict(st, codes, steps)
     rules = _Rules(codes, pinned, cons)
     bodies = _Bodies(codes, sig)
 

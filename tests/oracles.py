@@ -52,6 +52,7 @@ from ontoshacl.rewrite import (
     _classify as _classify_constraints,
     _concept_seeds,
     _concept_shape,
+    _crossed,
     _entry_key,
     _exists_via_edge_shapes,
     _role_bases,
@@ -59,6 +60,7 @@ from ontoshacl.rewrite import (
     _signature,
     _simplify_roles,
     _split,
+    _steps,
     _type_universe,
 )
 from ontoshacl.shapes import (
@@ -823,18 +825,22 @@ def _inner_lit(body: ExistsRoles, flip: bool = False) -> Lit:
 
 
 class _Ctx:
-    """Each type's concept witnesses: its successor candidates, the
-    existentials its concepts imply, and the implied ones that are not
-    candidates (pinned by the one listed neighbor)."""
+    """Each type's concept witnesses that a step of the component crosses
+    (``rewrite._crossed``): its successor candidates, the existentials its
+    concepts imply, and the implied ones that are not candidates (pinned
+    by the one listed neighbor)."""
 
-    def __init__(self, st: SaturatedTBox):
+    def __init__(self, st: SaturatedTBox, steps: FrozenSet[FrozenSet[Role]]):
         self.st = st
+        self.steps = steps
 
     def cand_exprs(self, t: TwoType) -> FrozenSet[OneHalfType]:
-        return frozenset(succ_config(self.st, t.concepts, [(t.roles, t.others)]))
+        owed = succ_config(self.st, t.concepts, [(t.roles, t.others)])
+        return frozenset(u for u in owed if _crossed(self.steps, u))
 
     def ie_exprs(self, concepts: FrozenSet[str]) -> FrozenSet[OneHalfType]:
-        return frozenset(self.st.implied_existentials(concepts))
+        implied = self.st.implied_existentials(concepts)
+        return frozenset(u for u in implied if _crossed(self.steps, u))
 
     def pinned(self, t: TwoType) -> FrozenSet[OneHalfType]:
         return self.ie_exprs(t.concepts) - self.cand_exprs(t)
@@ -1073,13 +1079,14 @@ def set_rewrite(
     count and the summed count of satisfiable quadruples, those whose P
     and Q share no witness, with no budget. With ``drop_derived`` false it
     also emits the rows the constraints already derive."""
-    ctx = _Ctx(st)
     out: List[Constraint] = []
     quadruples = satisfiable = 0
     for strata in _split(strat):
         cons = [c for group in strata for c in group]
-        sig = _signature(st, cons)
-        K = _set_seed(ctx, _type_universe(st, sig))
+        steps = _steps(cons)
+        sig = _signature(st, cons, steps)
+        ctx = _Ctx(st, steps)
+        K = _set_seed(ctx, _type_universe(st, sig, steps))
         occurring = shape_names(cons)
         out.extend(cons)
         for i, group in enumerate(strata):
@@ -1128,8 +1135,9 @@ def disagreeing_heads(
     bad = []
     for strata in _split(strat):
         cons = [c for group in strata for c in group]
-        sig = _signature(st, cons)
-        parts = {t.concepts & sig for t in _type_universe(st, sig)}
+        steps = _steps(cons)
+        sig = _signature(st, cons, steps)
+        parts = {t.concepts & sig for t in _type_universe(st, sig, steps)}
         heads = {c.head for c in cons}
         rows: Dict[str, Tuple[list, list]] = {}
         for k, out in enumerate((got, want)):
@@ -1160,10 +1168,12 @@ def disagreeing_heads(
     return bad
 
 
-def full_signature(st: SaturatedTBox, cons: Sequence[Constraint]) -> FrozenSet[str]:
-    """Every concept name of the TBox and of the constraints: the widest
-    signature a component's rewriting can range over, and so a stand-in
-    for ``rewrite._signature`` that drops nothing."""
+def full_signature(
+    st: SaturatedTBox, cons: Sequence[Constraint], steps: FrozenSet[FrozenSet[Role]]
+) -> FrozenSet[str]:
+    """Every concept name of the TBox and of the constraints, whatever the
+    steps: the widest signature a component's rewriting can range over,
+    and so a stand-in for ``rewrite._signature`` that drops nothing."""
     return (st.tbox.concept_names() | concept_names(cons)) - {TOP, BOT}
 
 
