@@ -83,15 +83,25 @@ A pass visits the rows in the order of their masks, and each row's
 literals in bit order, never in set order, so the merged rows are the
 same on every run.
 
-A component's rewriting reads only the existentials its role steps can
-cross. Its steps are the role sets R of its bodies ``some [R].X``
-(``_steps``), and an existential or a concept witness ``u`` is crossed
-when ``R <= u.roles`` for some step (``_crossed``). An anonymous child is
-entered only over the edge from its parent, which carries ``u.roles``,
-closed under super-roles; an inverse step ``^r`` is one of those roles
-too. A child reads its parent only once entered, so no constraint of the
-component reads the subtree under an uncrossed existential. The type
-universe follows crossed children only, and the seeds split and pin
+A component's rewriting reads only what its live steps can see of the
+anonymous part. A step is a body ``some [R].X``; an existential or a
+concept witness ``u`` is crossed by it when ``R <= u.roles``
+(``_crossed``), as an anonymous child is entered only over the edge from
+its parent, which carries ``u.roles``, closed under super-roles (an
+inverse step ``^r`` is one of those roles too). The step is live
+(``_live_steps``) when it crosses an existential of the saturated TBox
+and X may hold at an anonymous node: an anonymous node has exactly the
+fillers of the existential that made it, reaches its parent, which may
+be named, over the inverse of that existential's roles, and its own
+children over their existentials' roles. With no live step, no
+constraint of the component enters an anonymous node where what it
+reads could hold. The named part of the core universal model is the
+completed data, so the constraints alone give every verdict: C_T is the
+constraints, and the component is not saturated. Otherwise a step that
+is not live adds nothing from a child, and a child reads its parent only
+once entered, so no constraint of the component reads the subtree under
+an existential that no live step crosses. The type universe follows
+children under crossed existentials only, and the seeds split and pin
 crossed witnesses only.
 
 The universe and the bodies range over the component's signature
@@ -104,8 +114,7 @@ agrees with S on the signature R. As every crossed premise and filler is
 in R, that type has the crossed implied existentials, successor
 candidates and consistent children of S. As R is closed under ``cl``,
 ``cl(S & R)`` names nothing outside R, so every concept of a bare type is
-a literal the merge can drop. Without a role step nothing is crossed and
-no rule reads a witness, so the constraints' own names are enough.
+a literal the merge can drop.
 
 A component's rules are compiled once, after its seeds, into ``_Rules``,
 with one table of the witnesses a rule may guess, ``@a`` and existential
@@ -121,7 +130,7 @@ from typing import (
     Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union,
 )
 
-from .core import BOT, TOP, OneHalfType, Role, TwoType, type_key
+from .core import BOT, TOP, OneHalfType, Role, TwoType, invert_roles, type_key
 from .model import succ_config
 from .shapes import (
     And,
@@ -225,7 +234,7 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 _Key = Tuple[int, int, int]  # type index, P mask, Q mask
-_Steps = FrozenSet[FrozenSet[Role]]  # the role sets of a component's steps
+_Steps = FrozenSet[FrozenSet[Role]]  # the role sets of a component's live steps
 _K = Dict[_Key, int]  # key -> H mask
 
 
@@ -260,10 +269,51 @@ def _closed_subsets(st: SaturatedTBox, names: Sequence[str]) -> Set[FrozenSet[st
     return out
 
 
-def _steps(cons: Sequence[Constraint]) -> _Steps:
-    """The role sets R of a component's bodies ``some [R].X``: the steps
-    its normal-form constraints take."""
-    return frozenset(c.body.roles for c in cons if isinstance(c.body, ExistsRoles))
+def _live_steps(st: SaturatedTBox, cons: Sequence[Constraint]) -> _Steps:
+    """The role sets R of a component's live steps: its bodies ``some
+    [R].X`` whose R crosses an existential of ``st`` (``_crossed``) and
+    whose X may hold at an anonymous node. ``!$s`` always may; ``$s``
+    may when one of its bodies may, a least fixpoint over ``cons``:
+    - a concept name when it is ``top`` or a filler of an existential,
+      as an anonymous node has exactly the fillers of the existential
+      that made it;
+    - ``@a`` never, ``!$t`` always, ``$t`` when ``$t`` may, ``$t & $u``
+      when both may;
+    - ``some [R].Y`` always when R goes back over an existential's edge,
+      to a parent that may be named, else when R crosses an existential
+      and Y may hold."""
+    edges = [e.roles for e in st.existentials]
+    back_edges = [invert_roles(r) for r in edges]
+    anon = {TOP}.union(*(e.fillers for e in st.existentials))
+    may: Set[str] = set()  # the shapes that may hold at an anonymous node
+
+    def down(roles: FrozenSet[Role]) -> bool:
+        return any(roles <= r for r in edges)
+
+    def holds(b: ShapeBody) -> bool:
+        if isinstance(b, ConceptRef):
+            return b.name in anon
+        if isinstance(b, ShapeRef):
+            return b.name in may
+        if isinstance(b, And):
+            return holds(b.left) and holds(b.right)
+        if isinstance(b, ExistsRoles):
+            back = any(b.roles <= r for r in back_edges)
+            return back or (down(b.roles) and holds(b.body))
+        return isinstance(b, NegShapeRef)
+
+    grown = True
+    while grown:
+        grown = False
+        for c in cons:
+            if c.head not in may and holds(c.body):
+                may.add(c.head)
+                grown = True
+    return frozenset(
+        c.body.roles
+        for c in cons
+        if isinstance(c.body, ExistsRoles) and down(c.body.roles) and holds(c.body.body)
+    )
 
 
 def _crossed(steps: _Steps, u: Union[Existential, OneHalfType]) -> bool:
@@ -559,15 +609,16 @@ def _completion_dict(K: _K, rules: _Rules, heads: int, settled: FrozenSet[str]) 
 def _signature(st: SaturatedTBox, cons: Sequence[Constraint], steps: _Steps) -> FrozenSet[str]:
     """The concept names a component's rewriting is built over: those its
     normal-form constraints read and the premises and fillers of every
-    existential of the saturated TBox that a step of ``steps`` crosses,
-    closed under ``cl``.
+    existential of the saturated TBox that a live step of ``steps``
+    crosses, closed under ``cl``.
 
     An anonymous child is entered only over the edge from its parent, and
     that edge carries the existential's roles, closed under super-roles
-    (an inverse step ``^r`` is one of them too). So no constraint of the
-    component reads the subtree under an existential that none of its
-    steps crosses, and that existential's names are not needed. Without
-    the closure the ``cl`` of a part of the signature, a bare type, could
+    (an inverse step ``^r`` is one of them too). A step that is not live
+    reads nothing that holds at a child, so no constraint of the
+    component reads the subtree under an existential that no live step
+    crosses, and that existential's names are not needed. Without the
+    closure the ``cl`` of a part of the signature, a bare type, could
     carry a name outside it, which the merge cannot drop."""
     sig = set(concept_names(cons))
     for e in st.existentials:
@@ -760,9 +811,12 @@ def _rewrite_component(
     st: SaturatedTBox, strata: Sequence[Sequence[Constraint]]
 ) -> Tuple[List[Constraint], int]:
     """One saturation over constraints that read no shape outside them:
-    the constraints and their emitted rewriting, and the quadruple count."""
+    the constraints and their emitted rewriting, and the quadruple count;
+    the constraints alone, from no quadruple, when no step is live."""
     cons = [c for group in strata for c in group]
-    steps = _steps(cons)
+    steps = _live_steps(st, cons)
+    if not steps:
+        return list(cons), 0
     sig = _signature(st, cons, steps)
     codes = _Codes(_type_universe(st, sig, steps))
     K, pinned = _seed_dict(st, codes, steps)
@@ -798,10 +852,12 @@ def rewrite(
     reasoning. Shapes that never read each other cannot change each
     other's quadruples, so each weakly connected component of the shape
     references is saturated on its own, and the outputs are concatenated
-    in the order of the components' first items in ``strat``. Emission
-    happens per stratum so the result stays stratified. ``quadruples`` in
-    ``stats`` is the sum over the components; a component that needs more
-    than ``MAX_QUADRUPLES`` raises RewriteTooLarge.
+    in the order of the components' first items in ``strat``. A component
+    with no live step (``_live_steps``) is its own rewriting and is not
+    saturated. Emission happens per stratum so the result stays
+    stratified. ``quadruples`` in ``stats`` is the sum over the saturated
+    components; a component that needs more than ``MAX_QUADRUPLES`` raises
+    RewriteTooLarge.
 
     No constraint appears twice: the components partition the heads, each
     head is emitted in one stratum only, distinct merged rows print

@@ -55,12 +55,12 @@ from ontoshacl.rewrite import (
     _crossed,
     _entry_key,
     _exists_via_edge_shapes,
+    _live_steps,
     _role_bases,
     _shaclb_tbox,
     _signature,
     _simplify_roles,
     _split,
-    _steps,
     _type_universe,
 )
 from ontoshacl.shapes import (
@@ -1083,12 +1083,14 @@ def set_rewrite(
     quadruples = satisfiable = 0
     for strata in _split(strat):
         cons = [c for group in strata for c in group]
-        steps = _steps(cons)
+        steps = _live_steps(st, cons)
+        out.extend(cons)
+        if not steps:
+            continue
         sig = _signature(st, cons, steps)
         ctx = _Ctx(st, steps)
         K = _set_seed(ctx, _type_universe(st, sig, steps))
         occurring = shape_names(cons)
-        out.extend(cons)
         for i, group in enumerate(strata):
             scope = tuple(c for g in strata[:i] for c in g)
             later_heads = {c.head for g in strata[i:] for c in g}
@@ -1135,7 +1137,9 @@ def disagreeing_heads(
     bad = []
     for strata in _split(strat):
         cons = [c for group in strata for c in group]
-        steps = _steps(cons)
+        steps = _live_steps(st, cons)
+        if not steps:
+            continue
         sig = _signature(st, cons, steps)
         parts = {t.concepts & sig for t in _type_universe(st, sig, steps)}
         heads = {c.head for c in cons}

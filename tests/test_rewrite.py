@@ -30,7 +30,9 @@ conjuncts is dropped, by the oracle too, and the verdicts match those of
 the oracle's C_T that keeps such rows. Each component is rewritten over its own signature of
 concept names; three inputs pin the existential premises it must keep,
 and a seeded slice of denser cases checks its verdicts against those over
-every concept name. The pure rewritings must print what substituting
+every concept name. A component is saturated only when one of its steps
+is live, and one input per rule of the fixpoint that decides it pins the
+verdicts of ``direct``. The pure rewritings must print what substituting
 at every occurrence (``oracles.occurrence_pure_*``) prints, and
 ``pure_rewrite_alchi`` works out the sub-role choices of each distinct
 role set of C_T once.
@@ -394,6 +396,7 @@ def test_the_order_of_the_witness_rules_does_not_change_k(monkeypatch):
     # saturates to the same K and emits the same C_T
     inputs = [(parse_tbox(HASHED_TBOX), parse_constraints(HASHED_SHAPES))]
     inputs += selftest_slice(0, 20)
+    inputs += merged_slice(0, 235)
 
     def run():
         out = []
@@ -478,11 +481,8 @@ def test_no_stored_quadruple_has_a_witness_in_both_p_and_q(monkeypatch):
     monkeypatch.setattr(rw, "_close", checked_close)
     monkeypatch.setattr(rw, "_completion_dict", checked_completion)
     hashed_kb().c_t  # C_T is built on first read
-    for tbox, shapes in selftest_slice(0, 20):
+    for tbox, shapes in itertools.chain(selftest_slice(0, 20), merged_slice(4, 100)):
         rewrite(*normal_form(tbox, shapes))
-    for i in range(10):
-        tbox, _, sg = merged_case(4, i)
-        rewrite(*normal_form(tbox, sg.constraints))
     assert len(checked) > 40 and sum(checked) > 1000
 
 
@@ -492,15 +492,18 @@ def test_no_stored_quadruple_has_a_witness_in_both_p_and_q(monkeypatch):
 
 
 def kb_cases(seed):
-    """The prepared KBs of the first 20 selftest cases of a seed, of
-    defect 4 (``None``), or of the first 10 merged cases of seed 4
-    (``"merged4"``), and their stratified normal forms."""
+    """The prepared KBs of the first 20 selftest cases and the first 30
+    merged cases of a seed, of defect 4 (``None``), or of the first 10
+    merged cases of seed 4 (``"merged4"``), and their stratified normal
+    forms. No component of the selftest cases alone has a live step on
+    either seed."""
     if seed is None:
         cases = [(DEFECT_4_TBOX, DEFECT_4_DATA, ShapesGraph.of(DEFECT_4_SHAPES))]
     elif seed == "merged4":
         cases = [merged_case(4, i) for i in range(10)]
     else:
         cases = [gen_case(case_rng(seed, i)) for i in range(20)]
+        cases += [merged_case(seed, i) for i in range(30)]
     for tbox, abox, sg in cases:
         try:
             kb = prepare(tbox, abox, sg, SAFE_DEPTH)
@@ -511,7 +514,7 @@ def kb_cases(seed):
 
 @pytest.mark.parametrize(
     "seed, needed",
-    [(0, 0), (1, 0), (None, 1), ("merged4", 2)],
+    [(0, 1), (1, 0), (None, 1), ("merged4", 2)],
     ids=["seed0", "seed1", "defect4", "merged4"],
 )
 def test_dropping_derived_rows_keeps_every_verdict(seed, needed):
@@ -619,21 +622,21 @@ def test_the_signature_keeps_every_existential_premise(case):
         assert route.run(kb).verdicts == {("s", "a"): True}, mode
 
 
-def test_a_component_without_a_role_step_names_only_its_own_concepts(monkeypatch):
+def test_a_component_without_a_role_step_names_only_its_own_concepts():
     # the TBox's names, the existential's premise D among them, cannot
-    # change what $s and $t read. The constraints derive every row, so C_T
-    # is the same over either signature; the work is not: $s saturates one
-    # type and $t the two parts of {A}. Over every concept name $s has the
-    # 14 closed parts of {B, C, D, E}, each with and without @a, and $t
-    # the 28 of {A, B, C, D, E}: 56 quadruples. Neither takes a role step,
-    # so neither follows nor splits D's existential
+    # change what $s and $t read. Neither takes a role step, so neither
+    # component has a live step and neither is saturated: C_T is the
+    # constraints, from no quadruple. Their signature is the names they
+    # read, not the TBox's B, C, D and E
     tbox = parse_tbox("B & C <= D\nD <= some r.E\n")
     shapes = parse_constraints("$s <- @a\n$t <- A\n")
-    own, full = {}, {}
-    assert emitted(tbox, shapes, stats=own) == tuple(shapes)
-    monkeypatch.setattr(rw, "_signature", full_signature)
-    assert emitted(tbox, shapes, stats=full) == tuple(shapes)
-    assert (own["quadruples"], full["quadruples"]) == (4, 56)
+    stats = {}
+    assert emitted(tbox, shapes, stats=stats) == tuple(shapes)
+    assert stats["quadruples"] == 0
+    st = SaturatedTBox(tbox)
+    assert rw._live_steps(st, shapes) == frozenset()
+    assert rw._signature(st, shapes, frozenset()) == {"A"}
+    assert full_signature(st, shapes, frozenset()) == {"A", "B", "C", "D", "E"}
 
 
 def merged_case(seed, index):
@@ -652,10 +655,19 @@ def merged_case(seed, index):
     return tbox, abox, ShapesGraph.of(cons, targets)
 
 
+def merged_slice(seed, cases):
+    """The TBox and the constraints of the first merged cases of a seed."""
+    for i in range(cases):
+        tbox, _, sg = merged_case(seed, i)
+        yield tbox, sg.constraints
+
+
 def test_the_signature_gives_the_verdicts_of_every_concept_name(monkeypatch):
-    # against a reference over every concept name that follows every
-    # existential, whether a step crosses it or not. A signature of the
-    # shapes' own names answers differently on cases 3, 6, 40 and 57
+    # against a reference that saturates every component over every
+    # concept name and follows every existential, whether a live step
+    # crosses it or not: its one step, over no role, crosses them all. A
+    # signature of the shapes' own names answers differently on cases 3,
+    # 6, 40 and 57
     def verdicts(kb):
         fresh = replace(kb, _c_t=None)
         return [ROUTES[mode].run(fresh).verdicts for mode in ("rewrite", "pure-shaclb")]
@@ -669,10 +681,70 @@ def test_the_signature_gives_the_verdicts_of_every_concept_name(monkeypatch):
         got = verdicts(kb)
         with monkeypatch.context() as m:
             m.setattr(rw, "_signature", full_signature)
-            m.setattr(rw, "_crossed", lambda steps, u: True)
+            m.setattr(rw, "_live_steps", lambda st, cons: frozenset({frozenset()}))
             assert verdicts(kb) == got, i
         compared += 1
     assert compared == 55  # the other cases are inconsistent
+
+
+# =============================================================================
+# LIVE STEPS
+# =============================================================================
+
+# one input per rule of the fixpoint in ``rewrite._live_steps``, each with
+# the verdicts of ``direct``: $w's step is live only through a chain of
+# shape references, a step back to the parent, a negated reference, and a
+# filler that the anonymous child has only from a value restriction. The
+# last step is dead, as no anonymous node has D
+LIVE_CASES = {
+    "shape_chain": (
+        "A <= some r.B\n",
+        "A(a)\nA(b)\nr(b,c)\n",
+        "$w <- some [r].$u\n$u <- $b\n$b <- B\n",
+        {("w", "a"): True, ("w", "b"): True, ("w", "c"): False},
+    ),
+    "parent": (
+        "A <= some r.B\n",
+        "A(a)\nN(a)\nA(b)\n",
+        "$w <- some [r].$u\n$u <- some [^r].$n\n$n <- N\n",
+        {("w", "a"): True, ("w", "b"): False},
+    ),
+    "negation": (
+        "A <= some r.B\n",
+        "A(a)\nT(b)\nr(b,b)\n",
+        "$w <- some [r].!$t\n$t <- T\n",
+        {("w", "a"): True, ("w", "b"): False},
+    ),
+    "value": (
+        "A <= some r.B\nA <= only r.C\n",
+        "A(a)\nB(b)\n",
+        "$w <- some [r].$c\n$c <- C\n",
+        {("w", "a"): True, ("w", "b"): False},
+    ),
+    "dead": (
+        "A <= some r.B\n",
+        "A(a)\nA(b)\nr(b,c)\nD(c)\n",
+        "$w <- some [r].$d\n$d <- D\n",
+        {("w", "a"): False, ("w", "b"): True},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIVE_CASES))
+def test_every_route_gives_the_verdicts_of_direct_over_live_steps(case):
+    tbox, abox, shapes, want = LIVE_CASES[case]
+    sg = ShapesGraph.of(parse_constraints(shapes), sorted(want))
+    kb = prepare(parse_tbox(tbox), parse_abox(abox), sg, SAFE_DEPTH)
+    for mode, route in ROUTES.items():
+        if not route.small_only:
+            assert route.run(kb).verdicts == want, mode
+    st, strat = normal_form(parse_tbox(tbox), sg.constraints)
+    given = tuple(c for group in strat.strata for c in group)
+    if case == "dead":
+        assert not rw._live_steps(st, given)
+        assert kb.c_t == given and kb.stats["quadruples"] == 0
+    else:
+        assert rw._live_steps(st, given) and len(kb.c_t) > len(given)
 
 
 # =============================================================================
