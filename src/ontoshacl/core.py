@@ -9,8 +9,9 @@ name only; their index holds both polarities.
 Everything here is immutable and orderable so that the rest of the
 package can iterate deterministically.
 
-A named individual is a node that is its name (a ``str``); anonymous
-model nodes are ``Anon`` words and chase nulls are ``Null``. Data is an
+A named individual is a node that is its name (a ``str``); an anonymous
+model node is an ``Anon``, named by its place in the tree under an
+individual, and a chase null is a ``Null``. Data is an
 interpretation of names: the raw ABox, its completion, model prefixes
 and chase states are all one ``Interpretation``, and ``ABox`` is only
 another name for that class. Its atoms are kept once, in the tables of
@@ -292,20 +293,13 @@ def half_type_key(u: OneHalfType) -> Tuple:
 
 @value(frozen=True)
 class Anon:
-    """An anonymous tree node: base individual plus a word of 2-type letters."""
+    """An anonymous tree node, named by its place in the tree under an
+    individual: ``a.1.2`` is the second child of the first child of a."""
 
-    base: str
-    path: Tuple[TwoType, ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.path)
-
-    def child(self, letter: TwoType) -> "Anon":
-        return Anon(self.base, self.path + (letter,))
+    label: str
 
     def __str__(self) -> str:
-        return f"{self.base}[{len(self.path)}]"
+        return f"_:{self.label}"
 
 
 @value(frozen=True)
@@ -330,7 +324,7 @@ def node_key(n: Node) -> Tuple:
     if isinstance(n, str):
         return (0, n)
     if isinstance(n, Anon):
-        return (1, n.base, len(n.path), tuple(type_key(t) for t in n.path))
+        return (1, n.label)
     return (2, n.key)
 
 

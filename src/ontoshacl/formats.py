@@ -19,8 +19,10 @@ cursor reads: in axioms, data, role sets ``[...]`` and path expressions
 now stands for.
 
 Data and every other interpretation share one printer,
-``serialize_interpretation``: one atom a line, in sorted order, with
-anonymous nodes and nulls labelled `_:...`. Data mentions each of its
+``serialize_interpretation``: one atom a line, in sorted order. An
+anonymous node prints as `_:` and the label ``build_can`` named it by,
+such as `_:a.1.2`, the second child of the first child of a; a chase
+null prints as `_:n` and its rank in node order. Data mentions each of its
 nodes, so its text is a `.abox` file that ``parse_abox`` reads back to
 the same value. A chase state or a restricted core may hold a node that
 no atom mentions; it gets a `top(x)` line, which shows the node but does
@@ -36,19 +38,18 @@ from .core import (
     BOT,
     TOP,
     ABox,
-    Anon,
     AtMostOne,
     Axiom,
     ConjInclusion,
     ExistsInclusion,
     Interpretation,
     Node,
+    Null,
     Role,
     RoleInclusion,
     TBox,
     ValueRestriction,
     node_key,
-    type_key,
 )
 from .paths import RAlt, Regex, RSeq, RStar, RSym
 from .shapes import (
@@ -479,55 +480,30 @@ def serialize_targets(targets: Iterable[Tuple[str, str]]) -> str:
 # interpretation dumps
 
 
-def node_label(n: Node, numbering: Dict[Node, str]) -> str:
-    if isinstance(n, str):
-        return n
-    return numbering[n]
+def node_label(n: Node, nulls: Dict[Node, str]) -> str:
+    """An individual's name, an anonymous node's `_:a.1.2`, or a null's
+    number from ``nulls``."""
+    return nulls[n] if isinstance(n, Null) else str(n)
 
 
-def _number_anonymous(interp: Interpretation) -> Dict[Node, str]:
-    """Stable `_:base.k1.k2` labels: k is the child's 1-based rank among
-    siblings that share the same prefix, ordered by letter."""
-    anons = [n for n in interp.nodes if isinstance(n, Anon)]
-    labels: Dict[Node, str] = {}
-    by_prefix: Dict[Tuple[str, Tuple], List] = {}
-    for n in anons:
-        for d in range(1, n.depth + 1):
-            key = (n.base, n.path[: d - 1])
-            by_prefix.setdefault(key, [])
-            letter = n.path[d - 1]
-            if letter not in by_prefix[key]:
-                by_prefix[key].append(letter)
-    for key in by_prefix:
-        by_prefix[key].sort(key=type_key)
-    for n in anons:
-        parts = []
-        for d in range(1, n.depth + 1):
-            sibs = by_prefix[(n.base, n.path[: d - 1])]
-            parts.append(str(sibs.index(n.path[d - 1]) + 1))
-        labels[n] = "_:" + n.base + "." + ".".join(parts)
-    out: Dict[Node, str] = dict(labels)
-    rest = sorted(
-        (n for n in interp.nodes if not isinstance(n, (str, Anon))),
-        key=node_key,
-    )
-    for k, n in enumerate(rest, start=1):
-        out[n] = f"_:n{k}"
-    return out
+def _number_nulls(interp: Interpretation) -> Dict[Node, str]:
+    """Stable `_:n1`, `_:n2`, ... labels for the chase nulls, in node order."""
+    nulls = sorted((n for n in interp.nodes if isinstance(n, Null)), key=node_key)
+    return {n: f"_:n{k}" for k, n in enumerate(nulls, start=1)}
 
 
 def serialize_interpretation(interp: Interpretation) -> str:
-    numbering = _number_anonymous(interp)
+    nulls = _number_nulls(interp)
     atoms: List[str] = []
     for c, n in interp.concept_atoms:
-        atoms.append(f"{c}({node_label(n, numbering)})")
+        atoms.append(f"{c}({node_label(n, nulls)})")
     role_atoms = interp.role_atoms
     for r, x, y in role_atoms:
-        atoms.append(f"{r}({node_label(x, numbering)},{node_label(y, numbering)})")
+        atoms.append(f"{r}({node_label(x, nulls)},{node_label(y, nulls)})")
     linked = {n for _, x, y in role_atoms for n in (x, y)}
     for n in interp.nodes:
         if n not in linked and not interp.concepts_of(n):
-            atoms.append(f"top({node_label(n, numbering)})")
+            atoms.append(f"top({node_label(n, nulls)})")
     return "".join(s + "\n" for s in sorted(atoms))
 
 

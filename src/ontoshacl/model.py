@@ -11,9 +11,12 @@ is the whole model or a truncation. A node's letters are keyed by its
 concepts and its neighbours, and nodes with equal keys, named or
 anonymous, share one ``succ_config``.
 
-Anonymous nodes are words over 2-type letters. A letter (X, R, Y) says:
-the parent satisfies exactly X, the edge into the child carries exactly
-the roles R, and the child satisfies exactly Y.
+Each anonymous node hangs under a parent by a 2-type letter. A letter
+(X, R, Y) says: the parent satisfies exactly X, the edge into the child
+carries exactly the roles R, and the child satisfies exactly Y. A node
+is named by its place in the tree: ``a.1.2`` is the second child, in
+``type_key`` order of the letters, of the first child of the individual
+a. ``build_can`` names each node when it makes it.
 """
 from __future__ import annotations
 
@@ -277,12 +280,19 @@ def build_can(sat: SaturatedTBox, completed: ABox, depth: int) -> Interpretation
     index = GraphIndex.of(completed)
     nodes: Set[Node] = set(completed.nodes)
 
-    def attach(parent: Node, child: Anon, letter: TwoType) -> None:
+    # a child's label is its parent's plus its rank among its siblings,
+    # whose letters come in type_key order
+    frontier: Deque[Tuple[Anon, TwoType, int]] = deque()
+
+    def attach(parent: Node, label: str, letter: TwoType, d: int) -> None:
+        """Make the node ``label`` at depth d under parent, over letter."""
+        child = Anon(label)
         nodes.add(child)
         for c in letter.others:
             index.add_concept(c, child)
         for r in letter.roles:
             index.add_role(r, parent, child)
+        frontier.append((child, letter, d))
 
     owed: Dict[Tuple[FrozenSet[str], FrozenSet[_Link]], Tuple[TwoType, ...]] = {}
 
@@ -295,17 +305,18 @@ def build_can(sat: SaturatedTBox, completed: ABox, depth: int) -> Interpretation
 
     concepts_of = completed.concepts_of
     links = completed.links()
-    roots: List[Tuple[str, TwoType]] = []
+    # (individual, rank, letter) of each anonymous child of an individual
+    roots: List[Tuple[str, int, TwoType]] = []
     for a in completed.individuals():
         theirs = [(roles, concepts_of(b)) for b, roles in links.get(a, {}).items()]
-        for letter in letters_of(concepts_of(a), frozenset(theirs)):
-            roots.append((a, letter))
+        for k, letter in enumerate(letters_of(concepts_of(a), frozenset(theirs)), start=1):
+            roots.append((a, k, letter))
     if depth == 0:
         return index.seal(nodes, not roots)
 
     # the letters that follow each letter reachable from the roots
     kids: Dict[TwoType, Tuple[TwoType, ...]] = {}
-    work = [t for _, t in roots]
+    work = [t for _, _, t in roots]
     while work:
         t = work.pop()
         if t not in kids:
@@ -325,29 +336,23 @@ def build_can(sat: SaturatedTBox, completed: ABox, depth: int) -> Interpretation
         if deeper == size:
             break
         size = deeper
-    if sum(size[t] for _, t in roots) > MAX_MODEL_NODES:
+    if sum(size[t] for _, _, t in roots) > MAX_MODEL_NODES:
         raise ModelTooLarge(
             f"the model prefix of depth {depth} has more than "
             f"{MAX_MODEL_NODES} anonymous nodes"
         )
 
     complete = True
-    frontier: Deque[Anon] = deque()
-    for a, letter in roots:
-        child = Anon(a, (letter,))
-        attach(a, child, letter)
-        frontier.append(child)
+    for a, k, letter in roots:
+        attach(a, f"{a}.{k}", letter, 1)
     while frontier:
-        w = frontier.popleft()
-        tail = w.path[-1]
-        if w.depth == depth:
+        w, tail, d = frontier.popleft()
+        if d == depth:
             if kids[tail]:
                 complete = False
             continue
-        for letter in kids[tail]:
-            child = w.child(letter)
-            attach(w, child, letter)
-            frontier.append(child)
+        for k, letter in enumerate(kids[tail], start=1):
+            attach(w, f"{w.label}.{k}", letter, d + 1)
 
     return index.seal(nodes, complete)
 

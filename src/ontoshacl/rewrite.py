@@ -344,7 +344,7 @@ def _type_universe(
         for u in st.implied_existentials(p1):
             if not _crossed(steps, u):
                 continue
-            child = TwoType(u.concepts, frozenset(r.invert() for r in u.roles), p1)
+            child = TwoType(u.concepts, invert_roles(u.roles), p1)
             if st.is_locally_consistent(child):
                 types.add(child)
             work.append(u.concepts)
@@ -431,7 +431,7 @@ class _Rules:
         self.implied = [(lit(inner), lit(head)) for head, inner in by_ref]
         self.implied += [(lit(left) | lit(right), lit(head)) for head, left, right in by_and]
         self.implied += [(lit(inner, neg=True), lit(head)) for head, inner in by_neg]
-        self.edges = [frozenset(r.invert() for r in t.roles) for t in types]
+        self.edges = [invert_roles(t.roles) for t in types]
         self.wits = [
             codes.bit_of.get(OneHalfType(e, t.concepts), 0) for e, t in zip(self.edges, types)
         ]

@@ -178,16 +178,9 @@ def test_half_type_subsumption_is_componentwise():
 
 def test_node_key_orders_named_before_anonymous():
     a = "a"
-    w = Anon("a", (TwoType(frozenset({"A"}), frozenset(), frozenset()),))
+    w = Anon("a.1")
     n = Null("k")
     assert sorted([n, w, a], key=node_key) == [a, w, n]
-
-
-def test_anon_child_extends_the_word():
-    t = TwoType(frozenset({"A"}), frozenset(), frozenset())
-    w = Anon("a", (t,))
-    assert w.child(t).path == (t, t)
-    assert w.child(t).depth == 2
 
 
 def test_interpretation_of_normalizes_inverted_edges():

@@ -300,14 +300,12 @@ def test_infinite_chain_truncates_to_the_requested_depth():
         got = build_model(tb, ab, n)
         assert not got.complete  # there is always one more step owed
         named = [x for x in got.nodes if isinstance(x, str)]
-        anon = sorted(
-            (x for x in got.nodes if isinstance(x, Anon)), key=lambda w: w.depth
-        )
+        anon = sorted(x.label for x in got.nodes if isinstance(x, Anon))
         assert named == ["a"]
-        assert [w.depth for w in anon] == list(range(1, n + 1))
+        assert anon == ["a" + ".1" * k for k in range(1, n + 1)]
         assert len(got.role_atoms) == n  # a simple chain, one edge per letter
         for w in anon:
-            assert got.has_concept("A", w)
+            assert got.has_concept("A", Anon(w))
 
 
 def test_succ_config_runs_once_per_distinct_root_frontier(tmp_path, monkeypatch, capsys):
@@ -340,6 +338,28 @@ def test_succ_config_runs_once_per_distinct_root_frontier(tmp_path, monkeypatch,
     lines += [f"hasPet({q},rex)" for q in qs]
     lines += [f"Animal(_:{p}.1)" for p in ps] + [f"hasPet({p},_:{p}.1)" for p in ps]
     assert capsys.readouterr().out == "".join(line + "\n" for line in sorted(lines))
+
+
+def test_anonymous_labels_rank_siblings_by_letter_at_every_depth(tmp_path, capsys):
+    # a owes an r-child and an s-child, and the r-child owes both again;
+    # each label is the parent's plus the child's rank among its siblings
+    tbox = tmp_path / "k.tbox"
+    tbox.write_text("A <= some r.B\nA <= some s.C\nB <= some r.D\nB <= some s.E\n")
+    abox = tmp_path / "k.abox"
+    abox.write_text("A(a)\n")
+    argv = ["build-model", "--tbox", str(tbox), "--abox", str(abox), "--depth", "2", "--emit"]
+    assert cli.main(argv) == cli.EXIT_VALID
+    assert capsys.readouterr().out == (
+        "A(a)\n"
+        "B(_:a.1)\n"
+        "C(_:a.2)\n"
+        "D(_:a.1.1)\n"
+        "E(_:a.1.2)\n"
+        "r(_:a.1,_:a.1.1)\n"
+        "r(a,_:a.1)\n"
+        "s(_:a.1,_:a.1.2)\n"
+        "s(a,_:a.2)\n"
+    )
 
 
 def test_is_model_accepts_the_golden_and_rejects_a_truncation():

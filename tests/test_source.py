@@ -54,6 +54,21 @@ def test_only_core_builds_interpretations():
     assert callers == {"core.py"}
 
 
+def test_only_model_names_anonymous_nodes():
+    """``build_can`` names each anonymous node by its place in the tree when
+    it makes it; no other module makes one, so only ``model`` knows the
+    naming scheme."""
+    callers = {
+        module
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "Anon"
+    }
+    assert callers == {"model.py"}
+
+
 def test_no_module_keys_by_object_identity():
     """No walker keys a body by the object it is, so no module calls
     ``id()``: an equal body built apart must get the same answer."""
