@@ -8,7 +8,12 @@ routes against each other on random inputs.
 
 Exit codes: 0 all targets valid, 1 violations. Every failure but a
 usage error, which argparse reports after its usage line, has one entry
-in ``FAILURES``, read for every subcommand: 2 inconsistent KB; 3 input
+in ``FAILURES``, read for every subcommand: 2 inconsistent KB, refused
+before any other failure and with one reason by every route (``direct``,
+``rewrite``, ``chase``, ``build-model`` and the ``chase`` subcommand find
+it in ``model.complete_abox``; ``pure-alchi`` and ``pure-shaclb`` in the
+tables of their rewriting over the raw data, by
+``rewrite.check_pure_consistency``, and never complete the data); 3 input
 error (a usage error: an unknown subcommand, option or mode, a missing
 required option, a non-integer number; an unreadable file, a parse
 error, an unsupported TBox pattern, an unguarded comparison, a negative
@@ -49,7 +54,10 @@ from .formats import (
     serialize_interpretation,
 )
 from .model import InconsistentKB, ModelTooLarge, build_can, complete_abox
-from .rewrite import RewriteTooLarge, pure_rewrite_alchi, pure_rewrite_shaclb, rewrite
+from .rewrite import (
+    BOT_SHAPE, RewriteTooLarge, check_pure_consistency, pure_rewrite_alchi, pure_rewrite_shaclb,
+    rewrite,
+)
 from .shapes import (
     Constraint,
     Item,
@@ -127,19 +135,27 @@ STATS = ("quadruples", "model_nodes", "rounds")
 
 @value
 class PreparedKB:
-    """A consistent KB and a shapes graph, ready for every route.
+    """A knowledge base and a shapes graph, ready for every route.
 
-    The rewriting C_T is computed on first use and shared by the three
-    rewrite routes; ``stats`` collects the sizes the routes report.
+    Only the TBox is saturated up front. The completed data and the
+    rewriting C_T are computed on first read and shared by the routes that
+    read them; ``completed`` raises InconsistentKB, with the reason, on an
+    inconsistent KB. ``stats`` collects the sizes the routes report.
     """
 
     sat: SaturatedTBox
     abox: ABox
-    completed: ABox
     sg: ShapesGraph
     depth: int  # tree depth (direct) or round budget (chase)
     stats: Dict[str, int]
     _c_t: Optional[Tuple[Constraint, ...]] = None
+    _completed: Optional[ABox] = None
+
+    @property
+    def completed(self) -> ABox:
+        if self._completed is None:
+            self._completed = complete_abox(self.sat, self.abox)
+        return self._completed
 
     @property
     def c_t(self) -> Tuple[Constraint, ...]:
@@ -151,11 +167,8 @@ class PreparedKB:
 
 
 def prepare(tbox: TBox, abox: ABox, sg: ShapesGraph, depth: int) -> PreparedKB:
-    """Saturate the TBox and complete the ABox; raises InconsistentKB."""
-    sat = SaturatedTBox(tbox)
-    return PreparedKB(
-        sat, abox, complete_abox(sat, abox), sg, depth, dict.fromkeys(STATS, 0)
-    )
+    """Saturate the TBox; the data is completed when a route reads it."""
+    return PreparedKB(SaturatedTBox(tbox), abox, sg, depth, dict.fromkeys(STATS, 0))
 
 
 @value(frozen=True)
@@ -171,28 +184,44 @@ def _direct(kb: PreparedKB) -> Outcome:
 
 
 def _chase(kb: PreparedKB) -> Outcome:
+    kb.completed  # the chase would not stop on an inconsistent KB
     trace: List[Tuple[Interpretation, Interpretation]] = []
     interp = run_core_chase(kb.sat, kb.abox, max_rounds=kb.depth, trace=trace)
     kb.stats["rounds"] = len(trace)
     return Outcome(interp, validate(interp, kb.sg.constraints, kb.sg.targets))
 
 
-def _validate_over(data: ABox, cons: Tuple[Constraint, ...], kb: PreparedKB) -> Outcome:
+def _rewrite(kb: PreparedKB) -> Outcome:
+    data, cons = kb.completed, kb.c_t  # an inconsistent KB fails first
     return Outcome(data, validate(data, cons, kb.sg.targets), cons)
 
 
-def _rewrite(kb: PreparedKB) -> Outcome:
-    return _validate_over(kb.completed, kb.c_t, kb)
+def _pure_c_t(kb: PreparedKB) -> Tuple[Constraint, ...]:
+    """C_T for a pure route, which never completes the data. An inconsistent
+    KB is still refused before any failure to compute C_T, as the other
+    routes refuse it first."""
+    try:
+        return kb.c_t
+    except tuple(FAILURES):
+        kb.completed
+        raise
 
 
 def _pure_alchi(kb: PreparedKB) -> Outcome:
-    return _validate_over(kb.abox, pure_rewrite_alchi(kb.sat, kb.c_t), kb)
+    cons = pure_rewrite_alchi(kb.sat, _pure_c_t(kb))
+    # bot at each individual is one more target of the one evaluation
+    clashes = [(BOT_SHAPE, a) for a in kb.abox.individuals()]
+    verdicts = validate(kb.abox, cons, [*kb.sg.targets, *clashes])
+    bot = {a for s, a in clashes if verdicts.pop((s, a))}
+    check_pure_consistency(kb.sat, kb.abox, ({BOT_SHAPE: bot}, {}))
+    return Outcome(kb.abox, verdicts, cons)
 
 
 def _pure_shaclb(kb: PreparedKB) -> Outcome:
-    items = pure_rewrite_shaclb(kb.sat, kb.c_t)
-    unary, _ = perfect_assignment_b(kb.abox, items)
-    verdicts = {(s, i): i in unary.get(s, ()) for s, i in kb.sg.targets}
+    items = pure_rewrite_shaclb(kb.sat, _pure_c_t(kb))
+    tables = perfect_assignment_b(kb.abox, items)
+    check_pure_consistency(kb.sat, kb.abox, tables)
+    verdicts = {(s, i): i in tables[0].get(s, ()) for s, i in kb.sg.targets}
     return Outcome(kb.abox, verdicts, items)
 
 
@@ -238,18 +267,25 @@ def run(args: argparse.Namespace) -> int:
     sg = load_shapes(args, renaming)
     if tbox.atmost and not route.counting:
         raise InputError(f"mode {args.mode} cannot handle max1 axioms; use pure-shaclb")
+    warnings = [
+        f"warning: no constraint defines target shape ${shape}\n"
+        for shape in sg.undefined_target_shapes()
+    ]
+    warnings += [
+        f"warning: target individual @{ind} is not in the data\n"
+        for ind in sorted({i for _, i in sg.targets} - set(abox.individuals()))
+    ]
+    kb = prepare(tbox, abox, sg, args.depth)
+    consistent = True
     try:
-        kb = prepare(tbox, abox, sg, args.depth)
-    except InconsistentKB:
+        out = route.run(kb)
+    except InconsistentKB:  # reported with no warning, as nothing is validated
+        consistent = False
         _emit_report(args, False, [], dict.fromkeys(STATS, 0))
         raise
-
-    for shape in sg.undefined_target_shapes():
-        print(f"warning: no constraint defines target shape ${shape}", file=sys.stderr)
-    for ind in sorted({i for _, i in sg.targets} - set(abox.individuals())):
-        print(f"warning: target individual @{ind} is not in the data", file=sys.stderr)
-
-    out = route.run(kb)
+    finally:
+        if consistent:
+            sys.stderr.writelines(warnings)
     if args.show_rewrite:
         for it in out.items:
             print(it)

@@ -173,32 +173,47 @@ def compare_routes(
 ) -> Optional[str]:
     """None when every route agrees with ``direct`` on every target, else a
     description. Routes that refuse the TBox are skipped, and the chase
-    runs only on small inputs and only when asked.
+    runs only on small consistent inputs and only when asked.
 
-    Raises InconsistentKB for inconsistent inputs; callers filter those.
+    Every route must refuse an inconsistent KB as ``direct`` does, with
+    the same reason, and answer a consistent one: the pure routes decide
+    consistency without completing the data. When every route refuses,
+    the InconsistentKB is raised; callers filter those.
     """
     kb = prepare(tbox, abox, sg, SAFE_DEPTH)
-    direct = ROUTES["direct"].run(kb)
-    if not direct.interp.complete:
-        return f"canonical model still open at depth {SAFE_DEPTH}"
-    if not model.is_model(tbox, abox, direct.interp):
-        return "direct model fails an axiom or assertion"
-    small = len(abox.individuals()) <= 3 and len(direct.interp.nodes) <= 8
+    try:
+        direct = ROUTES["direct"].run(kb)
+    except InconsistentKB as exc:
+        direct, refused = None, str(exc)
+    else:
+        refused = None
+        if not direct.interp.complete:
+            return f"canonical model still open at depth {SAFE_DEPTH}"
+        if not model.is_model(tbox, abox, direct.interp):
+            return "direct model fails an axiom or assertion"
+        small = len(abox.individuals()) <= 3 and len(direct.interp.nodes) <= 8
 
     for mode, route in ROUTES.items():
         if mode == "direct" or (tbox.atmost and not route.counting):
             continue
-        if route.small_only:
-            if not (include_chase and small):
-                continue
-            try:
-                verdicts = route.run(replace(kb, depth=CHASE_ROUNDS)).verdicts
-            except (NotTerminated, SizeGuardExceeded):
-                continue
-        else:
-            verdicts = route.run(kb).verdicts
+        if route.small_only and (direct is None or not (include_chase and small)):
+            continue
+        routed = replace(kb, depth=CHASE_ROUNDS) if route.small_only else kb
+        try:
+            verdicts = route.run(routed).verdicts
+        except (NotTerminated, SizeGuardExceeded):  # the chase's budgets
+            continue
+        except InconsistentKB as exc:
+            if str(exc) != refused:
+                said = f"refuses ({refused})" if refused else "answers"
+                return f"direct {said}, {mode} refuses ({exc})"
+            continue
+        if direct is None:
+            return f"direct refuses ({refused}), {mode} answers"
         if verdicts != direct.verdicts:
             return _diff("direct", direct.verdicts, mode, verdicts)
+    if refused is not None:
+        raise InconsistentKB(refused)
     return None
 
 

@@ -21,7 +21,9 @@ a. ``build_can`` names each node when it makes it.
 from __future__ import annotations
 
 from collections import deque
-from typing import Collection, Deque, Dict, FrozenSet, List, Set, Tuple
+from typing import (
+    Callable, Collection, Deque, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple,
+)
 
 from .core import (
     BOT,
@@ -196,25 +198,36 @@ def complete_abox(sat: SaturatedTBox, abox: ABox) -> ABox:
         grown = {a for _, a in concepts}
 
     done = index.seal(abox.nodes)
-    # consistency: bottom membership
+    check_consistency(
+        tbox, individuals, done.has_concept, lambda r, a: done.adjacency(r).get(a, ())
+    )
+    return done
+
+
+def check_consistency(
+    tbox: TBox,
+    individuals: Sequence[str],
+    has: Callable[[str, Node], bool],
+    succ: Callable[[Role, Node], Iterable[Node]],
+) -> None:
+    """Raise InconsistentKB, with the reason, where completed data clashes:
+    ``bot`` at an individual, or an individual with two named witnesses
+    under an at-most-one axiom. ``has(c, n)`` and ``succ(r, n)`` read the
+    completed data's concepts and role successors. The bot check runs
+    first, and each names the first individual in the given order."""
     for a in individuals:
-        if done.has_concept(BOT, a):
+        if has(BOT, a):
             raise InconsistentKB(f"bot holds at {a}")
-    # consistency: two distinct named witnesses under a counted role
     for ax in tbox.atmost:
         for a in individuals:
-            if not done.has_concept(ax.lhs, a):
+            if not has(ax.lhs, a):
                 continue
-            wits = sum(
-                done.has_concept(ax.filler, b)
-                for b in done.adjacency(ax.role).get(a, ())
-            )
+            wits = sum(has(ax.filler, b) for b in succ(ax.role, a))
             if wits > 1:
                 raise InconsistentKB(
                     f"{a} has {wits} named {ax.role}.{ax.filler} successors "
                     f"but at most one is allowed"
                 )
-    return done
 
 
 # ---------------------------------------------------------------------------

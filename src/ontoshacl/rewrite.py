@@ -120,6 +120,17 @@ A component's rules are compiled once, after its seeds, into ``_Rules``,
 with one table of the witnesses a rule may guess, ``@a`` and existential
 alike. Closing, settling and emitting a stratum select its rules from
 those tables by masking their heads with the stratum's head literals.
+
+The pure rewritings fold the completion into the constraints over the raw
+data: ``_c_A`` holds at a node exactly where the completed data has A,
+and in the binary variant ``_b_r`` holds on exactly the completed r edges.
+``bot`` is a concept like any other there. Each entailed ``A1 & ... & An
+<= bot`` gets its row into ``_c_bot``, as value restrictions and merges
+into ``bot`` already had, and a row that reads ``bot`` fires where the
+completion's rule fires. So one evaluation of a pure rewriting also
+decides consistency: ``check_pure_consistency`` reads ``_c_bot`` and the
+at-most-one witnesses off its tables, and refuses the KB with the reason
+``model.complete_abox`` gives, without completing the data.
 """
 from __future__ import annotations
 
@@ -130,8 +141,9 @@ from typing import (
     Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union,
 )
 
-from .core import BOT, TOP, OneHalfType, Role, TwoType, invert_roles, type_key
-from .model import succ_config
+from .core import BOT, TOP, ABox, Node, OneHalfType, Role, TwoType, invert_roles, type_key
+from .evaluate import Tables
+from .model import check_consistency, succ_config
 from .shapes import (
     And,
     BinConstraint,
@@ -888,6 +900,10 @@ def _role_shape(r: Role) -> str:
     return f"{RESERVED_PREFIX}b_{r}"
 
 
+# the shape of the pure rewritings that holds where the completion has bot
+BOT_SHAPE = _concept_shape(BOT)
+
+
 def _concept_ref(a: str) -> ShapeBody:
     """The shape that mimics concept a in the completed graph."""
     return ConceptRef(TOP) if a == TOP else ShapeRef(_concept_shape(a))
@@ -895,14 +911,35 @@ def _concept_ref(a: str) -> ShapeBody:
 
 def _entailed_conj(st: SaturatedTBox) -> List[Constraint]:
     """``_c_B <- _c_A1 & ... & _c_An`` for each entailed ``A1 & ... & An <= B``
-    that is neither trivial nor about ``bot``."""
+    but the trivial ``A <= A`` and ``... & bot <= bot``. B or an Ai may be
+    ``bot``, so ``_c_bot`` holds where the completion derives ``bot``, for
+    ``check_pure_consistency``."""
     out = []
     for prem, head in sorted(st.conj, key=lambda x: (sorted(x[0]), x[1])):
-        if head == BOT or BOT in prem or prem == frozenset({head}):
+        if prem == frozenset({head}) or (head == BOT and BOT in prem):
             continue
         body = _and_chain([ShapeRef(_concept_shape(a)) for a in sorted(prem)])
         out.append(Constraint(_concept_shape(head), body))
     return out
+
+
+def check_pure_consistency(st: SaturatedTBox, data: ABox, tables: Tables) -> None:
+    """Raise InconsistentKB where ``complete_abox`` would, reading the tables
+    of a pure rewriting over the raw data: ``_c_A`` holds at the nodes the
+    completion gives A, and ``_b_r`` on its r edges. The tables need
+    ``BOT_SHAPE`` and, for each at-most-one axiom, the shapes of its
+    concepts and its role."""
+    unary, binary = tables
+    succ: Dict[Role, Dict[Node, List[Node]]] = {}
+    for r in {ax.role for ax in st.tbox.atmost}:
+        for x, y in binary.get(_role_shape(r), ()):
+            succ.setdefault(r, {}).setdefault(x, []).append(y)
+    check_consistency(
+        st.tbox,
+        data.individuals(),
+        lambda c, a: c == TOP or a in unary.get(_concept_shape(c), ()),
+        lambda r, a: succ.get(r, {}).get(a, ()),
+    )
 
 
 def _concept_seeds(st: SaturatedTBox, names: Iterable[str]) -> List[Constraint]:

@@ -338,11 +338,11 @@ def test_completion_leaves_the_raw_data_as_parsed():
     for k in range(40):
         tbox, abox, sg = gen_case(random.Random(k))
         text = serialize_interpretation(abox)
+        kb = prepare(tbox, abox, sg, 0)
         try:
-            kb = prepare(tbox, abox, sg, 0)
+            grew += kb.completed != kb.abox
         except InconsistentKB:
             continue
-        grew += kb.completed != kb.abox
         assert kb.abox is abox
         assert _tables(kb.abox._index) == _tables(parse_abox(text)._index)
         assert not _table_sets(kb.completed) & _table_sets(kb.abox)

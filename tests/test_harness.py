@@ -4,16 +4,18 @@ A seeded slice of ``ontoshacl selftest`` keeps every route agreeing with
 ``direct`` inside the regular suite, and the mutation hook proves that
 ``compare_routes`` notices a broken model builder. Five cases of seeds 4
 and 5 get a verdict wrong when the rewriting adds no row to the
-constraints, so the cross-check sees the rows the TBox adds.
+constraints, so the cross-check sees the rows the TBox adds. A route that
+answers an inconsistent KB, or refuses a consistent one, disagrees too.
 """
 from __future__ import annotations
 
 import pytest
 
-from ontoshacl import model
+from ontoshacl import cli, model
 from ontoshacl import rewrite as rw
 from ontoshacl.formats import parse_abox, serialize_interpretation
 from ontoshacl.harness import case_rng, compare_routes, gen_case, run_selftest, shrink
+from ontoshacl.model import InconsistentKB
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -62,3 +64,20 @@ def test_compare_routes_sees_the_rows_the_tbox_adds(monkeypatch, seed, case):
     assert compare_routes(tbox, abox, sg) is None
     monkeypatch.setattr(rw, "_live_steps", lambda st, cons: frozenset())
     assert compare_routes(tbox, abox, sg) is not None
+
+
+def test_compare_routes_demands_that_every_route_refuses_alike(monkeypatch):
+    # case 94 of seed 0 is the seed's one inconsistent case, a max1 clash;
+    # case 0 is consistent. Both have max1 axioms, which pure-alchi refuses
+    clash, plain = gen_case(case_rng(0, 94)), gen_case(case_rng(0, 0))
+    with pytest.raises(InconsistentKB, match="c has 2 named q.top successors"):
+        compare_routes(*clash)
+    assert compare_routes(*plain) is None
+    monkeypatch.setattr(cli, "check_pure_consistency", lambda st, data, tables: None)
+    assert compare_routes(*clash).endswith("pure-shaclb answers")
+
+    def refuse(st, data, tables):
+        raise InconsistentKB("bot holds at a")
+
+    monkeypatch.setattr(cli, "check_pure_consistency", refuse)
+    assert compare_routes(*plain) == "direct answers, pure-shaclb refuses (bot holds at a)"

@@ -295,11 +295,11 @@ def test_verdicts_do_not_depend_on_the_constraint_order(seed):
         cases = [gen_case(case_rng(seed, i)) for i in range(10)]
     rng = random.Random(seed)
     for tbox, abox, sg in cases:
+        kb = prepare(tbox, abox, sg, depth=10)
         try:
-            kb = prepare(tbox, abox, sg, depth=10)
+            want = validate(kb.completed, kb.c_t, sg.targets)
         except InconsistentKB:
             continue
-        want = validate(kb.completed, kb.c_t, sg.targets)
         for _ in range(3):
             shuffled = rng.sample(kb.c_t, len(kb.c_t))
             assert validate(kb.completed, shuffled, sg.targets) == want
@@ -505,8 +505,9 @@ def kb_cases(seed):
         cases = [gen_case(case_rng(seed, i)) for i in range(20)]
         cases += [merged_case(seed, i) for i in range(30)]
     for tbox, abox, sg in cases:
+        kb = prepare(tbox, abox, sg, SAFE_DEPTH)
         try:
-            kb = prepare(tbox, abox, sg, SAFE_DEPTH)
+            kb.completed
         except InconsistentKB:
             continue
         yield kb, normal_form(tbox, sg.constraints)[1]
@@ -674,11 +675,11 @@ def test_the_signature_gives_the_verdicts_of_every_concept_name(monkeypatch):
 
     compared = 0
     for i in range(60):
+        kb = prepare(*merged_case(4, i), SAFE_DEPTH)
         try:
-            kb = prepare(*merged_case(4, i), SAFE_DEPTH)
+            got = verdicts(kb)
         except InconsistentKB:
             continue
-        got = verdicts(kb)
         with monkeypatch.context() as m:
             m.setattr(rw, "_signature", full_signature)
             m.setattr(rw, "_live_steps", lambda st, cons: frozenset({frozenset()}))
@@ -805,10 +806,12 @@ def lines(items):
 def test_pure_rewritings_print_what_substitution_per_occurrence_prints():
     kbs = [hashed_kb()]
     for i in range(40):
+        kb = prepare(*gen_case(case_rng(0, i)), SAFE_DEPTH)
         try:
-            kbs.append(prepare(*gen_case(case_rng(0, i)), SAFE_DEPTH))
+            kb.completed
         except InconsistentKB:
             continue
+        kbs.append(kb)
     alchi = 0
     for kb in kbs:
         c_t = kb.c_t
