@@ -30,16 +30,26 @@ A target whose shape no constraint defines, or whose individual is not
 in the data, is a VIOLATION like any other failed target; ``validate``
 also warns about it on stderr.
 
-``main(argv)`` may be called many times in one process. Only the
-argparse parser (``build_parser``) is shared between calls: each call
-reads its files and computes its KB, rewriting and verdicts again.
+``main(argv)`` reads a plain ``validate`` line itself, by
+``plain_validate``: each of ``--tbox --abox --shapes --targets --mode
+--depth --format`` at most once and followed by a value that does not
+start with ``-``, ``--show-rewrite`` at most once, the three files given,
+a known mode and format, and a depth of ASCII digits. It builds the
+namespace that ``parse_args`` would. Every other line goes to the argparse
+parser of ``build_parser``: help, abbreviations, ``--opt=value``, repeated
+options, every usage error and the other subcommands. So argparse words
+every usage error, and a plain call never imports it.
+
+``main`` may be called many times in one process. Only the parser is
+shared between calls: each call reads its files and computes its KB,
+rewriting and verdicts again.
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
-from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from .chase import NotTerminated, SizeGuardExceeded, run_core_chase
 from .core import ABox, Interpretation, Role, TBox
@@ -69,6 +79,9 @@ from .shapes import (
 )
 from .tbox import SaturatedTBox, UnsupportedPattern, collapse_role_cycles
 from .values import value
+
+if TYPE_CHECKING:  # argparse is imported when ``build_parser`` first runs
+    import argparse
 
 EXIT_VALID = 0
 EXIT_VIOLATIONS = 1
@@ -104,11 +117,15 @@ FAILURES: Dict[type, Tuple[int, str, str]] = {
 
 
 def _read(path: str) -> str:
+    """The file's text, its bytes decoded as UTF-8 once. Text mode would
+    turn CR LF and a lone CR into LF; ``formats._lines`` splits at both."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            return fh.read().decode("utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: {exc}")
 
 
 def load_kb(args: argparse.Namespace) -> Tuple[TBox, ABox, Dict[str, Role]]:
@@ -240,6 +257,7 @@ ROUTES: Dict[str, Route] = {
     "chase": Route(_chase, small_only=True),
 }
 MODES = tuple(ROUTES)
+FORMATS = ("text", "json")
 
 
 def _emit_report(
@@ -362,14 +380,6 @@ COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
 # argument parsing
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argparse parser whose usage errors exit 3 (input error), not 2."""
-
-    def error(self, message: str) -> NoReturn:
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
-
-
 def _add_kb_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tbox", required=True, help="axiom file (.tbox)")
     p.add_argument("--abox", required=True, help="assertion file (.abox)")
@@ -383,7 +393,16 @@ def build_parser() -> argparse.ArgumentParser:
     ``sys.stderr`` and the terminal width when it prints, so ``main`` may
     reuse it across calls; nothing else may change it.
     """
-    ap = _Parser(prog="ontoshacl")
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """Usage errors exit 3 (input error), not 2."""
+
+        def error(self, message: str) -> NoReturn:
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+    ap = Parser(prog="ontoshacl")
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("validate", help="validate targets against shapes")
@@ -397,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=32,
         help="tree depth (direct) or round budget (chase)",
     )
-    v.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
+    v.add_argument("--format", dest="fmt", choices=FORMATS, default="text")
     v.add_argument(
         "--show-rewrite",
         action="store_true",
@@ -425,8 +444,58 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the value options of a plain ``validate`` line -> their namespace fields
+PLAIN_OPTIONS = {
+    "--tbox": "tbox", "--abox": "abox", "--shapes": "shapes", "--targets": "targets",
+    "--mode": "mode", "--depth": "depth", "--format": "fmt",
+}
+
+
+def plain_validate(argv: Sequence[str]) -> Optional[Dict[str, object]]:
+    """The fields of the namespace ``parse_args`` builds for a plain
+    ``validate`` line (see the module docstring), or None for any other."""
+    if not argv or argv[0] != "validate":
+        return None
+    fields: Dict[str, object] = {
+        "command": "validate", "targets": None, "mode": "direct", "depth": 32, "fmt": "text",
+        "show_rewrite": False,
+    }
+    seen = set()
+    i = 1
+    while i < len(argv):
+        opt = argv[i]
+        if opt in seen:
+            return None
+        seen.add(opt)
+        if opt == "--show-rewrite":
+            fields["show_rewrite"] = True
+            i += 1
+            continue
+        if opt not in PLAIN_OPTIONS or i + 1 == len(argv) or argv[i + 1].startswith("-"):
+            return None
+        fields[PLAIN_OPTIONS[opt]] = argv[i + 1]
+        i += 2
+    if not {"--tbox", "--abox", "--shapes"} <= seen:
+        return None
+    if fields["mode"] not in MODES or fields["fmt"] not in FORMATS:
+        return None
+    if "--depth" in seen:
+        # ``int`` would also read " 3", "+3" and "٣"; argparse reads those
+        digits = fields["depth"]
+        if not (digits.isascii() and digits.isdigit()):
+            return None
+        try:
+            fields["depth"] = int(digits)
+        except ValueError:  # more digits than ``int`` converts
+            return None
+    return fields
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    fields = plain_validate(argv)
+    args = build_parser().parse_args(argv) if fields is None else SimpleNamespace(**fields)
     try:
         if getattr(args, "depth", 0) < 0:
             raise InputError("--depth must be non-negative")

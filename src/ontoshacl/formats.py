@@ -8,15 +8,18 @@ individual, `^r` is the inverse of r. Parsing what a serializer
 writes reproduces the value; for interpretations that holds of data, as
 the last paragraph says.
 
-The flat lines, ``.abox`` atoms and ``.targets`` lines, are read by one
-compiled pattern each (``_ABOX_LINE``, ``_TARGET_LINE``) and name checks
-on its groups. ``_Cursor`` reads the recursive grammars of ``.tbox`` and
-``.shacl`` lines, and every line that a pattern or its checks refuse, so
-it words every error, at its column. ``_role`` reads every role name the
-cursor reads: in axioms, data, role sets ``[...]`` and path expressions
-``<...>``. ``parse_abox`` and ``parse_constraints`` take the renaming of
-``tbox.collapse_role_cycles``, and read a collapsed name as the role it
-now stands for.
+Flat lines are read by compiled patterns and name checks on their
+groups: every ``.tbox`` axiom (``_TBOX_LINE``), every ``.abox`` atom
+(``_ABOX_LINE``), every ``.targets`` line (``_TARGET_LINE``), and each
+``.shacl`` line whose body is a ``|`` of ``&`` chains of ``$s``, ``!$s``,
+``@a``, a concept, or ``some [roles].`` over one of those
+(``_FLAT_ATOM``): no parentheses, paths or comparisons. ``_Cursor``
+reads every other ``.shacl`` line and every line that a pattern or its
+checks refuse, so it words every error, at its column. ``_role`` reads
+every role name the cursor reads: in axioms, data, role sets ``[...]``
+and path expressions ``<...>``. ``parse_abox`` and ``parse_constraints``
+take the renaming of ``tbox.collapse_role_cycles``, and read a collapsed
+name as the role it now stands for.
 
 Data and every other interpretation share one printer,
 ``serialize_interpretation``: one atom a line, in sorted order. An
@@ -161,11 +164,17 @@ def _concept(cur: _Cursor) -> str:
     return _concept_word(cur, cur.ident("a concept name"))
 
 
+def _is_concept(word: str) -> bool:
+    return word in (TOP, BOT) or word[0].isupper()
+
+
+def _is_role(word: str) -> bool:
+    return word[0].islower() and word not in (TOP, BOT)
+
+
 def _concept_word(cur: _Cursor, word: str) -> str:
     """``word``, just read, as a concept name."""
-    if word in (TOP, BOT):
-        return word
-    if not word[0].isupper():
+    if not _is_concept(word):
         raise cur.error(f"concept names start uppercase, got {word!r}", len(word))
     return word
 
@@ -177,7 +186,7 @@ def _role(cur: _Cursor) -> Role:
 
 def _role_word(cur: _Cursor, word: str, inverted: bool) -> Role:
     """``word``, just read, as a role name, inverted when it followed ``^``."""
-    if not word[0].islower() or word in (TOP, BOT):
+    if not _is_role(word):
         raise cur.error(f"role names start lowercase, got {word!r}", len(word))
     role = cur.renaming.get(word)
     if role is None:
@@ -192,7 +201,7 @@ def _lead(cur: _Cursor) -> Union[Role, str]:
     if cur.peek() == "^":
         return _role(cur)
     word = cur.ident("a concept name")
-    if word[0].islower() and word not in (TOP, BOT):
+    if _is_role(word):
         return _role_word(cur, word, False)
     return _concept_word(cur, word)
 
@@ -206,38 +215,73 @@ def _peek_word(cur: _Cursor) -> str:
     return cur.text[cur.i : _ident_end(cur.text, cur.i)]
 
 
+# a flat axiom, every axiom the grammar has: a role or a conjunction of
+# concepts, ``<=``, then a restriction ``some|only|max1 r.C`` or a name
+_TBOX_LINE = re.compile(
+    r"(\^?)[ \t]*(\w+)((?:[ \t]*&[ \t]*\w+)*)[ \t]*<=[ \t]*"
+    r"(?:(some|only|max1)(?!\w)[ \t]*(\^?)[ \t]*(\w+)[ \t]*\.[ \t]*(\w+)|(\^?)[ \t]*(\w+))"
+)
+_RESTRICTIONS = {"some": ExistsInclusion, "only": ValueRestriction, "max1": AtMostOne}
+
+
+def _flat_axiom(body: str) -> Optional[Axiom]:
+    """The axiom of a line that ``_TBOX_LINE`` and its name checks read, or
+    None for the cursor to read or refuse."""
+    m = _TBOX_LINE.fullmatch(body)
+    if m is None:
+        return None
+    hat, first, rest, kind, sub_hat, role, filler, hat_last, last = m.groups()
+    if hat or _is_role(first):
+        if rest or kind or not _is_role(first) or not _is_role(last):
+            return None
+        return RoleInclusion(Role(first, bool(hat)), Role(last, bool(hat_last)))
+    lhs = [first, *(w.strip(" \t") for w in rest.split("&")[1:])]
+    if not all(map(_is_concept, lhs)):
+        return None
+    if kind:
+        if rest or not _is_role(role) or not _is_concept(filler):
+            return None
+        return _RESTRICTIONS[kind](first, Role(role, bool(sub_hat)), filler)
+    if hat_last or not _is_concept(last):
+        return None
+    return ConjInclusion(frozenset(lhs), last)
+
+
+def _cursor_axiom(cur: _Cursor) -> Axiom:
+    """Read a line that ``_TBOX_LINE`` or its name checks refuse, or raise
+    the error at its place."""
+    first = _lead(cur)
+    if isinstance(first, Role):
+        cur.eat("<=")
+        sup = _role(cur)
+        cur.expect_done()
+        return RoleInclusion(first, sup)
+    lhs = [first]
+    while cur.try_eat("&"):
+        lhs.append(_concept(cur))
+    cur.eat("<=")
+    kind = _peek_word(cur)
+    if kind in _RESTRICTIONS:
+        cur.ident("a keyword")
+        if len(lhs) != 1:
+            raise cur.error("restrictions take a single concept on the left")
+        role = _role(cur)
+        cur.eat(".")
+        if cur.peek() == "(":
+            raise cur.error("compound fillers are not allowed; name the conjunction")
+        filler = _concept(cur)
+        cur.expect_done()
+        return _RESTRICTIONS[kind](lhs[0], role, filler)
+    rhs = _concept(cur)
+    cur.expect_done()
+    return ConjInclusion(frozenset(lhs), rhs)
+
+
 def parse_tbox(text: str, source: str = "<tbox>") -> TBox:
     axioms: List[Axiom] = []
     for line_no, body in _lines(text):
-        cur = _Cursor(body, line_no, source)
-        first = _lead(cur)
-        if isinstance(first, Role):
-            cur.eat("<=")
-            sup = _role(cur)
-            cur.expect_done()
-            axioms.append(RoleInclusion(first, sup))
-            continue
-        lhs = [first]
-        while cur.try_eat("&"):
-            lhs.append(_concept(cur))
-        cur.eat("<=")
-        kind = _peek_word(cur)
-        if kind in ("some", "only", "max1"):
-            cur.ident("a keyword")
-            if len(lhs) != 1:
-                raise cur.error("restrictions take a single concept on the left")
-            role = _role(cur)
-            cur.eat(".")
-            if cur.peek() == "(":
-                raise cur.error("compound fillers are not allowed; name the conjunction")
-            filler = _concept(cur)
-            cur.expect_done()
-            ctor = {"some": ExistsInclusion, "only": ValueRestriction, "max1": AtMostOne}[kind]
-            axioms.append(ctor(lhs[0], role, filler))
-        else:
-            rhs = _concept(cur)
-            cur.expect_done()
-            axioms.append(ConjInclusion(frozenset(lhs), rhs))
+        ax = _flat_axiom(body)
+        axioms.append(_cursor_axiom(_Cursor(body, line_no, source)) if ax is None else ax)
     return TBox.of(axioms)
 
 
@@ -268,7 +312,7 @@ def parse_abox(
                 if not hat and word[0].isupper():
                     concepts.append((word, a))
                     continue
-            elif word[0].islower() and word not in (TOP, BOT):
+            elif _is_role(word):
                 role = read.get(hat + word)
                 if role is None:
                     role = renaming.get(word) or Role(word)
@@ -402,7 +446,7 @@ def _body_atom(cur: _Cursor) -> ShapeBody:
         raise cur.error("'some' takes '[roles]' or '<path>'")
     if word in ("eq", "disj") and cur.peek() == "(":
         return _comparison(cur, word)
-    if word in (TOP, BOT) or word[0].isupper():
+    if _is_concept(word):
         return ConceptRef(word)
     raise cur.error(f"cannot read a shape body at {word!r}", len(word))
 
@@ -429,17 +473,78 @@ def _body_alt(cur: _Cursor) -> ShapeBody:
     return out
 
 
+_SHACL_HEAD = re.compile(r"\$[ \t]*(\w+)[ \t]*<-")
+# one atom of a flat body and the operator after it: ``$s``, ``!$s``, ``@a``
+# or a concept, maybe under ``some [roles].``
+_FLAT_ATOM = re.compile(
+    r"[ \t]*(?:some[ \t]*\[((?:[ \t]*\^?[ \t]*\w+[ \t]*,)*[ \t]*\^?[ \t]*\w+)[ \t]*\][ \t]*\.)?"
+    r"[ \t]*(!?)[ \t]*([$@]?)[ \t]*(\w+)[ \t]*([&|]?)"
+)
+_ROLE_ITEM = re.compile(r"(\^?)[ \t]*(\w+)")
+
+
+def _flat_constraint(body: str, renaming: Mapping[str, Role]) -> Optional[Constraint]:
+    """The constraint of a line whose body is a ``|`` of ``&`` chains of
+    ``_FLAT_ATOM`` atoms that pass their name checks, or None for the cursor
+    to read or refuse. ``|`` binds looser than ``&``; both group left."""
+    m = _SHACL_HEAD.match(body)
+    if m is None or m[1].startswith(RESERVED_PREFIX):
+        return None
+    pos = m.end()
+    alts: Optional[ShapeBody] = None
+    conj: Optional[ShapeBody] = None
+    while True:
+        a = _FLAT_ATOM.match(body, pos)
+        if a is None:
+            return None
+        roles, bang, sigil, word, op = a.groups()
+        if sigil == "$":
+            if word.startswith(RESERVED_PREFIX):
+                return None
+            atom: ShapeBody = NegShapeRef(word) if bang else ShapeRef(word)
+        elif bang:
+            return None
+        elif sigil:
+            atom = IndividualRef(word)
+        elif _is_concept(word):
+            atom = ConceptRef(word)
+        else:
+            return None
+        if roles is not None:
+            rs = []
+            for hat, name in _ROLE_ITEM.findall(roles):
+                if not _is_role(name):
+                    return None
+                role = renaming.get(name) or Role(name)
+                rs.append(role.invert() if hat else role)
+            atom = ExistsRoles(frozenset(rs), atom)
+        conj = atom if conj is None else And(conj, atom)
+        pos = a.end()
+        if op != "&":
+            alts = conj if alts is None else Or(alts, conj)
+            conj = None
+            if not op:
+                return Constraint(m[1], alts) if pos == len(body) else None
+
+
+def _cursor_constraint(cur: _Cursor) -> Constraint:
+    """Read a line that ``_flat_constraint`` refuses, or raise the error at
+    its place."""
+    head = _shape_name(cur)
+    cur.eat("<-")
+    expr = _body_alt(cur)
+    cur.expect_done()
+    return Constraint(head, expr)
+
+
 def parse_constraints(
     text: str, source: str = "<shacl>", renaming: Optional[Mapping[str, Role]] = None
 ) -> List[Constraint]:
     out: List[Constraint] = []
+    names = renaming or {}
     for line_no, body in _lines(text):
-        cur = _Cursor(body, line_no, source, renaming)
-        head = _shape_name(cur)
-        cur.eat("<-")
-        expr = _body_alt(cur)
-        cur.expect_done()
-        out.append(Constraint(head, expr))
+        c = _flat_constraint(body, names)
+        out.append(_cursor_constraint(_Cursor(body, line_no, source, names)) if c is None else c)
     return out
 
 

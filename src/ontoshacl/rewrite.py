@@ -911,9 +911,10 @@ def _concept_ref(a: str) -> ShapeBody:
 
 def _entailed_conj(st: SaturatedTBox) -> List[Constraint]:
     """``_c_B <- _c_A1 & ... & _c_An`` for each entailed ``A1 & ... & An <= B``
-    but the trivial ``A <= A`` and ``... & bot <= bot``. B or an Ai may be
-    ``bot``, so ``_c_bot`` holds where the completion derives ``bot``, for
-    ``check_pure_consistency``."""
+    but the trivial ``A <= A`` and ``... & bot <= bot``; the saturation
+    makes a row of the second kind only from an axiom with ``bot`` on its
+    left. B or an Ai may be ``bot``, so ``_c_bot`` holds where the
+    completion derives ``bot``, for ``check_pure_consistency``."""
     out = []
     for prem, head in sorted(st.conj, key=lambda x: (sorted(x[0]), x[1])):
         if prem == frozenset({head}) or (head == BOT and BOT in prem):

@@ -190,13 +190,13 @@ class SaturatedTBox:
                 break
 
     def _normalize(self) -> None:
+        """Close each existential, and drop it where its premise closes to
+        ``bot``: it fires at no node of a consistent KB."""
         out: Set[Existential] = set()
         for e in self.existentials:
-            out.add(
-                Existential(
-                    self.cl(e.premise), self.close_roles(e.roles), self.cl(e.fillers)
-                )
-            )
+            premise = self.cl(e.premise)
+            if BOT not in premise:
+                out.add(Existential(premise, self.close_roles(e.roles), self.cl(e.fillers)))
         self.existentials = out
 
     def _step_forall(self) -> None:

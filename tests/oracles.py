@@ -12,8 +12,8 @@ split, with the truth tables that check the package's merged rows
 against those and the full signature of every concept name that the
 per-component one is checked against; the pure
 rewritings as they were before they substituted each shared node once;
-and the readers of data and target lines and the JSON report as they
-were before patterns read the lines and the report was written directly.
+and the readers of every line kind and the JSON report as they were
+before patterns read the flat lines and the report was written directly.
 """
 from __future__ import annotations
 
@@ -33,16 +33,32 @@ from ontoshacl.core import (
     BOT,
     TOP,
     ABox,
+    AtMostOne,
+    Axiom,
+    ConjInclusion,
+    ExistsInclusion,
     Interpretation,
     Node,
     OneHalfType,
     Role,
+    RoleInclusion,
     TBox,
     TwoType,
+    ValueRestriction,
     node_key,
     type_key,
 )
-from ontoshacl.formats import _Cursor, _lead, _lines, _shape_name, parse_constraints
+from ontoshacl.formats import (
+    _body_alt,
+    _concept,
+    _Cursor,
+    _lead,
+    _lines,
+    _peek_word,
+    _role,
+    _shape_name,
+    parse_constraints,
+)
 from ontoshacl.model import InconsistentKB, build_can, complete_abox, succ_config
 from ontoshacl.paths import NFA, RAlt, RSeq, RStar, RSym, Regex
 from ontoshacl.rewrite import (
@@ -1249,10 +1265,60 @@ def occurrence_pure_shaclb(st: SaturatedTBox, c_t: Sequence[Constraint]) -> Tupl
 
 
 # ---------------------------------------------------------------------------
-# data and target lines read by the cursor alone, and the report through
-# ``json.dumps``: ``formats.parse_abox``, ``parse_targets`` and
+# axiom, constraint, data and target lines read by the cursor alone, and
+# the report through ``json.dumps``: ``formats.parse_tbox``,
+# ``parse_constraints``, ``parse_abox``, ``parse_targets`` and
 # ``report_to_json`` must return the same values, raise the same errors
 # and write the same bytes.
+
+
+def cursor_parse_tbox(text: str, source: str = "<tbox>") -> TBox:
+    axioms: List[Axiom] = []
+    for line_no, body in _lines(text):
+        cur = _Cursor(body, line_no, source)
+        first = _lead(cur)
+        if isinstance(first, Role):
+            cur.eat("<=")
+            sup = _role(cur)
+            cur.expect_done()
+            axioms.append(RoleInclusion(first, sup))
+            continue
+        lhs = [first]
+        while cur.try_eat("&"):
+            lhs.append(_concept(cur))
+        cur.eat("<=")
+        kind = _peek_word(cur)
+        if kind in ("some", "only", "max1"):
+            cur.ident("a keyword")
+            if len(lhs) != 1:
+                raise cur.error("restrictions take a single concept on the left")
+            role = _role(cur)
+            cur.eat(".")
+            if cur.peek() == "(":
+                raise cur.error("compound fillers are not allowed; name the conjunction")
+            filler = _concept(cur)
+            cur.expect_done()
+            ctor = {"some": ExistsInclusion, "only": ValueRestriction, "max1": AtMostOne}[kind]
+            axioms.append(ctor(lhs[0], role, filler))
+        else:
+            rhs = _concept(cur)
+            cur.expect_done()
+            axioms.append(ConjInclusion(frozenset(lhs), rhs))
+    return TBox.of(axioms)
+
+
+def cursor_parse_constraints(
+    text: str, source: str = "<shacl>", renaming: Optional[Dict[str, Role]] = None
+) -> List[Constraint]:
+    out: List[Constraint] = []
+    for line_no, body in _lines(text):
+        cur = _Cursor(body, line_no, source, renaming)
+        head = _shape_name(cur)
+        cur.eat("<-")
+        expr = _body_alt(cur)
+        cur.expect_done()
+        out.append(Constraint(head, expr))
+    return out
 
 
 def cursor_parse_abox(

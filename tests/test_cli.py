@@ -7,6 +7,8 @@ stderr are the ones a user sees.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -14,6 +16,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ontoshacl import cli, core, model, rewrite
 from ontoshacl.formats import parse_constraints
@@ -544,3 +548,160 @@ def test_importing_the_cli_loads_no_dataclasses():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "build-model", "chase"])
+def test_a_file_that_is_not_utf8_exits_3(tmp_path, command, capsys):
+    f = write(tmp_path, tbox=TBOX, abox=ABOX, shacl=SHAPES)
+    (tmp_path / "bad.abox").write_bytes(b"A(a)\n\xff(b)\n")
+    argv = [command, "--tbox", f["tbox"], "--abox", str(tmp_path / "bad.abox")]
+    if command == "validate":
+        argv += ["--shapes", f["shacl"]]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {tmp_path / 'bad.abox'}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_a_file_keeps_its_line_numbers_under_any_line_ending(tmp_path, capsys):
+    for ending in ("\n", "\r\n", "\r"):
+        shapes = ending.join(["$s <- some [r].B", "", "$t <- D", "$u <- some [r.B", ""])
+        assert validate(tmp_path, "direct", "$s(@a)\n", shapes=shapes) == cli.EXIT_INPUT
+        assert capsys.readouterr().err.endswith("in.shacl:4:14: expected ']'\n"), repr(ending)
+
+
+# =============================================================================
+# THE PLAIN COMMAND LINE AGAINST ARGPARSE
+# =============================================================================
+
+# options, whole and abbreviated, with ``=`` forms, help and unknown ones
+OPTION_WORDS = [
+    "--tbox", "--abox", "--shapes", "--targets", "--mode", "--depth", "--format",
+    "--show-rewrite", "--tb", "--sh", "--show", "--de", "--tbox=x", "--depth=3", "-h",
+    "--help", "--nosuch", "--", "-x",
+]
+VALUE_WORDS = [
+    "x", "in.tbox", "-x", "-1", "3", "007", " 3", "+3", "٣", "3_0", "", "a b", "9" * 5000,
+    *MODES, "nosuch", "text", "json", "JSON", "validate",
+]
+COMMAND_WORDS = ["validate", "validate", "validate", "chase", "build-model", "selftest", "nosuch"]
+
+
+@st.composite
+def plain_argvs(draw):
+    """A plain ``validate`` line: the three files, optional value options
+    and ``--show-rewrite``, in drawn order, with drawn values."""
+    options = ["--tbox", "--abox", "--shapes"] + draw(st.lists(
+        st.sampled_from(["--targets", "--mode", "--depth", "--format", "--show-rewrite"]),
+        unique=True))
+    order = draw(st.permutations(options))
+    values = {
+        "--mode": st.sampled_from(MODES), "--format": st.sampled_from(["text", "json"]),
+        "--depth": st.integers(0, 10 ** 6).map(str),
+    }
+    argv = ["validate"]
+    for opt in order:
+        argv.append(opt)
+        if opt != "--show-rewrite":
+            argv.append(draw(values.get(opt, st.sampled_from(["x", "in.tbox", "a b", ""]))))
+    return argv
+
+
+@st.composite
+def near_argvs(draw):
+    """A plain line, a few words inserted, removed or replaced, or two
+    words (an option and its value) removed."""
+    argv = draw(plain_argvs())
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(argv)))
+        word = draw(st.sampled_from(OPTION_WORDS + VALUE_WORDS + COMMAND_WORDS))
+        edit = draw(st.sampled_from(["insert", "remove", "replace", "remove two"]))
+        if edit == "insert":
+            argv.insert(i, word)
+        else:
+            argv[i:i + 1 + (edit == "remove two")] = [word] if edit == "replace" else []
+    return argv
+
+
+def parsed(argv):
+    """``vars`` of what the argparse parser makes of ``argv``, or None
+    where it exits (help or a usage error)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(plain_argvs())
+def test_a_plain_line_is_read_as_argparse_reads_it(argv):
+    assert cli.plain_validate(argv) == parsed(argv) is not None
+
+
+@settings(max_examples=600, deadline=None)
+@given(near_argvs())
+def test_the_plain_reader_gives_none_or_what_argparse_gives(argv):
+    fields = cli.plain_validate(argv)
+    assert fields is None or fields == parsed(argv)
+
+
+def test_a_plain_line_never_calls_parse_args(tmp_path, monkeypatch, capsys):
+    f = write(tmp_path, tbox=TBOX, abox=ABOX, shacl=SHAPES, targets="$s(@a)\n")
+    plain = ["validate", "--tbox", f["tbox"], "--abox", f["abox"], "--shapes", f["shacl"],
+             "--targets", f["targets"], "--mode", "rewrite", "--show-rewrite"]
+    calls = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    assert cli.main(plain) == cli.EXIT_VALID
+    first = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["ontoshacl", *plain])
+    assert cli.main(None) == cli.EXIT_VALID
+    assert capsys.readouterr().out == first
+    assert calls == []
+    # the same line with an ``=`` form goes to argparse, with the same report
+    monkeypatch.setattr(sys, "argv", ["ontoshacl", *plain[:-3], "--mode=rewrite", "--show-rewrite"])
+    assert cli.main(None) == cli.EXIT_VALID
+    assert capsys.readouterr().out == first
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("extra, loaded", [([], "[]"), (["--mode=direct"], "['argparse']")])
+def test_a_plain_validate_does_not_import_argparse(tmp_path, extra, loaded):
+    f = write(tmp_path, tbox=TBOX, abox=ABOX, shacl=SHAPES, targets="$s(@a)\n")
+    code = ("import sys; from ontoshacl.cli import main; rc = main(); "
+            "print(rc, [m for m in ('argparse',) if m in sys.modules], file=sys.stderr)")
+    argv = [sys.executable, "-c", code, "validate", "--tbox", f["tbox"], "--abox", f["abox"],
+            "--shapes", f["shacl"], "--targets", f["targets"], *extra]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0 and "$s(@a): VALID" in proc.stdout
+    assert proc.stderr == f"0 {loaded}\n"
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("case", [
+    dict(targets="$s(@a)\n$t(@a)\n$ghost(@a)\n", extra=["--show-rewrite"]),
+    dict(targets="$s(@a)\n$t(@b)\n", extra=["--format", "json", "--depth", "4"]),
+    dict(targets="$t(@b)\n", tbox=TBOX + "A & D <= bot\n", abox="A(a)\nD(a)\n", extra=[]),
+    dict(targets="$s(@a)\n", shapes="$s <- some [r.B\n", extra=["--format", "json"]),
+    dict(targets="$s(@a)\n", tbox=CHAIN, abox="A(a)\n", shapes=TWO_STEPS,
+         extra=["--depth", "1", "--show-rewrite"]),
+    dict(targets=CYCLE_TARGETS, tbox=CYCLE_TBOX, abox=CYCLE_ABOX, shapes=CYCLE_SHAPES,
+         extra=["--show-rewrite", "--format", "json"]),
+], ids=["warnings", "json", "inconsistent", "parse-error", "truncated", "renamed"])
+def test_argparse_and_the_plain_reader_give_the_same_run(tmp_path, mode, case, monkeypatch, capsys):
+    case = dict(case)
+    targets, extra = case.pop("targets"), case.pop("extra")
+    runs = []
+    for reader in (cli.plain_validate, lambda argv: None):
+        monkeypatch.setattr(cli, "plain_validate", reader)
+        rc = validate(tmp_path, mode, targets, extra=extra, **case)
+        runs.append((rc, *capsys.readouterr()))
+    assert runs[0] == runs[1]

@@ -5,19 +5,22 @@ from hand-written lines of the source grammar with paths, inverse roles,
 negated groups, alternatives and guarded comparisons. Data is printed by
 ``serialize_interpretation``, the one printer for every interpretation.
 
-The patterns that read data and target lines are checked against the
-cursor readers in ``oracles``, on drawn lines, and the JSON report
-against ``json.dumps``.
+The patterns that read axiom, flat constraint, data and target lines are
+checked against the cursor readers in ``oracles``, on drawn lines, and the
+JSON report against ``json.dumps``.
 """
 from __future__ import annotations
 
+import re
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ontoshacl.core import ABox, Role
+from ontoshacl.core import (
+    ABox, AtMostOne, ConjInclusion, ExistsInclusion, Role, RoleInclusion, TBox
+)
 from ontoshacl.formats import (
     ParseError,
     _ident_end,
@@ -32,7 +35,16 @@ from ontoshacl.formats import (
     report_to_json,
 )
 from ontoshacl.harness import case_rng, gen_case
-from oracles import cursor_parse_abox, cursor_parse_targets, json_report
+from ontoshacl.shapes import (
+    And, ConceptRef, Constraint, ExistsRoles, IndividualRef, NegShapeRef, Or, ShapeRef
+)
+from oracles import (
+    cursor_parse_abox,
+    cursor_parse_constraints,
+    cursor_parse_targets,
+    cursor_parse_tbox,
+    json_report,
+)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -102,20 +114,31 @@ def test_identifiers_are_the_characters_isalnum_or_underscore_accepts():
 # ---------------------------------------------------------------------------
 # the line patterns against the cursor
 
-# the characters the data and target grammars read, space, tab, a space
-# that the cursor does not skip, digits, ``_`` and one non-ASCII letter
-LINE_CHARS = "ABrq^(),$@ \t\xa01_é#"
-# good and bad names: cases, ``top``/``bot``, a reserved shape name, a
-# collapsed role name (``q``) and the non-ASCII letter
-NAMES = ["A", "Bé", "r", "q", "a", "b_2", "é", "top", "bot", "_x", "1a", "R"]
+# the characters the four line grammars read, space, tab, a space that
+# the cursor does not skip, digits, ``_`` and one non-ASCII letter
+LINE_CHARS = "ABrq^(),$@<=-&|!.[] \t\xa01_é#"
+# good and bad names: cases, ``top``/``bot``, a keyword, a reserved shape
+# name, a collapsed role name (``q``) and the non-ASCII letter
+NAMES = ["A", "Bé", "r", "q", "a", "b_2", "é", "top", "bot", "_x", "1a", "R", "some"]
 ABOX_SKELETONS = ["N(N)", "N(N,N)", "^N(N,N)", "^N(N)", "N(N,N,N)", "$N(@N)"]
 TARGET_SKELETONS = ["$N(@N)", "$N(N)", "N(@N)", "$N(@N,N)", "N(N)"]
+TBOX_SKELETONS = [
+    "N<=N", "N&N<=N", "N&N&N<=N", "N<=some N.N", "N<=only ^N.N", "N<=max1 N.N", "^N<=N",
+    "N<=^N", "N&N<=some N.N", "N<=some N.(N)", "N<=N.N",
+]
+SHACL_SKELETONS = [
+    "$N<-N", "$N<-!$N&@N", "$N<-some [N,^N].$N|N", "$N<-N|N&N", "$N<-some [N].!$N&$N",
+    "$N<-some [N].@N|!$N|N", "$N<-N&(N|N)", "$N<-some <N>.N", "$N<-some [N].some [N].N",
+]
+# a skeleton's tokens: keywords, two-character operators, then characters
+SKELETON_TOKEN = re.compile(r"some |only |max1 |<=|<-|.")
 RENAMING = {"q": Role("r", True)}
 
 
 def _outcomes(text: str):
-    """What the package and the cursor make of ``text`` as data, with and
-    without a renaming, and as targets: values, or error messages."""
+    """What the package and the cursor make of ``text`` as axioms, as
+    constraints and as data, the last two with and without a renaming, and
+    as targets: values, or error messages."""
 
     def outcome(parse, *args):
         try:
@@ -126,6 +149,9 @@ def _outcomes(text: str):
     return [
         (outcome(parse, text, source, *rest), outcome(reference, text, source, *rest))
         for parse, reference, source, rest in [
+            (parse_tbox, cursor_parse_tbox, "in.tbox", ()),
+            (parse_constraints, cursor_parse_constraints, "in.shacl", ()),
+            (parse_constraints, cursor_parse_constraints, "in.shacl", (RENAMING,)),
             (parse_abox, cursor_parse_abox, "in.abox", ()),
             (parse_abox, cursor_parse_abox, "in.abox", (RENAMING,)),
             (parse_targets, cursor_parse_targets, "in.targets", ()),
@@ -138,9 +164,9 @@ def near_lines(draw, skeletons) -> str:
     """A line of one of the given shapes, with names drawn from ``NAMES``,
     spaces or tabs between tokens (in about one line of three, one gap is
     the space the cursor does not skip), and maybe one character
-    inserted, removed or replaced."""
-    tokens = [draw(st.sampled_from(NAMES)) if ch == "N" else ch
-              for ch in draw(st.sampled_from(skeletons))]
+    inserted, removed or replaced. A keyword keeps a space after it."""
+    tokens = [draw(st.sampled_from(NAMES)) if tok == "N" else tok
+              for tok in SKELETON_TOKEN.findall(draw(st.sampled_from(skeletons)))]
     gaps = [draw(st.sampled_from(["", "", " ", "\t", " \t"])) for _ in tokens]
     odd = draw(st.integers(0, 3 * len(gaps)))
     if odd < len(gaps):
@@ -158,21 +184,27 @@ def near_lines(draw, skeletons) -> str:
     return line
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(st.lists(
     st.one_of(
-        near_lines(ABOX_SKELETONS), near_lines(TARGET_SKELETONS), st.text(LINE_CHARS, max_size=12)
+        near_lines(ABOX_SKELETONS), near_lines(TARGET_SKELETONS), near_lines(TBOX_SKELETONS),
+        near_lines(SHACL_SKELETONS), st.text(LINE_CHARS, max_size=12),
     ),
     min_size=1,
     max_size=2,
 ))
 def test_the_line_patterns_read_what_the_cursor_reads(lines):
-    # the same atoms and targets, or the same error at the same place
+    # the same values, or the same error at the same place
     for got, want in _outcomes("\n".join(lines) + "\n"):
         assert got == want
 
 
-@pytest.mark.parametrize("line", ["A(a)", "r(a,b)", "^ q(a, b)", "$s(@a)", "$ s ( @ a )"])
+@pytest.mark.parametrize("line", [
+    "A(a)", "r(a,b)", "^ q(a, b)", "$s(@a)", "$ s ( @ a )",
+    "A & B <= C", "A <= some ^q.B", "^r <= q", "C <= max1 r.top", "A & B <= some r.C",
+    "top <= q",
+    "$s <- some [q,^r].!$t | @a & B", "$s <- A | B & $ t", "$s <- some [bot].A",
+])
 def test_the_line_patterns_agree_with_the_cursor_one_edit_away(line):
     # every line one character inserted, removed or replaced away
     near = set()
@@ -191,6 +223,19 @@ def test_the_line_patterns_read_valid_lines_with_space_and_tabs():
     want = ABox.of([("A", "a")], [(Role("r"), "a", "b"), (Role("r"), "c", "a")])
     assert parse_abox(text, renaming=RENAMING) == want
     assert parse_targets("$ s\t( @ a )\n$é(@b_2)\n") == [("s", "a"), ("é", "b_2")]
+    tbox = "A\t&  B<=C\nA <= some^ r .\tB\n ^ r<=s\ntop <= max1 r.bot\n"
+    assert parse_tbox(tbox) == TBox.of([
+        ConjInclusion(frozenset({"A", "B"}), "C"), ExistsInclusion("A", Role("r", True), "B"),
+        RoleInclusion(Role("r", True), Role("s")), AtMostOne("top", Role("r"), "bot"),
+    ])
+    shapes = "$ s<-some[ q ,r]. ! $ t|@a\t&B & top\n"
+    inner = ExistsRoles(frozenset({Role("r", True), Role("r")}), NegShapeRef("t"))
+    assert parse_constraints(shapes, renaming=RENAMING) == [
+        Constraint("s", Or(inner, And(And(IndividualRef("a"), ConceptRef("B")), ConceptRef("top")))),
+    ]
+    assert parse_constraints("$s <- $t | A\n") == [
+        Constraint("s", Or(ShapeRef("t"), ConceptRef("A")))
+    ]
 
 
 # ---------------------------------------------------------------------------

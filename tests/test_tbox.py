@@ -29,7 +29,9 @@ from ontoshacl.core import (
     ValueRestriction,
 )
 from ontoshacl.harness import gen_tbox
+from ontoshacl.rewrite import _entailed_conj
 from ontoshacl.tbox import (
+    Existential,
     SaturatedTBox,
     UnsupportedPattern,
     collapse_role_cycles,
@@ -282,3 +284,26 @@ def test_counted_role_with_one_witness_is_fine():
         roles=[(Role("r"), "a", "b"), (Role("r"), "a", "c")],
     )
     assert is_consistent(tb, ab)
+
+
+def test_an_existential_whose_premise_closes_to_bot_is_dropped():
+    # A & C needs an r-successor under B that ``only r.bot`` makes bot, so
+    # A & C is inconsistent; only A's own existential is kept
+    tb = TBox.of([
+        ExistsInclusion("A", Role("r"), "B"),
+        ConjInclusion(frozenset({"A", "D"}), BOT),
+        ValueRestriction("C", Role("r"), BOT),
+    ])
+    st = SaturatedTBox(tb)
+    assert st.existentials == {Existential(frozenset({"A"}), frozenset({Role("r")}), frozenset({"B"}))}
+    assert st.conj == {(frozenset({"A", "C"}), BOT), (frozenset({"A", "D"}), BOT)}
+    # no successor under bot is asked of A & C
+    assert st.implied_existentials({"A", "C"}) == (OneHalfType(frozenset({Role("r")}), frozenset({"B"})),)
+
+
+def test_a_row_whose_premise_holds_bot_now_comes_only_from_an_axiom_that_says_so():
+    # ``A & bot <= bot`` as written: its one entailed row is kept, and the
+    # pure rewritings leave it out
+    st = SaturatedTBox(TBox.of([ConjInclusion(frozenset({"A", BOT}), BOT)]))
+    assert st.conj == {(frozenset({"A", BOT}), BOT)}
+    assert _entailed_conj(st) == []
