@@ -19,9 +19,14 @@ a sealed ``GraphIndex``, which every lookup reads and which builds it:
 ``add_concept`` and ``add_role`` grow the tables (the storage rule above
 lives in ``add_role``), and ``seal`` freezes them into an
 interpretation. ``Interpretation.of`` and ``restrict`` build through an
-index too, and ``GraphIndex.of`` copies an interpretation's tables to
-add more. ``concept_atoms`` and ``role_atoms`` are sets read off the
-tables on each call. Equality and hashing read the tables, the nodes
+index too. ``GraphIndex.of`` starts an index from an interpretation's,
+to add more: it copies each table ``dict`` and shares every frozenset in
+them, and an add copies an entry only on its first write to it (path
+copying, as in Driscoll, Sarnak, Sleator and Tarjan, "Making Data
+Structures Persistent", 1989). So the data, its completion and a model
+prefix share the set of each node that the later one leaves as it was.
+``concept_atoms`` and ``role_atoms`` are sets read off the tables on
+each call. Equality and hashing read the tables, the nodes
 and the ``complete`` flag only.
 """
 from __future__ import annotations
@@ -340,6 +345,15 @@ def _stored(role: Role, x: Node, y: Node) -> Tuple[str, Node, Node]:
     return (role.name, y, x) if role.inverted else (role.name, x, y)
 
 
+def _thawed(table: Dict, key: object) -> Set:
+    """``table[key]`` as a set that an add may grow: a shared frozenset,
+    or none, is replaced by a new set of its nodes."""
+    entry = table.get(key, _EMPTY)
+    if entry.__class__ is not set:
+        entry = table[key] = set(entry)
+    return entry
+
+
 class GraphIndex:
     """Concept and role tables, the one store of a set of atoms.
 
@@ -356,6 +370,15 @@ class GraphIndex:
     ``add_concept`` and ``add_role`` return whether their atom is new,
     which they read off the tables. ``seal`` freezes the tables, and
     adding to a sealed index raises ``TypeError``.
+
+    An entry is a ``set`` while an add may still grow it, and a
+    ``frozenset`` once sealed or while shared with the sealed index that
+    ``of`` started from. An add to a shared entry replaces it with a new
+    ``set`` of its nodes and the new one (``_thawed``), and leaves the
+    frozenset to its owner. The add finds out from the ``AttributeError``
+    that a frozenset raises on ``add``, so the add path of a fresh index,
+    where that never happens, checks nothing. Adding twice is adding
+    once, so the slow path redoes both of an add's writes.
     """
 
     __slots__ = ("extension", "ctype", "adjacency", "_tables")
@@ -377,12 +400,14 @@ class GraphIndex:
 
     @staticmethod
     def of(interp: "Interpretation") -> "GraphIndex":
-        """A copy of ``interp``'s three tables, to add more atoms to."""
+        """An index over ``interp``'s atoms, to add more atoms to: a
+        shallow copy of each table, whose entries are ``interp``'s own
+        frozensets until an add writes to them."""
         sealed = interp._index
         index = GraphIndex()
-        index.extension = {c: set(ns) for c, ns in sealed.extension.items()}
-        index.ctype = {n: set(cs) for n, cs in sealed.ctype.items()}
-        index.adjacency = {r: {x: set(ys) for x, ys in t.items()} for r, t in sealed.adjacency.items()}
+        index.extension = dict(sealed.extension)
+        index.ctype = dict(sealed.ctype)
+        index.adjacency = {r: dict(t) for r, t in sealed.adjacency.items()}
         return index
 
     def __eq__(self, other: object) -> bool:
@@ -401,8 +426,12 @@ class GraphIndex:
             ns = self.extension[c] = set()
         elif n in ns:
             return False
-        ns.add(n)
-        self.ctype.setdefault(n, set()).add(c)
+        try:
+            ns.add(n)
+            self.ctype.setdefault(n, set()).add(c)
+        except AttributeError:  # a shared frozenset
+            _thawed(self.extension, c).add(n)
+            _thawed(self.ctype, n).add(c)
         return True
 
     def add_role(self, role: Role, x: Node, y: Node) -> bool:
@@ -426,18 +455,24 @@ class GraphIndex:
             bs = forward[a] = set()
         elif b in bs:
             return False
-        bs.add(b)
-        backward.setdefault(b, set()).add(a)
+        try:
+            bs.add(b)
+            backward.setdefault(b, set()).add(a)
+        except AttributeError:  # a shared frozenset
+            _thawed(forward, a).add(b)
+            _thawed(backward, b).add(a)
         return True
 
     def seal(self, nodes: Iterable[Node], complete: bool = True) -> "Interpretation":
         """The atoms added, over the given nodes, which must include every
         node an atom mentions, as the interpretation that holds this
-        index, its tables frozen."""
+        index, its tables frozen: each entry that is still a ``set``
+        becomes a frozenset, and the shared frozensets stay as they are."""
         self._tables = None
         for table in (self.extension, self.ctype, *self.adjacency.values()):
             for k, v in table.items():
-                table[k] = frozenset(v)
+                if v.__class__ is set:
+                    table[k] = frozenset(v)
         return Interpretation(self, frozenset(nodes), complete)
 
 

@@ -148,9 +148,17 @@ class _Cursor:
 
 
 def _lines(text: str) -> List[Tuple[int, str]]:
+    """The numbered lines of a file that hold more than a comment, with
+    the comment cut. A line ends only at LF, CR LF or CR, as in an
+    editor: ``str.splitlines`` would also end one at a form feed, a
+    vertical tab or a Unicode line separator."""
     out = []
-    for k, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for k, raw in enumerate(text.split("\n"), start=1):
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
+        body = raw.strip()
         if body:
             out.append((k, body))
     return out

@@ -4,12 +4,15 @@
 of the core universal model) inside the ``core.GraphIndex`` that its
 result reads. It is semi-naive: a rule fires again only on an atom that
 the last round added and that is one of its premises, so each round's
-work follows what is new, not the size of the data. ``build_can`` grows
-the anonymous part breadth-first, in a copy of that index's tables
+work follows what is new, not the size of the data. Its first round
+reads the data's atoms off those tables. ``build_can`` grows the
+anonymous part breadth-first, in an index started from the completion's
 (``GraphIndex.of``), up to a depth bound, tracking whether the result
-is the whole model or a truncation. A node's letters are keyed by its
-concepts and its neighbours, and nodes with equal keys, named or
-anonymous, share one ``succ_config``.
+is the whole model or a truncation. Both copy only the table ``dict``s
+and the sets of the nodes they grow, and share every other node's
+frozensets with their input, which they leave as it was. A node's
+letters are keyed by its concepts and its neighbours, and nodes with
+equal keys, named or anonymous, share one ``succ_config``.
 
 Each anonymous node hangs under a parent by a 2-type letter. A letter
 (X, R, Y) says: the parent satisfies exactly X, the edge into the child
@@ -153,8 +156,11 @@ def complete_abox(sat: SaturatedTBox, abox: ABox) -> ABox:
             for r in cand.roles:
                 add_role(r, a, b)
 
-    concepts = list(abox.concept_atoms)
-    roles = list(abox.role_atoms)
+    # the first round's atoms are the data's, read off the tables before any add
+    concepts = [(c, n) for c, ns in index.extension.items() for n in ns]
+    roles = [
+        (r.name, a, b) for r, t in succ.items() if not r.inverted for a, bs in t.items() for b in bs
+    ]
     grown = set(individuals)
     while grown or roles:
         # role hierarchy; what it adds joins this round and needs no pass
@@ -289,6 +295,11 @@ def build_can(sat: SaturatedTBox, completed: ABox, depth: int) -> Interpretation
     key. An individual's key comes from one pass over the role tables
     (``Interpretation.links``), an anonymous node's from its last letter
     (``key_after``).
+
+    The result shares ``completed``'s frozensets but for those it adds
+    to: the extension of each concept that an anonymous node has, and an
+    individual's neighbours under each role to the anonymous children it
+    gains.
     """
     index = GraphIndex.of(completed)
     nodes: Set[Node] = set(completed.nodes)

@@ -9,6 +9,7 @@ a fresh index over its atoms.
 """
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -37,7 +38,7 @@ from ontoshacl.core import (
     node_key,
     type_key,
 )
-from ontoshacl.formats import parse_abox, serialize_interpretation
+from ontoshacl.formats import parse_abox, parse_tbox, serialize_interpretation
 from ontoshacl.harness import CHASE_ROUNDS, SAFE_DEPTH, gen_case
 from ontoshacl.model import InconsistentKB, build_can, complete_abox
 from ontoshacl.tbox import SaturatedTBox
@@ -326,11 +327,21 @@ def test_every_built_interpretation_reads_the_index_of_its_atoms():
     assert checked > 5000
 
 
-def _table_sets(interp):
-    """The ids of the interpretation's tables and of every set in them."""
+def _table_ids(interp):
+    """The ids of the interpretation's table dicts."""
     index = interp._index
-    tables = [index.extension, index.ctype, index.adjacency, *index.adjacency.values()]
-    return {id(x) for t in tables for x in (t, *t.values())}
+    tables = (index.extension, index.ctype, index.adjacency, *index.adjacency.values())
+    return {id(t) for t in tables}
+
+
+def _entries(interp):
+    """Each (table, key) of the interpretation's sets, mapped to its set."""
+    index = interp._index
+    out = {("extension", c): ns for c, ns in index.extension.items()}
+    out.update((("ctype", n), cs) for n, cs in index.ctype.items())
+    for r, t in index.adjacency.items():
+        out.update(((r, x), ys) for x, ys in t.items())
+    return out
 
 
 def test_completion_leaves_the_raw_data_as_parsed():
@@ -345,8 +356,70 @@ def test_completion_leaves_the_raw_data_as_parsed():
             continue
         assert kb.abox is abox
         assert _tables(kb.abox._index) == _tables(parse_abox(text)._index)
-        assert not _table_sets(kb.completed) & _table_sets(kb.abox)
+        # the two share sets, never a table, and only frozen sets
+        assert not _table_ids(kb.completed) & _table_ids(kb.abox)
+        raw = {id(v): v for v in _entries(kb.abox).values()}
+        shared = raw.keys() & {id(v) for v in _entries(kb.completed).values()}
+        assert all(type(raw[i]) is frozenset for i in shared)
     assert grew > 10
+
+
+# a merge that grows b and adds s(a, b), a role inclusion, and c and d,
+# which nothing touches
+MERGE_TBOX = "A <= some r.B\nA <= max1 r.B\nB <= C\nr <= s\n"
+MERGE_ABOX = "A(a)\nr(a,b)\nB(b)\nD(c)\nt(c,d)\n"
+
+
+def _kept_and_grown(before, after):
+    """How many of ``before``'s entries ``after`` holds as the very same
+    object and how many it holds as a new, larger one, checking that an
+    entry is the same object exactly when it has the same nodes."""
+    later = _entries(after)
+    kept = extended = 0
+    for key, was in _entries(before).items():
+        now = later[key]
+        assert was <= now
+        if now == was:
+            assert now is was, key
+            kept += 1
+        else:
+            assert now is not was, key
+            extended += 1
+    return kept, extended
+
+
+def test_model_building_shares_each_set_it_leaves_and_copies_each_it_grows():
+    cases = [gen_case(random.Random(k))[:2] for k in range(40)]
+    cases.append((parse_tbox(MERGE_TBOX), parse_abox(MERGE_ABOX)))
+    kept = extended = 0
+    for tbox, abox in cases:
+        sat = SaturatedTBox(tbox)
+        raw = copy.deepcopy(_tables(abox._index))
+        built = [fire_axioms(sat, abox)]
+        try:
+            built.append(complete_abox(sat, abox))
+        except InconsistentKB:
+            pass
+        assert _tables(abox._index) == raw
+        if len(built) == 2:
+            completed = built[1]
+            k, e = _kept_and_grown(abox, completed)
+            kept, extended = kept + k, extended + e
+            done = copy.deepcopy(_tables(completed._index))
+            built += [build_can(sat, completed, 2), fire_axioms(sat, completed)]
+            assert _tables(completed._index) == done
+            _kept_and_grown(completed, built[2])
+        for interp in built:
+            assert_indexed(interp)
+    assert kept > 100 and extended > 10
+    # the merge case: b grows, a gains an s edge, and c and d keep theirs
+    completed = built[1]
+    assert completed.concepts_of("b") == {"B", "C"}
+    assert completed.has_edge(Role("s"), "a", "b")
+    assert completed._index.ctype["c"] is abox._index.ctype["c"]
+    for r, n in ((Role("t"), "c"), (Role("t", True), "d")):
+        assert completed._index.adjacency[r][n] is abox._index.adjacency[r][n]
+    assert abox.concepts_of("b") == {"B"} and not abox.has_edge(Role("s"), "a", "b")
 
 
 @given(

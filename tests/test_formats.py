@@ -270,3 +270,29 @@ def test_the_json_report_is_json_dumps_byte_for_byte(targets, stats):
 def test_the_json_report_matches_json_dumps_on_any_names(targets, stats):
     want = json_report(True, "direct", targets, stats)
     assert report_to_json(True, "direct", targets, stats) == want
+
+
+# characters that ``str.splitlines`` ends a line at, but an editor does not
+NOT_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("odd", NOT_LINE_ENDS, ids=lambda ch: f"U+{ord(ch):04X}")
+def test_each_reader_ends_a_line_only_at_lf_crlf_or_cr(odd):
+    # the odd character sits in a comment, so what follows it is comment too
+    assert parse_tbox(f"A <= B # note{odd}C <= D\n") == TBox.of(
+        [ConjInclusion(frozenset({"A"}), "B")]
+    )
+    assert parse_abox(f"A(a) # note{odd}B(b)\n") == ABox.of(concepts=[("A", "a")])
+    assert parse_constraints(f"$s <- A # note{odd}$t <- B\n") == parse_constraints("$s <- A\n")
+    assert parse_targets(f"$s(@a) # note{odd}$t(@b)\n") == [("s", "a")]
+    # outside a comment it is inside the line: one line, not two constraints
+    with pytest.raises(ParseError, match=r"^<shacl>:1:"):
+        parse_constraints(f"$s <- A{odd}$t <- B")
+    with pytest.raises(ParseError, match=r"^<tbox>:2:5:"):
+        parse_tbox(f"A <= B # note{odd}C <= D\nbad line\n")
+
+
+def test_a_line_ends_at_lf_crlf_and_cr_alike():
+    with pytest.raises(ParseError, match=r"^<tbox>:4:5:"):
+        parse_tbox("A <= B\r\nC <= D\rE <= F\nbad line\r\n")
+    assert parse_targets("$s(@a)\r$t(@b)\r\n$u(@c)") == [("s", "a"), ("t", "b"), ("u", "c")]
