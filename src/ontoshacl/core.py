@@ -230,23 +230,29 @@ Hierarchy = Dict[Role, FrozenSet[Role]]
 
 
 def role_hierarchy(tbox: TBox) -> Hierarchy:
-    """Reflexive-transitive super-role map over both polarities."""
-    sup: Dict[Role, Set[Role]] = {r: {r} for r in tbox.all_roles()}
+    """Reflexive-transitive super-role map over both polarities: each
+    role's super-roles are what one walk reaches from it over the
+    inclusions and their mirrored inverses.
+
+    The roles of a cycle share one super-role set.
+    ``tbox.collapse_role_cycles`` replaces them by the least of them in
+    ``(name, inverted)`` order, and refuses a role that is in a cycle
+    with its own inverse, naming the least such role."""
+    edges: Dict[Role, List[Role]] = {}
     for ax in tbox.roles:
-        for sub, sper in ((ax.sub, ax.sup), (ax.sub.invert(), ax.sup.invert())):
-            sup.setdefault(sub, {sub}).add(sper)
-            sup.setdefault(sper, {sper})
-    changed = True
-    while changed:
-        changed = False
-        for r in sup:
-            extra = set()
-            for s in sup[r]:
-                extra |= sup.get(s, {s})
-            if not extra <= sup[r]:
-                sup[r] |= extra
-                changed = True
-    return {r: frozenset(v) for r, v in sup.items()}
+        edges.setdefault(ax.sub, []).append(ax.sup)
+        edges.setdefault(ax.sub.invert(), []).append(ax.sup.invert())
+    out: Hierarchy = {}
+    for r in tbox.all_roles():
+        seen = {r}
+        todo = [r]
+        while todo:
+            for s in edges.get(todo.pop(), ()):
+                if s not in seen:
+                    seen.add(s)
+                    todo.append(s)
+        out[r] = frozenset(seen)
+    return out
 
 
 # ---------------------------------------------------------------------------

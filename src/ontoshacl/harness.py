@@ -91,6 +91,7 @@ def gen_tbox(rng: random.Random, allow_atmost: bool = True) -> TBox:
             filler = rng.choice(CONCEPTS + (TOP,))
             axioms.append(AtMostOne(lhs, _role(rng), filler))
         else:
+            # lower to higher index: never a role cycle (tests/test_harness.py adds them)
             i, j = sorted(rng.sample(range(len(ROLES)), 2))
             sub = Role(ROLES[i], rng.random() < 0.25)
             sup = Role(ROLES[j], rng.random() < 0.25)

@@ -951,16 +951,10 @@ def _concept_seeds(st: SaturatedTBox, names: Iterable[str]) -> List[Constraint]:
 
 def _simplify_roles(st: SaturatedTBox, roles: FrozenSet[Role]) -> FrozenSet[Role]:
     # drop roles implied by a strictly smaller one in the same conjunction
-    cur = set(roles)
-    changed = True
-    while changed:
-        changed = False
-        for r in sorted(cur):
-            if any(s != r and r in st.superroles(s) for s in cur):
-                cur.discard(r)
-                changed = True
-                break
-    return frozenset(cur)
+    sup = st.superroles
+    return frozenset(
+        r for r in roles if not any(r in sup(s) and s not in sup(r) for s in roles)
+    )
 
 
 def _subst(

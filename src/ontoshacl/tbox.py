@@ -44,58 +44,36 @@ class UnsupportedPattern(ValueError):
 def collapse_role_cycles(tbox: TBox) -> Tuple[TBox, Dict[str, Role]]:
     """Replace each cycle of role inclusions by a single representative.
 
-    Returns the rewritten TBox and a renaming from replaced role names to
-    the role (possibly inverted) they now stand for. A TBox without a
-    cycle comes back as the same object, its ``hierarchy`` already read.
+    Two roles are in one cycle exactly when their super-role sets are
+    equal, and the least role of the cycle, in ``(name, inverted)``
+    order, stands for it; the mirrored cycle's least role is that role's
+    inverse. A role in a cycle with its own inverse is refused, naming
+    the least such role. Returns the rewritten TBox and a renaming from
+    replaced role names to the role (possibly inverted) they now stand
+    for. A TBox without a cycle comes back as the same object, its
+    ``hierarchy`` already read.
     """
     hier = tbox.hierarchy
-    # r and s are in a cycle iff each is a super-role of the other
-    groups: Dict[Role, List[Role]] = {}
-    for r in hier:
-        cycle = sorted({s for s in hier[r] if r in hier.get(s, frozenset())})
-        groups[r] = cycle
-    renaming: Dict[str, Role] = {}
-    replacement: Dict[Role, Role] = {}
-    for r, cycle in sorted(groups.items()):
-        if len(cycle) <= 1:
-            continue
-        names = {m.name for m in cycle}
-        for n in names:
-            if Role(n, False) in cycle and Role(n, True) in cycle:
-                raise UnsupportedPattern(
-                    f"role {n} is equivalent to its own inverse; cannot collapse"
-                )
-        rep = cycle[0]
-        for member in cycle:
-            if member.name == rep.name:
-                continue
-            # member is equivalent to rep; an inverted member m^- == rep
-            # means the plain name m maps to rep inverted
-            replacement[member] = rep
-            replacement[member.invert()] = rep.invert()
-            renaming[member.name] = rep.invert() if member.inverted else rep
-
+    groups: Dict[FrozenSet[Role], List[Role]] = {}
+    for r in sorted(hier):
+        if r.invert() in hier[r]:
+            raise UnsupportedPattern(
+                f"role {r.name} is equivalent to its own inverse; cannot collapse"
+            )
+        groups.setdefault(hier[r], []).append(r)
+    replacement = {m: group[0] for group in groups.values() for m in group[1:]}
     if not replacement:
         return tbox, {}
 
     def fix(role: Role) -> Role:
-        if role in replacement:
-            return replacement[role]
-        if role.invert() in replacement:
-            return replacement[role.invert()].invert()
-        return role
+        return replacement.get(role, role)
 
     axioms: List = list(tbox.conj)
-    for ax in tbox.atmost:
-        axioms.append(type(ax)(ax.lhs, fix(ax.role), ax.filler))
-    for ax in tbox.value:
-        axioms.append(type(ax)(ax.lhs, fix(ax.role), ax.filler))
-    for ax in tbox.exists:
+    for ax in (*tbox.atmost, *tbox.value, *tbox.exists):
         axioms.append(type(ax)(ax.lhs, fix(ax.role), ax.filler))
     for ax in tbox.roles:
-        sub, sup_ = fix(ax.sub), fix(ax.sup)
-        if sub != sup_:
-            axioms.append(RoleInclusion(sub, sup_))
+        axioms.append(RoleInclusion(fix(ax.sub), fix(ax.sup)))
+    renaming = {m.name: rep for m, rep in replacement.items() if not m.inverted}
     return TBox.of(axioms), renaming
 
 
@@ -145,20 +123,27 @@ class SaturatedTBox:
         return frozenset(out)
 
     def cl(self, concepts: Iterable[str]) -> FrozenSet[str]:
+        # a frozenset is its own cache key, so a repeated probe builds nothing
+        frozen = isinstance(concepts, frozenset)
+        if frozen:
+            cached = self._cl_cache.get(concepts)
+            if cached is not None:
+                return cached
         base = _strip_top(concepts)
-        cached = self._cl_cache.get(base)
-        if cached is not None:
-            return cached
-        out = set(base)
-        changed = True
-        while changed:
-            changed = False
-            for lhs, rhs in self.conj:
-                if rhs not in out and lhs <= out:
-                    out.add(rhs)
-                    changed = True
-        result = frozenset(out)
-        self._cl_cache[base] = result
+        result = self._cl_cache.get(base)
+        if result is None:
+            out = set(base)
+            changed = True
+            while changed:
+                changed = False
+                for lhs, rhs in self.conj:
+                    if rhs not in out and lhs <= out:
+                        out.add(rhs)
+                        changed = True
+            result = frozenset(out)
+            self._cl_cache[base] = result
+        if frozen:
+            self._cl_cache[concepts] = result
         return result
 
     def _holds(self, concept: str, closed: FrozenSet[str]) -> bool:

@@ -376,6 +376,22 @@ def test_show_rewrite_does_not_depend_on_the_hash_seed(tmp_path, mode):
     assert outs[0].count("\n") > len(HASHED_TARGETS.splitlines()) + 3
 
 
+def test_a_self_inverse_refusal_names_the_least_role_under_every_hash_seed(tmp_path):
+    # p, q, ^p and ^q are one cycle; the refusal names its least role
+    f = write(tmp_path, tbox="p <= q\nq <= p\np <= ^p\n", abox=ABOX, shacl=SHAPES,
+              targets="$t(@b)\n")
+    argv = [sys.executable, "-m", "ontoshacl.cli", "validate", "--tbox", f["tbox"],
+            "--abox", f["abox"], "--shapes", f["shacl"], "--targets", f["targets"]]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    errs = set()
+    for seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == cli.EXIT_INPUT, proc.stderr
+        errs.add(proc.stderr)
+    assert errs == {"error: role p is equivalent to its own inverse; cannot collapse\n"}
+
+
 def test_show_rewrite_ignores_an_axiom_over_fresh_names(tmp_path, capsys):
     # no shape reads P, Q or P2 and no existential mentions them, so the
     # rewriting does not change

@@ -4,17 +4,20 @@ The saturated view must expose every entailed conjunction inclusion and
 every implied successor requirement, with counted roles folded into
 merged requirements. Golden cases pin the mixed-family seven-axiom TBox
 used throughout; randomized cases compare against the brute-force type
-table in oracles.py, which is only sound without counting axioms.
+table in oracles.py, which is only sound without counting axioms. The
+role hierarchy, the collapse of role cycles and the reduction of role
+sets are checked on seeded draws against plain reachability.
 """
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_entailed, brute_existentials, is_consistent
+from oracles import brute_entailed, brute_existentials, is_consistent, role_reach
 from ontoshacl.core import (
     BOT,
     TOP,
@@ -29,7 +32,7 @@ from ontoshacl.core import (
     ValueRestriction,
 )
 from ontoshacl.harness import gen_tbox
-from ontoshacl.rewrite import _entailed_conj
+from ontoshacl.rewrite import _entailed_conj, _simplify_roles
 from ontoshacl.tbox import (
     Existential,
     SaturatedTBox,
@@ -123,6 +126,74 @@ def test_collapse_is_identity_without_cycles():
     out, renaming = collapse_role_cycles(tb)
     assert out == tb
     assert renaming == {}
+
+
+def draw_role_tbox(rng):
+    """0-8 role inclusions over p, q, r and s with random inversions, so
+    cycles and roles equivalent to their own inverse both occur, and one
+    existential over a drawn role."""
+
+    def role():
+        return Role(rng.choice("pqrs"), rng.random() < 0.25)
+
+    axioms = [RoleInclusion(role(), role()) for _ in range(rng.randint(0, 8))]
+    return TBox.of([*axioms, ExistsInclusion("A", role(), "B")])
+
+
+def least_equivalent(reach):
+    """Each role's least mutually reachable role."""
+    return {r: min(s for s in reach[r] if r in reach[s]) for r in reach}
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds)
+def test_role_hierarchy_matches_reachability(seed):
+    tb = draw_role_tbox(random.Random(seed))
+    assert tb.hierarchy == role_reach(tb)
+
+
+def test_collapse_maps_each_cycle_to_its_least_role():
+    # a thousand seeded draws: this many refused for a self-inverse role,
+    # and this many of the rest with a cycle
+    refused = cyclic = 0
+    for seed in range(1000):
+        tb = draw_role_tbox(random.Random(seed))
+        reach = role_reach(tb)
+        self_inverse = sorted(r for r in reach if r.invert() in reach[r])
+        if self_inverse:
+            refused += 1
+            with pytest.raises(UnsupportedPattern, match=f"^role {self_inverse[0].name} is "):
+                collapse_role_cycles(tb)
+            continue
+        rep = least_equivalent(reach)
+        out, renaming = collapse_role_cycles(tb)
+        cyclic += out is not tb
+        assert renaming == {r.name: s for r, s in rep.items() if r != s and not r.inverted}
+        assert all(rep[r.invert()] == s.invert() for r, s in rep.items())
+        again, none = collapse_role_cycles(out)
+        assert again is out and none == {}
+        # a representative that no axiom of out names has itself alone
+        mapped = {rep[r]: frozenset(rep[s] for s in reach[r]) for r in reach}
+        assert set(out.hierarchy) <= set(mapped)
+        assert {r: out.hierarchy.get(r, frozenset({r})) for r in mapped} == mapped
+        (ax,) = tb.exists
+        assert out.exists == (ExistsInclusion("A", rep[ax.role], "B"),)
+    assert (refused, cyclic) == (416, 70)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds)
+def test_simplify_roles_keeps_the_minimal_roles_of_an_acyclic_hierarchy(seed):
+    tb = draw_role_tbox(random.Random(seed))
+    reach = role_reach(tb)
+    if any(s != r and r in reach[s] for r in reach for s in reach[r]):
+        return  # a cycle
+    sat = SaturatedTBox(tb)
+    roles = sorted(reach)
+    for n in range(len(roles) + 1):
+        for subset in map(frozenset, itertools.combinations(roles, n)):
+            minimal = {r for r in subset if not any(s != r and r in reach[s] for s in subset)}
+            assert _simplify_roles(sat, subset) == minimal
 
 
 # =============================================================================
